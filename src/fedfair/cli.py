@@ -302,6 +302,10 @@ def run_reproduce(table_id: str, fmt: str, out: IO[str], mu_e: float = 10.0) -> 
 
 
 def run_verify(suite: str, seed: int, instances: int, fmt: str, out: IO[str]) -> int:
+    if instances < 1:
+        # A sweep over no instances would report a vacuous pass.
+        print(f"error: --instances must be >= 1, got {instances}", file=sys.stderr)
+        return 2
     if suite == "modularity":
         rows = []
         failures = 0
@@ -498,11 +502,14 @@ def run_scan(
     if nl_step <= 0:
         print("error: --nl-step must be positive", file=sys.stderr)
         return 2
-    values = []
-    value = nl_start
-    while value <= nl_stop + 1e-9:
-        values.append(value)
-        value += nl_step
+    span = (nl_stop - nl_start) / nl_step
+    if not (math.isfinite(span) and math.isfinite(nl_step)):
+        print("error: --nl-start, --nl-stop and --nl-step must be finite", file=sys.stderr)
+        return 2
+    # Each row is computed from its index, so no rounding accumulates and
+    # the endpoint is kept whenever it lies on the grid.
+    count = math.floor(span + 1e-9) + 1
+    values = [nl_start + i * nl_step for i in range(count)]
     if not values:
         print("error: empty n_l range", file=sys.stderr)
         return 2

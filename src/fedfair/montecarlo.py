@@ -1,10 +1,13 @@
 """Simulation oracle for the closed-form expected errors.
 
 Each trial draws a true mean per player (mean 0 without loss of
-generality, variance sigma_sq), draws that player's individual samples
-around it, averages them into local estimates, combines the estimates
-with the weights implied by the federation method (or an explicit weight
-vector), and records the squared error against the target's true mean.
+generality, variance sigma_sq) and that player's local estimate around
+it.  The local estimate is the mean of n samples with noise variance v,
+which is exactly N(true mean, v/n), so it is drawn as one normal rather
+than from n individual samples; time and memory per trial do not depend
+on n.  The estimates are combined with the weights implied by the
+federation method (or an explicit weight vector), and the squared error
+against the target's true mean is recorded.
 The empirical mean squared error is then compared with the matching
 closed form via a z-score.
 
@@ -51,13 +54,18 @@ class MeanDistribution(str, Enum):
 class SimulationSpec:
     """One simulation: who federates, how estimates combine, and the RNG seed.
 
+    Every player's n must be an integer: the model's local estimate is
+    the mean of n samples.  The simulation draws that mean directly as one
+    normal of variance (noise variance)/n, not the n samples themselves.
+
     ``noise_variances`` is optional: when absent every sample has variance
     mu_e.  When present it lists candidate noise variances (one entry per
     coalition member, averaging mu_e within 1e-12) and each trial draws
     every player's variance independently and uniformly from the list, so
     the population noise expectation stays mu_e while individual draws
-    vary.  The closed forms depend on the noise only through mu_e, which
-    is exactly what this option exists to demonstrate.
+    vary.  A player's variance is fixed within a trial, so its local mean
+    is still exactly normal.  The closed forms depend on the noise only
+    through mu_e, which is exactly what this option exists to demonstrate.
     """
 
     coalition: Coalition
@@ -79,8 +87,8 @@ class SimulationSpec:
         for p in self.coalition.players:
             if not float(p.n).is_integer():
                 raise NonIntegerSamples(
-                    f"player {p.id!r} has n={p.n!r}; simulation draws individual "
-                    "samples and needs integer counts"
+                    f"player {p.id!r} has n={p.n!r}; the simulated model "
+                    "averages n samples and needs integer counts"
                 )
         if self.noise_variances is not None:
             object.__setattr__(self, "noise_variances", tuple(self.noise_variances))
@@ -146,7 +154,7 @@ def _chunk_sums(
     """Sum and sum-of-squares of the squared errors for one trial chunk."""
     rng = np.random.default_rng(seed_seq)
     ordered = spec.coalition.ordered()
-    counts = [int(p.n) for p in ordered]
+    counts = np.array([p.n for p in ordered], dtype=np.float64)
     players = len(ordered)
     target_idx = next(i for i, p in enumerate(ordered) if p.id == spec.target)
 
@@ -164,11 +172,10 @@ def _chunk_sums(
         candidates = np.array(spec.noise_variances, dtype=np.float64)
         noise_std = np.sqrt(rng.choice(candidates, size=(size, players)))
 
-    estimate_noise = np.empty((size, players), dtype=np.float64)
-    for idx, n in enumerate(counts):
-        draws = rng.standard_normal((size, n))
-        estimate_noise[:, idx] = draws.mean(axis=1)
-    estimate_noise *= noise_std
+    # The mean of n iid N(0, v) samples is exactly N(0, v/n), so each
+    # player's local-estimate noise is one standard normal per trial.
+    estimate_noise = rng.standard_normal((size, players))
+    estimate_noise *= noise_std / np.sqrt(counts)
     estimates = (means + estimate_noise) @ weights
     deviations = estimates - means[:, target_idx]
     squared = deviations * deviations

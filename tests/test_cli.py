@@ -240,6 +240,16 @@ class TestVerify:
         assert first == second
 
 
+    @pytest.mark.parametrize(
+        "suite, count", [("propstab", "0"), ("egalitarian-bound", "-5")]
+    )
+    def test_non_positive_instances_rejected(self, suite, count, tmp_path, capsys):
+        code, text = run_cli(["verify", suite, "--instances", count], tmp_path)
+        assert code == 2
+        assert text == ""
+        assert "--instances" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_motivating_pair(self, scenario_620, tmp_path):
         code, text = run_cli(
@@ -320,6 +330,33 @@ class TestScan:
             tmp_path,
         )
         assert code == 2
+
+    def test_fractional_step_keeps_endpoint(self, tmp_path):
+        code, text = run_cli(
+            [
+                "scan", "--ns", "6", "--nl-start", "1e9", "--nl-stop", "1000000300",
+                "--nl-step", "0.1", "--mu-e", "10", "--sigma-sq", "1",
+            ],
+            tmp_path,
+        )
+        assert code == 0
+        rows = parse_csv(text)
+        assert len(rows) == 3001
+        assert float(rows[-1]["n_l"]) == 1000000300.0
+
+    @pytest.mark.parametrize(
+        "stop, step", [("inf", "10"), ("40", "inf"), ("nan", "10")]
+    )
+    def test_non_finite_range_is_usage_error(self, stop, step, tmp_path, capsys):
+        code, _ = run_cli(
+            [
+                "scan", "--ns", "6", "--nl-start", "20", "--nl-stop", stop,
+                "--nl-step", step, "--mu-e", "10", "--sigma-sq", "1",
+            ],
+            tmp_path,
+        )
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_infinity_survives_json(self, tmp_path):
         code, text = run_cli(

@@ -2,7 +2,9 @@
 spec validation."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from fedfair import (
@@ -109,6 +111,77 @@ class TestAgreementWithClosedForms:
         assert result.empirical_mse == 0.0
         assert result.standard_error == 0.0
         assert result.z_score == 0.0
+
+
+def per_sample_reference(spec: SimulationSpec, seed: int) -> tuple[float, float]:
+    """Mean and standard error of the squared error, drawn the literal way:
+    n individual noisy samples per player, then their average."""
+    rng = np.random.default_rng(seed)
+    ordered = spec.coalition.ordered()
+    players = len(ordered)
+    target_idx = [p.id for p in ordered].index(spec.target)
+    size = spec.trials
+    if spec.mean_distribution is MeanDistribution.GAUSSIAN:
+        means = rng.standard_normal((size, players)) * math.sqrt(spec.params.sigma_sq)
+    else:
+        half = math.sqrt(3.0 * spec.params.sigma_sq)
+        means = rng.uniform(-half, half, size=(size, players))
+    if spec.noise_variances is None:
+        variances = np.full((size, players), spec.params.mu_e)
+    else:
+        variances = rng.choice(np.array(spec.noise_variances), size=(size, players))
+    estimates = np.empty((size, players))
+    for idx, player in enumerate(ordered):
+        samples = rng.standard_normal((size, int(player.n)))
+        samples *= np.sqrt(variances[:, idx : idx + 1])
+        estimates[:, idx] = (means[:, idx : idx + 1] + samples).mean(axis=1)
+    squared = (estimates @ spec.resolved_weights() - means[:, target_idx]) ** 2
+    return float(squared.mean()), float(squared.std(ddof=1) / math.sqrt(size))
+
+
+class TestPerSampleReference:
+    """The oracle draws each local mean as one normal.  It must agree in
+    distribution with averaging n individually drawn samples."""
+
+    SMALL = Coalition((Player("a", 3.0), Player("b", 7.0)))
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"mean_distribution": MeanDistribution.UNIFORM},
+            {"noise_variances": (2.0, 18.0)},
+        ],
+        ids=["gaussian-means", "uniform-means", "noise-variances"],
+    )
+    def test_agrees_with_literal_draw(self, options):
+        case = spec(coalition=self.SMALL, target="a", trials=20_000, **options)
+        oracle = simulate_error(case)
+        ref_mean, ref_error = per_sample_reference(case, seed=2024)
+        z = (oracle.empirical_mse - ref_mean) / math.hypot(
+            oracle.standard_error, ref_error
+        )
+        assert abs(z) <= 4.0, (oracle.empirical_mse, ref_mean, z)
+
+
+class TestMemory:
+    def test_chunk_memory_does_not_grow_with_sample_count(self):
+        """Drawing n samples per player would allocate trials * n * 8 bytes
+        (164 MB here); drawing the mean directly needs well under 8 MB."""
+        case = spec(
+            coalition=Coalition((Player("x", 5000.0),)),
+            target="x",
+            method=FederationMethod.LOCAL,
+            trials=4096,
+        )
+        tracemalloc.start()
+        try:
+            result = simulate_error(case)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(result.z_score) <= 4.0
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestDeterminism:

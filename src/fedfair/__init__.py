@@ -15,7 +15,6 @@ from .egalitarian import (
     tightness_search,
 )
 from .errors import (
-    FineGrainedContext,
     WeightVector,
     expected_error,
     fine_grained_error,
@@ -29,8 +28,6 @@ from .model import (
     FederationMethod,
     Player,
     PopulationParams,
-    Scenario,
-    validate_scenario,
 )
 from .montecarlo import (
     MeanDistribution,
@@ -42,7 +39,6 @@ from .montecarlo import (
 )
 from .proportionality import (
     CoalitionLabel,
-    PairClass,
     ProportionalityReport,
     RationalityReport,
     classify_proportionality,
@@ -59,15 +55,12 @@ __all__ = [
     "CoalitionLabel",
     "FairnessAudit",
     "FederationMethod",
-    "FineGrainedContext",
     "MeanDistribution",
     "ModularityReport",
-    "PairClass",
     "Player",
     "PopulationParams",
     "ProportionalityReport",
     "RationalityReport",
-    "Scenario",
     "SimulationResult",
     "SimulationSpec",
     "TightnessResult",
@@ -90,7 +83,6 @@ __all__ = [
     "subproportionality_threshold",
     "tightness_search",
     "uniform_error",
-    "validate_scenario",
     "verify_propstab",
     "weighted_error",
 ]

@@ -13,17 +13,18 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from .egalitarian import (
     audit_egalitarian,
     bound_sweep,
     check_modularity,
+    egalitarian_bound,
     inverse_size_error,
 )
-from .errors import uniform_error
+from .errors import member_errors
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
-from .model import Coalition, FederationMethod, Player, PopulationParams, Scenario
+from .model import Coalition, FederationMethod, Player, PopulationParams
 from .montecarlo import SimulationSpec, simulate_error
 from .proportionality import (
     classify_proportionality,
@@ -47,6 +48,8 @@ REFERENCE_MOTIVATING = {
 CELL_REL_TOL = 5e-3
 
 METHOD_NAMES = {m.value: m for m in FederationMethod}
+# The scan grid is built in memory, so its size is capped.
+MAX_SCAN_ROWS = 100_000
 
 
 class ScenarioFileError(FedFairError):
@@ -64,15 +67,8 @@ class ScenarioFile:
 
     @classmethod
     def from_dict(cls, data: object) -> "ScenarioFile":
-        if not isinstance(data, dict):
-            raise ScenarioFileError("top level must be a JSON object")
-        allowed = {"mu_e", "sigma_sq", "players", "method"}
-        for key in data:
-            if key not in allowed:
-                raise ScenarioFileError(f"unknown field {key!r}")
-        for key in ("mu_e", "sigma_sq", "players", "method"):
-            if key not in data:
-                raise ScenarioFileError(f"missing field {key!r}")
+        fields = ("mu_e", "sigma_sq", "players", "method")
+        data = _require_object(data, "top level", fields, fields)
         mu_e = _require_number(data["mu_e"], "mu_e")
         sigma_sq = _require_number(data["sigma_sq"], "sigma_sq")
         if not isinstance(data["players"], list):
@@ -80,13 +76,7 @@ class ScenarioFile:
         players: list[tuple[str, float]] = []
         for idx, entry in enumerate(data["players"]):
             where = f"players[{idx}]"
-            if not isinstance(entry, dict):
-                raise ScenarioFileError(f"{where} must be an object")
-            for key in entry:
-                if key not in {"id", "n"}:
-                    raise ScenarioFileError(f"{where}: unknown field {key!r}")
-            if "n" not in entry:
-                raise ScenarioFileError(f"{where}: missing field 'n'")
+            entry = _require_object(entry, where, ("id", "n"), ("n",))
             n = _require_number(entry["n"], f"{where}.n")
             pid = entry.get("id", f"p{idx + 1}")
             if not isinstance(pid, str):
@@ -108,32 +98,77 @@ class ScenarioFile:
             "method": self.method,
         }
 
-    def to_scenario(self) -> tuple[Scenario, FederationMethod]:
+    def to_scenario(self) -> tuple[PopulationParams, Coalition, FederationMethod]:
         params = PopulationParams(self.mu_e, self.sigma_sq)
         coalition = Coalition(tuple(Player(pid, n) for pid, n in self.players))
-        return Scenario(params, coalition), METHOD_NAMES[self.method]
+        return params, coalition, METHOD_NAMES[self.method]
+
+
+class _JsonObject(dict):
+    """A decoded JSON object; ``duplicate`` is the first key it repeats."""
+
+    def __init__(self, pairs: list[tuple[str, object]]) -> None:
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.duplicate = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+
+
+def _require_object(
+    value: object, where: str, allowed: Sequence[str], required: Sequence[str]
+) -> dict:
+    """``value`` as a JSON object with no repeated, unknown or missing field."""
+    if not isinstance(value, dict):
+        raise ScenarioFileError(f"{where} must be a JSON object")
+    duplicate = getattr(value, "duplicate", None)
+    if duplicate is not None:
+        raise ScenarioFileError(f"{where}: duplicate field {duplicate!r}")
+    for key in value:
+        if key not in allowed:
+            raise ScenarioFileError(f"{where}: unknown field {key!r}")
+    for key in required:
+        if key not in value:
+            raise ScenarioFileError(f"{where}: missing field {key!r}")
+    return value
 
 
 def _require_number(value: object, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFileError(f"field {field!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioFileError(
+            f"field {field!r} is out of the floating-point range"
+        ) from None
 
 
 def load_scenario_file(path: str) -> ScenarioFile:
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
+            data = json.load(handle, object_pairs_hook=_JsonObject)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deeply to decode.
         raise ScenarioFileError(f"{path}: invalid JSON ({exc})") from exc
     return ScenarioFile.from_dict(data)
+
+
+def _load_scenario(
+    path: str, dump_scenario: str | None
+) -> tuple[PopulationParams, Coalition, FederationMethod]:
+    """Parse a scenario file, re-emitting it to ``dump_scenario`` if given."""
+    sfile = load_scenario_file(path)
+    if dump_scenario:
+        with open(dump_scenario, "w", encoding="utf-8") as handle:
+            json.dump(sfile.to_dict(), handle, indent=2)
+            handle.write("\n")
+    return sfile.to_scenario()
 
 
 # ---------------------------------------------------------------------------
 # Output rendering
 
 
-def _csv_cell(value: object) -> str:
+def _cell(value: object, number: Callable[[float], str]) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -141,19 +176,7 @@ def _csv_cell(value: object) -> str:
     if isinstance(value, float):
         if math.isinf(value):
             return "Infinity" if value > 0 else "-Infinity"
-        return repr(value)
-    return str(value)
-
-
-def _table_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return f"{value:.3g}"
+        return number(value)
     return str(value)
 
 
@@ -167,9 +190,9 @@ def emit_rows(
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_csv_cell(row.get(c)) for c in columns])
+            writer.writerow([_cell(row.get(c), repr) for c in columns])
     else:
-        cells = [[_table_cell(row.get(c)) for c in columns] for row in rows]
+        cells = [[_cell(row.get(c), "{:.3g}".format) for c in columns] for row in rows]
         widths = [
             max(len(str(col)), *(len(r[i]) for r in cells)) if cells else len(str(col))
             for i, col in enumerate(columns)
@@ -205,14 +228,7 @@ AUDIT_COLUMNS = [
 def run_audit(
     path: str, fmt: str, out: IO[str], dump_scenario: str | None = None
 ) -> int:
-    sfile = load_scenario_file(path)
-    scenario, method = sfile.to_scenario()
-    if dump_scenario:
-        with open(dump_scenario, "w", encoding="utf-8") as handle:
-            json.dump(sfile.to_dict(), handle, indent=2)
-            handle.write("\n")
-    params, coalition = scenario.params, scenario.coalition
-
+    params, coalition, method = _load_scenario(path, dump_scenario)
     rationality = individually_rational(coalition, method, params)
     proportionality = classify_proportionality(coalition, method, params)
     rows: list[dict] = []
@@ -266,36 +282,24 @@ def run_reproduce(table_id: str, fmt: str, out: IO[str], mu_e: float = 10.0) -> 
     params = PopulationParams(mu_e=mu_e, sigma_sq=1.0)
     n_s = 6.0
     rows = []
-    all_match = True
     for n_l, reference in REFERENCE_MOTIVATING.items():
         coalition = Coalition((Player("s", n_s), Player("l", float(n_l))))
-        err_s = uniform_error(coalition, "s", params)
-        err_l = uniform_error(coalition, "l", params)
+        errs = member_errors(coalition, FederationMethod.UNIFORM, params)
         computed = (
-            err_s,
-            err_l,
-            err_s / err_l,
-            2.0 * n_l * params.sigma_sq / params.mu_e + 1.0,
+            errs["s"],
+            errs["l"],
+            errs["s"] / errs["l"],
+            egalitarian_bound(float(n_l), params)[1],
             n_l / n_s,
         )
         matches = all(
             abs(got - want) <= CELL_REL_TOL * abs(want)
             for got, want in zip(computed, reference)
         )
-        all_match = all_match and matches
-        rows.append(
-            {
-                "n_l": n_l,
-                "err_small": computed[0],
-                "err_large": computed[1],
-                "ratio": computed[2],
-                "bound": computed[3],
-                "size_ratio": computed[4],
-                "matches": matches,
-            }
-        )
+        cells = dict(zip(REPRODUCE_COLUMNS[1:-1], computed))
+        rows.append({"n_l": n_l, **cells, "matches": matches})
     emit_rows(rows, REPRODUCE_COLUMNS, fmt, out)
-    if not all_match:
+    if not all(row["matches"] for row in rows):
         print("error: computed cells diverge from the published table", file=sys.stderr)
         return 1
     return 0
@@ -307,8 +311,11 @@ def run_verify(suite: str, seed: int, instances: int, fmt: str, out: IO[str]) ->
         print(f"error: --instances must be >= 1, got {instances}", file=sys.stderr)
         return 2
     if suite == "modularity":
-        rows = []
-        failures = 0
+        columns = [
+            "method", "property", "passed", "checks", "expected_modular",
+            "counterexample",
+        ]
+        rows, passed = [], True
         for method, expect_pass in (
             (FederationMethod.UNIFORM, True),
             (FederationMethod.FINE_GRAINED, True),
@@ -317,13 +324,10 @@ def run_verify(suite: str, seed: int, instances: int, fmt: str, out: IO[str]) ->
             report = check_modularity(method)
             # A sound checker must clear the honest methods and catch the
             # inverse-size weighting on property 1.
-            as_expected = (
-                report.all_passed
-                if expect_pass
-                else not report.result(1).passed
-            )
-            if not as_expected:
-                failures += 1
+            if expect_pass:
+                passed = passed and report.all_passed
+            else:
+                passed = passed and not report.result(1).passed
             for prop in report.properties:
                 rows.append(
                     {
@@ -337,83 +341,36 @@ def run_verify(suite: str, seed: int, instances: int, fmt: str, out: IO[str]) ->
                         else None,
                     }
                 )
-        emit_rows(
-            rows,
-            ["method", "property", "passed", "checks", "expected_modular", "counterexample"],
-            fmt,
-            out,
-        )
-        return 1 if failures else 0
-
-    if suite == "propstab":
-        result = verify_propstab(instance_count=instances, seed=seed)
-        rows = [
-            {
-                "kind": "summary",
+    else:
+        if suite == "propstab":
+            result = verify_propstab(instance_count=instances, seed=seed)
+            summary = {
                 "instances": result.instances,
                 "counterexamples": len(result.counterexamples),
-                "passed": result.passed,
-                "detail": None,
             }
-        ]
-        for ce in result.counterexamples:
-            rows.append(
-                {
-                    "kind": ce["kind"],
-                    "instances": None,
-                    "counterexamples": None,
-                    "passed": False,
-                    "detail": json.dumps(ce),
-                }
-            )
-        emit_rows(
-            rows, ["kind", "instances", "counterexamples", "passed", "detail"], fmt, out
-        )
-        return 0 if result.passed else 1
-
-    if suite == "egalitarian-bound":
-        result = bound_sweep(instance_count=instances, seed=seed)
-        rows = [
-            {
-                "kind": "summary",
+            details = [(ce["kind"], ce) for ce in result.counterexamples]
+        elif suite == "egalitarian-bound":
+            result = bound_sweep(instance_count=instances, seed=seed)
+            summary = {
                 "instances": result.instances,
                 "checks": result.checks,
                 "violations": len(result.violations),
                 "max_ratio_over_bound": result.max_quotient,
-                "passed": result.passed,
-                "detail": None,
             }
-        ]
-        for violation in result.violations:
-            rows.append(
-                {
-                    "kind": "violation",
-                    "instances": None,
-                    "checks": None,
-                    "violations": None,
-                    "max_ratio_over_bound": None,
-                    "passed": False,
-                    "detail": json.dumps(violation),
-                }
-            )
-        emit_rows(
-            rows,
-            [
-                "kind",
-                "instances",
-                "checks",
-                "violations",
-                "max_ratio_over_bound",
-                "passed",
-                "detail",
-            ],
-            fmt,
-            out,
-        )
-        return 0 if result.passed else 1
-
-    print(f"error: unknown verification suite {suite!r}", file=sys.stderr)
-    return 2
+            details = [("violation", violation) for violation in result.violations]
+        else:
+            print(f"error: unknown verification suite {suite!r}", file=sys.stderr)
+            return 2
+        # A summary row, then one row per replayable failure; every row has
+        # every column so JSON rows share one shape.
+        passed = result.passed
+        columns = ["kind", *summary, "passed", "detail"]
+        rows = [{"kind": "summary", **summary, "passed": passed, "detail": None}]
+        for kind, detail in details:
+            row = {"kind": kind, "passed": False, "detail": json.dumps(detail)}
+            rows.append(dict.fromkeys(columns) | row)
+    emit_rows(rows, columns, fmt, out)
+    return 0 if passed else 1
 
 
 SIMULATE_COLUMNS = [
@@ -437,18 +394,13 @@ def run_simulate(
     out: IO[str],
     dump_scenario: str | None = None,
 ) -> int:
-    sfile = load_scenario_file(path)
-    scenario, method = sfile.to_scenario()
-    if dump_scenario:
-        with open(dump_scenario, "w", encoding="utf-8") as handle:
-            json.dump(sfile.to_dict(), handle, indent=2)
-            handle.write("\n")
+    params, coalition, method = _load_scenario(path, dump_scenario)
     rows = []
-    for index, player in enumerate(scenario.coalition.ordered()):
+    for index, player in enumerate(coalition.ordered()):
         spec = SimulationSpec(
-            coalition=scenario.coalition,
+            coalition=coalition,
             target=player.id,
-            params=scenario.params,
+            params=params,
             method=method,
             trials=trials,
             seed=seed + index,
@@ -509,8 +461,14 @@ def run_scan(
     # Each row is computed from its index, so no rounding accumulates and
     # the endpoint is kept whenever it lies on the grid.
     count = math.floor(span + 1e-9) + 1
-    values = [nl_start + i * nl_step for i in range(count)]
-    if not values:
+    if count > MAX_SCAN_ROWS:
+        print(
+            f"error: the n_l range needs more than {MAX_SCAN_ROWS} rows; "
+            "use a larger --nl-step",
+            file=sys.stderr,
+        )
+        return 2
+    if count < 1:
         print("error: empty n_l range", file=sys.stderr)
         return 2
     params = PopulationParams(mu_e=mu_e, sigma_sq=sigma_sq)
@@ -518,13 +476,16 @@ def run_scan(
     defect = defection_threshold(rest, params)
     violate = subproportionality_threshold(rest, "s", params)
     rows = []
-    for n_l in values:
+    for n_l in (nl_start + i * nl_step for i in range(count)):
         coalition = Coalition((Player("s", n_s), Player("l", n_l)))
-        err_s = uniform_error(coalition, "s", params)
-        err_l = uniform_error(coalition, "l", params)
         report = classify_proportionality(coalition, FederationMethod.UNIFORM, params)
         rationality = individually_rational(
             coalition, FederationMethod.UNIFORM, params
+        )
+        errs = {r.player_id: r.coalition_error for r in rationality.players}
+        err_s, err_l = errs["s"], errs["l"]
+        c_value, bound = (
+            egalitarian_bound(max(n_s, n_l), params) if mu_e > 0 else (None, None)
         )
         rows.append(
             {
@@ -535,10 +496,8 @@ def run_scan(
                 "err_small": err_s,
                 "err_large": err_l,
                 "ratio": err_s / err_l if err_l else None,
-                "c": max(n_s, n_l) * sigma_sq / mu_e if mu_e > 0 else None,
-                "bound": 2.0 * max(n_s, n_l) * sigma_sq / mu_e + 1.0
-                if mu_e > 0
-                else None,
+                "c": c_value,
+                "bound": bound,
                 "size_ratio": n_l / n_s,
                 "proportionality": report.label.value,
                 "individually_rational": rationality.individually_rational,

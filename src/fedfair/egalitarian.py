@@ -15,16 +15,21 @@ weightings can be pushed through the same checks.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .errors import WeightVector, expected_error, weighted_error
+from .errors import WeightVector, member_errors, weighted_error
 from .exceptions import UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, close
 from .sampling import describe_instance, instance_rng, random_instance
 
 ErrorFn = Callable[[Coalition, str, PopulationParams], float]
+ErrorsFn = Callable[[Coalition, PopulationParams], dict[str, float]]
+# A modularity check's verdict and its measured values.
+Outcome = tuple[bool, dict]
 
 # Slack for finite-difference sign checks and the two-player comparison.
 DERIVATIVE_SLACK = 1e-9
@@ -39,13 +44,28 @@ THIRD_SIZES = (1.0, 10.0, 100.0)
 PARAM_LEVELS = (0.1, 1.0, 10.0)
 
 
-def _as_error_fn(method: FederationMethod | ErrorFn) -> tuple[ErrorFn, str]:
+def _errors_fn(method: FederationMethod | ErrorFn) -> tuple[ErrorsFn, str]:
+    """A function giving every member's error under ``method`` (keyed by id
+    in sorted-by-id order), and the method's name."""
     if isinstance(method, FederationMethod):
-        def fn(coalition: Coalition, target: str, params: PopulationParams) -> float:
-            return expected_error(coalition, target, method, params)
+        return lambda co, params: member_errors(co, method, params), method.value
+    return (
+        lambda co, params: {p.id: method(co, p.id, params) for p in co.ordered()},
+        getattr(method, "__name__", "custom"),
+    )
 
-        return fn, method.value
-    return method, getattr(method, "__name__", "custom")
+
+def _ratio(errs: Mapping[str, float], i: str, j: str) -> float:
+    """errs[i] / errs[j], refusing a zero denominator."""
+    if errs[j] == 0.0:
+        raise ZeroDenominator(f"player {j!r} has zero error")
+    return errs[i] / errs[j]
+
+
+def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, float]:
+    """c = n_max * sigma_sq / mu_e and the egalitarian bound 2c + 1."""
+    c_value = n_max * params.sigma_sq / params.mu_e
+    return c_value, 2.0 * c_value + 1.0
 
 
 def error_ratio(
@@ -56,12 +76,8 @@ def error_ratio(
     params: PopulationParams,
 ) -> float:
     """err_i / err_j for two members of the same coalition."""
-    fn, _ = _as_error_fn(method)
-    numer = fn(coalition, i, params)
-    denom = fn(coalition, j, params)
-    if denom == 0.0:
-        raise ZeroDenominator(f"player {j!r} has zero error")
-    return numer / denom
+    errors, _ = _errors_fn(method)
+    return _ratio(errors(coalition, params), i, j)
 
 
 @dataclass(frozen=True)
@@ -88,25 +104,16 @@ def audit_egalitarian(
     """
     if params.mu_e <= 0.0 or params.sigma_sq <= 0.0:
         raise UndefinedBound("the 2c+1 bound needs mu_e > 0 and sigma_sq > 0")
-    fn, name = _as_error_fn(method)
-    players = coalition.ordered()
-    errs = {p.id: fn(coalition, p.id, params) for p in players}
-    if len(players) == 1:
-        only = players[0].id
-        max_ratio, worst = 1.0, (only, only)
-    else:
-        hi = max(players, key=lambda p: errs[p.id])
-        lo = min(players, key=lambda p: errs[p.id])
-        if errs[lo.id] == 0.0:
-            raise ZeroDenominator(f"player {lo.id!r} has zero error")
-        max_ratio, worst = errs[hi.id] / errs[lo.id], (hi.id, lo.id)
-    n_max = max(p.n for p in players)
-    c_value = n_max * params.sigma_sq / params.mu_e
-    bound = 2.0 * c_value + 1.0
+    errors, name = _errors_fn(method)
+    errs = errors(coalition, params)
+    hi = max(errs, key=errs.__getitem__)
+    lo = min(errs, key=errs.__getitem__)
+    max_ratio = 1.0 if len(errs) == 1 else _ratio(errs, hi, lo)
+    c_value, bound = egalitarian_bound(max(p.n for p in coalition.players), params)
     return FairnessAudit(
         method=name,
         max_ratio=max_ratio,
-        worst_pair=worst,
+        worst_pair=(hi, lo),
         c_value=c_value,
         bound=bound,
         satisfied=max_ratio <= bound,
@@ -127,24 +134,6 @@ def inverse_size_error(
         scale = (len(players) - 1) * total
         weights = {p.id: (total - p.n) / scale for p in players}
     return weighted_error(coalition, WeightVector(target, weights), params)
-
-
-def _pair_ratio(fn: ErrorFn, n_s: float, n_l: float, params: PopulationParams) -> float:
-    pair = Coalition((Player("s", n_s), Player("l", n_l)))
-    err_l = fn(pair, "l", params)
-    if err_l == 0.0:
-        raise ZeroDenominator("large player has zero error")
-    return fn(pair, "s", params) / err_l
-
-
-def _trio_ratio(
-    fn: ErrorFn, n_s: float, n_l: float, n_k: float, params: PopulationParams
-) -> float:
-    trio = Coalition((Player("s", n_s), Player("l", n_l), Player("k", n_k)))
-    err_l = fn(trio, "l", params)
-    if err_l == 0.0:
-        raise ZeroDenominator("large player has zero error")
-    return fn(trio, "s", params) / err_l
 
 
 @dataclass(frozen=True)
@@ -192,145 +181,136 @@ def check_modularity(
        5e-5 * mu_e/sigma_sq to stay inside the convergence regime at
        high noise/bias corners.
 
-    Failures are data: each property reports its first counterexample.
+    Grid coalitions name their players s (small), l (large) and k (third).
+    Failures are data: each property reports its first counterexample,
+    which starts with the instance (mu_e, sigma_sq, n_small, n_large and
+    n_third where a third player takes part) and ends with the measured
+    values.
     """
-    fn, name = _as_error_fn(method)
-    pairs = [(a, b) for a in pair_sizes for b in pair_sizes if a <= b]
+    errors, name = _errors_fn(method)
     param_grid = [
         PopulationParams(mu_e, sigma_sq)
         for mu_e in param_levels
         for sigma_sq in param_levels
     ]
+    pairs = [
+        (params, n_s, n_l)
+        for params in param_grid
+        for n_s in pair_sizes
+        for n_l in pair_sizes
+        if n_s <= n_l
+    ]
 
-    def scenario(**values: float) -> dict:
-        return dict(values)
+    # Property 1 checks each grid coalition once per pair of its members,
+    # and property 2 reuses one two-player ratio for every third size.
+    @functools.cache
+    def errs(params: PopulationParams, sizes: tuple[float, ...]) -> dict[str, float]:
+        return errors(Coalition(tuple(map(Player, "slk", sizes))), params)
 
-    # Property 1: ordering on every grid instance (pairs and trios).
-    p1_counter = None
-    p1_checks = 0
-    for params in param_grid:
-        for n_s, n_l in pairs:
-            members_list = [(n_s, n_l, None)] + [
-                (n_s, n_l, n_k) for n_k in third_sizes
-            ]
-            for n_s_, n_l_, n_k in members_list:
-                players = [Player("s", n_s_), Player("l", n_l_)]
-                if n_k is not None:
-                    players.append(Player("k", n_k))
-                coalition = Coalition(tuple(players))
-                errs = {p.id: fn(coalition, p.id, params) for p in players}
-                ordered = sorted(players, key=lambda p: (p.n, p.id))
-                for a_idx in range(len(ordered)):
-                    for b_idx in range(a_idx + 1, len(ordered)):
-                        small, large = ordered[a_idx], ordered[b_idx]
-                        p1_checks += 1
-                        e_s, e_l = errs[small.id], errs[large.id]
-                        ok = e_s >= e_l - DERIVATIVE_SLACK * max(abs(e_s), abs(e_l))
-                        if ok and small.n < large.n:
-                            ok = e_s > e_l
-                        if ok and small.n == large.n:
-                            ok = close(e_s, e_l)
-                        if not ok and p1_counter is None:
-                            p1_counter = scenario(
-                                mu_e=params.mu_e,
-                                sigma_sq=params.sigma_sq,
-                                n_small=small.n,
-                                n_large=large.n,
-                                **({"n_third": n_k} if n_k is not None else {}),
-                                err_small=e_s,
-                                err_large=e_l,
-                            )
+    def ratio(params: PopulationParams, *sizes: float) -> float:
+        return _ratio(errs(params, sizes), "s", "l")
 
-    # Property 2: two-player worst case, and ratio non-increasing in n_k.
-    p2_counter = None
-    p2_checks = 0
-    for params in param_grid:
-        for n_s, n_l in pairs:
-            base = _pair_ratio(fn, n_s, n_l, params)
-            for n_k in third_sizes:
-                p2_checks += 1
-                with_third = _trio_ratio(fn, n_s, n_l, n_k, params)
-                h = DERIVATIVE_STEP * n_k
-                deriv = (
-                    _trio_ratio(fn, n_s, n_l, n_k + h, params)
-                    - _trio_ratio(fn, n_s, n_l, n_k - h, params)
-                ) / (2.0 * h)
-                bad = with_third > base + DERIVATIVE_SLACK or deriv > DERIVATIVE_SLACK
-                if bad and p2_counter is None:
-                    p2_counter = scenario(
-                        mu_e=params.mu_e,
-                        sigma_sq=params.sigma_sq,
-                        n_small=n_s,
-                        n_large=n_l,
-                        n_third=n_k,
-                        ratio_with_third=with_third,
-                        ratio_two_player=base,
-                        derivative_in_third=deriv,
-                    )
+    def slope(params: PopulationParams, sizes: tuple[float, ...], i: int) -> float:
+        """Central difference of the ratio in the i-th size."""
+        h = DERIVATIVE_STEP * sizes[i]
+        up, down = list(sizes), list(sizes)
+        up[i] += h
+        down[i] -= h
+        return (ratio(params, *up) - ratio(params, *down)) / (2.0 * h)
 
-    # Properties 3 and 4: ratio monotone in each two-player size.
-    p3_counter = None
-    p4_counter = None
-    p34_checks = 0
-    for params in param_grid:
-        for n_s, n_l in pairs:
-            p34_checks += 1
-            h_l = DERIVATIVE_STEP * n_l
-            d_large = (
-                _pair_ratio(fn, n_s, n_l + h_l, params)
-                - _pair_ratio(fn, n_s, n_l - h_l, params)
-            ) / (2.0 * h_l)
-            if d_large < -DERIVATIVE_SLACK and p3_counter is None:
-                p3_counter = scenario(
-                    mu_e=params.mu_e,
-                    sigma_sq=params.sigma_sq,
-                    n_small=n_s,
-                    n_large=n_l,
-                    derivative_in_large=d_large,
+    def ordering(
+        params: PopulationParams, sizes: tuple[float, ...], small: str, large: str
+    ) -> Outcome:
+        e, n = errs(params, sizes), dict(zip("slk", sizes))
+        ok = e[small] > e[large] if n[small] < n[large] else close(e[small], e[large])
+        third = {"n_third": sizes[2]} if len(sizes) == 3 else {}
+        return ok, {
+            "n_small": n[small],
+            "n_large": n[large],
+            **third,
+            "err_small": e[small],
+            "err_large": e[large],
+        }
+
+    def two_player_worst(
+        params: PopulationParams, n_s: float, n_l: float, n_k: float
+    ) -> Outcome:
+        base = ratio(params, n_s, n_l)
+        with_third = ratio(params, n_s, n_l, n_k)
+        deriv = slope(params, (n_s, n_l, n_k), 2)
+        ok = not (with_third > base + DERIVATIVE_SLACK or deriv > DERIVATIVE_SLACK)
+        return ok, {
+            "n_small": n_s,
+            "n_large": n_l,
+            "n_third": n_k,
+            "ratio_with_third": with_third,
+            "ratio_two_player": base,
+            "derivative_in_third": deriv,
+        }
+
+    def monotone(i: int, sign: float, key: str) -> Callable[..., Outcome]:
+        """The two-player ratio never moves against ``sign`` in the i-th size."""
+
+        def predicate(params: PopulationParams, n_s: float, n_l: float) -> Outcome:
+            d = slope(params, (n_s, n_l), i)
+            return not sign * d < -DERIVATIVE_SLACK, {
+                "n_small": n_s,
+                "n_large": n_l,
+                key: d,
+            }
+
+        return predicate
+
+    def vanishing_limit(params: PopulationParams, n_l: float) -> Outcome:
+        probe = min(1e-6 * n_l, 5e-5 * params.mu_e / params.sigma_sq)
+        got = ratio(params, probe, n_l)
+        limit = (params.mu_e / n_l + 2.0 * params.sigma_sq) / (params.mu_e / n_l)
+        return not abs(got - limit) > LIMIT_REL_TOL * limit, {
+            "n_small": probe,
+            "n_large": n_l,
+            "ratio": got,
+            "limit": limit,
+        }
+
+    coalitions = [
+        (params, sizes)
+        for params, n_s, n_l in pairs
+        for sizes in [(n_s, n_l), *((n_s, n_l, n_k) for n_k in third_sizes)]
+    ]
+    # (property, predicate, the argument tuples it is checked on)
+    table = (
+        (
+            1,
+            ordering,
+            [
+                (params, sizes, small, large)
+                for params, sizes in coalitions
+                # members ranked by (n, id), each pair smaller first
+                for (_, small), (_, large) in itertools.combinations(
+                    sorted(zip(sizes, "slk")), 2
                 )
-            h_s = DERIVATIVE_STEP * n_s
-            d_small = (
-                _pair_ratio(fn, n_s + h_s, n_l, params)
-                - _pair_ratio(fn, n_s - h_s, n_l, params)
-            ) / (2.0 * h_s)
-            if d_small > DERIVATIVE_SLACK and p4_counter is None:
-                p4_counter = scenario(
-                    mu_e=params.mu_e,
-                    sigma_sq=params.sigma_sq,
-                    n_small=n_s,
-                    n_large=n_l,
-                    derivative_in_small=d_small,
-                )
-
-    # Property 5: limiting ratio as the small player vanishes.
-    p5_counter = None
-    p5_checks = 0
-    for params in param_grid:
-        for n_l in pair_sizes:
-            p5_checks += 1
-            probe = min(1e-6 * n_l, 5e-5 * params.mu_e / params.sigma_sq)
-            ratio = _pair_ratio(fn, probe, n_l, params)
-            limit = (params.mu_e / n_l + 2.0 * params.sigma_sq) / (params.mu_e / n_l)
-            if abs(ratio - limit) > LIMIT_REL_TOL * limit and p5_counter is None:
-                p5_counter = scenario(
-                    mu_e=params.mu_e,
-                    sigma_sq=params.sigma_sq,
-                    n_small=probe,
-                    n_large=n_l,
-                    ratio=ratio,
-                    limit=limit,
-                )
-
-    return ModularityReport(
-        method=name,
-        properties=(
-            PropertyResult(1, p1_counter is None, p1_checks, p1_counter),
-            PropertyResult(2, p2_counter is None, p2_checks, p2_counter),
-            PropertyResult(3, p3_counter is None, p34_checks, p3_counter),
-            PropertyResult(4, p4_counter is None, p34_checks, p4_counter),
-            PropertyResult(5, p5_counter is None, p5_checks, p5_counter),
+            ],
         ),
+        (2, two_player_worst, [(*pair, n_k) for pair in pairs for n_k in third_sizes]),
+        (3, monotone(1, 1.0, "derivative_in_large"), pairs),
+        (4, monotone(0, -1.0, "derivative_in_small"), pairs),
+        (5, vanishing_limit, [(pa, n_l) for pa in param_grid for n_l in pair_sizes]),
     )
+    results = []
+    for prop, predicate, cases in table:
+        counterexample = None
+        for params, *args in cases:
+            ok, measured = predicate(params, *args)
+            if not ok and counterexample is None:
+                counterexample = {
+                    "mu_e": params.mu_e,
+                    "sigma_sq": params.sigma_sq,
+                    **measured,
+                }
+        results.append(
+            PropertyResult(prop, counterexample is None, len(cases), counterexample)
+        )
+    return ModularityReport(method=name, properties=tuple(results))
 
 
 @dataclass(frozen=True)
@@ -356,32 +336,29 @@ def tightness_search(c: float, epsilon: float) -> TightnessResult:
     """
     if c <= 0.0 or epsilon <= 0.0:
         raise ValueError("c and epsilon must be positive")
-    target = 2.0 * c + 1.0 - epsilon
     mu_e = 1.0
     previous = -math.inf
     for _ in range(600):
         params = PopulationParams(mu_e, 1.0)
         n_l = c * mu_e
-        ratio = _pair_ratio(
-            lambda co, t, pa: expected_error(co, t, FederationMethod.UNIFORM, pa),
-            1.0,
-            n_l,
-            params,
-        )
+        # mu_e is a power of two, so this c_value is exactly c.
+        c_value, bound = egalitarian_bound(n_l, params)
+        pair = Coalition((Player("s", 1.0), Player("l", n_l)))
+        ratio = error_ratio(pair, "s", "l", FederationMethod.UNIFORM, params)
         if not math.isfinite(ratio):
             raise ArithmeticError("ratio overflowed before reaching the target")
         if ratio < previous - 1e-12:
             raise ArithmeticError("ratio failed to increase while doubling mu_e")
         previous = ratio
-        if ratio >= target:
+        if ratio >= bound - epsilon:
             return TightnessResult(
                 n_s=1.0,
                 n_l=n_l,
                 mu_e=mu_e,
                 sigma_sq=1.0,
                 ratio=ratio,
-                c_value=c,
-                bound=2.0 * c + 1.0,
+                c_value=c_value,
+                bound=bound,
             )
         mu_e *= 2.0
     raise ArithmeticError("target not reached within 600 doublings")
@@ -415,15 +392,10 @@ def bound_sweep(
     checks = 0
     for index in range(instance_count):
         params, coalition = random_instance(instance_rng(seed, index))
-        n_max = max(p.n for p in coalition.players)
-        bound = 2.0 * n_max * params.sigma_sq / params.mu_e + 1.0
         for method in methods:
             checks += 1
-            errs = [
-                expected_error(coalition, p.id, method, params)
-                for p in coalition.ordered()
-            ]
-            ratio = max(errs) / min(errs)
+            audit = audit_egalitarian(coalition, method, params)
+            ratio, bound = audit.max_ratio, audit.bound
             max_quotient = max(max_quotient, ratio / bound)
             if ratio < 1.0 - 1e-12 or ratio > bound + 1e-9:
                 violations.append(

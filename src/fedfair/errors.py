@@ -16,15 +16,16 @@ Three weightings matter:
   closed-form optimum expressed through V_i = sigma_sq + mu_e / n_i and
   T = sum_i 1 / V_i.
 
-All sums over players run in sorted-by-id order so repeated evaluations are
-bit-identical.
+One kernel evaluates these forms for every member of a coalition at once;
+the per-target functions return its entries.  All sums over players run in
+sorted-by-id order so repeated evaluations are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .exceptions import (
     DegenerateParams,
@@ -68,28 +69,75 @@ class WeightVector:
         return tuple((p, self.weights[p.id]) for p in coalition.ordered())
 
 
-@dataclass(frozen=True)
-class FineGrainedContext:
-    """Per-player inverse-quality terms V_i = sigma_sq + mu_e/n_i and their
-    harmonic aggregate T = sum_i 1/V_i, keyed by player id."""
+def _leave_one_out(values: Sequence[float]) -> list[float]:
+    """sum_{i != j} values_i for every j, each summed directly in order
+    (never as the total minus the own term, which cancels badly when one
+    value dwarfs the rest)."""
+    return [sum(v for i, v in enumerate(values) if i != j) for j in range(len(values))]
 
-    v_values: Mapping[str, float]
-    t_sum: float
 
-    @classmethod
-    def build(cls, coalition: Coalition, params: PopulationParams) -> "FineGrainedContext":
-        if params.mu_e == 0.0 and params.sigma_sq == 0.0:
-            raise DegenerateParams(
-                "mu_e = sigma_sq = 0: every unit-sum weighting is optimal"
-            )
-        v = {p.id: params.sigma_sq + params.mu_e / p.n for p in coalition.ordered()}
-        t = sum(1.0 / v[p.id] for p in coalition.ordered())
-        return cls(v, t)
+def _fine_grained_terms(
+    sizes: Sequence[float], params: PopulationParams
+) -> tuple[list[float], list[float]]:
+    """V_i = sigma_sq + mu_e / n_i and, for every j, S_j = sum_{i != j} 1/V_i."""
+    if params.mu_e == 0.0 and params.sigma_sq == 0.0:
+        raise DegenerateParams(
+            "mu_e = sigma_sq = 0: every unit-sum weighting is optimal"
+        )
+    v = [params.sigma_sq + params.mu_e / n for n in sizes]
+    return v, _leave_one_out([1.0 / v_i for v_i in v])
+
+
+def _errors(
+    sizes: Sequence[float], method: FederationMethod, params: PopulationParams
+) -> list[float]:
+    """Every member's expected error under ``method``.
+
+    ``sizes`` lists the members' sample counts in sorted-by-id order; the
+    result is in the same order.  With T = sum_i n_i and the leave-one-out
+    sums taken over i != j:
+
+        local:        mu_e / n_j
+        uniform:      mu_e / T + sigma_sq * (sum n_i^2 + (sum n_i)^2) / T^2
+        fine-grained: (mu_e / n_j) / (V_j * T') * (1 + sigma_sq * S_j)
+
+    where V_i = sigma_sq + mu_e / n_i, T' = sum_i 1/V_i and
+    S_j = sum_{i != j} 1/V_i.
+    """
+    mu_e, sigma_sq = params.mu_e, params.sigma_sq
+    if method is FederationMethod.LOCAL:
+        return [mu_e / n for n in sizes]
+    if method is FederationMethod.UNIFORM:
+        total = sum(sizes)
+        off_sum = _leave_one_out(sizes)
+        off_sq = _leave_one_out([n * n for n in sizes])
+        return [
+            mu_e / total + sigma_sq * (sq + s * s) / (total * total)
+            for s, sq in zip(off_sum, off_sq)
+        ]
+    if method is FederationMethod.FINE_GRAINED:
+        v, s_off = _fine_grained_terms(sizes, params)
+        t_sum = sum(1.0 / v_i for v_i in v)
+        return [
+            (mu_e / n) / (v_j * t_sum) * (1.0 + sigma_sq * s)
+            for n, v_j, s in zip(sizes, v, s_off)
+        ]
+    raise ValueError(f"unknown federation method: {method!r}")
+
+
+def member_errors(
+    coalition: Coalition, method: FederationMethod, params: PopulationParams
+) -> dict[str, float]:
+    """Every member's expected error under ``method``, keyed by id in
+    sorted-by-id order, from one evaluation of the closed forms."""
+    players = coalition.ordered()
+    errors = _errors([p.n for p in players], method, params)
+    return dict(zip([p.id for p in players], errors))
 
 
 def local_error(player: Player, params: PopulationParams) -> float:
     """Expected error when the player uses only its own samples: mu_e / n."""
-    return params.mu_e / player.n
+    return _errors((player.n,), FederationMethod.LOCAL, params)[0]
 
 
 def uniform_error(coalition: Coalition, target: str, params: PopulationParams) -> float:
@@ -102,17 +150,34 @@ def uniform_error(coalition: Coalition, target: str, params: PopulationParams) -
 
     Reduces exactly to ``local_error`` on a singleton coalition.
     """
+    return expected_error(coalition, target, FederationMethod.UNIFORM, params)
+
+
+def fine_grained_error(
+    coalition: Coalition, target: str, params: PopulationParams
+) -> float:
+    """Expected error of the target at the optimal fine-grained weights:
+
+        (mu_e / n_j) / (V_j * T) * (1 + sigma_sq * (T - 1/V_j))
+
+    with V_i = sigma_sq + mu_e / n_i and T = sum_i 1/V_i.
+    """
+    return expected_error(coalition, target, FederationMethod.FINE_GRAINED, params)
+
+
+def expected_error(
+    coalition: Coalition,
+    target: str,
+    method: FederationMethod,
+    params: PopulationParams,
+) -> float:
+    """The target's closed-form error under the given federation method.
+
+    LOCAL ignores the other coalition members entirely.
+    """
     if target not in coalition:
         raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    n_t = coalition.player(target).n
-    total = coalition.total
-    off_sq = sum(p.n * p.n for p in coalition.ordered() if p.id != target)
-    off_sum = sum(p.n for p in coalition.ordered() if p.id != target)
-    if off_sum == 0.0:
-        return params.mu_e / n_t
-    return params.mu_e / total + params.sigma_sq * (off_sq + off_sum * off_sum) / (
-        total * total
-    )
+    return member_errors(coalition, method, params)[target]
 
 
 def weighted_error(
@@ -122,9 +187,6 @@ def weighted_error(
     if weights.target not in coalition:
         raise TargetNotInCoalition(f"target {weights.target!r} not in coalition")
     pairs = weights.aligned(coalition)
-    total = sum(w for _, w in pairs)
-    if not math.isclose(total, 1.0, rel_tol=REL_TOL, abs_tol=0.0):
-        raise NonUnitSum(f"weights sum to {total!r}, expected 1")
     noise = sum(w * w / p.n for p, w in pairs)
     off_sq = sum(w * w for p, w in pairs if p.id != weights.target)
     off_sum = sum(w for p, w in pairs if p.id != weights.target)
@@ -145,56 +207,16 @@ def fine_grained_weights(
     """
     if target not in coalition:
         raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    ctx = FineGrainedContext.build(coalition, params)
-    n_t = coalition.player(target).n
-    v_t = ctx.v_values[target]
-    s_off = sum(
-        1.0 / ctx.v_values[p.id] for p in coalition.ordered() if p.id != target
-    )
-    denom = 1.0 + v_t * s_off
+    players = coalition.ordered()
+    j = [p.id for p in players].index(target)
+    v, s_off = _fine_grained_terms([p.n for p in players], params)
+    s = s_off[j]
+    denom = 1.0 + v[j] * s
     out: dict[str, float] = {}
-    for p in coalition.ordered():
+    for p, v_i in zip(players, v):
         if p.id == target:
-            out[p.id] = (1.0 + params.sigma_sq * s_off) / denom
+            out[p.id] = (1.0 + params.sigma_sq * s) / denom
         else:
-            out[p.id] = (params.mu_e / n_t) / (ctx.v_values[p.id] * denom)
+            out[p.id] = (params.mu_e / players[j].n) / (v_i * denom)
         assert out[p.id] >= 0.0, f"optimal weight for {p.id!r} went negative"
     return WeightVector(target=target, weights=out)
-
-
-def fine_grained_error(
-    coalition: Coalition, target: str, params: PopulationParams
-) -> float:
-    """Expected error of the target at the optimal fine-grained weights:
-
-        (mu_e / n_j) / (V_j * T) * (1 + sigma_sq * (T - 1/V_j))
-    """
-    if target not in coalition:
-        raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    ctx = FineGrainedContext.build(coalition, params)
-    n_t = coalition.player(target).n
-    v_t = ctx.v_values[target]
-    return (params.mu_e / n_t) / (v_t * ctx.t_sum) * (
-        1.0 + params.sigma_sq * (ctx.t_sum - 1.0 / v_t)
-    )
-
-
-def expected_error(
-    coalition: Coalition,
-    target: str,
-    method: FederationMethod,
-    params: PopulationParams,
-) -> float:
-    """Dispatch to the closed form for the given federation method.
-
-    LOCAL ignores the other coalition members entirely.
-    """
-    if target not in coalition:
-        raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    if method is FederationMethod.LOCAL:
-        return local_error(coalition.player(target), params)
-    if method is FederationMethod.UNIFORM:
-        return uniform_error(coalition, target, params)
-    if method is FederationMethod.FINE_GRAINED:
-        return fine_grained_error(coalition, target, params)
-    raise ValueError(f"unknown federation method: {method!r}")

@@ -23,15 +23,15 @@ from .exceptions import (
     NonPositiveSamples,
 )
 
-# Tolerance policy for closed-form cross-checks: relative 1e-9 with an
-# absolute floor of 1e-12 (values can legitimately be zero).
+# Tolerance policy for closed-form cross-checks: purely relative, so every
+# verdict is invariant under rescaling (mu_e, sigma_sq).  Exact zeros (the
+# zero-noise and zero-bias cases) still compare equal.
 REL_TOL = 1e-9
-ABS_TOL = 1e-12
 
 
-def close(a: float, b: float, rel: float = REL_TOL, abs_floor: float = ABS_TOL) -> bool:
-    """True when a and b agree to the package-wide tolerance."""
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_floor)
+def close(a: float, b: float) -> bool:
+    """True when a and b agree to the package-wide relative tolerance."""
+    return math.isclose(a, b, rel_tol=REL_TOL)
 
 
 class FederationMethod(str, Enum):
@@ -136,25 +136,3 @@ class Coalition:
     def sum_sq(self) -> float:
         """Sum of squared sample counts, accumulated in sorted-by-id order."""
         return sum(p.n * p.n for p in self.ordered())
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A validated (params, coalition) pair."""
-
-    params: PopulationParams
-    coalition: Coalition
-
-
-def validate_scenario(params: PopulationParams, coalition: Coalition) -> Scenario:
-    """Check every type invariant and return the scenario.
-
-    The dataclasses validate at construction, so this re-check matters for
-    values produced by deserialization tricks or ``dataclasses.replace``;
-    the first violated invariant is reported via its dedicated exception.
-    """
-    PopulationParams(params.mu_e, params.sigma_sq)
-    for p in coalition.players:
-        Player(p.id, p.n)
-    Coalition(coalition.players)
-    return Scenario(params, coalition)

@@ -24,22 +24,20 @@ both reduce to mu_e / (2 sigma_sq - mu_e/n_s) when rest = {s}.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import expected_error, local_error
+from .errors import member_errors
 from .model import Coalition, FederationMethod, PopulationParams, close
 from .sampling import describe_instance, instance_rng, random_instance
 
 
-class PairClass(str, Enum):
-    SUB = "sub"
-    EXACT = "exact"
-    SUPER = "super"
-
-
 class CoalitionLabel(str, Enum):
+    """Proportionality verdict of a pair (sub, exact or super) or of a
+    whole coalition, which is mixed when its pairs disagree."""
+
     SUB = "sub"
     EXACT = "exact"
     SUPER = "super"
@@ -54,7 +52,7 @@ class PairJudgment:
     large_id: str
     scaled_small: float
     scaled_large: float
-    classification: PairClass
+    classification: CoalitionLabel
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,13 @@ class RationalityReport:
     individually_rational: bool
 
 
-def classify_pair(n_i: float, err_i: float, n_j: float, err_j: float) -> PairClass:
+def classify_pair(n_i: float, err_i: float, n_j: float, err_j: float) -> CoalitionLabel:
     """Compare n_i * err_i against n_j * err_j (roles: n_i <= n_j)."""
     scaled_i = n_i * err_i
     scaled_j = n_j * err_j
     if close(scaled_i, scaled_j):
-        return PairClass.EXACT
-    return PairClass.SUB if scaled_i < scaled_j else PairClass.SUPER
+        return CoalitionLabel.EXACT
+    return CoalitionLabel.SUB if scaled_i < scaled_j else CoalitionLabel.SUPER
 
 
 def classify_proportionality(
@@ -94,28 +92,24 @@ def classify_proportionality(
 ) -> ProportionalityReport:
     """Classify every pair, smaller player first (ties broken by id)."""
     players = sorted(coalition.players, key=lambda p: (p.n, p.id))
-    errs = {p.id: expected_error(coalition, p.id, method, params) for p in players}
-    pairs: list[PairJudgment] = []
-    for a in range(len(players)):
-        for b in range(a + 1, len(players)):
-            small, large = players[a], players[b]
-            cls = classify_pair(small.n, errs[small.id], large.n, errs[large.id])
-            pairs.append(
-                PairJudgment(
-                    small_id=small.id,
-                    large_id=large.id,
-                    scaled_small=small.n * errs[small.id],
-                    scaled_large=large.n * errs[large.id],
-                    classification=cls,
-                )
-            )
-    kinds = {p.classification for p in pairs}
-    if kinds <= {PairClass.EXACT}:
+    errs = member_errors(coalition, method, params)
+    pairs = [
+        PairJudgment(
+            small_id=small.id,
+            large_id=large.id,
+            scaled_small=small.n * errs[small.id],
+            scaled_large=large.n * errs[large.id],
+            classification=classify_pair(
+                small.n, errs[small.id], large.n, errs[large.id]
+            ),
+        )
+        for small, large in itertools.combinations(players, 2)
+    ]
+    kinds = {p.classification for p in pairs} - {CoalitionLabel.EXACT}
+    if not kinds:
         label = CoalitionLabel.EXACT
-    elif kinds <= {PairClass.SUB, PairClass.EXACT}:
-        label = CoalitionLabel.SUB
-    elif kinds <= {PairClass.SUPER, PairClass.EXACT}:
-        label = CoalitionLabel.SUPER
+    elif len(kinds) == 1:
+        label = kinds.pop()
     else:
         label = CoalitionLabel.MIXED
     return ProportionalityReport(method=method.value, pairs=tuple(pairs), label=label)
@@ -125,10 +119,11 @@ def individually_rational(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> RationalityReport:
     """Weak-preference check of coalition error against local error."""
+    errs = member_errors(coalition, method, params)
+    local = member_errors(coalition, FederationMethod.LOCAL, params)
     rows: list[PlayerRationality] = []
     for p in coalition.ordered():
-        ce = expected_error(coalition, p.id, method, params)
-        le = local_error(p, params)
+        ce, le = errs[p.id], local[p.id]
         prefers_local = ce > le and not close(ce, le)
         rows.append(PlayerRationality(p.id, p.n, ce, le, prefers_local))
     return RationalityReport(
@@ -195,10 +190,13 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
     Violations are returned as replayable counterexamples.
     """
     counterexamples: list[dict] = []
+
+    def fail(record: dict, kind: str, **fields: object) -> None:
+        counterexamples.append({**record, "kind": kind, **fields})
+
     for index in range(instance_count):
         params, coalition = random_instance(instance_rng(seed, index))
         record = {"index": index, **describe_instance(params, coalition)}
-
         rationality = individually_rational(
             coalition, FederationMethod.UNIFORM, params
         )
@@ -209,9 +207,7 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
             CoalitionLabel.SUB,
             CoalitionLabel.EXACT,
         ):
-            counterexamples.append(
-                {**record, "kind": "rational_but_super", "label": report.label.value}
-            )
+            fail(record, "rational_but_super", label=report.label.value)
 
         defect = defection_threshold(coalition, params)
         for p in coalition.players:
@@ -224,28 +220,15 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
             else:
                 ordered = defect <= violate or close(defect, violate)
             if not ordered:
-                counterexamples.append(
-                    {
-                        **record,
-                        "kind": "threshold_order",
-                        "s": p.id,
-                        "defection": defect,
-                        "subproportionality": violate,
-                    }
+                fail(
+                    record,
+                    "threshold_order",
+                    s=p.id,
+                    defection=defect,
+                    subproportionality=violate,
                 )
-            if (
-                len(coalition) > 1
-                and both_finite
-                and close(defect, violate)
-            ):
-                counterexamples.append(
-                    {
-                        **record,
-                        "kind": "equality_without_singleton",
-                        "s": p.id,
-                        "threshold": defect,
-                    }
-                )
+            if len(coalition) > 1 and both_finite and close(defect, violate):
+                fail(record, "equality_without_singleton", s=p.id, threshold=defect)
             singleton = Coalition((p,))
             d1 = defection_threshold(singleton, params)
             v1 = subproportionality_threshold(singleton, p.id, params)
@@ -253,14 +236,12 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
                 math.isfinite(d1) and math.isfinite(v1) and close(d1, v1)
             )
             if not equal:
-                counterexamples.append(
-                    {
-                        **record,
-                        "kind": "singleton_mismatch",
-                        "s": p.id,
-                        "defection": d1,
-                        "subproportionality": v1,
-                    }
+                fail(
+                    record,
+                    "singleton_mismatch",
+                    s=p.id,
+                    defection=d1,
+                    subproportionality=v1,
                 )
     return PropstabResult(
         instances=instance_count, counterexamples=tuple(counterexamples)

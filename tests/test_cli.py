@@ -8,7 +8,13 @@ import math
 
 import pytest
 
-from fedfair.cli import ScenarioFile, load_scenario_file, main, run_reproduce
+from fedfair.cli import (
+    MAX_SCAN_ROWS,
+    ScenarioFile,
+    load_scenario_file,
+    main,
+    run_reproduce,
+)
 
 
 @pytest.fixture
@@ -157,12 +163,40 @@ class TestScenarioParsing:
         assert main(["audit", path]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        path = self.write(tmp_path, "[" * 100_000 + "]" * 100_000)
+        assert main(["audit", path]) == 2
+        assert "JSON" in capsys.readouterr().err
+
     def test_nonpositive_n_rejected(self, tmp_path):
         path = self.write(
             tmp_path,
             {"mu_e": 1, "sigma_sq": 1, "players": [{"n": -3}], "method": "local"},
         )
         assert main(["audit", path]) == 2
+
+    def test_out_of_range_integer_rejected(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path,
+            '{"mu_e": 1' + "0" * 400 + ', "sigma_sq": 1, "players": [{"n": 2}], '
+            '"method": "local"}',
+        )
+        assert main(["audit", path]) == 2
+        assert "mu_e" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, where, key",
+        [
+            ('{"mu_e": 10, "mu_e": 5, "sigma_sq": 1, "players": [{"n": 2}], '
+             '"method": "local"}', "top level", "mu_e"),
+            ('{"mu_e": 10, "sigma_sq": 1, "players": [{"n": 2, "n": 3}], '
+             '"method": "local"}', "players[0]", "n"),
+        ],
+    )
+    def test_duplicate_key_rejected(self, text, where, key, tmp_path, capsys):
+        assert main(["audit", self.write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert where in err and f"duplicate field {key!r}" in err
 
     def test_default_ids_are_positional(self):
         sfile = ScenarioFile.from_dict(
@@ -357,6 +391,32 @@ class TestScan:
         )
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
+
+    def test_row_limit(self, tmp_path, capsys):
+        code, text = run_cli(
+            [
+                "scan", "--ns", "6", "--nl-start", "1",
+                "--nl-stop", str(1 + MAX_SCAN_ROWS), "--nl-step", "1",
+                "--mu-e", "10", "--sigma-sq", "1",
+            ],
+            tmp_path,
+        )
+        assert code == 2
+        assert text == ""
+        assert "--nl-step" in capsys.readouterr().err
+
+    def test_vanishing_step_is_rejected_before_building_the_grid(
+        self, tmp_path, capsys
+    ):
+        code, _ = run_cli(
+            [
+                "scan", "--ns", "6", "--nl-start", "20", "--nl-stop", "40",
+                "--nl-step", "1e-300", "--mu-e", "10", "--sigma-sq", "1",
+            ],
+            tmp_path,
+        )
+        assert code == 2
+        assert "--nl-step" in capsys.readouterr().err
 
     def test_infinity_survives_json(self, tmp_path):
         code, text = run_cli(

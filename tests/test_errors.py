@@ -161,23 +161,6 @@ class TestFineGrainedError:
             fine_grained_error(pair(6, 20), "l", PopulationParams(0.0, 0.0))
 
 
-class TestFineGrainedContext:
-    def test_motivating_terms(self):
-        """V_s = 1 + 10/6, V_l = 1 + 10/20, T = 3/8 + 2/3 = 25/24."""
-        from fedfair import FineGrainedContext
-
-        ctx = FineGrainedContext.build(pair(6, 20), PARAMS)
-        assert math.isclose(ctx.v_values["s"], 8 / 3)
-        assert math.isclose(ctx.v_values["l"], 3 / 2)
-        assert math.isclose(ctx.t_sum, 25 / 24)
-
-    def test_degenerate_params_rejected(self):
-        from fedfair import FineGrainedContext
-
-        with pytest.raises(DegenerateParams):
-            FineGrainedContext.build(pair(6, 20), PopulationParams(0.0, 0.0))
-
-
 class TestDispatch:
     def test_local(self):
         coalition = pair(6, 40)

@@ -1,4 +1,4 @@
-"""Domain type invariants and scenario validation."""
+"""Domain type invariants."""
 
 import math
 
@@ -8,7 +8,6 @@ from fedfair import (
     Coalition,
     Player,
     PopulationParams,
-    validate_scenario,
 )
 from fedfair.exceptions import (
     DuplicatePlayerId,
@@ -87,25 +86,3 @@ class TestCoalition:
         assert "p1" in coalition and "missing" not in coalition
         with pytest.raises(KeyError):
             coalition.player("missing")
-
-
-class TestValidateScenario:
-    def test_motivating_scenario_accepted(self):
-        scenario = validate_scenario(
-            PopulationParams(10.0, 1.0), Coalition.from_sizes([6, 20])
-        )
-        assert scenario.coalition.total == 26.0
-
-    def test_degenerate_scenario_accepted(self):
-        scenario = validate_scenario(
-            PopulationParams(0.0, 0.0), Coalition.from_sizes([5])
-        )
-        assert scenario.params.sigma_sq == 0.0
-
-    def test_reports_violated_invariant(self):
-        """A value smuggled past construction is still caught, and the
-        reported violation is the one that actually failed."""
-        coalition = Coalition.from_sizes([3])
-        object.__setattr__(coalition.players[0], "n", -1.0)
-        with pytest.raises(NonPositiveSamples):
-            validate_scenario(PopulationParams(1.0, 1.0), coalition)

@@ -10,7 +10,6 @@ from fedfair import (
     Coalition,
     CoalitionLabel,
     FederationMethod,
-    PairClass,
     Player,
     PopulationParams,
     classify_proportionality,
@@ -79,12 +78,25 @@ class TestClassification:
                     coalition.player(judged.small_id).n,
                     judged.scaled_small / coalition.player(judged.small_id).n,
                 )
-                if judged.classification is PairClass.SUB:
-                    assert swapped is PairClass.SUPER
-                elif judged.classification is PairClass.SUPER:
-                    assert swapped is PairClass.SUB
+                if judged.classification is CoalitionLabel.SUB:
+                    assert swapped is CoalitionLabel.SUPER
+                elif judged.classification is CoalitionLabel.SUPER:
+                    assert swapped is CoalitionLabel.SUB
                 else:
-                    assert swapped is PairClass.EXACT
+                    assert swapped is CoalitionLabel.EXACT
+
+
+@pytest.mark.parametrize("n_l", [30.0, 40.0])
+def test_verdicts_do_not_depend_on_units(n_l):
+    """Errors are homogeneous of degree 1 in (mu_e, sigma_sq), so scaling
+    both must leave every verdict alone, however small or large."""
+    verdicts = set()
+    for scale in (1.0, 1e-13, 1e13):
+        params = PopulationParams(10.0 * scale, 1.0 * scale)
+        report = classify_proportionality(pair(6, n_l), FederationMethod.UNIFORM, params)
+        rationality = individually_rational(pair(6, n_l), FederationMethod.UNIFORM, params)
+        verdicts.add((report.label, rationality.individually_rational))
+    assert len(verdicts) == 1
 
 
 class TestIndividualRationality:

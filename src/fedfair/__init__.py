@@ -29,14 +29,6 @@ from .model import (
     Player,
     PopulationParams,
 )
-from .montecarlo import (
-    MeanDistribution,
-    SimulationResult,
-    SimulationSpec,
-    default_suite,
-    simulate_error,
-    simulate_suite,
-)
 from .proportionality import (
     CoalitionLabel,
     ProportionalityReport,
@@ -49,6 +41,29 @@ from .proportionality import (
 )
 
 __version__ = "0.1.0"
+
+# The Monte Carlo oracle imports numpy when it loads, so its names are
+# resolved on first access (PEP 562): the closed-form commands start
+# without numpy.
+_MONTECARLO_NAMES = frozenset(
+    {
+        "MeanDistribution",
+        "SimulationResult",
+        "SimulationSpec",
+        "default_suite",
+        "simulate_error",
+        "simulate_suite",
+    }
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Coalition",

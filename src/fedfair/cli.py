@@ -2,7 +2,8 @@
 sweeps, simulation runs, and parameter scans with CSV/JSON/table output.
 
 Exit codes: 0 success, 1 verification or self-test failure, 2 usage or
-input error.  Audit verdicts are data, not failures.
+input error, 141 output pipe closed by its reader (as if killed by
+SIGPIPE).  Audit verdicts are data, not failures.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import IO, Callable, Sequence
@@ -25,7 +27,6 @@ from .egalitarian import (
 from .errors import member_errors
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams
-from .montecarlo import SimulationSpec, simulate_error
 from .proportionality import (
     classify_proportionality,
     defection_threshold,
@@ -180,11 +181,28 @@ def _cell(value: object, number: Callable[[float], str]) -> str:
     return str(value)
 
 
+def _json_safe(row: dict) -> dict:
+    """``row`` with each non-finite float replaced by its csv text, since
+    RFC 8259 JSON has no Infinity or NaN."""
+    return {
+        key: _cell(value, repr)
+        if isinstance(value, float) and not math.isfinite(value)
+        else value
+        for key, value in row.items()
+    }
+
+
+def _json_text(record: dict) -> str:
+    """Compact RFC 8259 JSON text of ``record``, for one output cell."""
+    return json.dumps(_json_safe(record), allow_nan=False)
+
+
 def emit_rows(
     rows: Sequence[dict], columns: Sequence[str], fmt: str, out: IO[str]
 ) -> None:
     if fmt == "json":
-        json.dump({"rows": list(rows)}, out, indent=2)
+        safe = {"rows": [_json_safe(row) for row in rows]}
+        json.dump(safe, out, indent=2, allow_nan=False)
         out.write("\n")
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -336,7 +354,7 @@ def run_verify(suite: str, seed: int, instances: int, fmt: str, out: IO[str]) ->
                         "passed": prop.passed,
                         "checks": prop.checks,
                         "expected_modular": expect_pass,
-                        "counterexample": json.dumps(prop.counterexample)
+                        "counterexample": _json_text(prop.counterexample)
                         if prop.counterexample
                         else None,
                     }
@@ -367,7 +385,7 @@ def run_verify(suite: str, seed: int, instances: int, fmt: str, out: IO[str]) ->
         columns = ["kind", *summary, "passed", "detail"]
         rows = [{"kind": "summary", **summary, "passed": passed, "detail": None}]
         for kind, detail in details:
-            row = {"kind": kind, "passed": False, "detail": json.dumps(detail)}
+            row = {"kind": kind, "passed": False, "detail": _json_text(detail)}
             rows.append(dict.fromkeys(columns) | row)
     emit_rows(rows, columns, fmt, out)
     return 0 if passed else 1
@@ -394,6 +412,9 @@ def run_simulate(
     out: IO[str],
     dump_scenario: str | None = None,
 ) -> int:
+    # The oracle needs numpy; the other commands start without it.
+    from .montecarlo import SimulationSpec, simulate_error
+
     params, coalition, method = _load_scenario(path, dump_scenario)
     rows = []
     for index, player in enumerate(coalition.ordered()):
@@ -608,7 +629,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 return dispatch(handle)
-        return dispatch(sys.stdout)
+        code = dispatch(sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (as with `| head`): not an input error.
+        # Point stdout at devnull so the interpreter's final flush does
+        # not fail on the same pipe.
+        if not args.out:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FedFairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

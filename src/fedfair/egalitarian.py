@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import WeightVector, member_errors, weighted_error
-from .exceptions import UndefinedBound, ZeroDenominator
+from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, close
 from .sampling import describe_instance, instance_rng, random_instance
 
@@ -65,7 +65,15 @@ def _ratio(errs: Mapping[str, float], i: str, j: str) -> float:
 def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, float]:
     """c = n_max * sigma_sq / mu_e and the egalitarian bound 2c + 1."""
     c_value = n_max * params.sigma_sq / params.mu_e
-    return c_value, 2.0 * c_value + 1.0
+    bound = 2.0 * c_value + 1.0
+    if not math.isfinite(bound):
+        raise OutOfFloatRange(
+            "the 2c+1 bound",
+            mu_e=params.mu_e,
+            sigma_sq=params.sigma_sq,
+            n_max=n_max,
+        )
+    return c_value, bound
 
 
 def error_ratio(

@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 from .exceptions import (
     DegenerateParams,
     NonUnitSum,
+    OutOfFloatRange,
     TargetNotInCoalition,
     WeightDomainMismatch,
 )
@@ -89,40 +90,54 @@ def _fine_grained_terms(
 
 
 def _errors(
-    sizes: Sequence[float], method: FederationMethod, params: PopulationParams
+    players: Sequence[Player], method: FederationMethod, params: PopulationParams
 ) -> list[float]:
     """Every member's expected error under ``method``.
 
-    ``sizes`` lists the members' sample counts in sorted-by-id order; the
-    result is in the same order.  With T = sum_i n_i and the leave-one-out
-    sums taken over i != j:
+    ``players`` lists the members in sorted-by-id order; the result is in
+    the same order.  With T = sum_i n_i and the leave-one-out sums taken
+    over i != j:
 
         local:        mu_e / n_j
         uniform:      mu_e / T + sigma_sq * (sum n_i^2 + (sum n_i)^2) / T^2
         fine-grained: (mu_e / n_j) / (V_j * T') * (1 + sigma_sq * S_j)
 
     where V_i = sigma_sq + mu_e / n_i, T' = sum_i 1/V_i and
-    S_j = sum_{i != j} 1/V_i.
+    S_j = sum_{i != j} 1/V_i.  Raises ``OutOfFloatRange`` when an error
+    overflows or a denominator underflows to zero.
     """
     mu_e, sigma_sq = params.mu_e, params.sigma_sq
-    if method is FederationMethod.LOCAL:
-        return [mu_e / n for n in sizes]
-    if method is FederationMethod.UNIFORM:
-        total = sum(sizes)
-        off_sum = _leave_one_out(sizes)
-        off_sq = _leave_one_out([n * n for n in sizes])
-        return [
-            mu_e / total + sigma_sq * (sq + s * s) / (total * total)
-            for s, sq in zip(off_sum, off_sq)
-        ]
-    if method is FederationMethod.FINE_GRAINED:
-        v, s_off = _fine_grained_terms(sizes, params)
-        t_sum = sum(1.0 / v_i for v_i in v)
-        return [
-            (mu_e / n) / (v_j * t_sum) * (1.0 + sigma_sq * s)
-            for n, v_j, s in zip(sizes, v, s_off)
-        ]
-    raise ValueError(f"unknown federation method: {method!r}")
+    sizes = [p.n for p in players]
+    try:
+        if method is FederationMethod.LOCAL:
+            errors = [mu_e / n for n in sizes]
+        elif method is FederationMethod.UNIFORM:
+            total = sum(sizes)
+            off_sum = _leave_one_out(sizes)
+            off_sq = _leave_one_out([n * n for n in sizes])
+            errors = [
+                mu_e / total + sigma_sq * (sq + s * s) / (total * total)
+                for s, sq in zip(off_sum, off_sq)
+            ]
+        elif method is FederationMethod.FINE_GRAINED:
+            v, s_off = _fine_grained_terms(sizes, params)
+            t_sum = sum(1.0 / v_i for v_i in v)
+            errors = [
+                (mu_e / n) / (v_j * t_sum) * (1.0 + sigma_sq * s)
+                for n, v_j, s in zip(sizes, v, s_off)
+            ]
+        else:
+            raise ValueError(f"unknown federation method: {method!r}")
+        if all(map(math.isfinite, errors)):
+            return errors
+    except ZeroDivisionError:
+        pass
+    raise OutOfFloatRange(
+        f"a {method.value} error",
+        mu_e=mu_e,
+        sigma_sq=sigma_sq,
+        n={p.id: p.n for p in players},
+    )
 
 
 def member_errors(
@@ -131,13 +146,13 @@ def member_errors(
     """Every member's expected error under ``method``, keyed by id in
     sorted-by-id order, from one evaluation of the closed forms."""
     players = coalition.ordered()
-    errors = _errors([p.n for p in players], method, params)
+    errors = _errors(players, method, params)
     return dict(zip([p.id for p in players], errors))
 
 
 def local_error(player: Player, params: PopulationParams) -> float:
     """Expected error when the player uses only its own samples: mu_e / n."""
-    return _errors((player.n,), FederationMethod.LOCAL, params)[0]
+    return _errors((player,), FederationMethod.LOCAL, params)[0]
 
 
 def uniform_error(coalition: Coalition, target: str, params: PopulationParams) -> float:

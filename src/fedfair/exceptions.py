@@ -50,6 +50,15 @@ class UndefinedBound(FedFairError):
     """The egalitarian bound needs noise > 0 and bias > 0 to be defined."""
 
 
+class OutOfFloatRange(FedFairError):
+    """A closed form left the floating-point range at the given inputs: it
+    overflowed, or divided by a value that underflowed to zero."""
+
+    def __init__(self, what: str, **inputs: object) -> None:
+        fields = ", ".join(f"{name}={value!r}" for name, value in inputs.items())
+        super().__init__(f"{what} is outside the floating-point range at {fields}")
+
+
 class NonIntegerSamples(FedFairError):
     """Simulation draws individual samples, so sample counts must be integers."""
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import member_errors
+from .exceptions import OutOfFloatRange
 from .model import Coalition, FederationMethod, PopulationParams, close
 from .sampling import describe_instance, instance_rng, random_instance
 
@@ -136,15 +137,21 @@ def individually_rational(
 def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
     """Least size at which a player joining ``rest`` weakly prefers local
     learning under the weighted average; inf when that never happens."""
-    total = rest.total
-    denom = (
-        params.sigma_sq * rest.sum_sq / (total * total)
-        + params.sigma_sq
-        - params.mu_e / total
-    )
-    if denom <= 0.0:
-        return math.inf
-    return params.mu_e / denom
+    try:
+        total = rest.total
+        denom = (
+            params.sigma_sq * rest.sum_sq / (total * total)
+            + params.sigma_sq
+            - params.mu_e / total
+        )
+        if denom <= 0.0:
+            return math.inf
+        threshold = params.mu_e / denom
+        if math.isfinite(threshold):
+            return threshold
+    except ZeroDivisionError:
+        pass
+    raise _out_of_range("the defection threshold", rest, params)
 
 
 def subproportionality_threshold(
@@ -162,7 +169,23 @@ def subproportionality_threshold(
         + (params.mu_e / n_s) * total
         + (params.sigma_sq / n_s) * (rest.sum_sq + total * total)
     )
-    return numer / denom
+    threshold = numer / denom
+    if math.isfinite(threshold):
+        return threshold
+    raise _out_of_range(
+        f"the subproportionality threshold against {s!r}", rest, params
+    )
+
+
+def _out_of_range(
+    what: str, rest: Coalition, params: PopulationParams
+) -> OutOfFloatRange:
+    return OutOfFloatRange(
+        what,
+        mu_e=params.mu_e,
+        sigma_sq=params.sigma_sq,
+        n={p.id: p.n for p in rest.ordered()},
+    )
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,19 @@ sweeps are order- and parallelism-independent.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import Coalition, Player, PopulationParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def instance_rng(seed: int, index: int) -> np.random.Generator:
     """Deterministic sub-generator for one instance of a seeded sweep."""
+    # Imported here so that importing the package does not load numpy.
+    import numpy as np
+
     return np.random.default_rng([seed, index])
 
 

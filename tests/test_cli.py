@@ -5,9 +5,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedfair.cli
 from fedfair.cli import (
     MAX_SCAN_ROWS,
     ScenarioFile,
@@ -15,6 +20,7 @@ from fedfair.cli import (
     main,
     run_reproduce,
 )
+from fedfair.proportionality import PropstabResult
 
 
 @pytest.fixture
@@ -37,6 +43,15 @@ def run_cli(args, tmp_path, fmt="csv"):
     out = tmp_path / "out.txt"
     code = main(["--format", fmt, "--out", str(out), *args])
     return code, out.read_text() if out.exists() else ""
+
+
+def strict_json(text):
+    """json.loads that rejects the non-RFC 8259 constants NaN and Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def parse_csv(text):
@@ -274,6 +289,18 @@ class TestVerify:
         assert first == second
 
 
+    def test_detail_cells_are_rfc8259(self, tmp_path, monkeypatch):
+        record = {"index": 3, "defection": math.inf, "threshold": -math.inf}
+        result = PropstabResult(
+            instances=4, counterexamples=({"kind": "threshold_order", **record},)
+        )
+        monkeypatch.setattr(fedfair.cli, "verify_propstab", lambda **_: result)
+        code, text = run_cli(["verify", "propstab"], tmp_path, fmt="json")
+        assert code == 1
+        detail = strict_json(strict_json(text)["rows"][1]["detail"])
+        assert detail["defection"] == "Infinity"
+        assert detail["threshold"] == "-Infinity"
+
     @pytest.mark.parametrize(
         "suite, count", [("propstab", "0"), ("egalitarian-bound", "-5")]
     )
@@ -418,7 +445,7 @@ class TestScan:
         assert code == 2
         assert "--nl-step" in capsys.readouterr().err
 
-    def test_infinity_survives_json(self, tmp_path):
+    def test_json_output_is_rfc8259(self, tmp_path):
         code, text = run_cli(
             [
                 "scan", "--ns", "5", "--nl-start", "20", "--nl-stop", "20",
@@ -428,8 +455,82 @@ class TestScan:
             fmt="json",
         )
         assert code == 0
-        row = json.loads(text)["rows"][0]
-        assert row["defection_threshold"] == math.inf
+        row = strict_json(text)["rows"][0]
+        assert row["defection_threshold"] == "Infinity"
+        assert row["subproportionality_threshold"] == "Infinity"
+
+
+class TestFloatRange:
+    """Inputs whose closed forms leave the float range are input errors."""
+
+    def scan(self, tmp_path, n_s, n_l):
+        return run_cli(
+            [
+                "scan", "--ns", n_s, "--nl-start", n_l, "--nl-stop", n_l,
+                "--nl-step", "1", "--mu-e", "10", "--sigma-sq", "1",
+            ],
+            tmp_path,
+        )
+
+    def test_underflowing_small_player(self, tmp_path, capsys):
+        code, text = self.scan(tmp_path, "1e-320", "20")
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "floating-point range" in err and "1e-320" in err
+        assert "mu_e=10.0" in err and "sigma_sq=1.0" in err
+
+    def test_overflowing_scan_rows(self, tmp_path, capsys):
+        code, text = self.scan(tmp_path, "1e308", "1e308")
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "floating-point range" in err and "1e+308" in err
+
+    def test_audit_never_reports_a_nan_error(self, tmp_path, capsys):
+        path = tmp_path / "extreme.json"
+        path.write_text(
+            '{"mu_e": 1e-320, "sigma_sq": 1, "players": [{"id": "a", "n": 1e300}, '
+            '{"id": "b", "n": 2}], "method": "uniform"}'
+        )
+        code, text = run_cli(["audit", str(path)], tmp_path)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "uniform error" in err and "mu_e=1e-320" in err
+        assert "'a': 1e+300" in err and "'b': 2.0" in err
+
+    def test_audit_never_reports_an_infinite_bound(self, tmp_path, capsys):
+        path = tmp_path / "huge_c.json"
+        path.write_text(
+            '{"mu_e": 1e-10, "sigma_sq": 10, "players": [{"id": "a", "n": 1e300}], '
+            '"method": "uniform"}'
+        )
+        code, text = run_cli(["audit", str(path)], tmp_path)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "2c+1 bound" in err and "n_max=1e+300" in err
+
+
+class TestClosedOutput:
+    def test_closed_stdout_exits_141_silently(self):
+        src = Path(fedfair.cli.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        # 3,000 JSON rows are far more than a pipe buffers, so the writer
+        # is still writing when the reader goes away.
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "fedfair.cli", "--format", "json", "scan",
+                "--ns", "5", "--nl-start", "1", "--nl-stop", "3000",
+                "--nl-step", "1", "--mu-e", "10", "--sigma-sq", "1",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestArgumentErrors:

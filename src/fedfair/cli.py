@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
 from .egalitarian import (
@@ -24,7 +23,6 @@ from .egalitarian import (
     egalitarian_bound,
     inverse_size_error,
 )
-from .errors import member_errors
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams
 from .proportionality import (
@@ -34,6 +32,7 @@ from .proportionality import (
     subproportionality_threshold,
     verify_propstab,
 )
+from .sampling import describe_instance
 
 # Published motivating-table cells (mu_e=10, sigma_sq=1, n_s=6), quoted at
 # three significant figures: err_small, err_large, ratio, bound, size ratio.
@@ -55,54 +54,6 @@ MAX_SCAN_ROWS = 100_000
 
 class ScenarioFileError(FedFairError):
     """A scenario file failed structural validation."""
-
-
-@dataclass(frozen=True)
-class ScenarioFile:
-    """Wire schema for scenario ingestion (strict: unknown fields rejected)."""
-
-    mu_e: float
-    sigma_sq: float
-    players: tuple[tuple[str, float], ...]
-    method: str
-
-    @classmethod
-    def from_dict(cls, data: object) -> "ScenarioFile":
-        fields = ("mu_e", "sigma_sq", "players", "method")
-        data = _require_object(data, "top level", fields, fields)
-        mu_e = _require_number(data["mu_e"], "mu_e")
-        sigma_sq = _require_number(data["sigma_sq"], "sigma_sq")
-        if not isinstance(data["players"], list):
-            raise ScenarioFileError("field 'players' must be a list")
-        players: list[tuple[str, float]] = []
-        for idx, entry in enumerate(data["players"]):
-            where = f"players[{idx}]"
-            entry = _require_object(entry, where, ("id", "n"), ("n",))
-            n = _require_number(entry["n"], f"{where}.n")
-            pid = entry.get("id", f"p{idx + 1}")
-            if not isinstance(pid, str):
-                raise ScenarioFileError(f"{where}.id must be a string")
-            players.append((pid, n))
-        method = data["method"]
-        if method not in METHOD_NAMES:
-            raise ScenarioFileError(
-                f"field 'method' must be one of {sorted(METHOD_NAMES)}, "
-                f"got {method!r}"
-            )
-        return cls(mu_e, sigma_sq, tuple(players), method)
-
-    def to_dict(self) -> dict:
-        return {
-            "mu_e": self.mu_e,
-            "sigma_sq": self.sigma_sq,
-            "players": [{"id": pid, "n": n} for pid, n in self.players],
-            "method": self.method,
-        }
-
-    def to_scenario(self) -> tuple[PopulationParams, Coalition, FederationMethod]:
-        params = PopulationParams(self.mu_e, self.sigma_sq)
-        coalition = Coalition(tuple(Player(pid, n) for pid, n in self.players))
-        return params, coalition, METHOD_NAMES[self.method]
 
 
 class _JsonObject(dict):
@@ -143,26 +94,55 @@ def _require_number(value: object, field: str) -> float:
         ) from None
 
 
-def load_scenario_file(path: str) -> ScenarioFile:
+def load_scenario_file(
+    path: str,
+) -> tuple[PopulationParams, Coalition, FederationMethod]:
+    """Parse a scenario file (strict: unknown fields rejected) into the
+    library values it describes."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle, object_pairs_hook=_JsonObject)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: arrays or objects nested too deeply to decode.
         raise ScenarioFileError(f"{path}: invalid JSON ({exc})") from exc
-    return ScenarioFile.from_dict(data)
+    fields = ("mu_e", "sigma_sq", "players", "method")
+    data = _require_object(data, "top level", fields, fields)
+    mu_e = _require_number(data["mu_e"], "mu_e")
+    sigma_sq = _require_number(data["sigma_sq"], "sigma_sq")
+    if not isinstance(data["players"], list):
+        raise ScenarioFileError("field 'players' must be a list")
+    players: list[tuple[str, float]] = []
+    for idx, entry in enumerate(data["players"]):
+        where = f"players[{idx}]"
+        entry = _require_object(entry, where, ("id", "n"), ("n",))
+        n = _require_number(entry["n"], f"{where}.n")
+        pid = entry.get("id", f"p{idx + 1}")
+        if not isinstance(pid, str):
+            raise ScenarioFileError(f"{where}.id must be a string")
+        players.append((pid, n))
+    method = data["method"]
+    if not isinstance(method, str) or method not in METHOD_NAMES:
+        raise ScenarioFileError(
+            f"field 'method' must be one of {sorted(METHOD_NAMES)}, "
+            f"got {method!r}"
+        )
+    # Structure first, then the values' own invariants (sizes, ids).
+    params = PopulationParams(mu_e, sigma_sq)
+    coalition = Coalition(tuple(Player(pid, n) for pid, n in players))
+    return params, coalition, METHOD_NAMES[method]
 
 
 def _load_scenario(
     path: str, dump_scenario: str | None
 ) -> tuple[PopulationParams, Coalition, FederationMethod]:
     """Parse a scenario file, re-emitting it to ``dump_scenario`` if given."""
-    sfile = load_scenario_file(path)
+    params, coalition, method = load_scenario_file(path)
     if dump_scenario:
         with open(dump_scenario, "w", encoding="utf-8") as handle:
-            json.dump(sfile.to_dict(), handle, indent=2)
+            record = {**describe_instance(params, coalition), "method": method.value}
+            json.dump(record, handle, indent=2)
             handle.write("\n")
-    return sfile.to_scenario()
+    return params, coalition, method
 
 
 # ---------------------------------------------------------------------------
@@ -293,28 +273,46 @@ REPRODUCE_COLUMNS = [
 ]
 
 
+def _pair_row(n_s: float, n_l: float, params: PopulationParams) -> dict:
+    """The uniform-federation cells of the pair s (n_s) and l (n_l): the
+    scan columns up to ``individually_rational``."""
+    coalition = Coalition((Player("s", n_s), Player("l", n_l)))
+    report = classify_proportionality(coalition, FederationMethod.UNIFORM, params)
+    rationality = individually_rational(coalition, FederationMethod.UNIFORM, params)
+    errs = {r.player_id: r.coalition_error for r in rationality.players}
+    err_s, err_l = errs["s"], errs["l"]
+    c_value, bound = (
+        egalitarian_bound(max(n_s, n_l), params) if params.mu_e > 0 else (None, None)
+    )
+    return {
+        "n_s": n_s,
+        "n_l": n_l,
+        "mu_e": params.mu_e,
+        "sigma_sq": params.sigma_sq,
+        "err_small": err_s,
+        "err_large": err_l,
+        "ratio": err_s / err_l if err_l else None,
+        "c": c_value,
+        "bound": bound,
+        "size_ratio": n_l / n_s,
+        "proportionality": report.label.value,
+        "individually_rational": rationality.individually_rational,
+    }
+
+
 def run_reproduce(table_id: str, fmt: str, out: IO[str], mu_e: float = 10.0) -> int:
     if table_id != "motivating":
         print(f"error: unknown table id {table_id!r}", file=sys.stderr)
         return 2
     params = PopulationParams(mu_e=mu_e, sigma_sq=1.0)
-    n_s = 6.0
     rows = []
     for n_l, reference in REFERENCE_MOTIVATING.items():
-        coalition = Coalition((Player("s", n_s), Player("l", float(n_l))))
-        errs = member_errors(coalition, FederationMethod.UNIFORM, params)
-        computed = (
-            errs["s"],
-            errs["l"],
-            errs["s"] / errs["l"],
-            egalitarian_bound(float(n_l), params)[1],
-            n_l / n_s,
-        )
+        pair = _pair_row(6.0, float(n_l), params)
+        cells = {column: pair[column] for column in REPRODUCE_COLUMNS[1:-1]}
         matches = all(
             abs(got - want) <= CELL_REL_TOL * abs(want)
-            for got, want in zip(computed, reference)
+            for got, want in zip(cells.values(), reference)
         )
-        cells = dict(zip(REPRODUCE_COLUMNS[1:-1], computed))
         rows.append({"n_l": n_l, **cells, "matches": matches})
     emit_rows(rows, REPRODUCE_COLUMNS, fmt, out)
     if not all(row["matches"] for row in rows):
@@ -417,7 +415,7 @@ def run_simulate(
 
     params, coalition, method = _load_scenario(path, dump_scenario)
     rows = []
-    for index, player in enumerate(coalition.ordered()):
+    for index, player in enumerate(coalition.players):
         spec = SimulationSpec(
             coalition=coalition,
             target=player.id,
@@ -494,38 +492,16 @@ def run_scan(
         return 2
     params = PopulationParams(mu_e=mu_e, sigma_sq=sigma_sq)
     rest = Coalition((Player("s", n_s),))
-    defect = defection_threshold(rest, params)
-    violate = subproportionality_threshold(rest, "s", params)
-    rows = []
-    for n_l in (nl_start + i * nl_step for i in range(count)):
-        coalition = Coalition((Player("s", n_s), Player("l", n_l)))
-        report = classify_proportionality(coalition, FederationMethod.UNIFORM, params)
-        rationality = individually_rational(
-            coalition, FederationMethod.UNIFORM, params
-        )
-        errs = {r.player_id: r.coalition_error for r in rationality.players}
-        err_s, err_l = errs["s"], errs["l"]
-        c_value, bound = (
-            egalitarian_bound(max(n_s, n_l), params) if mu_e > 0 else (None, None)
-        )
-        rows.append(
-            {
-                "n_s": n_s,
-                "n_l": n_l,
-                "mu_e": mu_e,
-                "sigma_sq": sigma_sq,
-                "err_small": err_s,
-                "err_large": err_l,
-                "ratio": err_s / err_l if err_l else None,
-                "c": c_value,
-                "bound": bound,
-                "size_ratio": n_l / n_s,
-                "proportionality": report.label.value,
-                "individually_rational": rationality.individually_rational,
-                "defection_threshold": defect,
-                "subproportionality_threshold": violate,
-            }
-        )
+    thresholds = {
+        "defection_threshold": defection_threshold(rest, params),
+        "subproportionality_threshold": subproportionality_threshold(
+            rest, "s", params
+        ),
+    }
+    rows = [
+        {**_pair_row(n_s, nl_start + i * nl_step, params), **thresholds}
+        for i in range(count)
+    ]
     emit_rows(rows, SCAN_COLUMNS, fmt, out)
     return 0
 

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .errors import WeightVector, member_errors, weighted_error
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
@@ -38,19 +38,19 @@ DERIVATIVE_STEP = 1e-4
 # Relative tolerance for the limiting-ratio check.
 LIMIT_REL_TOL = 1e-3
 
-# Default verification grid, fully crossed.
+# The modularity verification grid, fully crossed.
 PAIR_SIZES = (1.0, 2.0, 5.0, 10.0, 50.0, 100.0)
 THIRD_SIZES = (1.0, 10.0, 100.0)
 PARAM_LEVELS = (0.1, 1.0, 10.0)
 
 
 def _errors_fn(method: FederationMethod | ErrorFn) -> tuple[ErrorsFn, str]:
-    """A function giving every member's error under ``method`` (keyed by id
-    in sorted-by-id order), and the method's name."""
+    """A function giving every member's error under ``method``, keyed by
+    id, and the method's name."""
     if isinstance(method, FederationMethod):
         return lambda co, params: member_errors(co, method, params), method.value
     return (
-        lambda co, params: {p.id: method(co, p.id, params) for p in co.ordered()},
+        lambda co, params: {p.id: method(co, p.id, params) for p in co.players},
         getattr(method, "__name__", "custom"),
     )
 
@@ -134,7 +134,7 @@ def inverse_size_error(
     """Error of a deliberately mis-weighted estimator: v_i proportional to
     T - n_i, so smaller players get larger weight.  Breaks the usual
     large-player advantage; used to calibrate the modularity checker."""
-    players = coalition.ordered()
+    players = coalition.players
     if len(players) == 1:
         weights = {target: 1.0}
     else:
@@ -167,13 +167,8 @@ class ModularityReport:
         return self.properties[prop - 1]
 
 
-def check_modularity(
-    method: FederationMethod | ErrorFn,
-    pair_sizes: Sequence[float] = PAIR_SIZES,
-    third_sizes: Sequence[float] = THIRD_SIZES,
-    param_levels: Sequence[float] = PARAM_LEVELS,
-) -> ModularityReport:
-    """Numerically verify the five structural properties on a grid.
+def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
+    """Numerically verify the five structural properties on the grid.
 
     1. Within any coalition the larger player has the lower error (strict
        for strictly larger).
@@ -183,7 +178,8 @@ def check_modularity(
     3. The two-player ratio is non-decreasing in the large player's size.
     4. The two-player ratio is non-increasing in the small player's size.
     5. As the small player vanishes the two-player ratio approaches
-       (mu_e/n_l + 2 sigma_sq) / (mu_e/n_l).  The probe point sits at
+       (mu_e/n_l + 2 sigma_sq) / (mu_e/n_l), which is the 2c+1 bound with
+       c = n_l * sigma_sq / mu_e.  The probe point sits at
        n_s = 1e-6 * n_l or deeper: the fine-grained ratio approaches its
        limit at scale n_s ~ mu_e/sigma_sq, so the probe is capped at
        5e-5 * mu_e/sigma_sq to stay inside the convergence regime at
@@ -198,14 +194,14 @@ def check_modularity(
     errors, name = _errors_fn(method)
     param_grid = [
         PopulationParams(mu_e, sigma_sq)
-        for mu_e in param_levels
-        for sigma_sq in param_levels
+        for mu_e in PARAM_LEVELS
+        for sigma_sq in PARAM_LEVELS
     ]
     pairs = [
         (params, n_s, n_l)
         for params in param_grid
-        for n_s in pair_sizes
-        for n_l in pair_sizes
+        for n_s in PAIR_SIZES
+        for n_l in PAIR_SIZES
         if n_s <= n_l
     ]
 
@@ -272,7 +268,7 @@ def check_modularity(
     def vanishing_limit(params: PopulationParams, n_l: float) -> Outcome:
         probe = min(1e-6 * n_l, 5e-5 * params.mu_e / params.sigma_sq)
         got = ratio(params, probe, n_l)
-        limit = (params.mu_e / n_l + 2.0 * params.sigma_sq) / (params.mu_e / n_l)
+        limit = egalitarian_bound(n_l, params)[1]
         return not abs(got - limit) > LIMIT_REL_TOL * limit, {
             "n_small": probe,
             "n_large": n_l,
@@ -283,7 +279,7 @@ def check_modularity(
     coalitions = [
         (params, sizes)
         for params, n_s, n_l in pairs
-        for sizes in [(n_s, n_l), *((n_s, n_l, n_k) for n_k in third_sizes)]
+        for sizes in [(n_s, n_l), *((n_s, n_l, n_k) for n_k in THIRD_SIZES)]
     ]
     # (property, predicate, the argument tuples it is checked on)
     table = (
@@ -299,10 +295,10 @@ def check_modularity(
                 )
             ],
         ),
-        (2, two_player_worst, [(*pair, n_k) for pair in pairs for n_k in third_sizes]),
+        (2, two_player_worst, [(*pair, n_k) for pair in pairs for n_k in THIRD_SIZES]),
         (3, monotone(1, 1.0, "derivative_in_large"), pairs),
         (4, monotone(0, -1.0, "derivative_in_small"), pairs),
-        (5, vanishing_limit, [(pa, n_l) for pa in param_grid for n_l in pair_sizes]),
+        (5, vanishing_limit, [(pa, n_l) for pa in param_grid for n_l in PAIR_SIZES]),
     )
     results = []
     for prop, predicate, cases in table:
@@ -386,21 +382,15 @@ class BoundSweepResult:
         return not self.violations
 
 
-def bound_sweep(
-    instance_count: int = 10_000,
-    seed: int = 42,
-    methods: Sequence[FederationMethod] = (
-        FederationMethod.UNIFORM,
-        FederationMethod.FINE_GRAINED,
-    ),
-) -> BoundSweepResult:
-    """Check 1 - 1e-12 <= max ratio <= 2c+1 + 1e-9 on random instances."""
+def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResult:
+    """Check 1 - 1e-12 <= max ratio <= 2c+1 + 1e-9 on random instances,
+    under uniform and fine-grained federation."""
     violations: list[dict] = []
     max_quotient = 0.0
     checks = 0
     for index in range(instance_count):
         params, coalition = random_instance(instance_rng(seed, index))
-        for method in methods:
+        for method in (FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED):
             checks += 1
             audit = audit_egalitarian(coalition, method, params)
             ratio, bound = audit.max_ratio, audit.bound

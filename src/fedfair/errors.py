@@ -17,8 +17,7 @@ Three weightings matter:
   T = sum_i 1 / V_i.
 
 One kernel evaluates these forms for every member of a coalition at once;
-the per-target functions return its entries.  All sums over players run in
-sorted-by-id order so repeated evaluations are bit-identical.
+the per-target functions return its entries.
 """
 
 from __future__ import annotations
@@ -61,13 +60,13 @@ class WeightVector:
             raise NonUnitSum(f"weights sum to {total!r}, expected 1")
 
     def aligned(self, coalition: Coalition) -> tuple[tuple[Player, float], ...]:
-        """(player, weight) pairs in sorted-by-id order; domains must match."""
+        """(player, weight) pairs in player order; domains must match."""
         if set(self.weights) != set(coalition.ids()):
             raise WeightDomainMismatch(
                 f"weights cover {sorted(self.weights)}, "
                 f"coalition is {sorted(coalition.ids())}"
             )
-        return tuple((p, self.weights[p.id]) for p in coalition.ordered())
+        return tuple((p, self.weights[p.id]) for p in coalition.players)
 
 
 def _leave_one_out(values: Sequence[float]) -> list[float]:
@@ -77,15 +76,31 @@ def _leave_one_out(values: Sequence[float]) -> list[float]:
     return [sum(v for i, v in enumerate(values) if i != j) for j in range(len(values))]
 
 
+def _out_of_range(
+    method: FederationMethod, players: Sequence[Player], params: PopulationParams
+) -> OutOfFloatRange:
+    return OutOfFloatRange(
+        f"a {method.value} error",
+        mu_e=params.mu_e,
+        sigma_sq=params.sigma_sq,
+        n={p.id: p.n for p in players},
+    )
+
+
 def _fine_grained_terms(
-    sizes: Sequence[float], params: PopulationParams
+    players: Sequence[Player], params: PopulationParams
 ) -> tuple[list[float], list[float]]:
-    """V_i = sigma_sq + mu_e / n_i and, for every j, S_j = sum_{i != j} 1/V_i."""
+    """V_i = sigma_sq + mu_e / n_i and, for every j, S_j = sum_{i != j} 1/V_i.
+
+    Raises ``OutOfFloatRange`` when some V_i underflows to zero.
+    """
     if params.mu_e == 0.0 and params.sigma_sq == 0.0:
         raise DegenerateParams(
             "mu_e = sigma_sq = 0: every unit-sum weighting is optimal"
         )
-    v = [params.sigma_sq + params.mu_e / n for n in sizes]
+    v = [params.sigma_sq + params.mu_e / p.n for p in players]
+    if 0.0 in v:
+        raise _out_of_range(FederationMethod.FINE_GRAINED, players, params)
     return v, _leave_one_out([1.0 / v_i for v_i in v])
 
 
@@ -94,9 +109,8 @@ def _errors(
 ) -> list[float]:
     """Every member's expected error under ``method``.
 
-    ``players`` lists the members in sorted-by-id order; the result is in
-    the same order.  With T = sum_i n_i and the leave-one-out sums taken
-    over i != j:
+    The result is in the order of ``players``.  With T = sum_i n_i and the
+    leave-one-out sums taken over i != j:
 
         local:        mu_e / n_j
         uniform:      mu_e / T + sigma_sq * (sum n_i^2 + (sum n_i)^2) / T^2
@@ -120,7 +134,7 @@ def _errors(
                 for s, sq in zip(off_sum, off_sq)
             ]
         elif method is FederationMethod.FINE_GRAINED:
-            v, s_off = _fine_grained_terms(sizes, params)
+            v, s_off = _fine_grained_terms(players, params)
             t_sum = sum(1.0 / v_i for v_i in v)
             errors = [
                 (mu_e / n) / (v_j * t_sum) * (1.0 + sigma_sq * s)
@@ -132,22 +146,16 @@ def _errors(
             return errors
     except ZeroDivisionError:
         pass
-    raise OutOfFloatRange(
-        f"a {method.value} error",
-        mu_e=mu_e,
-        sigma_sq=sigma_sq,
-        n={p.id: p.n for p in players},
-    )
+    raise _out_of_range(method, players, params)
 
 
 def member_errors(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> dict[str, float]:
-    """Every member's expected error under ``method``, keyed by id in
-    sorted-by-id order, from one evaluation of the closed forms."""
-    players = coalition.ordered()
-    errors = _errors(players, method, params)
-    return dict(zip([p.id for p in players], errors))
+    """Every member's expected error under ``method``, keyed by id, from
+    one evaluation of the closed forms."""
+    errors = _errors(coalition.players, method, params)
+    return dict(zip(coalition.ids(), errors))
 
 
 def local_error(player: Player, params: PopulationParams) -> float:
@@ -222,9 +230,9 @@ def fine_grained_weights(
     """
     if target not in coalition:
         raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    players = coalition.ordered()
-    j = [p.id for p in players].index(target)
-    v, s_off = _fine_grained_terms([p.n for p in players], params)
+    players = coalition.players
+    j = coalition.ids().index(target)
+    v, s_off = _fine_grained_terms(players, params)
     s = s_off[j]
     denom = 1.0 + v[j] * s
     out: dict[str, float] = {}

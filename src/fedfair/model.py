@@ -90,27 +90,33 @@ class Player:
 
 @dataclass(frozen=True)
 class Coalition:
-    """A nonempty group of players federating together, with distinct ids."""
+    """A nonempty group of players federating together, with distinct ids.
+
+    ``players`` is stored sorted by id, whatever order they are given in:
+    a coalition is a set, so two coalitions with the same members are
+    equal, and every sum over the players runs in this one order, which
+    makes repeated evaluations bit-identical.
+    """
 
     players: tuple[Player, ...]
 
     def __post_init__(self) -> None:
-        if len(self.players) == 0:
+        players = tuple(sorted(self.players, key=lambda p: p.id))
+        if not players:
             raise EmptyCoalition("a coalition needs at least one player")
-        seen: set[str] = set()
-        for p in self.players:
-            if p.id in seen:
+        for previous, p in zip(players, players[1:]):
+            if p.id == previous.id:
                 raise DuplicatePlayerId(f"duplicate player id {p.id!r}")
-            seen.add(p.id)
+        object.__setattr__(self, "players", players)
 
     @classmethod
-    def from_sizes(cls, sizes: Iterable[float], prefix: str = "p") -> "Coalition":
-        """Build a coalition from bare sample counts with generated ids."""
-        return cls(tuple(Player(f"{prefix}{i + 1}", float(n)) for i, n in enumerate(sizes)))
+    def from_sizes(cls, sizes: Iterable[float]) -> "Coalition":
+        """Build a coalition from bare sample counts with ids p1, p2, ..."""
+        return cls(tuple(Player(f"p{i + 1}", float(n)) for i, n in enumerate(sizes)))
 
     def ordered(self) -> tuple[Player, ...]:
-        """Players in the fixed (sorted-by-id) accumulation order."""
-        return tuple(sorted(self.players, key=lambda p: p.id))
+        """The players in id order, the same tuple as ``players``."""
+        return self.players
 
     def ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.players)
@@ -129,10 +135,10 @@ class Coalition:
 
     @property
     def total(self) -> float:
-        """Total sample count, accumulated in sorted-by-id order."""
-        return sum(p.n for p in self.ordered())
+        """Total sample count."""
+        return sum(p.n for p in self.players)
 
     @property
     def sum_sq(self) -> float:
-        """Sum of squared sample counts, accumulated in sorted-by-id order."""
-        return sum(p.n * p.n for p in self.ordered())
+        """Sum of squared sample counts."""
+        return sum(p.n * p.n for p in self.players)

@@ -112,19 +112,19 @@ class SimulationSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
     def resolved_weights(self) -> np.ndarray:
-        """Combination weights aligned to the sorted-by-id player order."""
-        ordered = self.coalition.ordered()
+        """Combination weights aligned to the coalition's player order."""
+        players = self.coalition.players
         if self.weights is not None:
             pairs = self.weights.aligned(self.coalition)
             return np.array([w for _, w in pairs], dtype=np.float64)
         if self.method is FederationMethod.LOCAL:
             return np.array(
-                [1.0 if p.id == self.target else 0.0 for p in ordered],
+                [1.0 if p.id == self.target else 0.0 for p in players],
                 dtype=np.float64,
             )
         if self.method is FederationMethod.UNIFORM:
             total = self.coalition.total
-            return np.array([p.n / total for p in ordered], dtype=np.float64)
+            return np.array([p.n / total for p in players], dtype=np.float64)
         optimal = fine_grained_weights(self.coalition, self.target, self.params)
         return np.array([w for _, w in optimal.aligned(self.coalition)], np.float64)
 
@@ -153,10 +153,9 @@ def _chunk_sums(
 ) -> tuple[float, float]:
     """Sum and sum-of-squares of the squared errors for one trial chunk."""
     rng = np.random.default_rng(seed_seq)
-    ordered = spec.coalition.ordered()
-    counts = np.array([p.n for p in ordered], dtype=np.float64)
-    players = len(ordered)
-    target_idx = next(i for i, p in enumerate(ordered) if p.id == spec.target)
+    counts = np.array([p.n for p in spec.coalition.players], dtype=np.float64)
+    players = len(counts)
+    target_idx = spec.coalition.ids().index(spec.target)
 
     if spec.mean_distribution is MeanDistribution.GAUSSIAN:
         means = rng.standard_normal((size, players)) * math.sqrt(spec.params.sigma_sq)
@@ -200,19 +199,14 @@ def simulate_error(
         min(CHUNK_TRIALS, spec.trials - k * CHUNK_TRIALS) for k in range(n_chunks)
     ]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(
-                pool.map(
-                    lambda args: _chunk_sums(spec, args[0], args[1], weights),
-                    zip(children, sizes),
-                )
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        partials = list(
+            pool.map(
+                lambda child, size: _chunk_sums(spec, child, size, weights),
+                children,
+                sizes,
             )
-    else:
-        partials = [
-            _chunk_sums(spec, child, size, weights)
-            for child, size in zip(children, sizes)
-        ]
+        )
 
     total = 0.0
     total_sq = 0.0

@@ -123,7 +123,7 @@ def individually_rational(
     errs = member_errors(coalition, method, params)
     local = member_errors(coalition, FederationMethod.LOCAL, params)
     rows: list[PlayerRationality] = []
-    for p in coalition.ordered():
+    for p in coalition.players:
         ce, le = errs[p.id], local[p.id]
         prefers_local = ce > le and not close(ce, le)
         rows.append(PlayerRationality(p.id, p.n, ce, le, prefers_local))
@@ -184,7 +184,7 @@ def _out_of_range(
         what,
         mu_e=params.mu_e,
         sigma_sq=params.sigma_sq,
-        n={p.id: p.n for p in rest.ordered()},
+        n={p.id: p.n for p in rest.players},
     )
 
 

@@ -36,7 +36,8 @@ def random_instance(rng: np.random.Generator) -> tuple[PopulationParams, Coaliti
 
 
 def describe_instance(params: PopulationParams, coalition: Coalition) -> dict:
-    """JSON-ready record of an instance, for counterexample replay."""
+    """JSON-ready record of an instance, for counterexample replay and the
+    CLI's ``--dump-scenario``; players are listed in id order."""
     return {
         "mu_e": params.mu_e,
         "sigma_sq": params.sigma_sq,

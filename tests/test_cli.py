@@ -15,7 +15,6 @@ import pytest
 import fedfair.cli
 from fedfair.cli import (
     MAX_SCAN_ROWS,
-    ScenarioFile,
     load_scenario_file,
     main,
     run_reproduce,
@@ -120,10 +119,33 @@ class TestAudit:
             ["audit", scenario_620, "--dump-scenario", str(dumped)], tmp_path
         )
         assert code == 0
-        original = load_scenario_file(scenario_620)
-        reparsed = load_scenario_file(str(dumped))
-        assert reparsed == original
-        assert reparsed.to_scenario() == original.to_scenario()
+        assert load_scenario_file(str(dumped)) == load_scenario_file(scenario_620)
+
+    def test_dump_scenario_lists_players_in_id_order(self, tmp_path):
+        path = tmp_path / "unsorted.json"
+        scenario = {
+            "mu_e": 10.0,
+            "sigma_sq": 1.0,
+            "players": [
+                {"id": "s", "n": 6.0},
+                {"id": "l", "n": 20.0},
+                {"id": "p10", "n": 3.0},
+                {"id": "p2", "n": 4.0},
+            ],
+            "method": "fine_grained",
+        }
+        path.write_text(json.dumps(scenario))
+        dumped = tmp_path / "dumped.json"
+        code, _ = run_cli(["audit", str(path), "--dump-scenario", str(dumped)], tmp_path)
+        assert code == 0
+        record = json.loads(dumped.read_text())
+        assert [p["id"] for p in record["players"]] == ["l", "p10", "p2", "s"]
+        by_id = {p["id"]: p for p in scenario["players"]}
+        assert record == {
+            **scenario,
+            "players": [by_id[pid] for pid in ("l", "p10", "p2", "s")],
+        }
+        assert load_scenario_file(str(dumped)) == load_scenario_file(str(path))
 
 
 class TestScenarioParsing:
@@ -213,12 +235,23 @@ class TestScenarioParsing:
         err = capsys.readouterr().err
         assert where in err and f"duplicate field {key!r}" in err
 
-    def test_default_ids_are_positional(self):
-        sfile = ScenarioFile.from_dict(
+    def test_default_ids_are_positional(self, tmp_path):
+        path = self.write(
+            tmp_path,
             {"mu_e": 1, "sigma_sq": 1, "players": [{"n": 2}, {"n": 3}],
-             "method": "local"}
+             "method": "local"},
         )
-        assert [pid for pid, _ in sfile.players] == ["p1", "p2"]
+        _, coalition, _ = load_scenario_file(path)
+        assert [(p.id, p.n) for p in coalition.players] == [("p1", 2.0), ("p2", 3.0)]
+
+    @pytest.mark.parametrize("method", [[], {}, ["uniform"]])
+    def test_non_string_method_rejected(self, method, tmp_path, capsys):
+        path = self.write(
+            tmp_path,
+            {"mu_e": 1, "sigma_sq": 1, "players": [{"n": 2}], "method": method},
+        )
+        assert main(["audit", path]) == 2
+        assert "field 'method' must be one of" in capsys.readouterr().err
 
 
 class TestReproduce:

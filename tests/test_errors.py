@@ -22,6 +22,7 @@ from fedfair import (
 from fedfair.exceptions import (
     DegenerateParams,
     NonUnitSum,
+    OutOfFloatRange,
     TargetNotInCoalition,
     WeightDomainMismatch,
 )
@@ -137,6 +138,18 @@ class TestFineGrainedWeights:
     def test_degenerate_params_rejected(self):
         with pytest.raises(DegenerateParams):
             fine_grained_weights(pair(6, 20), "l", PopulationParams(0.0, 0.0))
+
+    def test_underflowing_v_rejected_like_the_error(self):
+        """V_p1 = 0 + 1e-320 / 1e10 underflows to zero: the weights name the
+        inputs exactly as the error does, rather than dividing by zero."""
+        coalition = Coalition.from_sizes([1e10, 1.0])
+        params = PopulationParams(1e-320, 0.0)
+        with pytest.raises(OutOfFloatRange) as weights_exc:
+            fine_grained_weights(coalition, "p1", params)
+        with pytest.raises(OutOfFloatRange) as error_exc:
+            fine_grained_error(coalition, "p1", params)
+        assert str(weights_exc.value) == str(error_exc.value)
+        assert "'p1': 10000000000.0" in str(weights_exc.value)
 
 
 class TestFineGrainedError:

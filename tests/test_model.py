@@ -67,6 +67,11 @@ class TestCoalition:
         with pytest.raises(DuplicatePlayerId):
             Coalition((Player("a", 1.0), Player("a", 2.0)))
 
+    @pytest.mark.parametrize("ids", [("a", "b", "a"), ("b", "a", "c", "a")])
+    def test_duplicate_ids_rejected_in_any_position(self, ids):
+        with pytest.raises(DuplicatePlayerId):
+            Coalition(tuple(Player(pid, 1.0) for pid in ids))
+
     def test_equal_sizes_with_distinct_ids_allowed(self):
         """Symmetric test cases need two players with the same n."""
         coalition = Coalition((Player("a", 5.0), Player("b", 5.0)))
@@ -75,6 +80,21 @@ class TestCoalition:
     def test_ordered_is_sorted_by_id(self):
         coalition = Coalition((Player("z", 1.0), Player("a", 2.0)))
         assert [p.id for p in coalition.ordered()] == ["a", "z"]
+
+    def test_equality_ignores_listing_order(self):
+        a, b = Player("a", 1.0), Player("b", 2.0)
+        assert Coalition((b, a)) == Coalition((a, b))
+        assert hash(Coalition((b, a))) == hash(Coalition((a, b)))
+
+    def test_players_stored_in_id_order(self):
+        coalition = Coalition((Player("z", 1.0), Player("a", 2.0), Player("m", 3.0)))
+        assert [p.id for p in coalition.players] == ["a", "m", "z"]
+        assert coalition.ordered() == coalition.players
+
+    def test_from_sizes_with_ten_players_in_id_order(self):
+        coalition = Coalition.from_sizes(range(1, 12))
+        assert coalition.ids()[:5] == ("p1", "p10", "p11", "p2", "p3")
+        assert [p.n for p in coalition.players][:5] == [1.0, 10.0, 11.0, 2.0, 3.0]
 
     def test_from_sizes_generates_ids(self):
         coalition = Coalition.from_sizes([6, 20])

@@ -300,11 +300,11 @@ def _pair_row(n_s: float, n_l: float, params: PopulationParams) -> dict:
     }
 
 
-def run_reproduce(table_id: str, fmt: str, out: IO[str], mu_e: float = 10.0) -> int:
+def run_reproduce(table_id: str, fmt: str, out: IO[str]) -> int:
     if table_id != "motivating":
         print(f"error: unknown table id {table_id!r}", file=sys.stderr)
         return 2
-    params = PopulationParams(mu_e=mu_e, sigma_sq=1.0)
+    params = PopulationParams(mu_e=10.0, sigma_sq=1.0)
     rows = []
     for n_l, reference in REFERENCE_MOTIVATING.items():
         pair = _pair_row(6.0, float(n_l), params)

@@ -76,11 +76,13 @@ def _leave_one_out(values: Sequence[float]) -> list[float]:
     return [sum(v for i, v in enumerate(values) if i != j) for j in range(len(values))]
 
 
-def _out_of_range(
-    method: FederationMethod, players: Sequence[Player], params: PopulationParams
+def out_of_range(
+    what: str, players: Sequence[Player], params: PopulationParams
 ) -> OutOfFloatRange:
+    """``OutOfFloatRange`` for ``what``, naming mu_e, sigma_sq and each
+    player's n by id."""
     return OutOfFloatRange(
-        f"a {method.value} error",
+        what,
         mu_e=params.mu_e,
         sigma_sq=params.sigma_sq,
         n={p.id: p.n for p in players},
@@ -92,16 +94,20 @@ def _fine_grained_terms(
 ) -> tuple[list[float], list[float]]:
     """V_i = sigma_sq + mu_e / n_i and, for every j, S_j = sum_{i != j} 1/V_i.
 
-    Raises ``OutOfFloatRange`` when some V_i underflows to zero.
+    Raises ``OutOfFloatRange`` when some V_i underflows to zero or the sum
+    of the 1/V_i overflows.
     """
     if params.mu_e == 0.0 and params.sigma_sq == 0.0:
         raise DegenerateParams(
             "mu_e = sigma_sq = 0: every unit-sum weighting is optimal"
         )
     v = [params.sigma_sq + params.mu_e / p.n for p in players]
-    if 0.0 in v:
-        raise _out_of_range(FederationMethod.FINE_GRAINED, players, params)
-    return v, _leave_one_out([1.0 / v_i for v_i in v])
+    # A zero V_i is tested before dividing: 1.0 / 0.0 raises, not inf.
+    if 0.0 not in v:
+        inverse = [1.0 / v_i for v_i in v]
+        if math.isfinite(sum(inverse)):
+            return v, _leave_one_out(inverse)
+    raise out_of_range("a fine_grained error", players, params)
 
 
 def _errors(
@@ -146,7 +152,7 @@ def _errors(
             return errors
     except ZeroDivisionError:
         pass
-    raise _out_of_range(method, players, params)
+    raise out_of_range(f"a {method.value} error", players, params)
 
 
 def member_errors(
@@ -227,6 +233,8 @@ def fine_grained_weights(
         v_jk = (1/V_k) * (V_j - sigma_sq) / (1 + V_j * S)
 
     All weights are nonnegative because V_j - sigma_sq = mu_e / n_j >= 0.
+    Raises ``OutOfFloatRange`` where rounding leaves a weight that is not
+    a finite nonnegative float.
     """
     if target not in coalition:
         raise TargetNotInCoalition(f"target {target!r} not in coalition")
@@ -241,5 +249,6 @@ def fine_grained_weights(
             out[p.id] = (1.0 + params.sigma_sq * s) / denom
         else:
             out[p.id] = (params.mu_e / players[j].n) / (v_i * denom)
-        assert out[p.id] >= 0.0, f"optimal weight for {p.id!r} went negative"
+        if not (math.isfinite(out[p.id]) and out[p.id] >= 0.0):
+            raise out_of_range("a fine_grained error", players, params)
     return WeightVector(target=target, weights=out)

@@ -5,23 +5,19 @@ class FedFairError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ScenarioError(FedFairError):
-    """A scenario violates a structural invariant."""
-
-
-class EmptyCoalition(ScenarioError):
+class EmptyCoalition(FedFairError):
     """A coalition must contain at least one player."""
 
 
-class DuplicatePlayerId(ScenarioError):
+class DuplicatePlayerId(FedFairError):
     """Player ids within a coalition must be distinct."""
 
 
-class NonPositiveSamples(ScenarioError):
+class NonPositiveSamples(FedFairError):
     """Sample counts must be positive and finite."""
 
 
-class NegativeVariance(ScenarioError):
+class NegativeVariance(FedFairError):
     """Population parameters must be nonnegative and finite."""
 
 
@@ -57,10 +53,6 @@ class OutOfFloatRange(FedFairError):
     def __init__(self, what: str, **inputs: object) -> None:
         fields = ", ".join(f"{name}={value!r}" for name, value in inputs.items())
         super().__init__(f"{what} is outside the floating-point range at {fields}")
-
-
-class NonIntegerSamples(FedFairError):
-    """Simulation draws individual samples, so sample counts must be integers."""
 
 
 class InvalidNoiseList(FedFairError):

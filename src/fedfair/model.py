@@ -61,21 +61,13 @@ class PopulationParams:
                     f"{name} must be finite and nonnegative, got {value!r}"
                 )
 
-    @property
-    def noise_bias_ratio(self) -> float:
-        """mu_e / sigma_sq; defined only for sigma_sq > 0."""
-        if self.sigma_sq <= 0:
-            raise ZeroDivisionError("noise/bias ratio needs sigma_sq > 0")
-        return self.mu_e / self.sigma_sq
-
 
 @dataclass(frozen=True)
 class Player:
     """One agent, identified by ``id`` and contributing ``n`` samples.
 
-    Sample counts are positive reals, not integers: every closed form and
-    derivative-based check treats n continuously.  Only the simulation
-    module insists on integer n, because it draws individual samples.
+    Sample counts are positive reals, not integers: every closed form,
+    derivative-based check and the simulation oracle treat n continuously.
     """
 
     id: str

@@ -11,10 +11,12 @@ against the target's true mean is recorded.
 The empirical mean squared error is then compared with the matching
 closed form via a z-score.
 
-Determinism: trials are processed in fixed chunks of 65536, each chunk
-seeded by a deterministic child of the spec seed, and per-chunk partial
-sums are reduced in chunk order.  Results are therefore bit-identical
-for a given spec regardless of thread count or scheduling.
+Determinism: trials are processed in fixed chunks of 65536, the k-th
+chunk seeded by ``SeedSequence(seed, spawn_key=(k,))`` (what
+``SeedSequence(seed).spawn`` would make), and per-chunk partial sums are
+reduced in chunk order.  Results are therefore bit-identical for a given
+spec regardless of thread count or scheduling.  At most one chunk per
+thread is in flight, so memory does not grow with the trial count.
 
 Draw order inside a chunk never depends on how the weights were
 specified, so an explicit weight vector equal to the method's weights
@@ -24,10 +26,11 @@ reproduces the method's estimates exactly, draw for draw.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .errors import (
     fine_grained_weights,
     weighted_error,
 )
-from .exceptions import InvalidNoiseList, NonIntegerSamples, TargetNotInCoalition
+from .exceptions import InvalidNoiseList, TargetNotInCoalition
 from .model import Coalition, FederationMethod, Player, PopulationParams, close
 
 CHUNK_TRIALS = 1 << 16
@@ -54,9 +57,10 @@ class MeanDistribution(str, Enum):
 class SimulationSpec:
     """One simulation: who federates, how estimates combine, and the RNG seed.
 
-    Every player's n must be an integer: the model's local estimate is
-    the mean of n samples.  The simulation draws that mean directly as one
-    normal of variance (noise variance)/n, not the n samples themselves.
+    A player's local estimate is the mean of its n samples, drawn
+    directly as one normal of variance (noise variance)/n.  That is
+    defined for any positive real n, as in the closed forms, so every
+    coalition the closed forms accept can be simulated.
 
     ``noise_variances`` is optional: when absent every sample has variance
     mu_e.  When present it lists candidate noise variances (one entry per
@@ -84,12 +88,6 @@ class SimulationSpec:
             raise TargetNotInCoalition(f"target {self.target!r} not in coalition")
         if (self.method is None) == (self.weights is None):
             raise ValueError("specify exactly one of method or weights")
-        for p in self.coalition.players:
-            if not float(p.n).is_integer():
-                raise NonIntegerSamples(
-                    f"player {p.id!r} has n={p.n!r}; the simulated model "
-                    "averages n samples and needs integer counts"
-                )
         if self.noise_variances is not None:
             object.__setattr__(self, "noise_variances", tuple(self.noise_variances))
             values = self.noise_variances
@@ -146,13 +144,12 @@ class SimulationResult:
 
 
 def _chunk_sums(
-    spec: SimulationSpec,
-    seed_seq: np.random.SeedSequence,
-    size: int,
-    weights: np.ndarray,
+    spec: SimulationSpec, k: int, weights: np.ndarray
 ) -> tuple[float, float]:
-    """Sum and sum-of-squares of the squared errors for one trial chunk."""
-    rng = np.random.default_rng(seed_seq)
+    """Sum and sum-of-squares of the squared errors for the k-th trial
+    chunk, drawn from the k-th child of the spec seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(k,)))
+    size = min(CHUNK_TRIALS, spec.trials - k * CHUNK_TRIALS)
     counts = np.array([p.n for p in spec.coalition.players], dtype=np.float64)
     players = len(counts)
     target_idx = spec.coalition.ids().index(spec.target)
@@ -181,36 +178,27 @@ def _chunk_sums(
     return float(squared.sum()), float((squared * squared).sum())
 
 
-def simulate_error(
-    spec: SimulationSpec,
-    *,
-    threads: int = 1,
-    closed_form: float | None = None,
-) -> SimulationResult:
-    """Estimate the target's expected squared error empirically.
-
-    ``closed_form`` overrides the analytic reference (used to calibrate
-    the z-test harness against deliberately wrong values).
-    """
-    weights = spec.resolved_weights()
-    n_chunks = -(-spec.trials // CHUNK_TRIALS)
-    children = np.random.SeedSequence(spec.seed).spawn(n_chunks)
-    sizes = [
-        min(CHUNK_TRIALS, spec.trials - k * CHUNK_TRIALS) for k in range(n_chunks)
-    ]
-
+def _chunk_partials(
+    spec: SimulationSpec, weights: np.ndarray, threads: int
+) -> Iterator[tuple[float, float]]:
+    """Every chunk's partial sums in chunk order.  A sliding window keeps
+    at most ``threads`` chunks in flight: the next chunk is submitted as
+    soon as the oldest one is collected, never after a whole batch."""
+    in_flight: deque[Future[tuple[float, float]]] = deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(
-            pool.map(
-                lambda child, size: _chunk_sums(spec, child, size, weights),
-                children,
-                sizes,
-            )
-        )
+        for k in range(-(-spec.trials // CHUNK_TRIALS)):
+            if len(in_flight) == threads:
+                yield in_flight.popleft().result()
+            in_flight.append(pool.submit(_chunk_sums, spec, k, weights))
+        while in_flight:
+            yield in_flight.popleft().result()
 
+
+def simulate_error(spec: SimulationSpec, *, threads: int = 1) -> SimulationResult:
+    """Estimate the target's expected squared error empirically."""
     total = 0.0
     total_sq = 0.0
-    for part_sum, part_sq in partials:  # fixed chunk order
+    for part_sum, part_sq in _chunk_partials(spec, spec.resolved_weights(), threads):
         total += part_sum
         total_sq += part_sq
 
@@ -218,18 +206,12 @@ def simulate_error(
     mean = total / n
     variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
     std_error = math.sqrt(variance / n)
-    reference = spec.analytic_error() if closed_form is None else closed_form
+    reference = spec.analytic_error()
     if std_error > 0.0:
         z = (mean - reference) / std_error
     else:
         z = 0.0 if close(mean, reference) else math.copysign(math.inf, mean - reference)
-    return SimulationResult(
-        empirical_mse=mean,
-        standard_error=std_error,
-        trials=n,
-        closed_form=reference,
-        z_score=z,
-    )
+    return SimulationResult(mean, std_error, n, reference, z)
 
 
 @dataclass(frozen=True)
@@ -258,19 +240,15 @@ def simulate_suite(
     z_threshold: float = 4.0,
     *,
     threads: int = 1,
-    closed_form_overrides: dict[int, float] | None = None,
 ) -> SuiteResult:
     """Run each spec and fail any whose |z| exceeds the threshold.
 
     The default threshold of 4 leaves the false-failure rate of a
     ~20-spec suite well under 1%.
     """
-    overrides = closed_form_overrides or {}
     entries = []
     for index, spec in enumerate(specs):
-        result = simulate_error(
-            spec, threads=threads, closed_form=overrides.get(index)
-        )
+        result = simulate_error(spec, threads=threads)
         label = spec.label or f"spec{index}"
         entries.append(
             SuiteEntry(label, result, abs(result.z_score) <= z_threshold)

@@ -29,8 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import member_errors
-from .exceptions import OutOfFloatRange
+from .errors import member_errors, out_of_range
 from .model import Coalition, FederationMethod, PopulationParams, close
 from .sampling import describe_instance, instance_rng, random_instance
 
@@ -151,7 +150,7 @@ def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
             return threshold
     except ZeroDivisionError:
         pass
-    raise _out_of_range("the defection threshold", rest, params)
+    raise out_of_range("the defection threshold", rest.players, params)
 
 
 def subproportionality_threshold(
@@ -172,19 +171,8 @@ def subproportionality_threshold(
     threshold = numer / denom
     if math.isfinite(threshold):
         return threshold
-    raise _out_of_range(
-        f"the subproportionality threshold against {s!r}", rest, params
-    )
-
-
-def _out_of_range(
-    what: str, rest: Coalition, params: PopulationParams
-) -> OutOfFloatRange:
-    return OutOfFloatRange(
-        what,
-        mu_e=params.mu_e,
-        sigma_sq=params.sigma_sq,
-        n={p.id: p.n for p in rest.players},
+    raise out_of_range(
+        f"the subproportionality threshold against {s!r}", rest.players, params
     )
 
 

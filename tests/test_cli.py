@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fedfair.cli
+from fedfair import Coalition, Player, PopulationParams, uniform_error
 from fedfair.cli import (
     MAX_SCAN_ROWS,
     load_scenario_file,
@@ -264,9 +265,15 @@ class TestReproduce:
         assert math.isclose(float(rows[0]["err_small"]), 1060 / 676)
         assert math.isclose(float(rows[2]["ratio"]), 915 / 133)
 
-    def test_injected_noise_fails_self_test(self, capsys):
+    def test_injected_noise_fails_self_test(self, monkeypatch, capsys):
+        """One wrong published cell (the n_l = 30 ratio) fails the self-test."""
+        wrong = {**fedfair.cli.REFERENCE_MOTIVATING, 30: (1.67, 0.333, 5.5, 7.0, 5.0)}
+        monkeypatch.setattr(fedfair.cli, "REFERENCE_MOTIVATING", wrong)
         buffer = io.StringIO()
-        assert run_reproduce("motivating", "csv", buffer, mu_e=11.0) == 1
+        assert run_reproduce("motivating", "csv", buffer) == 1
+        rows = parse_csv(buffer.getvalue())
+        assert [r["matches"] for r in rows] == ["true", "false", "true"]
+        assert "diverge" in capsys.readouterr().err
 
     def test_unknown_table_is_usage_error(self, tmp_path):
         code, _ = run_cli(["reproduce", "mystery"], tmp_path)
@@ -361,7 +368,8 @@ class TestSimulate:
     def test_single_trial_is_input_error(self, scenario_620, tmp_path, capsys):
         assert main(["simulate", scenario_620, "--trials", "1"]) == 2
 
-    def test_non_integer_samples_rejected(self, tmp_path, capsys):
+    def test_non_integer_samples_accepted(self, tmp_path):
+        """simulate takes every scenario audit takes, fractional n included."""
         path = tmp_path / "frac.json"
         path.write_text(
             json.dumps(
@@ -369,8 +377,16 @@ class TestSimulate:
                  "method": "uniform"}
             )
         )
-        assert main(["simulate", str(path), "--trials", "100"]) == 2
-        assert "integer" in capsys.readouterr().err
+        code, text = run_cli(["simulate", str(path), "--trials", "20000"], tmp_path)
+        assert code == 0
+        coalition = Coalition((Player("p1", 6.5), Player("p2", 20.0)))
+        params = PopulationParams(10.0, 1.0)
+        rows = parse_csv(text)
+        assert [r["id"] for r in rows] == ["p1", "p2"]
+        for row in rows:
+            library = uniform_error(coalition, row["id"], params)
+            assert float(row["closed_form"]) == library
+            assert abs(float(row["z_score"])) <= 5.0
 
 
 class TestScan:
@@ -529,6 +545,21 @@ class TestFloatRange:
         err = capsys.readouterr().err
         assert "uniform error" in err and "mu_e=1e-320" in err
         assert "'a': 1e+300" in err and "'b': 2.0" in err
+
+    def test_audit_never_reports_a_vanishing_fine_grained_error(
+        self, tmp_path, capsys
+    ):
+        """V = 1e-320 is positive but 1/V overflows: exit 2, not error 0.0."""
+        path = tmp_path / "tiny_v.json"
+        path.write_text(
+            '{"mu_e": 1e-320, "sigma_sq": 0, "players": [{"id": "a", "n": 1}], '
+            '"method": "fine_grained"}'
+        )
+        code, text = run_cli(["audit", str(path)], tmp_path)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "fine_grained error" in err and "mu_e=1e-320" in err
+        assert "sigma_sq=0.0" in err and "'a': 1.0" in err
 
     def test_audit_never_reports_an_infinite_bound(self, tmp_path, capsys):
         path = tmp_path / "huge_c.json"

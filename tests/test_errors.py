@@ -151,12 +151,28 @@ class TestFineGrainedWeights:
         assert str(weights_exc.value) == str(error_exc.value)
         assert "'p1': 10000000000.0" in str(weights_exc.value)
 
+    def test_overflowing_inverse_v_rejected(self):
+        """V = 1e-320 is positive but 1/V overflows, so the weights would be
+        NaN; the rejection is a check, not an assert, and holds under -O."""
+        coalition = Coalition.from_sizes([1.0, 1.0])
+        with pytest.raises(OutOfFloatRange) as exc:
+            fine_grained_weights(coalition, "p1", PopulationParams(1e-320, 0.0))
+        message = str(exc.value)
+        assert "mu_e=1e-320" in message and "sigma_sq=0.0" in message
+        assert "'p1': 1.0" in message and "'p2': 1.0" in message
+
 
 class TestFineGrainedError:
     def test_motivating_values(self):
         coalition = pair(6, 20)
         assert math.isclose(fine_grained_error(coalition, "l", PARAMS), 0.44)
         assert math.isclose(fine_grained_error(coalition, "s", PARAMS), 1.0)
+
+    def test_overflowing_inverse_v_is_not_a_zero_error(self):
+        """The exact error is mu_e / n = 1e-320; the kernel returned 0.0."""
+        coalition = Coalition.from_sizes([1.0])
+        with pytest.raises(OutOfFloatRange, match="fine_grained error"):
+            fine_grained_error(coalition, "p1", PopulationParams(1e-320, 0.0))
 
     def test_two_player_ratio_closed_form(self):
         """err_s/err_l = (2 sigma_sq n_l + mu_e) / (2 sigma_sq n_s + mu_e)."""

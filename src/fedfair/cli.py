@@ -17,7 +17,7 @@ import sys
 from typing import IO, Callable, Sequence
 
 from .egalitarian import (
-    audit_egalitarian,
+    audit_member_errors,
     bound_sweep,
     check_modularity,
     egalitarian_bound,
@@ -26,9 +26,8 @@ from .egalitarian import (
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams
 from .proportionality import (
-    classify_proportionality,
+    assess_coalition,
     defection_threshold,
-    individually_rational,
     subproportionality_threshold,
     verify_propstab,
 )
@@ -50,6 +49,8 @@ CELL_REL_TOL = 5e-3
 METHOD_NAMES = {m.value: m for m in FederationMethod}
 # The scan grid is built in memory, so its size is capped.
 MAX_SCAN_ROWS = 100_000
+# Every seed is an unsigned 64-bit integer.
+SEED_LIMIT = 2**64
 
 
 class ScenarioFileError(FedFairError):
@@ -227,8 +228,8 @@ def run_audit(
     path: str, fmt: str, out: IO[str], dump_scenario: str | None = None
 ) -> int:
     params, coalition, method = _load_scenario(path, dump_scenario)
-    rationality = individually_rational(coalition, method, params)
-    proportionality = classify_proportionality(coalition, method, params)
+    rationality, proportionality = assess_coalition(coalition, method, params)
+    errs = {entry.player_id: entry.coalition_error for entry in rationality.players}
     rows: list[dict] = []
     for entry in rationality.players:
         rows.append(
@@ -247,7 +248,7 @@ def run_audit(
         "individually_rational": rationality.individually_rational,
     }
     try:
-        audit = audit_egalitarian(coalition, method, params)
+        audit = audit_member_errors(coalition, errs, method.value, params)
         summary.update(
             max_ratio=audit.max_ratio,
             worst_pair="|".join(audit.worst_pair),
@@ -277,8 +278,7 @@ def _pair_row(n_s: float, n_l: float, params: PopulationParams) -> dict:
     """The uniform-federation cells of the pair s (n_s) and l (n_l): the
     scan columns up to ``individually_rational``."""
     coalition = Coalition((Player("s", n_s), Player("l", n_l)))
-    report = classify_proportionality(coalition, FederationMethod.UNIFORM, params)
-    rationality = individually_rational(coalition, FederationMethod.UNIFORM, params)
+    rationality, report = assess_coalition(coalition, FederationMethod.UNIFORM, params)
     errs = {r.player_id: r.coalition_error for r in rationality.players}
     err_s, err_l = errs["s"], errs["l"]
     c_value, bound = (
@@ -414,6 +414,15 @@ def run_simulate(
     from .montecarlo import SimulationSpec, simulate_error
 
     params, coalition, method = _load_scenario(path, dump_scenario)
+    last_seed = seed + len(coalition) - 1
+    if last_seed >= SEED_LIMIT:
+        print(
+            f"error: --seed {seed} is too large for {len(coalition)} players: "
+            f"they are simulated at seeds {seed} to {last_seed}, "
+            "which must be below 2**64",
+            file=sys.stderr,
+        )
+        return 2
     rows = []
     for index, player in enumerate(coalition.players):
         spec = SimulationSpec(
@@ -510,6 +519,19 @@ def run_scan(
 # Argument parsing
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer in [0, 2**64)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2**64), got {text!r}"
+        )
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedfair",
@@ -525,7 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
     parser.add_argument(
-        "--seed", type=int, default=42, help="master seed for randomized commands"
+        "--seed",
+        type=_seed,
+        default=42,
+        help="master seed for randomized commands, in [0, 2**64) (default: 42)",
     )
     parser.add_argument(
         "--out", default=None, help="write output to this path instead of stdout"

@@ -100,6 +100,11 @@ class FairnessAudit:
     satisfied: bool
 
 
+def _require_bound(params: PopulationParams) -> None:
+    if params.mu_e <= 0.0 or params.sigma_sq <= 0.0:
+        raise UndefinedBound("the 2c+1 bound needs mu_e > 0 and sigma_sq > 0")
+
+
 def audit_egalitarian(
     coalition: Coalition,
     method: FederationMethod | ErrorFn,
@@ -110,16 +115,26 @@ def audit_egalitarian(
     c is reported as the exact real n_max * sigma_sq / mu_e (the smallest
     value covering the coalition); needs mu_e > 0 and sigma_sq > 0.
     """
-    if params.mu_e <= 0.0 or params.sigma_sq <= 0.0:
-        raise UndefinedBound("the 2c+1 bound needs mu_e > 0 and sigma_sq > 0")
+    _require_bound(params)  # before the errors, which may fail otherwise
     errors, name = _errors_fn(method)
-    errs = errors(coalition, params)
+    return audit_member_errors(coalition, errors(coalition, params), name, params)
+
+
+def audit_member_errors(
+    coalition: Coalition,
+    errs: Mapping[str, float],
+    method_name: str,
+    params: PopulationParams,
+) -> FairnessAudit:
+    """``audit_egalitarian`` of a coalition whose members' errors under the
+    method ``method_name`` are already known, keyed by id in id order."""
+    _require_bound(params)
     hi = max(errs, key=errs.__getitem__)
     lo = min(errs, key=errs.__getitem__)
     max_ratio = 1.0 if len(errs) == 1 else _ratio(errs, hi, lo)
     c_value, bound = egalitarian_bound(max(p.n for p in coalition.players), params)
     return FairnessAudit(
-        method=name,
+        method=method_name,
         max_ratio=max_ratio,
         worst_pair=(hi, lo),
         c_value=c_value,

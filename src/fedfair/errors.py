@@ -69,11 +69,11 @@ class WeightVector:
         return tuple((p, self.weights[p.id]) for p in coalition.players)
 
 
-def _leave_one_out(values: Sequence[float]) -> list[float]:
+def _leave_one_out(values: list[float]) -> list[float]:
     """sum_{i != j} values_i for every j, each summed directly in order
     (never as the total minus the own term, which cancels badly when one
     value dwarfs the rest)."""
-    return [sum(v for i, v in enumerate(values) if i != j) for j in range(len(values))]
+    return [sum(values[:j] + values[j + 1 :]) for j in range(len(values))]
 
 
 def out_of_range(

@@ -38,6 +38,7 @@ from .errors import (
     WeightVector,
     expected_error,
     fine_grained_weights,
+    out_of_range,
     weighted_error,
 )
 from .exceptions import InvalidNoiseList, TargetNotInCoalition
@@ -171,11 +172,13 @@ def _chunk_sums(
     # The mean of n iid N(0, v) samples is exactly N(0, v/n), so each
     # player's local-estimate noise is one standard normal per trial.
     estimate_noise = rng.standard_normal((size, players))
-    estimate_noise *= noise_std / np.sqrt(counts)
-    estimates = (means + estimate_noise) @ weights
-    deviations = estimates - means[:, target_idx]
-    squared = deviations * deviations
-    return float(squared.sum()), float((squared * squared).sum())
+    # An overflow shows as a non-finite sum, which simulate_error reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate_noise *= noise_std / np.sqrt(counts)
+        estimates = (means + estimate_noise) @ weights
+        deviations = estimates - means[:, target_idx]
+        squared = deviations * deviations
+        return float(squared.sum()), float((squared * squared).sum())
 
 
 def _chunk_partials(
@@ -195,12 +198,23 @@ def _chunk_partials(
 
 
 def simulate_error(spec: SimulationSpec, *, threads: int = 1) -> SimulationResult:
-    """Estimate the target's expected squared error empirically."""
+    """Estimate the target's expected squared error empirically.
+
+    Raises ``OutOfFloatRange`` when the sum of the squared errors or of
+    their squares leaves the floating-point range, since the standard
+    error would then be meaningless.
+    """
     total = 0.0
     total_sq = 0.0
     for part_sum, part_sq in _chunk_partials(spec, spec.resolved_weights(), threads):
         total += part_sum
         total_sq += part_sq
+        if not (math.isfinite(total) and math.isfinite(total_sq)):
+            raise out_of_range(
+                "the Monte Carlo sum of squared errors",
+                spec.coalition.players,
+                spec.params,
+            )
 
     n = spec.trials
     mean = total / n

@@ -28,9 +28,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Mapping, Sequence
 
 from .errors import member_errors, out_of_range
-from .model import Coalition, FederationMethod, PopulationParams, close
+from .model import Coalition, FederationMethod, Player, PopulationParams, close
 from .sampling import describe_instance, instance_rng, random_instance
 
 
@@ -87,12 +88,10 @@ def classify_pair(n_i: float, err_i: float, n_j: float, err_j: float) -> Coaliti
     return CoalitionLabel.SUB if scaled_i < scaled_j else CoalitionLabel.SUPER
 
 
-def classify_proportionality(
-    coalition: Coalition, method: FederationMethod, params: PopulationParams
+def _classify(
+    coalition: Coalition, method: FederationMethod, errs: Mapping[str, float]
 ) -> ProportionalityReport:
-    """Classify every pair, smaller player first (ties broken by id)."""
     players = sorted(coalition.players, key=lambda p: (p.n, p.id))
-    errs = member_errors(coalition, method, params)
     pairs = [
         PairJudgment(
             small_id=small.id,
@@ -115,11 +114,12 @@ def classify_proportionality(
     return ProportionalityReport(method=method.value, pairs=tuple(pairs), label=label)
 
 
-def individually_rational(
-    coalition: Coalition, method: FederationMethod, params: PopulationParams
+def _rationality(
+    coalition: Coalition,
+    method: FederationMethod,
+    errs: Mapping[str, float],
+    params: PopulationParams,
 ) -> RationalityReport:
-    """Weak-preference check of coalition error against local error."""
-    errs = member_errors(coalition, method, params)
     local = member_errors(coalition, FederationMethod.LOCAL, params)
     rows: list[PlayerRationality] = []
     for p in coalition.players:
@@ -133,13 +133,40 @@ def individually_rational(
     )
 
 
-def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
-    """Least size at which a player joining ``rest`` weakly prefers local
-    learning under the weighted average; inf when that never happens."""
+def classify_proportionality(
+    coalition: Coalition, method: FederationMethod, params: PopulationParams
+) -> ProportionalityReport:
+    """Classify every pair, smaller player first (ties broken by id)."""
+    return _classify(coalition, method, member_errors(coalition, method, params))
+
+
+def individually_rational(
+    coalition: Coalition, method: FederationMethod, params: PopulationParams
+) -> RationalityReport:
+    """Weak-preference check of coalition error against local error."""
+    errs = member_errors(coalition, method, params)
+    return _rationality(coalition, method, errs, params)
+
+
+def assess_coalition(
+    coalition: Coalition, method: FederationMethod, params: PopulationParams
+) -> tuple[RationalityReport, ProportionalityReport]:
+    """``individually_rational`` and ``classify_proportionality`` from one
+    evaluation of the coalition's errors under ``method``."""
+    errs = member_errors(coalition, method, params)
+    return _rationality(coalition, method, errs, params), _classify(
+        coalition, method, errs
+    )
+
+
+def _defection(
+    total: float, sum_sq: float, params: PopulationParams, rest: Sequence[Player]
+) -> float:
+    """``defection_threshold`` of the members ``rest``, whose sizes have
+    sum ``total`` and sum of squares ``sum_sq``."""
     try:
-        total = rest.total
         denom = (
-            params.sigma_sq * rest.sum_sq / (total * total)
+            params.sigma_sq * sum_sq / (total * total)
             + params.sigma_sq
             - params.mu_e / total
         )
@@ -150,7 +177,39 @@ def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
             return threshold
     except ZeroDivisionError:
         pass
-    raise out_of_range("the defection threshold", rest.players, params)
+    raise out_of_range("the defection threshold", rest, params)
+
+
+def _subproportionality(
+    total: float,
+    sum_sq: float,
+    s: Player,
+    params: PopulationParams,
+    rest: Sequence[Player],
+) -> float:
+    """``subproportionality_threshold`` against member ``s`` of ``rest``,
+    whose sizes have sum ``total`` and sum of squares ``sum_sq``."""
+    n_s = s.n
+    denom = 2.0 * params.sigma_sq - params.mu_e / n_s
+    if denom <= 0.0:
+        return math.inf
+    numer = (
+        -2.0 * params.sigma_sq * total
+        + (params.mu_e / n_s) * total
+        + (params.sigma_sq / n_s) * (sum_sq + total * total)
+    )
+    threshold = numer / denom
+    if math.isfinite(threshold):
+        return threshold
+    raise out_of_range(
+        f"the subproportionality threshold against {s.id!r}", rest, params
+    )
+
+
+def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
+    """Least size at which a player joining ``rest`` weakly prefers local
+    learning under the weighted average; inf when that never happens."""
+    return _defection(rest.total, rest.sum_sq, params, rest.players)
 
 
 def subproportionality_threshold(
@@ -158,21 +217,8 @@ def subproportionality_threshold(
 ) -> float:
     """Least joining size at which the pair (s, newcomer) turns
     super-proportional; inf when n_s <= mu_e / (2 sigma_sq)."""
-    n_s = rest.player(s).n
-    denom = 2.0 * params.sigma_sq - params.mu_e / n_s
-    if denom <= 0.0:
-        return math.inf
-    total = rest.total
-    numer = (
-        -2.0 * params.sigma_sq * total
-        + (params.mu_e / n_s) * total
-        + (params.sigma_sq / n_s) * (rest.sum_sq + total * total)
-    )
-    threshold = numer / denom
-    if math.isfinite(threshold):
-        return threshold
-    raise out_of_range(
-        f"the subproportionality threshold against {s!r}", rest.players, params
+    return _subproportionality(
+        rest.total, rest.sum_sq, rest.player(s), params, rest.players
     )
 
 
@@ -202,27 +248,28 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
     """
     counterexamples: list[dict] = []
 
-    def fail(record: dict, kind: str, **fields: object) -> None:
+    def fail(kind: str, **fields: object) -> None:
+        # The record describes the instance the loop below is checking.
+        record = {"index": index, **describe_instance(params, coalition)}
         counterexamples.append({**record, "kind": kind, **fields})
 
     for index in range(instance_count):
         params, coalition = random_instance(instance_rng(seed, index))
-        record = {"index": index, **describe_instance(params, coalition)}
-        rationality = individually_rational(
-            coalition, FederationMethod.UNIFORM, params
-        )
-        report = classify_proportionality(
-            coalition, FederationMethod.UNIFORM, params
-        )
-        if rationality.individually_rational and report.label not in (
-            CoalitionLabel.SUB,
-            CoalitionLabel.EXACT,
-        ):
-            fail(record, "rational_but_super", label=report.label.value)
+        # One evaluation of the uniform errors serves both verdicts, and
+        # only a rational coalition needs its pairs classified.
+        errs = member_errors(coalition, FederationMethod.UNIFORM, params)
+        if _rationality(
+            coalition, FederationMethod.UNIFORM, errs, params
+        ).individually_rational:
+            label = _classify(coalition, FederationMethod.UNIFORM, errs).label
+            if label not in (CoalitionLabel.SUB, CoalitionLabel.EXACT):
+                fail("rational_but_super", label=label.value)
 
-        defect = defection_threshold(coalition, params)
-        for p in coalition.players:
-            violate = subproportionality_threshold(coalition, p.id, params)
+        players = coalition.players
+        total, sum_sq = coalition.total, coalition.sum_sq
+        defect = _defection(total, sum_sq, params, players)
+        for p in players:
+            violate = _subproportionality(total, sum_sq, p, params, players)
             both_finite = math.isfinite(defect) and math.isfinite(violate)
             if math.isinf(violate):
                 ordered = True  # anything <= inf
@@ -232,23 +279,22 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
                 ordered = defect <= violate or close(defect, violate)
             if not ordered:
                 fail(
-                    record,
                     "threshold_order",
                     s=p.id,
                     defection=defect,
                     subproportionality=violate,
                 )
-            if len(coalition) > 1 and both_finite and close(defect, violate):
-                fail(record, "equality_without_singleton", s=p.id, threshold=defect)
-            singleton = Coalition((p,))
-            d1 = defection_threshold(singleton, params)
-            v1 = subproportionality_threshold(singleton, p.id, params)
+            if len(players) > 1 and both_finite and close(defect, violate):
+                fail("equality_without_singleton", s=p.id, threshold=defect)
+            # The singleton rest = {p}: total n_p, sum of squares n_p^2.
+            alone = (p,)
+            d1 = _defection(p.n, p.n * p.n, params, alone)
+            v1 = _subproportionality(p.n, p.n * p.n, p, params, alone)
             equal = (math.isinf(d1) and math.isinf(v1)) or (
                 math.isfinite(d1) and math.isfinite(v1) and close(d1, v1)
             )
             if not equal:
                 fail(
-                    record,
                     "singleton_mismatch",
                     s=p.id,
                     defection=d1,

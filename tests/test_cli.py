@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -389,6 +390,23 @@ class TestSimulate:
             assert abs(float(row["z_score"])) <= 5.0
 
 
+    def test_overflowing_squared_errors_are_an_input_error(self, tmp_path, capsys):
+        """Squared errors near 1e300 overflow the sum of their squares: the
+        standard error is undefined, so exit 2 naming the inputs, with no
+        numpy warning."""
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"mu_e": 1e300, "sigma_sq": 0, "players": [{"n": 1}], "method": "local"}'
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run_cli(["simulate", str(path), "--trials", "1000"], tmp_path)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "floating-point range" in err
+        assert "mu_e=1e+300" in err and "sigma_sq=0.0" in err and "'p1': 1.0" in err
+
+
 class TestScan:
     def test_motivating_sweep(self, tmp_path):
         code, text = run_cli(
@@ -603,3 +621,56 @@ class TestArgumentErrors:
 
     def test_missing_scenario_file(self, capsys):
         assert main(["audit", "/nonexistent/scenario.json"]) == 2
+
+
+class TestSeedRange:
+    """Every command takes 0 <= --seed < 2**64 and names --seed otherwise."""
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "egalitarian-bound", "--instances", "5"],
+            ["verify", "propstab", "--instances", "5"],
+            ["reproduce", "motivating"],
+        ],
+        ids=["egalitarian-bound", "propstab", "reproduce"],
+    )
+    def test_out_of_range_seed_names_the_option(self, seed, argv, tmp_path, capsys):
+        code, text = run_cli(["--seed", seed, *argv], tmp_path)
+        assert code == 2 and text == ""
+        assert "--seed" in capsys.readouterr().err
+
+    def test_largest_seed_accepted_by_the_sweeps(self, tmp_path):
+        for suite in ("egalitarian-bound", "propstab"):
+            code, text = run_cli(
+                ["--seed", str(2**64 - 1), "verify", suite, "--instances", "5"],
+                tmp_path,
+            )
+            assert code == 0
+            assert parse_csv(text)[0]["passed"] == "true"
+
+    def test_simulate_checks_every_player_seed_before_running(
+        self, scenario_620, tmp_path, capsys, monkeypatch
+    ):
+        """Player k runs at seed + k, so a two-player file needs
+        seed <= 2**64 - 2; the check comes before any simulation."""
+        from fedfair import montecarlo
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(montecarlo, "simulate_error", refuse)
+        argv = ["--seed", str(2**64 - 1), "simulate", scenario_620, "--trials", "2"]
+        code, text = run_cli(argv, tmp_path)
+        assert code == 2 and text == ""
+        assert "--seed" in capsys.readouterr().err
+
+    def test_simulate_accepts_the_largest_seed_that_fits(self, scenario_620, tmp_path):
+        argv = ["--seed", str(2**64 - 2), "simulate", scenario_620, "--trials", "2"]
+        code, text = run_cli(argv, tmp_path)
+        assert code == 0
+        assert [r["seed"] for r in parse_csv(text)] == [
+            str(2**64 - 2),
+            str(2**64 - 1),
+        ]

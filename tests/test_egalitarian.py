@@ -19,7 +19,7 @@ from fedfair import (
     tightness_search,
 )
 from fedfair.exceptions import UndefinedBound, ZeroDenominator
-from fedfair.sampling import random_instance
+from fedfair.sampling import instance_rng, random_instance
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
 
@@ -194,9 +194,8 @@ class TestBoundSweep:
         assert a.max_quotient == b.max_quotient
 
     def test_ratio_at_least_one_on_random_instances(self):
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            params, coalition = random_instance(rng)
+        for index in range(200):
+            params, coalition = random_instance(instance_rng(23, index))
             for method in (FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED):
                 audit = audit_egalitarian(coalition, method, params)
                 assert audit.max_ratio >= 1.0 - 1e-12

@@ -26,7 +26,7 @@ from fedfair.exceptions import (
     TargetNotInCoalition,
     WeightDomainMismatch,
 )
-from fedfair.sampling import random_instance
+from fedfair.sampling import instance_rng, random_instance
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
 
@@ -235,9 +235,8 @@ class TestRandomizedInvariants:
     """Structural invariants on seeded random instances."""
 
     def _instances(self, count, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(count):
-            yield random_instance(rng)
+        for index in range(count):
+            yield random_instance(instance_rng(seed, index))
 
     def test_fine_grained_consistency(self):
         """Closed-form optimal error equals the general formula at the

@@ -1,5 +1,7 @@
-"""Import-time contract: the closed-form commands never load numpy, and the
-Monte Carlo names the package exports lazily behave like plain ones."""
+"""Import-time contract: the closed-form commands and both randomized
+sweeps never load numpy, importing the CLI loads neither numpy nor
+hashlib, and the Monte Carlo names the package exports lazily behave like
+plain ones."""
 
 import json
 import subprocess
@@ -24,9 +26,18 @@ codes = [
         ["scan", "--ns", "6", "--nl-start", "20", "--nl-stop", "40",
          "--nl-step", "10", "--mu-e", "10", "--sigma-sq", "1"],
         ["verify", "modularity"],
+        ["verify", "egalitarian-bound", "--instances", "50"],
+        ["verify", "propstab", "--instances", "50"],
     )
 ]
 print(codes, "numpy" in sys.modules)
+"""
+
+CLI_IMPORT = """
+import sys
+sys.path.insert(0, {src!r})
+import fedfair.cli
+print("numpy" in sys.modules, "hashlib" in sys.modules)
 """
 
 
@@ -49,7 +60,18 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["[0,", "0,", "0,", "0]", "False"]
+    assert child.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0]", "False"]
+
+
+def test_cli_import_loads_neither_numpy_nor_hashlib():
+    child = subprocess.run(
+        [sys.executable, "-c", CLI_IMPORT.format(src=str(SRC))],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["False", "False"]
 
 
 def test_every_exported_name_resolves():

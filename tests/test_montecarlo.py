@@ -3,6 +3,7 @@ spec validation."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,11 @@ from fedfair import (
     uniform_error,
 )
 from fedfair import montecarlo
-from fedfair.exceptions import InvalidNoiseList, TargetNotInCoalition
+from fedfair.exceptions import (
+    InvalidNoiseList,
+    OutOfFloatRange,
+    TargetNotInCoalition,
+)
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
 PAIR = Coalition((Player("s", 6.0), Player("l", 20.0)))
@@ -298,6 +303,21 @@ class TestSpecValidation:
     def test_target_must_be_member(self):
         with pytest.raises(TargetNotInCoalition):
             spec(target="ghost")
+
+    def test_overflowing_sums_raise(self):
+        """A sum of squared squared-errors past the float range gives no
+        standard error; it is reported, not returned as 0 with z = inf."""
+        huge = spec(
+            coalition=Coalition((Player("x", 1.0),)),
+            target="x",
+            params=PopulationParams(mu_e=1e300, sigma_sq=0.0),
+            method=FederationMethod.LOCAL,
+            trials=1000,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfFloatRange, match="mu_e=1e\\+300"):
+                simulate_error(huge)
 
     def test_seed_range(self):
         with pytest.raises(ValueError):

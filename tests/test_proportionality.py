@@ -19,7 +19,7 @@ from fedfair import (
     verify_propstab,
 )
 from fedfair.proportionality import classify_pair
-from fedfair.sampling import random_instance
+from fedfair.sampling import instance_rng, random_instance
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
 
@@ -65,9 +65,8 @@ class TestClassification:
 
     def test_pairwise_classification_is_antisymmetric(self):
         """Swapping the comparison roles never yields sub both ways."""
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            params, coalition = random_instance(rng)
+        for index in range(300):
+            params, coalition = random_instance(instance_rng(31, index))
             report = classify_proportionality(
                 coalition, FederationMethod.UNIFORM, params
             )
@@ -123,9 +122,8 @@ class TestIndividualRationality:
 
     def test_fine_grained_is_always_rational(self):
         """Optimal unit-sum weights dominate the self-only weighting."""
-        rng = np.random.default_rng(32)
-        for _ in range(300):
-            params, coalition = random_instance(rng)
+        for index in range(300):
+            params, coalition = random_instance(instance_rng(32, index))
             report = individually_rational(
                 coalition, FederationMethod.FINE_GRAINED, params
             )
@@ -225,10 +223,9 @@ class TestVerifyPropstab:
     def test_super_proportional_instances_are_never_rational(self):
         """The direct statement: whenever a random uniform-federation
         coalition shows a super pair, someone prefers local learning."""
-        rng = np.random.default_rng(34)
         seen_super = 0
-        for _ in range(400):
-            params, coalition = random_instance(rng)
+        for index in range(400):
+            params, coalition = random_instance(instance_rng(34, index))
             report = classify_proportionality(
                 coalition, FederationMethod.UNIFORM, params
             )

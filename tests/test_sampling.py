@@ -1,0 +1,82 @@
+"""The verification instance stream: pinned replay values, the declared
+distribution, and independence from draw order."""
+
+import pytest
+
+from fedfair.sampling import DRAWS, instance_rng, random_instance
+
+
+def hex_instance(seed, index):
+    params, coalition = random_instance(instance_rng(seed, index))
+    return (
+        params.mu_e.hex(),
+        params.sigma_sq.hex(),
+        [(p.id, p.n.hex()) for p in coalition.players],
+    )
+
+
+class TestReplay:
+    """Instances are a fixed function of (seed, index): these values hold on
+    every platform and Python version, and do not depend on numpy."""
+
+    def test_first_instance_of_seed_42(self):
+        assert hex_instance(42, 0) == (
+            "0x1.e3cf89acc3320p+3",
+            "0x1.5e0fa94a09710p+1",
+            [
+                ("p1", "0x1.9f2a52b90e218p+5"),
+                ("p2", "0x1.8ffe488965249p+6"),
+                ("p3", "0x1.7987caa895822p+6"),
+                ("p4", "0x1.d84d5160aec48p+4"),
+            ],
+        )
+
+    def test_last_instance_of_a_default_sweep(self):
+        assert hex_instance(42, 9999) == (
+            "0x1.97efd877e3e28p+3",
+            "0x1.3561a7f4834bep+5",
+            [
+                ("p1", "0x1.cae3aa1df8dcdp+5"),
+                ("p2", "0x1.65203886f5c38p+6"),
+                ("p3", "0x1.23349438e8fc3p+6"),
+            ],
+        )
+
+    def test_draws_are_unit_uniforms(self):
+        draw = instance_rng(42, 0)
+        assert len(draw) == DRAWS
+        assert all(0.0 <= u < 1.0 for u in draw)
+
+    def test_independent_of_draw_order(self):
+        forward = [hex_instance(7, i) for i in range(50)]
+        backward = [hex_instance(7, i) for i in reversed(range(50))]
+        assert forward == backward[::-1]
+        assert hex_instance(7, 31) == forward[31]
+
+    def test_seed_and_index_both_matter(self):
+        assert instance_rng(7, 1) != instance_rng(7, 2)
+        assert instance_rng(7, 1) != instance_rng(8, 1)
+        assert instance_rng(1, 0) != instance_rng(0, 1)
+
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1)])
+    def test_out_of_range_seed_or_index_rejected(self, seed, index):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            instance_rng(seed, index)
+
+    def test_extreme_seeds_accepted(self):
+        for seed in (0, 2**64 - 1):
+            random_instance(instance_rng(seed, 0))
+
+
+def test_distribution_over_20k_indices():
+    """2 to 6 players, every count present; sizes in [1, 100]; both
+    constants in (0.01, 50]."""
+    counts = set()
+    for index in range(20_000):
+        params, coalition = random_instance(instance_rng(2024, index))
+        counts.add(len(coalition))
+        assert all(1.0 <= p.n <= 100.0 for p in coalition.players)
+        assert 0.01 < params.mu_e <= 50.0
+        assert 0.01 < params.sigma_sq <= 50.0
+    assert counts == {2, 3, 4, 5, 6}
+

@@ -204,7 +204,11 @@ def emit_rows(
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed arguments, raises on bad input and
+# returns its output, which ``main`` alone writes.
+
+# Columns, rows, and a note when the command fails its own self-test.
+Output = tuple[Sequence[str], list[dict], str | None]
 
 
 AUDIT_COLUMNS = [
@@ -224,10 +228,8 @@ AUDIT_COLUMNS = [
 ]
 
 
-def run_audit(
-    path: str, fmt: str, out: IO[str], dump_scenario: str | None = None
-) -> int:
-    params, coalition, method = _load_scenario(path, dump_scenario)
+def run_audit(args: argparse.Namespace) -> Output:
+    params, coalition, method = _load_scenario(args.scenario, args.dump_scenario)
     rationality, proportionality = assess_coalition(coalition, method, params)
     errs = {entry.player_id: entry.coalition_error for entry in rationality.players}
     rows: list[dict] = []
@@ -259,8 +261,7 @@ def run_audit(
     except (UndefinedBound, ZeroDenominator):
         pass  # bound columns stay empty; verdicts above are still data
     rows.append(summary)
-    emit_rows(rows, AUDIT_COLUMNS, fmt, out)
-    return 0
+    return AUDIT_COLUMNS, rows, None
 
 
 REPRODUCE_COLUMNS = [
@@ -300,10 +301,7 @@ def _pair_row(n_s: float, n_l: float, params: PopulationParams) -> dict:
     }
 
 
-def run_reproduce(table_id: str, fmt: str, out: IO[str]) -> int:
-    if table_id != "motivating":
-        print(f"error: unknown table id {table_id!r}", file=sys.stderr)
-        return 2
+def run_reproduce(args: argparse.Namespace) -> Output:
     params = PopulationParams(mu_e=10.0, sigma_sq=1.0)
     rows = []
     for n_l, reference in REFERENCE_MOTIVATING.items():
@@ -314,19 +312,13 @@ def run_reproduce(table_id: str, fmt: str, out: IO[str]) -> int:
             for got, want in zip(cells.values(), reference)
         )
         rows.append({"n_l": n_l, **cells, "matches": matches})
-    emit_rows(rows, REPRODUCE_COLUMNS, fmt, out)
-    if not all(row["matches"] for row in rows):
-        print("error: computed cells diverge from the published table", file=sys.stderr)
-        return 1
-    return 0
+    if all(row["matches"] for row in rows):
+        return REPRODUCE_COLUMNS, rows, None
+    return REPRODUCE_COLUMNS, rows, "computed cells diverge from the published table"
 
 
-def run_verify(suite: str, seed: int, instances: int, fmt: str, out: IO[str]) -> int:
-    if instances < 1:
-        # A sweep over no instances would report a vacuous pass.
-        print(f"error: --instances must be >= 1, got {instances}", file=sys.stderr)
-        return 2
-    if suite == "modularity":
+def run_verify(args: argparse.Namespace) -> Output:
+    if args.suite == "modularity":
         columns = [
             "method", "property", "passed", "checks", "expected_modular",
             "counterexample",
@@ -358,15 +350,15 @@ def run_verify(suite: str, seed: int, instances: int, fmt: str, out: IO[str]) ->
                     }
                 )
     else:
-        if suite == "propstab":
-            result = verify_propstab(instance_count=instances, seed=seed)
+        if args.suite == "propstab":
+            result = verify_propstab(instance_count=args.instances, seed=args.seed)
             summary = {
                 "instances": result.instances,
                 "counterexamples": len(result.counterexamples),
             }
             details = [(ce["kind"], ce) for ce in result.counterexamples]
-        elif suite == "egalitarian-bound":
-            result = bound_sweep(instance_count=instances, seed=seed)
+        else:  # egalitarian-bound; argparse admits no other suite
+            result = bound_sweep(instance_count=args.instances, seed=args.seed)
             summary = {
                 "instances": result.instances,
                 "checks": result.checks,
@@ -374,9 +366,6 @@ def run_verify(suite: str, seed: int, instances: int, fmt: str, out: IO[str]) ->
                 "max_ratio_over_bound": result.max_quotient,
             }
             details = [("violation", violation) for violation in result.violations]
-        else:
-            print(f"error: unknown verification suite {suite!r}", file=sys.stderr)
-            return 2
         # A summary row, then one row per replayable failure; every row has
         # every column so JSON rows share one shape.
         passed = result.passed
@@ -385,8 +374,7 @@ def run_verify(suite: str, seed: int, instances: int, fmt: str, out: IO[str]) ->
         for kind, detail in details:
             row = {"kind": kind, "passed": False, "detail": _json_text(detail)}
             rows.append(dict.fromkeys(columns) | row)
-    emit_rows(rows, columns, fmt, out)
-    return 0 if passed else 1
+    return columns, rows, None if passed else f"verify {args.suite} failed"
 
 
 SIMULATE_COLUMNS = [
@@ -402,27 +390,19 @@ SIMULATE_COLUMNS = [
 ]
 
 
-def run_simulate(
-    path: str,
-    trials: int,
-    seed: int,
-    fmt: str,
-    out: IO[str],
-    dump_scenario: str | None = None,
-) -> int:
+def run_simulate(args: argparse.Namespace) -> Output:
     # The oracle needs numpy; the other commands start without it.
     from .montecarlo import SimulationSpec, simulate_error
 
-    params, coalition, method = _load_scenario(path, dump_scenario)
+    params, coalition, method = _load_scenario(args.scenario, args.dump_scenario)
+    seed = args.seed
     last_seed = seed + len(coalition) - 1
     if last_seed >= SEED_LIMIT:
-        print(
-            f"error: --seed {seed} is too large for {len(coalition)} players: "
+        raise ValueError(
+            f"--seed {seed} is too large for {len(coalition)} players: "
             f"they are simulated at seeds {seed} to {last_seed}, "
-            "which must be below 2**64",
-            file=sys.stderr,
+            "which must be below 2**64"
         )
-        return 2
     rows = []
     for index, player in enumerate(coalition.players):
         spec = SimulationSpec(
@@ -430,7 +410,7 @@ def run_simulate(
             target=player.id,
             params=params,
             method=method,
-            trials=trials,
+            trials=args.trials,
             seed=seed + index,
         )
         result = simulate_error(spec)
@@ -447,8 +427,7 @@ def run_simulate(
                 "z_score": result.z_score,
             }
         )
-    emit_rows(rows, SIMULATE_COLUMNS, fmt, out)
-    return 0
+    return SIMULATE_COLUMNS, rows, None
 
 
 SCAN_COLUMNS = [
@@ -469,37 +448,24 @@ SCAN_COLUMNS = [
 ]
 
 
-def run_scan(
-    n_s: float,
-    nl_start: float,
-    nl_stop: float,
-    nl_step: float,
-    mu_e: float,
-    sigma_sq: float,
-    fmt: str,
-    out: IO[str],
-) -> int:
+def run_scan(args: argparse.Namespace) -> Output:
+    n_s, nl_start, nl_step = args.ns, args.nl_start, args.nl_step
     if nl_step <= 0:
-        print("error: --nl-step must be positive", file=sys.stderr)
-        return 2
-    span = (nl_stop - nl_start) / nl_step
+        raise ValueError("--nl-step must be positive")
+    span = (args.nl_stop - nl_start) / nl_step
     if not (math.isfinite(span) and math.isfinite(nl_step)):
-        print("error: --nl-start, --nl-stop and --nl-step must be finite", file=sys.stderr)
-        return 2
+        raise ValueError("--nl-start, --nl-stop and --nl-step must be finite")
     # Each row is computed from its index, so no rounding accumulates and
     # the endpoint is kept whenever it lies on the grid.
     count = math.floor(span + 1e-9) + 1
     if count > MAX_SCAN_ROWS:
-        print(
-            f"error: the n_l range needs more than {MAX_SCAN_ROWS} rows; "
-            "use a larger --nl-step",
-            file=sys.stderr,
+        raise ValueError(
+            f"the n_l range needs more than {MAX_SCAN_ROWS} rows; "
+            "use a larger --nl-step"
         )
-        return 2
     if count < 1:
-        print("error: empty n_l range", file=sys.stderr)
-        return 2
-    params = PopulationParams(mu_e=mu_e, sigma_sq=sigma_sq)
+        raise ValueError("empty n_l range")
+    params = PopulationParams(mu_e=args.mu_e, sigma_sq=args.sigma_sq)
     rest = Coalition((Player("s", n_s),))
     thresholds = {
         "defection_threshold": defection_threshold(rest, params),
@@ -511,8 +477,7 @@ def run_scan(
         {**_pair_row(n_s, nl_start + i * nl_step, params), **thresholds}
         for i in range(count)
     ]
-    emit_rows(rows, SCAN_COLUMNS, fmt, out)
-    return 0
+    return SCAN_COLUMNS, rows, None
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +495,23 @@ def _seed(text: str) -> int:
             f"must be an integer in [0, 2**64), got {text!r}"
         )
     return seed
+
+
+def _at_least(floor: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= ``floor``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = floor - 1
+        if value < floor:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {floor}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -562,22 +544,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument(
         "--dump-scenario", default=None, help="re-emit the parsed scenario as JSON"
     )
+    p_audit.set_defaults(run=run_audit)
 
     p_repro = sub.add_parser("reproduce", help="recompute a published table")
-    p_repro.add_argument("table", help="table id (motivating)")
+    p_repro.add_argument("table", choices=("motivating",), help="table id")
+    p_repro.set_defaults(run=run_reproduce)
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     p_verify.add_argument(
         "suite", choices=("modularity", "propstab", "egalitarian-bound")
     )
-    p_verify.add_argument("--instances", type=int, default=10_000)
+    # A sweep over no instances would report a vacuous pass.
+    p_verify.add_argument("--instances", type=_at_least(1), default=10_000)
+    p_verify.set_defaults(run=run_verify)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo check of a scenario")
     p_sim.add_argument("scenario", help="path to a scenario JSON file")
-    p_sim.add_argument("--trials", type=int, default=100_000)
+    # A standard error needs at least two trials.
+    p_sim.add_argument("--trials", type=_at_least(2), default=100_000)
     p_sim.add_argument(
         "--dump-scenario", default=None, help="re-emit the parsed scenario as JSON"
     )
+    p_sim.set_defaults(run=run_simulate)
 
     p_scan = sub.add_parser("scan", help="sweep the large player's size")
     p_scan.add_argument("--ns", type=float, required=True, help="small player's n")
@@ -586,53 +574,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--nl-step", type=float, required=True)
     p_scan.add_argument("--mu-e", type=float, required=True)
     p_scan.add_argument("--sigma-sq", type=float, required=True)
+    p_scan.set_defaults(run=run_scan)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed a diagnostic
         code = exc.code
         return code if isinstance(code, int) else 2
-
-    def dispatch(out: IO[str]) -> int:
-        if args.command == "audit":
-            return run_audit(args.scenario, args.format, out, args.dump_scenario)
-        if args.command == "reproduce":
-            return run_reproduce(args.table, args.format, out)
-        if args.command == "verify":
-            return run_verify(args.suite, args.seed, args.instances, args.format, out)
-        if args.command == "simulate":
-            return run_simulate(
-                args.scenario,
-                args.trials,
-                args.seed,
-                args.format,
-                out,
-                args.dump_scenario,
-            )
-        if args.command == "scan":
-            return run_scan(
-                args.ns,
-                args.nl_start,
-                args.nl_stop,
-                args.nl_step,
-                args.mu_e,
-                args.sigma_sq,
-                args.format,
-                out,
-            )
-        raise AssertionError(f"unhandled command {args.command!r}")
-
     try:
+        # The rows are built before the output is opened, so a rejected
+        # command leaves an existing --out file as it was.
+        columns, rows, failure = args.run(args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
-                return dispatch(handle)
-        code = dispatch(sys.stdout)
-        sys.stdout.flush()  # a closed pipe shows here, not at exit
-        return code
+                emit_rows(rows, columns, args.format, handle)
+        else:
+            emit_rows(rows, columns, args.format, sys.stdout)
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
     except BrokenPipeError:
         # The reader went away (as with `| head`): not an input error.
         # Point stdout at devnull so the interpreter's final flush does
@@ -643,6 +604,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FedFairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def entrypoint() -> None:

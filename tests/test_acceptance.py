@@ -4,6 +4,7 @@ tolerance and runtime budget, printing one PASS/FAIL line per criterion.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import contextlib
 import io
 import math
 import time
@@ -30,7 +31,7 @@ from fedfair import (
     verify_propstab,
     weighted_error,
 )
-from fedfair.cli import CELL_REL_TOL, REFERENCE_MOTIVATING, run_reproduce
+from fedfair.cli import CELL_REL_TOL, REFERENCE_MOTIVATING, main
 from fedfair.sampling import instance_rng, random_instance
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
@@ -53,7 +54,8 @@ def test_criterion_1_table_reproduction():
         computed = (err_s, err_l, err_s / err_l, 2.0 * n_l / 10.0 + 1.0, n_l / 6.0)
         for got, want in zip(computed, reference):
             cells_ok = cells_ok and abs(got - want) <= CELL_REL_TOL * abs(want)
-    exit_code = run_reproduce("motivating", "csv", io.StringIO())
+    with contextlib.redirect_stdout(io.StringIO()):
+        exit_code = main(["--format", "csv", "reproduce", "motivating"])
     elapsed = time.perf_counter() - start
     passed = cells_ok and exit_code == 0 and elapsed < 1.0
     _report(

@@ -15,12 +15,7 @@ import pytest
 
 import fedfair.cli
 from fedfair import Coalition, Player, PopulationParams, uniform_error
-from fedfair.cli import (
-    MAX_SCAN_ROWS,
-    load_scenario_file,
-    main,
-    run_reproduce,
-)
+from fedfair.cli import MAX_SCAN_ROWS, load_scenario_file, main
 from fedfair.proportionality import PropstabResult
 
 
@@ -270,11 +265,11 @@ class TestReproduce:
         """One wrong published cell (the n_l = 30 ratio) fails the self-test."""
         wrong = {**fedfair.cli.REFERENCE_MOTIVATING, 30: (1.67, 0.333, 5.5, 7.0, 5.0)}
         monkeypatch.setattr(fedfair.cli, "REFERENCE_MOTIVATING", wrong)
-        buffer = io.StringIO()
-        assert run_reproduce("motivating", "csv", buffer) == 1
-        rows = parse_csv(buffer.getvalue())
+        assert main(["--format", "csv", "reproduce", "motivating"]) == 1
+        captured = capsys.readouterr()
+        rows = parse_csv(captured.out)
         assert [r["matches"] for r in rows] == ["true", "false", "true"]
-        assert "diverge" in capsys.readouterr().err
+        assert "diverge" in captured.err
 
     def test_unknown_table_is_usage_error(self, tmp_path):
         code, _ = run_cli(["reproduce", "mystery"], tmp_path)
@@ -621,6 +616,35 @@ class TestArgumentErrors:
 
     def test_missing_scenario_file(self, capsys):
         assert main(["audit", "/nonexistent/scenario.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["scan", "--ns", "6", "--nl-start", "20", "--nl-stop", "40",
+              "--nl-step", "0", "--mu-e", "10", "--sigma-sq", "1"], "--nl-step"),
+            (["audit", "missing.json"], "missing.json"),
+            (["verify", "propstab", "--instances", "0"], "--instances"),
+            (["reproduce", "mystery"], "mystery"),
+            (["simulate", "SCENARIO", "--trials", "1", "--dump-scenario", "dump.json"],
+             "--trials"),
+        ],
+        ids=["scan-step", "audit-missing", "verify-instances", "reproduce-table",
+             "simulate-trials"],
+    )
+    def test_rejected_command_writes_nothing(
+        self, argv, named, scenario_620, tmp_path, capsys, monkeypatch
+    ):
+        """A rejected command leaves an existing --out file as it was and
+        writes no other file."""
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out.txt"
+        out.write_text("prior content\n")
+        before = sorted(tmp_path.iterdir())
+        argv = [scenario_620 if arg == "SCENARIO" else arg for arg in argv]
+        assert main(["--out", str(out), *argv]) == 2
+        assert out.read_text() == "prior content\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert named in capsys.readouterr().err
 
 
 class TestSeedRange:

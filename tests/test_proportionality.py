@@ -236,3 +236,31 @@ class TestVerifyPropstab:
                 )
                 assert not rationality.individually_rational
         assert seen_super > 0  # the sweep actually exercised the super case
+
+    def test_rational_instances_are_never_super_proportional(self):
+        """The paper's second claim, checked on instances aimed at it.
+        With mu_e uniform on (0.01, 50] the largest member almost always
+        prefers local learning, so few sweep instances are rational.  Here
+        mu_e is rescaled so that c = n_max * sigma_sq / mu_e is uniform on
+        [0.5, 2]: about half the coalitions are rational, and every one of
+        them must be sub- or exactly proportional."""
+        rational = rational_above_one = 0
+        for index in range(2000):
+            draw = instance_rng(35, index)
+            params, coalition = random_instance(draw)
+            c = 0.5 + 1.5 * draw[7]
+            n_max = max(p.n for p in coalition.players)
+            params = PopulationParams(n_max * params.sigma_sq / c, params.sigma_sq)
+            rationality = individually_rational(
+                coalition, FederationMethod.UNIFORM, params
+            )
+            if not rationality.individually_rational:
+                continue
+            rational += 1
+            rational_above_one += c > 1.0
+            report = classify_proportionality(
+                coalition, FederationMethod.UNIFORM, params
+            )
+            assert report.label in (CoalitionLabel.SUB, CoalitionLabel.EXACT), index
+        # 1,045 of 2,000 are rational at this seed, 385 of them with c > 1.
+        assert rational >= 800 and rational_above_one >= 200

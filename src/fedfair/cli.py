@@ -133,17 +133,19 @@ def load_scenario_file(
     return params, coalition, METHOD_NAMES[method]
 
 
-def _load_scenario(
-    path: str, dump_scenario: str | None
-) -> tuple[PopulationParams, Coalition, FederationMethod]:
-    """Parse a scenario file, re-emitting it to ``dump_scenario`` if given."""
-    params, coalition, method = load_scenario_file(path)
-    if dump_scenario:
-        with open(dump_scenario, "w", encoding="utf-8") as handle:
+def _dump_scenario(
+    path: str | None,
+    params: PopulationParams,
+    coalition: Coalition,
+    method: FederationMethod,
+) -> None:
+    """Re-emit a parsed scenario to ``path``, if given.  Commands call it
+    once their rows are computed, so a rejected command writes no dump."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
             record = {**describe_instance(params, coalition), "method": method.value}
             json.dump(record, handle, indent=2)
             handle.write("\n")
-    return params, coalition, method
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,7 @@ AUDIT_COLUMNS = [
 
 
 def run_audit(args: argparse.Namespace) -> Output:
-    params, coalition, method = _load_scenario(args.scenario, args.dump_scenario)
+    params, coalition, method = load_scenario_file(args.scenario)
     rationality, proportionality = assess_coalition(coalition, method, params)
     errs = {entry.player_id: entry.coalition_error for entry in rationality.players}
     rows: list[dict] = []
@@ -261,6 +263,7 @@ def run_audit(args: argparse.Namespace) -> Output:
     except (UndefinedBound, ZeroDenominator):
         pass  # bound columns stay empty; verdicts above are still data
     rows.append(summary)
+    _dump_scenario(args.dump_scenario, params, coalition, method)
     return AUDIT_COLUMNS, rows, None
 
 
@@ -394,7 +397,7 @@ def run_simulate(args: argparse.Namespace) -> Output:
     # The oracle needs numpy; the other commands start without it.
     from .montecarlo import SimulationSpec, simulate_error
 
-    params, coalition, method = _load_scenario(args.scenario, args.dump_scenario)
+    params, coalition, method = load_scenario_file(args.scenario)
     seed = args.seed
     last_seed = seed + len(coalition) - 1
     if last_seed >= SEED_LIMIT:
@@ -427,6 +430,7 @@ def run_simulate(args: argparse.Namespace) -> Output:
                 "z_score": result.z_score,
             }
         )
+    _dump_scenario(args.dump_scenario, params, coalition, method)
     return SIMULATE_COLUMNS, rows, None
 
 

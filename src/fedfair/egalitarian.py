@@ -19,12 +19,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
-from .errors import WeightVector, member_errors, weighted_error
+from .errors import WeightVector, _errors, member_errors, weighted_error
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, close
-from .sampling import describe_instance, instance_rng, random_instance
+from .sampling import describe_instance, instance_rng, random_instance, sweep_instances
 
 ErrorFn = Callable[[Coalition, str, PopulationParams], float]
 ErrorsFn = Callable[[Coalition, PopulationParams], dict[str, float]]
@@ -55,11 +55,19 @@ def _errors_fn(method: FederationMethod | ErrorFn) -> tuple[ErrorsFn, str]:
     )
 
 
-def _ratio(errs: Mapping[str, float], i: str, j: str) -> float:
-    """errs[i] / errs[j], refusing a zero denominator."""
-    if errs[j] == 0.0:
+def _ratio(err_i: float, err_j: float, j: str) -> float:
+    """err_i / err_j, refusing a zero error of player ``j``."""
+    if err_j == 0.0:
         raise ZeroDenominator(f"player {j!r} has zero error")
-    return errs[i] / errs[j]
+    return err_i / err_j
+
+
+def _worst_ratio(ids: Sequence[str], errs: Sequence[float]) -> tuple[float, str, str]:
+    """The largest error over the smallest (1.0 for a lone member) and the
+    first members holding each, from errors aligned with ``ids``."""
+    top, bottom = max(errs), min(errs)
+    hi, lo = ids[errs.index(top)], ids[errs.index(bottom)]
+    return 1.0 if len(errs) == 1 else _ratio(top, bottom, lo), hi, lo
 
 
 def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, float]:
@@ -85,7 +93,8 @@ def error_ratio(
 ) -> float:
     """err_i / err_j for two members of the same coalition."""
     errors, _ = _errors_fn(method)
-    return _ratio(errors(coalition, params), i, j)
+    errs = errors(coalition, params)
+    return _ratio(errs[i], errs[j], j)
 
 
 @dataclass(frozen=True)
@@ -129,10 +138,8 @@ def audit_member_errors(
     """``audit_egalitarian`` of a coalition whose members' errors under the
     method ``method_name`` are already known, keyed by id in id order."""
     _require_bound(params)
-    hi = max(errs, key=errs.__getitem__)
-    lo = min(errs, key=errs.__getitem__)
-    max_ratio = 1.0 if len(errs) == 1 else _ratio(errs, hi, lo)
-    c_value, bound = egalitarian_bound(max(p.n for p in coalition.players), params)
+    max_ratio, hi, lo = _worst_ratio(list(errs), list(errs.values()))
+    c_value, bound = egalitarian_bound(max(coalition.sizes()), params)
     return FairnessAudit(
         method=method_name,
         max_ratio=max_ratio,
@@ -227,7 +234,8 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
         return errors(Coalition(tuple(map(Player, "slk", sizes))), params)
 
     def ratio(params: PopulationParams, *sizes: float) -> float:
-        return _ratio(errs(params, sizes), "s", "l")
+        e = errs(params, sizes)
+        return _ratio(e["s"], e["l"], "l")
 
     def slope(params: PopulationParams, sizes: tuple[float, ...], i: int) -> float:
         """Central difference of the ratio in the i-th size."""
@@ -399,25 +407,27 @@ class BoundSweepResult:
 
 def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResult:
     """Check 1 - 1e-12 <= max ratio <= 2c+1 + 1e-9 on random instances,
-    under uniform and fine-grained federation."""
+    under uniform and fine-grained federation; only a violation builds
+    the instance's players."""
     violations: list[dict] = []
     max_quotient = 0.0
     checks = 0
-    for index in range(instance_count):
-        params, coalition = random_instance(instance_rng(seed, index))
+    for index, params, ids, sizes in sweep_instances(instance_count, seed):
+        _require_bound(params)
+        bound = egalitarian_bound(max(sizes), params)[1]
         for method in (FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED):
             checks += 1
-            audit = audit_egalitarian(coalition, method, params)
-            ratio, bound = audit.max_ratio, audit.bound
+            ratio = _worst_ratio(ids, _errors(sizes, method, params, ids))[0]
             max_quotient = max(max_quotient, ratio / bound)
             if ratio < 1.0 - 1e-12 or ratio > bound + 1e-9:
+                instance = random_instance(instance_rng(seed, index))
                 violations.append(
                     {
                         "index": index,
                         "method": method.value,
                         "max_ratio": ratio,
                         "bound": bound,
-                        **describe_instance(params, coalition),
+                        **describe_instance(*instance),
                     }
                 )
     return BoundSweepResult(

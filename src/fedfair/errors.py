@@ -77,7 +77,7 @@ def _leave_one_out(values: list[float]) -> list[float]:
 
 
 def out_of_range(
-    what: str, players: Sequence[Player], params: PopulationParams
+    what: str, ids: Sequence[str], sizes: Sequence[float], params: PopulationParams
 ) -> OutOfFloatRange:
     """``OutOfFloatRange`` for ``what``, naming mu_e, sigma_sq and each
     player's n by id."""
@@ -85,12 +85,12 @@ def out_of_range(
         what,
         mu_e=params.mu_e,
         sigma_sq=params.sigma_sq,
-        n={p.id: p.n for p in players},
+        n=dict(zip(ids, sizes)),
     )
 
 
 def _fine_grained_terms(
-    players: Sequence[Player], params: PopulationParams
+    sizes: Sequence[float], params: PopulationParams, ids: Sequence[str]
 ) -> tuple[list[float], list[float]]:
     """V_i = sigma_sq + mu_e / n_i and, for every j, S_j = sum_{i != j} 1/V_i.
 
@@ -101,21 +101,25 @@ def _fine_grained_terms(
         raise DegenerateParams(
             "mu_e = sigma_sq = 0: every unit-sum weighting is optimal"
         )
-    v = [params.sigma_sq + params.mu_e / p.n for p in players]
+    v = [params.sigma_sq + params.mu_e / n for n in sizes]
     # A zero V_i is tested before dividing: 1.0 / 0.0 raises, not inf.
     if 0.0 not in v:
         inverse = [1.0 / v_i for v_i in v]
         if math.isfinite(sum(inverse)):
             return v, _leave_one_out(inverse)
-    raise out_of_range("a fine_grained error", players, params)
+    raise out_of_range("a fine_grained error", ids, sizes, params)
 
 
 def _errors(
-    players: Sequence[Player], method: FederationMethod, params: PopulationParams
+    sizes: Sequence[float],
+    method: FederationMethod,
+    params: PopulationParams,
+    ids: Sequence[str],
 ) -> list[float]:
-    """Every member's expected error under ``method``.
+    """Every member's expected error under ``method``, from the members'
+    sample counts; ``ids`` only name them in ``OutOfFloatRange``.
 
-    The result is in the order of ``players``.  With T = sum_i n_i and the
+    The result is in the order of ``sizes``.  With T = sum_i n_i and the
     leave-one-out sums taken over i != j:
 
         local:        mu_e / n_j
@@ -127,7 +131,6 @@ def _errors(
     overflows or a denominator underflows to zero.
     """
     mu_e, sigma_sq = params.mu_e, params.sigma_sq
-    sizes = [p.n for p in players]
     try:
         if method is FederationMethod.LOCAL:
             errors = [mu_e / n for n in sizes]
@@ -140,7 +143,7 @@ def _errors(
                 for s, sq in zip(off_sum, off_sq)
             ]
         elif method is FederationMethod.FINE_GRAINED:
-            v, s_off = _fine_grained_terms(players, params)
+            v, s_off = _fine_grained_terms(sizes, params, ids)
             t_sum = sum(1.0 / v_i for v_i in v)
             errors = [
                 (mu_e / n) / (v_j * t_sum) * (1.0 + sigma_sq * s)
@@ -152,7 +155,7 @@ def _errors(
             return errors
     except ZeroDivisionError:
         pass
-    raise out_of_range(f"a {method.value} error", players, params)
+    raise out_of_range(f"a {method.value} error", ids, sizes, params)
 
 
 def member_errors(
@@ -160,13 +163,13 @@ def member_errors(
 ) -> dict[str, float]:
     """Every member's expected error under ``method``, keyed by id, from
     one evaluation of the closed forms."""
-    errors = _errors(coalition.players, method, params)
-    return dict(zip(coalition.ids(), errors))
+    ids = coalition.ids()
+    return dict(zip(ids, _errors(coalition.sizes(), method, params, ids)))
 
 
 def local_error(player: Player, params: PopulationParams) -> float:
     """Expected error when the player uses only its own samples: mu_e / n."""
-    return _errors((player,), FederationMethod.LOCAL, params)[0]
+    return _errors((player.n,), FederationMethod.LOCAL, params, (player.id,))[0]
 
 
 def uniform_error(coalition: Coalition, target: str, params: PopulationParams) -> float:
@@ -238,17 +241,17 @@ def fine_grained_weights(
     """
     if target not in coalition:
         raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    players = coalition.players
-    j = coalition.ids().index(target)
-    v, s_off = _fine_grained_terms(players, params)
+    ids, sizes = coalition.ids(), coalition.sizes()
+    j = ids.index(target)
+    v, s_off = _fine_grained_terms(sizes, params, ids)
     s = s_off[j]
     denom = 1.0 + v[j] * s
     out: dict[str, float] = {}
-    for p, v_i in zip(players, v):
-        if p.id == target:
-            out[p.id] = (1.0 + params.sigma_sq * s) / denom
+    for pid, v_i in zip(ids, v):
+        if pid == target:
+            out[pid] = (1.0 + params.sigma_sq * s) / denom
         else:
-            out[p.id] = (params.mu_e / players[j].n) / (v_i * denom)
-        if not (math.isfinite(out[p.id]) and out[p.id] >= 0.0):
-            raise out_of_range("a fine_grained error", players, params)
+            out[pid] = (params.mu_e / sizes[j]) / (v_i * denom)
+        if not (math.isfinite(out[pid]) and out[pid] >= 0.0):
+            raise out_of_range("a fine_grained error", ids, sizes, params)
     return WeightVector(target=target, weights=out)

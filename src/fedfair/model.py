@@ -29,6 +29,15 @@ from .exceptions import (
 REL_TOL = 1e-9
 
 
+def check_size(player_id: str, n: float) -> float:
+    """``n``, once it is a finite positive sample count for ``player_id``."""
+    if not math.isfinite(n) or n <= 0:
+        raise NonPositiveSamples(
+            f"player {player_id!r}: n must be finite and > 0, got {n!r}"
+        )
+    return n
+
+
 def close(a: float, b: float) -> bool:
     """True when a and b agree to the package-wide relative tolerance."""
     return math.isclose(a, b, rel_tol=REL_TOL)
@@ -74,10 +83,7 @@ class Player:
     n: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.n) or self.n <= 0:
-            raise NonPositiveSamples(
-                f"player {self.id!r}: n must be finite and > 0, got {self.n!r}"
-            )
+        check_size(self.id, self.n)
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,10 @@ class Coalition:
 
     def ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.players)
+
+    def sizes(self) -> tuple[float, ...]:
+        """Sample counts in id order, aligned with ``ids()``."""
+        return tuple(p.n for p in self.players)
 
     def player(self, player_id: str) -> Player:
         for p in self.players:

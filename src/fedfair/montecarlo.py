@@ -212,7 +212,8 @@ def simulate_error(spec: SimulationSpec, *, threads: int = 1) -> SimulationResul
         if not (math.isfinite(total) and math.isfinite(total_sq)):
             raise out_of_range(
                 "the Monte Carlo sum of squared errors",
-                spec.coalition.players,
+                spec.coalition.ids(),
+                spec.coalition.sizes(),
                 spec.params,
             )
 

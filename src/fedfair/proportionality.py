@@ -28,11 +28,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import member_errors, out_of_range
-from .model import Coalition, FederationMethod, Player, PopulationParams, close
-from .sampling import describe_instance, instance_rng, random_instance
+from .errors import _errors, out_of_range
+from .model import Coalition, FederationMethod, PopulationParams, close
+from .sampling import describe_instance, instance_rng, random_instance, sweep_instances
 
 
 class CoalitionLabel(str, Enum):
@@ -88,22 +88,27 @@ def classify_pair(n_i: float, err_i: float, n_j: float, err_j: float) -> Coaliti
     return CoalitionLabel.SUB if scaled_i < scaled_j else CoalitionLabel.SUPER
 
 
+def _prefers_local(coalition_error: float, local_error: float) -> bool:
+    """A member strictly prefers local learning, beyond the tolerance."""
+    return coalition_error > local_error and not close(coalition_error, local_error)
+
+
 def _classify(
-    coalition: Coalition, method: FederationMethod, errs: Mapping[str, float]
+    ids: Sequence[str], n: Sequence[float], e: Sequence[float], method: FederationMethod
 ) -> ProportionalityReport:
-    players = sorted(coalition.players, key=lambda p: (p.n, p.id))
-    pairs = [
+    """Every pair's verdict, smaller player first (ties broken by id), from
+    the sizes ``n`` and errors ``e`` of the members ``ids``."""
+    ranked = sorted(range(len(ids)), key=lambda i: (n[i], ids[i]))
+    pairs = tuple(
         PairJudgment(
-            small_id=small.id,
-            large_id=large.id,
-            scaled_small=small.n * errs[small.id],
-            scaled_large=large.n * errs[large.id],
-            classification=classify_pair(
-                small.n, errs[small.id], large.n, errs[large.id]
-            ),
+            small_id=ids[s],
+            large_id=ids[l],
+            scaled_small=n[s] * e[s],
+            scaled_large=n[l] * e[l],
+            classification=classify_pair(n[s], e[s], n[l], e[l]),
         )
-        for small, large in itertools.combinations(players, 2)
-    ]
+        for s, l in itertools.combinations(ranked, 2)
+    )
     kinds = {p.classification for p in pairs} - {CoalitionLabel.EXACT}
     if not kinds:
         label = CoalitionLabel.EXACT
@@ -111,24 +116,24 @@ def _classify(
         label = kinds.pop()
     else:
         label = CoalitionLabel.MIXED
-    return ProportionalityReport(method=method.value, pairs=tuple(pairs), label=label)
+    return ProportionalityReport(method=method.value, pairs=pairs, label=label)
 
 
 def _rationality(
-    coalition: Coalition,
+    ids: Sequence[str],
+    n: Sequence[float],
+    e: Sequence[float],
     method: FederationMethod,
-    errs: Mapping[str, float],
     params: PopulationParams,
 ) -> RationalityReport:
-    local = member_errors(coalition, FederationMethod.LOCAL, params)
-    rows: list[PlayerRationality] = []
-    for p in coalition.players:
-        ce, le = errs[p.id], local[p.id]
-        prefers_local = ce > le and not close(ce, le)
-        rows.append(PlayerRationality(p.id, p.n, ce, le, prefers_local))
+    local = _errors(n, FederationMethod.LOCAL, params, ids)
+    rows = tuple(
+        PlayerRationality(pid, n_i, ce, le, _prefers_local(ce, le))
+        for pid, n_i, ce, le in zip(ids, n, e, local)
+    )
     return RationalityReport(
         method=method.value,
-        players=tuple(rows),
+        players=rows,
         individually_rational=not any(r.prefers_local for r in rows),
     )
 
@@ -137,15 +142,16 @@ def classify_proportionality(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> ProportionalityReport:
     """Classify every pair, smaller player first (ties broken by id)."""
-    return _classify(coalition, method, member_errors(coalition, method, params))
+    ids, sizes = coalition.ids(), coalition.sizes()
+    return _classify(ids, sizes, _errors(sizes, method, params, ids), method)
 
 
 def individually_rational(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> RationalityReport:
     """Weak-preference check of coalition error against local error."""
-    errs = member_errors(coalition, method, params)
-    return _rationality(coalition, method, errs, params)
+    ids, sizes = coalition.ids(), coalition.sizes()
+    return _rationality(ids, sizes, _errors(sizes, method, params, ids), method, params)
 
 
 def assess_coalition(
@@ -153,17 +159,22 @@ def assess_coalition(
 ) -> tuple[RationalityReport, ProportionalityReport]:
     """``individually_rational`` and ``classify_proportionality`` from one
     evaluation of the coalition's errors under ``method``."""
-    errs = member_errors(coalition, method, params)
-    return _rationality(coalition, method, errs, params), _classify(
-        coalition, method, errs
+    ids, sizes = coalition.ids(), coalition.sizes()
+    errs = _errors(sizes, method, params, ids)
+    return _rationality(ids, sizes, errs, method, params), _classify(
+        ids, sizes, errs, method
     )
 
 
 def _defection(
-    total: float, sum_sq: float, params: PopulationParams, rest: Sequence[Player]
+    total: float,
+    sum_sq: float,
+    params: PopulationParams,
+    ids: Sequence[str],
+    sizes: Sequence[float],
 ) -> float:
-    """``defection_threshold`` of the members ``rest``, whose sizes have
-    sum ``total`` and sum of squares ``sum_sq``."""
+    """``defection_threshold`` of the members ``ids`` with ``sizes``, whose
+    sum is ``total`` and sum of squares ``sum_sq``."""
     try:
         denom = (
             params.sigma_sq * sum_sq / (total * total)
@@ -177,19 +188,21 @@ def _defection(
             return threshold
     except ZeroDivisionError:
         pass
-    raise out_of_range("the defection threshold", rest, params)
+    raise out_of_range("the defection threshold", ids, sizes, params)
 
 
 def _subproportionality(
     total: float,
     sum_sq: float,
-    s: Player,
+    s: str,
+    n_s: float,
     params: PopulationParams,
-    rest: Sequence[Player],
+    ids: Sequence[str],
+    sizes: Sequence[float],
 ) -> float:
-    """``subproportionality_threshold`` against member ``s`` of ``rest``,
-    whose sizes have sum ``total`` and sum of squares ``sum_sq``."""
-    n_s = s.n
+    """``subproportionality_threshold`` against member ``s``, of size
+    ``n_s``, of the members ``ids`` with ``sizes``, whose sum is ``total``
+    and sum of squares ``sum_sq``."""
     denom = 2.0 * params.sigma_sq - params.mu_e / n_s
     if denom <= 0.0:
         return math.inf
@@ -202,14 +215,14 @@ def _subproportionality(
     if math.isfinite(threshold):
         return threshold
     raise out_of_range(
-        f"the subproportionality threshold against {s.id!r}", rest, params
+        f"the subproportionality threshold against {s!r}", ids, sizes, params
     )
 
 
 def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
     """Least size at which a player joining ``rest`` weakly prefers local
     learning under the weighted average; inf when that never happens."""
-    return _defection(rest.total, rest.sum_sq, params, rest.players)
+    return _defection(rest.total, rest.sum_sq, params, rest.ids(), rest.sizes())
 
 
 def subproportionality_threshold(
@@ -218,7 +231,7 @@ def subproportionality_threshold(
     """Least joining size at which the pair (s, newcomer) turns
     super-proportional; inf when n_s <= mu_e / (2 sigma_sq)."""
     return _subproportionality(
-        rest.total, rest.sum_sq, rest.player(s), params, rest.players
+        rest.total, rest.sum_sq, s, rest.player(s).n, params, rest.ids(), rest.sizes()
     )
 
 
@@ -244,32 +257,32 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
       equality only in the singleton case rest = {s} (checked positively
       by also evaluating both thresholds on each singleton sub-coalition).
 
-    Violations are returned as replayable counterexamples.
+    Only a counterexample builds its instance's players.  Violations are
+    returned as replayable counterexamples.
     """
     counterexamples: list[dict] = []
+    uniform, local = FederationMethod.UNIFORM, FederationMethod.LOCAL
 
     def fail(kind: str, **fields: object) -> None:
         # The record describes the instance the loop below is checking.
-        record = {"index": index, **describe_instance(params, coalition)}
+        instance = random_instance(instance_rng(seed, index))
+        record = {"index": index, **describe_instance(*instance)}
         counterexamples.append({**record, "kind": kind, **fields})
 
-    for index in range(instance_count):
-        params, coalition = random_instance(instance_rng(seed, index))
+    for index, params, ids, sizes in sweep_instances(instance_count, seed):
         # One evaluation of the uniform errors serves both verdicts, and
         # only a rational coalition needs its pairs classified.
-        errs = member_errors(coalition, FederationMethod.UNIFORM, params)
-        if _rationality(
-            coalition, FederationMethod.UNIFORM, errs, params
-        ).individually_rational:
-            label = _classify(coalition, FederationMethod.UNIFORM, errs).label
+        errs = _errors(sizes, uniform, params, ids)
+        local_errs = _errors(sizes, local, params, ids)
+        if not any(map(_prefers_local, errs, local_errs)):
+            label = _classify(ids, sizes, errs, uniform).label
             if label not in (CoalitionLabel.SUB, CoalitionLabel.EXACT):
                 fail("rational_but_super", label=label.value)
 
-        players = coalition.players
-        total, sum_sq = coalition.total, coalition.sum_sq
-        defect = _defection(total, sum_sq, params, players)
-        for p in players:
-            violate = _subproportionality(total, sum_sq, p, params, players)
+        total, sum_sq = sum(sizes), sum(n * n for n in sizes)
+        defect = _defection(total, sum_sq, params, ids, sizes)
+        for pid, n in zip(ids, sizes):
+            violate = _subproportionality(total, sum_sq, pid, n, params, ids, sizes)
             both_finite = math.isfinite(defect) and math.isfinite(violate)
             if math.isinf(violate):
                 ordered = True  # anything <= inf
@@ -280,23 +293,23 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
             if not ordered:
                 fail(
                     "threshold_order",
-                    s=p.id,
+                    s=pid,
                     defection=defect,
                     subproportionality=violate,
                 )
-            if len(players) > 1 and both_finite and close(defect, violate):
-                fail("equality_without_singleton", s=p.id, threshold=defect)
-            # The singleton rest = {p}: total n_p, sum of squares n_p^2.
-            alone = (p,)
-            d1 = _defection(p.n, p.n * p.n, params, alone)
-            v1 = _subproportionality(p.n, p.n * p.n, p, params, alone)
+            if len(sizes) > 1 and both_finite and close(defect, violate):
+                fail("equality_without_singleton", s=pid, threshold=defect)
+            # The singleton rest = {pid}: total n, sum of squares n^2.
+            alone, alone_n = (pid,), (n,)
+            d1 = _defection(n, n * n, params, alone, alone_n)
+            v1 = _subproportionality(n, n * n, pid, n, params, alone, alone_n)
             equal = (math.isinf(d1) and math.isinf(v1)) or (
                 math.isfinite(d1) and math.isfinite(v1) and close(d1, v1)
             )
             if not equal:
                 fail(
                     "singleton_mismatch",
-                    s=p.id,
+                    s=pid,
                     defection=d1,
                     subproportionality=v1,
                 )

@@ -12,7 +12,9 @@ on every platform and Python version, with or without numpy.
 
 from __future__ import annotations
 
-from .model import Coalition, Player, PopulationParams
+from typing import Iterator
+
+from .model import Coalition, Player, PopulationParams, check_size
 
 # Uniforms per instance: the player count, six sizes (the first k are
 # used) and the two constants.  Each comes from its own 56-bit word of a
@@ -20,6 +22,12 @@ from .model import Coalition, Player, PopulationParams
 DRAWS = 9
 _WORD_BYTES = 7
 _UNIT = 2.0**-53
+_MANTISSA = 2**53 - 1
+# Word i is bits [56 i, 56 i + 56) of the digest read as one little-endian
+# integer, so its top 53 bits start at bit 56 i + 3.
+_SHIFTS = tuple(range(3, DRAWS * 8 * _WORD_BYTES, 8 * _WORD_BYTES))
+# Player ids of an instance.  At most six, so id order is draw order.
+INSTANCE_IDS = ("p1", "p2", "p3", "p4", "p5", "p6")
 
 
 def instance_rng(seed: int, index: int) -> tuple[float, ...]:
@@ -35,22 +43,36 @@ def instance_rng(seed: int, index: int) -> tuple[float, ...]:
             f"seed and index must be in [0, 2**64), got seed={seed}, index={index}"
         ) from None
     digest = hashlib.blake2b(key, digest_size=DRAWS * _WORD_BYTES).digest()
-    return tuple(
-        (int.from_bytes(digest[i : i + _WORD_BYTES], "little") >> 3) * _UNIT
-        for i in range(0, DRAWS * _WORD_BYTES, _WORD_BYTES)
-    )
+    words = int.from_bytes(digest, "little")
+    return tuple((words >> shift & _MANTISSA) * _UNIT for shift in _SHIFTS)
+
+
+def instance_sizes(
+    draw: tuple[float, ...]
+) -> tuple[PopulationParams, tuple[float, ...]]:
+    """The params and the sizes, in id order, of one ``instance_rng`` draw
+    u: k = 2 + floor(5 u_0) players p1..pk with n_i = 1 + 99 u_i,
+    mu_e = 50 - 49.99 u_7 and sigma_sq = 50 - 49.99 u_8."""
+    k = 2 + int(draw[0] * 5.0)
+    n = [1.0 + 99.0 * u for u in draw[1 : 1 + k]]
+    sizes = tuple(map(check_size, INSTANCE_IDS, n))
+    return PopulationParams(50.0 - 49.99 * draw[7], 50.0 - 49.99 * draw[8]), sizes
 
 
 def random_instance(draw: tuple[float, ...]) -> tuple[PopulationParams, Coalition]:
-    """The (params, coalition) verification instance of one ``instance_rng``
-    draw u: k = 2 + floor(5 u_0) players p1..pk with n_i = 1 + 99 u_i,
-    mu_e = 50 - 49.99 u_7 and sigma_sq = 50 - 49.99 u_8."""
-    k = 2 + int(draw[0] * 5.0)
-    players = tuple(
-        Player(f"p{i + 1}", 1.0 + 99.0 * u) for i, u in enumerate(draw[1 : 1 + k])
-    )
-    params = PopulationParams(50.0 - 49.99 * draw[7], 50.0 - 49.99 * draw[8])
-    return params, Coalition(players)
+    """``instance_sizes`` of a draw, with the sizes as a coalition."""
+    params, sizes = instance_sizes(draw)
+    return params, Coalition(tuple(map(Player, INSTANCE_IDS, sizes)))
+
+
+def sweep_instances(
+    count: int, seed: int
+) -> Iterator[tuple[int, PopulationParams, tuple[str, ...], tuple[float, ...]]]:
+    """(index, params, ids, sizes) of each of the first ``count``
+    instances of the sweep at ``seed``."""
+    for index in range(count):
+        params, sizes = instance_sizes(instance_rng(seed, index))
+        yield index, params, INSTANCE_IDS[: len(sizes)], sizes
 
 
 def describe_instance(params: PopulationParams, coalition: Coalition) -> dict:

@@ -627,20 +627,38 @@ class TestArgumentErrors:
             (["reproduce", "mystery"], "mystery"),
             (["simulate", "SCENARIO", "--trials", "1", "--dump-scenario", "dump.json"],
              "--trials"),
+            # Both pass parsing and fail the command's own checks after it.
+            (["--seed", str(2**64 - 1), "simulate", "SCENARIO", "--trials", "4096",
+              "--dump-scenario", "dump.json"], "--seed"),
+            (["audit", "UNDERFLOW", "--dump-scenario", "dump.json"],
+             "outside the floating-point range"),
         ],
         ids=["scan-step", "audit-missing", "verify-instances", "reproduce-table",
-             "simulate-trials"],
+             "simulate-trials", "simulate-seed-dump", "audit-range-dump"],
     )
     def test_rejected_command_writes_nothing(
         self, argv, named, scenario_620, tmp_path, capsys, monkeypatch
     ):
         """A rejected command leaves an existing --out file as it was and
-        writes no other file."""
+        writes no other file, --dump-scenario included."""
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "out.txt"
         out.write_text("prior content\n")
+        # One fine-grained player whose 1/V overflows: exit 2, not error 0.
+        underflow = tmp_path / "underflow.json"
+        underflow.write_text(
+            json.dumps(
+                {
+                    "mu_e": 1e-320,
+                    "sigma_sq": 0,
+                    "players": [{"id": "a", "n": 1}],
+                    "method": "fine_grained",
+                }
+            )
+        )
         before = sorted(tmp_path.iterdir())
-        argv = [scenario_620 if arg == "SCENARIO" else arg for arg in argv]
+        files = {"SCENARIO": scenario_620, "UNDERFLOW": str(underflow)}
+        argv = [files.get(arg, arg) for arg in argv]
         assert main(["--out", str(out), *argv]) == 2
         assert out.read_text() == "prior content\n"
         assert sorted(tmp_path.iterdir()) == before

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .model import Coalition, Player, PopulationParams, check_size
+from .model import Coalition, PopulationParams, check_size
 
 # Uniforms per instance: the player count, six sizes (the first k are
 # used) and the two constants.  Each comes from its own 56-bit word of a
@@ -26,7 +26,8 @@ _MANTISSA = 2**53 - 1
 # Word i is bits [56 i, 56 i + 56) of the digest read as one little-endian
 # integer, so its top 53 bits start at bit 56 i + 3.
 _SHIFTS = tuple(range(3, DRAWS * 8 * _WORD_BYTES, 8 * _WORD_BYTES))
-# Player ids of an instance.  At most six, so id order is draw order.
+# The ids ``Coalition.from_sizes`` gives an instance's players.  At most
+# six, so id order is draw order.
 INSTANCE_IDS = ("p1", "p2", "p3", "p4", "p5", "p6")
 
 
@@ -62,7 +63,7 @@ def instance_sizes(
 def random_instance(draw: tuple[float, ...]) -> tuple[PopulationParams, Coalition]:
     """``instance_sizes`` of a draw, with the sizes as a coalition."""
     params, sizes = instance_sizes(draw)
-    return params, Coalition(tuple(map(Player, INSTANCE_IDS, sizes)))
+    return params, Coalition.from_sizes(sizes)
 
 
 def sweep_instances(

@@ -177,6 +177,7 @@ class TestFailingInstancesGetFullRecords:
 
     def test_rational_but_super_record(self, monkeypatch):
         """Only about 1% of instances are rational: find the first one."""
+
         def rational(index):
             params, coalition = instance(self.SEED, index)
             return individually_rational(coalition, UNIFORM, params).individually_rational

@@ -17,16 +17,20 @@ import sys
 from typing import IO, Callable, Sequence
 
 from .egalitarian import (
-    audit_member_errors,
+    FairnessAudit,
+    _audit,
     bound_sweep,
     check_modularity,
-    egalitarian_bound,
     inverse_size_error,
 )
+from .errors import _errors
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams
 from .proportionality import (
-    assess_coalition,
+    ProportionalityReport,
+    RationalityReport,
+    _classify,
+    _rationality,
     defection_threshold,
     subproportionality_threshold,
     verify_propstab,
@@ -230,29 +234,42 @@ AUDIT_COLUMNS = [
 ]
 
 
+def _assess(
+    coalition: Coalition, method: FederationMethod, params: PopulationParams
+) -> tuple[RationalityReport, ProportionalityReport, FairnessAudit | None]:
+    """The three verdicts on ``coalition`` from one evaluation of its errors;
+    the 2c+1 audit is None where mu_e, sigma_sq or an error is zero."""
+    ids, sizes = coalition.ids(), coalition.sizes()
+    errs = _errors(sizes, method, params, ids)
+    rationality = _rationality(ids, sizes, errs, method, params)
+    proportionality = _classify(ids, sizes, errs, method)
+    try:
+        audit = _audit(ids, sizes, errs, method, params)
+    except (UndefinedBound, ZeroDenominator):
+        audit = None
+    return rationality, proportionality, audit
+
+
 def run_audit(args: argparse.Namespace) -> Output:
     params, coalition, method = load_scenario_file(args.scenario)
-    rationality, proportionality = assess_coalition(coalition, method, params)
-    errs = {entry.player_id: entry.coalition_error for entry in rationality.players}
-    rows: list[dict] = []
-    for entry in rationality.players:
-        rows.append(
-            {
-                "kind": "player",
-                "id": entry.player_id,
-                "n": entry.n,
-                "error": entry.coalition_error,
-                "local_error": entry.local_error,
-                "prefers_local": entry.prefers_local,
-            }
-        )
+    rationality, proportionality, audit = _assess(coalition, method, params)
+    rows: list[dict] = [
+        {
+            "kind": "player",
+            "id": entry.player_id,
+            "n": entry.n,
+            "error": entry.coalition_error,
+            "local_error": entry.local_error,
+            "prefers_local": entry.prefers_local,
+        }
+        for entry in rationality.players
+    ]
     summary: dict = {
         "kind": "coalition",
         "proportionality": proportionality.label.value,
         "individually_rational": rationality.individually_rational,
     }
-    try:
-        audit = audit_member_errors(coalition, errs, method.value, params)
+    if audit:
         summary.update(
             max_ratio=audit.max_ratio,
             worst_pair="|".join(audit.worst_pair),
@@ -260,8 +277,6 @@ def run_audit(args: argparse.Namespace) -> Output:
             bound=audit.bound,
             egalitarian_satisfied=audit.satisfied,
         )
-    except (UndefinedBound, ZeroDenominator):
-        pass  # bound columns stay empty; verdicts above are still data
     rows.append(summary)
     _dump_scenario(args.dump_scenario, params, coalition, method)
     return AUDIT_COLUMNS, rows, None
@@ -282,22 +297,18 @@ def _pair_row(n_s: float, n_l: float, params: PopulationParams) -> dict:
     """The uniform-federation cells of the pair s (n_s) and l (n_l): the
     scan columns up to ``individually_rational``."""
     coalition = Coalition((Player("s", n_s), Player("l", n_l)))
-    rationality, report = assess_coalition(coalition, FederationMethod.UNIFORM, params)
-    errs = {r.player_id: r.coalition_error for r in rationality.players}
-    err_s, err_l = errs["s"], errs["l"]
-    c_value, bound = (
-        egalitarian_bound(max(n_s, n_l), params) if params.mu_e > 0 else (None, None)
-    )
+    rationality, report, audit = _assess(coalition, FederationMethod.UNIFORM, params)
+    err = {r.player_id: r.coalition_error for r in rationality.players}
     return {
         "n_s": n_s,
         "n_l": n_l,
         "mu_e": params.mu_e,
         "sigma_sq": params.sigma_sq,
-        "err_small": err_s,
-        "err_large": err_l,
-        "ratio": err_s / err_l if err_l else None,
-        "c": c_value,
-        "bound": bound,
+        "err_small": err["s"],
+        "err_large": err["l"],
+        "ratio": err["s"] / err["l"] if err["l"] else None,
+        "c": audit.c_value if audit else None,
+        "bound": audit.bound if audit else None,
         "size_ratio": n_l / n_s,
         "proportionality": report.label.value,
         "individually_rational": rationality.individually_rational,

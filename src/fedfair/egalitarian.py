@@ -8,9 +8,9 @@ small player shrinks.  This module audits coalitions against that bound,
 verifies the five structural properties that make a method modular, and
 searches for near-tight configurations.
 
-Methods are either a :class:`FederationMethod` or any callable
-``(coalition, target_id, params) -> float``, so deliberately broken
-weightings can be pushed through the same checks.
+The modularity checker also takes any callable
+``(coalition, target_id, params) -> float`` as its method, so a
+deliberately broken weighting can be pushed through the same checks.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .errors import WeightVector, _errors, member_errors, weighted_error
+from .errors import WeightVector, _errors, weighted_error
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, close
 from .sampling import describe_instance, instance_rng, random_instance, sweep_instances
 
 ErrorFn = Callable[[Coalition, str, PopulationParams], float]
-ErrorsFn = Callable[[Coalition, PopulationParams], dict[str, float]]
 # A modularity check's verdict and its measured values.
 Outcome = tuple[bool, dict]
 
@@ -42,17 +41,6 @@ LIMIT_REL_TOL = 1e-3
 PAIR_SIZES = (1.0, 2.0, 5.0, 10.0, 50.0, 100.0)
 THIRD_SIZES = (1.0, 10.0, 100.0)
 PARAM_LEVELS = (0.1, 1.0, 10.0)
-
-
-def _errors_fn(method: FederationMethod | ErrorFn) -> tuple[ErrorsFn, str]:
-    """A function giving every member's error under ``method``, keyed by
-    id, and the method's name."""
-    if isinstance(method, FederationMethod):
-        return lambda co, params: member_errors(co, method, params), method.value
-    return (
-        lambda co, params: {p.id: method(co, p.id, params) for p in co.players},
-        getattr(method, "__name__", "custom"),
-    )
 
 
 def _ratio(err_i: float, err_j: float, j: str) -> float:
@@ -88,12 +76,12 @@ def error_ratio(
     coalition: Coalition,
     i: str,
     j: str,
-    method: FederationMethod | ErrorFn,
+    method: FederationMethod,
     params: PopulationParams,
 ) -> float:
     """err_i / err_j for two members of the same coalition."""
-    errors, _ = _errors_fn(method)
-    errs = errors(coalition, params)
+    ids = coalition.ids()
+    errs = dict(zip(ids, _errors(coalition.sizes(), method, params, ids)))
     return _ratio(errs[i], errs[j], j)
 
 
@@ -115,9 +103,7 @@ def _require_bound(params: PopulationParams) -> None:
 
 
 def audit_egalitarian(
-    coalition: Coalition,
-    method: FederationMethod | ErrorFn,
-    params: PopulationParams,
+    coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> FairnessAudit:
     """Audit every ordered pair of the coalition against the 2c+1 bound.
 
@@ -125,23 +111,24 @@ def audit_egalitarian(
     value covering the coalition); needs mu_e > 0 and sigma_sq > 0.
     """
     _require_bound(params)  # before the errors, which may fail otherwise
-    errors, name = _errors_fn(method)
-    return audit_member_errors(coalition, errors(coalition, params), name, params)
+    ids, sizes = coalition.ids(), coalition.sizes()
+    return _audit(ids, sizes, _errors(sizes, method, params, ids), method, params)
 
 
-def audit_member_errors(
-    coalition: Coalition,
-    errs: Mapping[str, float],
-    method_name: str,
+def _audit(
+    ids: Sequence[str],
+    sizes: Sequence[float],
+    errs: Sequence[float],
+    method: FederationMethod,
     params: PopulationParams,
 ) -> FairnessAudit:
-    """``audit_egalitarian`` of a coalition whose members' errors under the
-    method ``method_name`` are already known, keyed by id in id order."""
+    """``audit_egalitarian`` of the members ``ids`` with ``sizes``, whose
+    errors under ``method`` are ``errs``, all aligned in id order."""
     _require_bound(params)
-    max_ratio, hi, lo = _worst_ratio(list(errs), list(errs.values()))
-    c_value, bound = egalitarian_bound(max(coalition.sizes()), params)
+    max_ratio, hi, lo = _worst_ratio(ids, errs)
+    c_value, bound = egalitarian_bound(max(sizes), params)
     return FairnessAudit(
-        method=method_name,
+        method=method.value,
         max_ratio=max_ratio,
         worst_pair=(hi, lo),
         c_value=c_value,
@@ -213,7 +200,6 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
     n_third where a third player takes part) and ends with the measured
     values.
     """
-    errors, name = _errors_fn(method)
     param_grid = [
         PopulationParams(mu_e, sigma_sq)
         for mu_e in PARAM_LEVELS
@@ -231,7 +217,11 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
     # and property 2 reuses one two-player ratio for every third size.
     @functools.cache
     def errs(params: PopulationParams, sizes: tuple[float, ...]) -> dict[str, float]:
-        return errors(Coalition(tuple(map(Player, "slk", sizes))), params)
+        coalition = Coalition(tuple(map(Player, "slk", sizes)))
+        ids = coalition.ids()
+        if isinstance(method, FederationMethod):
+            return dict(zip(ids, _errors(coalition.sizes(), method, params, ids)))
+        return {pid: method(coalition, pid, params) for pid in ids}
 
     def ratio(params: PopulationParams, *sizes: float) -> float:
         e = errs(params, sizes)
@@ -337,6 +327,7 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
         results.append(
             PropertyResult(prop, counterexample is None, len(cases), counterexample)
         )
+    name = method.value if isinstance(method, FederationMethod) else method.__name__
     return ModularityReport(method=name, properties=tuple(results))
 
 

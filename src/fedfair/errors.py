@@ -158,15 +158,6 @@ def _errors(
     raise out_of_range(f"a {method.value} error", ids, sizes, params)
 
 
-def member_errors(
-    coalition: Coalition, method: FederationMethod, params: PopulationParams
-) -> dict[str, float]:
-    """Every member's expected error under ``method``, keyed by id, from
-    one evaluation of the closed forms."""
-    ids = coalition.ids()
-    return dict(zip(ids, _errors(coalition.sizes(), method, params, ids)))
-
-
 def local_error(player: Player, params: PopulationParams) -> float:
     """Expected error when the player uses only its own samples: mu_e / n."""
     return _errors((player.n,), FederationMethod.LOCAL, params, (player.id,))[0]
@@ -209,7 +200,8 @@ def expected_error(
     """
     if target not in coalition:
         raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    return member_errors(coalition, method, params)[target]
+    ids = coalition.ids()
+    return _errors(coalition.sizes(), method, params, ids)[ids.index(target)]
 
 
 def weighted_error(

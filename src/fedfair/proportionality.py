@@ -154,18 +154,6 @@ def individually_rational(
     return _rationality(ids, sizes, _errors(sizes, method, params, ids), method, params)
 
 
-def assess_coalition(
-    coalition: Coalition, method: FederationMethod, params: PopulationParams
-) -> tuple[RationalityReport, ProportionalityReport]:
-    """``individually_rational`` and ``classify_proportionality`` from one
-    evaluation of the coalition's errors under ``method``."""
-    ids, sizes = coalition.ids(), coalition.sizes()
-    errs = _errors(sizes, method, params, ids)
-    return _rationality(ids, sizes, errs, method, params), _classify(
-        ids, sizes, errs, method
-    )
-
-
 def _defection(
     total: float,
     sum_sq: float,
@@ -283,30 +271,22 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
         defect = _defection(total, sum_sq, params, ids, sizes)
         for pid, n in zip(ids, sizes):
             violate = _subproportionality(total, sum_sq, pid, n, params, ids, sizes)
-            both_finite = math.isfinite(defect) and math.isfinite(violate)
-            if math.isinf(violate):
-                ordered = True  # anything <= inf
-            elif math.isinf(defect):
-                ordered = False  # inf > finite: the proof rules this out
-            else:
-                ordered = defect <= violate or close(defect, violate)
-            if not ordered:
+            # Each threshold is finite or +inf, and close(inf, inf) holds
+            # while close(inf, finite) does not.
+            if not (defect <= violate or close(defect, violate)):
                 fail(
                     "threshold_order",
                     s=pid,
                     defection=defect,
                     subproportionality=violate,
                 )
-            if len(sizes) > 1 and both_finite and close(defect, violate):
+            if len(sizes) > 1 and math.isfinite(defect) and close(defect, violate):
                 fail("equality_without_singleton", s=pid, threshold=defect)
             # The singleton rest = {pid}: total n, sum of squares n^2.
             alone, alone_n = (pid,), (n,)
             d1 = _defection(n, n * n, params, alone, alone_n)
             v1 = _subproportionality(n, n * n, pid, n, params, alone, alone_n)
-            equal = (math.isinf(d1) and math.isinf(v1)) or (
-                math.isfinite(d1) and math.isfinite(v1) and close(d1, v1)
-            )
-            if not equal:
+            if not close(d1, v1):
                 fail(
                     "singleton_mismatch",
                     s=pid,

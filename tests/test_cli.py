@@ -14,9 +14,18 @@ from pathlib import Path
 import pytest
 
 import fedfair.cli
-from fedfair import Coalition, Player, PopulationParams, uniform_error
+import fedfair.errors
+from fedfair import (
+    Coalition,
+    FederationMethod,
+    Player,
+    PopulationParams,
+    uniform_error,
+)
 from fedfair.cli import MAX_SCAN_ROWS, load_scenario_file, main
 from fedfair.proportionality import PropstabResult
+
+UNIFORM, LOCAL = FederationMethod.UNIFORM, FederationMethod.LOCAL
 
 
 @pytest.fixture
@@ -520,6 +529,86 @@ class TestScan:
         row = strict_json(text)["rows"][0]
         assert row["defection_threshold"] == "Infinity"
         assert row["subproportionality_threshold"] == "Infinity"
+
+    @pytest.mark.parametrize(
+        "n_s, n_l, mu_e, sigma_sq, bound",
+        [
+            (6.0, 20.0, 10.0, 1.0, "5.0"),
+            (6.0, 20.0, 10.0, 0.0, ""),  # 2c+1 needs sigma_sq > 0
+            (6.0, 20.0, 0.0, 1.0, ""),  # and mu_e > 0
+            (1.0, 1e10, 5e-324, 5e-324, ""),  # the large error underflows to 0
+        ],
+    )
+    def test_bound_columns_follow_audit(
+        self, n_s, n_l, mu_e, sigma_sq, bound, tmp_path
+    ):
+        """A scan row leaves c and bound empty exactly where ``audit`` of
+        the same pair does."""
+        scenario = tmp_path / "pair.json"
+        players = [{"id": "s", "n": n_s}, {"id": "l", "n": n_l}]
+        scenario.write_text(
+            json.dumps(
+                {"mu_e": mu_e, "sigma_sq": sigma_sq, "players": players,
+                 "method": "uniform"}
+            )
+        )
+        code, text = run_cli(["audit", str(scenario)], tmp_path)
+        assert code == 0
+        audit = parse_csv(text)[-1]
+        code, text = run_cli(
+            [
+                "scan", "--ns", repr(n_s), "--nl-start", repr(n_l), "--nl-stop",
+                repr(n_l), "--nl-step", "1", "--mu-e", repr(mu_e), "--sigma-sq",
+                repr(sigma_sq),
+            ],
+            tmp_path,
+        )
+        assert code == 0
+        (row,) = parse_csv(text)
+        assert row["bound"] == audit["bound"] == bound
+        assert row["c"] == audit["c"]
+        assert (row["c"] == "") == (bound == "")
+
+
+class TestOneEvaluationPerCoalition:
+    """An audit, and each reproduce or scan row, evaluates the closed forms
+    twice: once under its method, once for the local errors."""
+
+    @pytest.fixture
+    def methods(self, monkeypatch):
+        """The method of each closed-form evaluation, in call order, with
+        every module's binding of the kernel counted."""
+        kernel = fedfair.errors._errors
+        seen = []
+
+        def counting(sizes, method, params, ids):
+            seen.append(method)
+            return kernel(sizes, method, params, ids)
+
+        for name, module in list(sys.modules.items()):
+            binding = getattr(module, "_errors", None)
+            if name.startswith("fedfair") and binding is kernel:
+                monkeypatch.setattr(module, "_errors", counting)
+        return seen
+
+    def test_audit(self, methods, scenario_620, tmp_path):
+        assert run_cli(["audit", scenario_620], tmp_path)[0] == 0
+        assert methods == [UNIFORM, LOCAL]
+
+    def test_reproduce(self, methods, tmp_path):
+        assert run_cli(["reproduce", "motivating"], tmp_path)[0] == 0
+        assert methods == [UNIFORM, LOCAL] * 3
+
+    def test_scan(self, methods, tmp_path):
+        code, text = run_cli(
+            [
+                "scan", "--ns", "6", "--nl-start", "20", "--nl-stop", "50",
+                "--nl-step", "10", "--mu-e", "10", "--sigma-sq", "1",
+            ],
+            tmp_path,
+        )
+        assert code == 0 and len(parse_csv(text)) == 4
+        assert methods == [UNIFORM, LOCAL] * 4
 
 
 class TestFloatRange:

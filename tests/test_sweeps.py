@@ -175,6 +175,39 @@ class TestFailingInstancesGetFullRecords:
         assert not result.passed
         assert_same_records(result.counterexamples, want)
 
+    @pytest.mark.parametrize(
+        "defect, violate, kinds",
+        [
+            # Defection never happens, yet the pair turns super-proportional:
+            # the proof rules this out for the coalition and each singleton.
+            (math.inf, 1.0, ("threshold_order", "singleton_mismatch")),
+            # Finite thresholds equal within tolerance on several players.
+            (2.0, 2.0 * (1 + 1e-12), ("equality_without_singleton",)),
+            # Neither event happens: ordered, and the singletons agree.
+            (math.inf, math.inf, ()),
+        ],
+    )
+    def test_forced_threshold_records(self, monkeypatch, defect, violate, kinds):
+        """Every drawn coalition here has four or five players."""
+        monkeypatch.setattr(fedfair.proportionality, "_defection", lambda *a: defect)
+        monkeypatch.setattr(
+            fedfair.proportionality, "_subproportionality", lambda *a: violate
+        )
+        fields = {
+            "threshold_order": {"defection": defect, "subproportionality": violate},
+            "singleton_mismatch": {"defection": defect, "subproportionality": violate},
+            "equality_without_singleton": {"threshold": defect},
+        }
+        want = [
+            expected_record(self.SEED, index, kind=kind, s=pid, **fields[kind])
+            for index in range(self.COUNT)
+            for pid in instance(self.SEED, index)[1].ids()
+            for kind in kinds
+        ]
+        result = verify_propstab(self.COUNT, self.SEED)
+        assert result.passed == (not kinds)
+        assert_same_records(result.counterexamples, want)
+
     def test_rational_but_super_record(self, monkeypatch):
         """Only about 1% of instances are rational: find the first one."""
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import WeightVector, _errors, weighted_error
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
@@ -63,12 +62,7 @@ def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, fl
     c_value = n_max * params.sigma_sq / params.mu_e
     bound = 2.0 * c_value + 1.0
     if not math.isfinite(bound):
-        raise OutOfFloatRange(
-            "the 2c+1 bound",
-            mu_e=params.mu_e,
-            sigma_sq=params.sigma_sq,
-            n_max=n_max,
-        )
+        raise OutOfFloatRange("the 2c+1 bound", **params._asdict(), n_max=n_max)
     return c_value, bound
 
 
@@ -85,8 +79,7 @@ def error_ratio(
     return _ratio(errs[i], errs[j], j)
 
 
-@dataclass(frozen=True)
-class FairnessAudit:
+class FairnessAudit(NamedTuple):
     """Worst pairwise ratio of a coalition against its 2c+1 bound."""
 
     method: str
@@ -153,8 +146,7 @@ def inverse_size_error(
     return weighted_error(coalition, WeightVector(target, weights), params)
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     """Outcome of one structural property check over the grid."""
 
     prop: int
@@ -163,8 +155,7 @@ class PropertyResult:
     counterexample: dict | None
 
 
-@dataclass(frozen=True)
-class ModularityReport:
+class ModularityReport(NamedTuple):
     method: str
     properties: tuple[PropertyResult, ...]
 
@@ -319,11 +310,7 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
         for params, *args in cases:
             ok, measured = predicate(params, *args)
             if not ok and counterexample is None:
-                counterexample = {
-                    "mu_e": params.mu_e,
-                    "sigma_sq": params.sigma_sq,
-                    **measured,
-                }
+                counterexample = {**params._asdict(), **measured}
         results.append(
             PropertyResult(prop, counterexample is None, len(cases), counterexample)
         )
@@ -331,8 +318,7 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
     return ModularityReport(method=name, properties=tuple(results))
 
 
-@dataclass(frozen=True)
-class TightnessResult:
+class TightnessResult(NamedTuple):
     """A two-player configuration whose uniform ratio nearly meets 2c+1."""
 
     n_s: float
@@ -382,8 +368,7 @@ def tightness_search(c: float, epsilon: float) -> TightnessResult:
     raise ArithmeticError("target not reached within 600 doublings")
 
 
-@dataclass(frozen=True)
-class BoundSweepResult:
+class BoundSweepResult(NamedTuple):
     """Outcome of a randomized egalitarian-bound sweep."""
 
     instances: int

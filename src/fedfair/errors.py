@@ -23,8 +23,7 @@ the per-target functions return its entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exceptions import (
     DegenerateParams,
@@ -36,28 +35,29 @@ from .exceptions import (
 from .model import Coalition, FederationMethod, Player, PopulationParams, REL_TOL
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(NamedTuple("WeightVector", [("target", str), ("weights", dict)])):
     """Per-source combination weights for one target player.
 
     Weights must be finite and sum to one within relative tolerance 1e-9;
     individual weights may be negative (the general error formula is defined
     for any unit-sum vector, and optimality tests probe such points).
+    ``weights`` is kept as a dict copy, so a weight vector is unhashable.
     """
 
-    target: str
-    weights: Mapping[str, float]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", dict(self.weights))
+    def __new__(cls, target: str, weights: Mapping[str, float]) -> WeightVector:
+        weights = dict(weights)
         total = 0.0
-        for pid in sorted(self.weights):
-            w = self.weights[pid]
+        for pid in sorted(weights):
+            w = weights[pid]
             if not math.isfinite(w):
                 raise NonUnitSum(f"weight for {pid!r} is not finite: {w!r}")
             total += w
         if not math.isclose(total, 1.0, rel_tol=REL_TOL, abs_tol=0.0):
             raise NonUnitSum(f"weights sum to {total!r}, expected 1")
+        return super().__new__(cls, target, weights)
 
     def aligned(self, coalition: Coalition) -> tuple[tuple[Player, float], ...]:
         """(player, weight) pairs in player order; domains must match."""
@@ -81,32 +81,28 @@ def out_of_range(
 ) -> OutOfFloatRange:
     """``OutOfFloatRange`` for ``what``, naming mu_e, sigma_sq and each
     player's n by id."""
-    return OutOfFloatRange(
-        what,
-        mu_e=params.mu_e,
-        sigma_sq=params.sigma_sq,
-        n=dict(zip(ids, sizes)),
-    )
+    return OutOfFloatRange(what, **params._asdict(), n=dict(zip(ids, sizes)))
 
 
 def _fine_grained_terms(
     sizes: Sequence[float], params: PopulationParams, ids: Sequence[str]
-) -> tuple[list[float], list[float]]:
-    """V_i = sigma_sq + mu_e / n_i and, for every j, S_j = sum_{i != j} 1/V_i.
-
-    Raises ``OutOfFloatRange`` when some V_i underflows to zero or the sum
-    of the 1/V_i overflows.
+) -> tuple[list[float], float, list[float]]:
+    """V_i = sigma_sq + mu_e / n_i, T = sum_i 1/V_i and, for every j,
+    S_j = sum_{i != j} 1/V_i.  Raises ``OutOfFloatRange`` when some V_i
+    underflows to zero or T overflows.
     """
-    if params.mu_e == 0.0 and params.sigma_sq == 0.0:
+    mu_e, sigma_sq = params.mu_e, params.sigma_sq
+    if mu_e == 0.0 and sigma_sq == 0.0:
         raise DegenerateParams(
             "mu_e = sigma_sq = 0: every unit-sum weighting is optimal"
         )
-    v = [params.sigma_sq + params.mu_e / n for n in sizes]
+    v = [sigma_sq + mu_e / n for n in sizes]
     # A zero V_i is tested before dividing: 1.0 / 0.0 raises, not inf.
     if 0.0 not in v:
         inverse = [1.0 / v_i for v_i in v]
-        if math.isfinite(sum(inverse)):
-            return v, _leave_one_out(inverse)
+        total = sum(inverse)
+        if math.isfinite(total):
+            return v, total, _leave_one_out(inverse)
     raise out_of_range("a fine_grained error", ids, sizes, params)
 
 
@@ -128,7 +124,7 @@ def _errors(
 
     where V_i = sigma_sq + mu_e / n_i, T' = sum_i 1/V_i and
     S_j = sum_{i != j} 1/V_i.  Raises ``OutOfFloatRange`` when an error
-    overflows or a denominator underflows to zero.
+    overflows or a denominator underflows to zero or overflows.
     """
     mu_e, sigma_sq = params.mu_e, params.sigma_sq
     try:
@@ -143,8 +139,10 @@ def _errors(
                 for s, sq in zip(off_sum, off_sq)
             ]
         elif method is FederationMethod.FINE_GRAINED:
-            v, s_off = _fine_grained_terms(sizes, params, ids)
-            t_sum = sum(1.0 / v_i for v_i in v)
+            v, t_sum, s_off = _fine_grained_terms(sizes, params, ids)
+            # An infinite V_j * T' (largest for the largest V_j) gives 0.0.
+            if not math.isfinite(max(v) * t_sum):
+                raise out_of_range("a fine_grained error", ids, sizes, params)
             errors = [
                 (mu_e / n) / (v_j * t_sum) * (1.0 + sigma_sq * s)
                 for n, v_j, s in zip(sizes, v, s_off)
@@ -235,7 +233,7 @@ def fine_grained_weights(
         raise TargetNotInCoalition(f"target {target!r} not in coalition")
     ids, sizes = coalition.ids(), coalition.sizes()
     j = ids.index(target)
-    v, s_off = _fine_grained_terms(sizes, params, ids)
+    v, _, s_off = _fine_grained_terms(sizes, params, ids)
     s = s_off[j]
     denom = 1.0 + v[j] * s
     out: dict[str, float] = {}

@@ -5,16 +5,16 @@ players.  The constants are ``mu_e`` (expected sampling-noise variance) and
 ``sigma_sq`` (variance of the true means across players); every closed form
 in this package depends on the population only through these two moments.
 
-All types are immutable after construction and validate their invariants in
-``__post_init__``, so a constructed value is always safe to share.
+All types are immutable and validate their invariants in ``__new__``
+(``__init__`` for ``Coalition``), which copy, pickle and ``_replace`` go
+through too, so a constructed value is always safe to share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exceptions import (
     DuplicatePlayerId,
@@ -51,8 +51,9 @@ class FederationMethod(str, Enum):
     FINE_GRAINED = "fine_grained"
 
 
-@dataclass(frozen=True)
-class PopulationParams:
+class PopulationParams(
+    NamedTuple("PopulationParams", [("mu_e", float), ("sigma_sq", float)])
+):
     """Population constants: noise level ``mu_e`` and mean-spread ``sigma_sq``.
 
     ``mu_e`` is the expected variance of a single sample around its player's
@@ -60,46 +61,47 @@ class PopulationParams:
     Both are in squared target units.
     """
 
-    mu_e: float
-    sigma_sq: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self) -> None:
-        for name, value in (("mu_e", self.mu_e), ("sigma_sq", self.sigma_sq)):
+    def __new__(cls, mu_e: float, sigma_sq: float) -> PopulationParams:
+        for name, value in (("mu_e", mu_e), ("sigma_sq", sigma_sq)):
             if not math.isfinite(value) or value < 0:
                 raise NegativeVariance(
                     f"{name} must be finite and nonnegative, got {value!r}"
                 )
+        return super().__new__(cls, mu_e, sigma_sq)
 
 
-@dataclass(frozen=True)
-class Player:
+class Player(NamedTuple("Player", [("id", str), ("n", float)])):
     """One agent, identified by ``id`` and contributing ``n`` samples.
 
     Sample counts are positive reals, not integers: every closed form,
     derivative-based check and the simulation oracle treat n continuously.
     """
 
-    id: str
-    n: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self) -> None:
-        check_size(self.id, self.n)
+    def __new__(cls, id: str, n: float) -> Player:
+        return super().__new__(cls, id, check_size(id, n))
 
 
-@dataclass(frozen=True)
 class Coalition:
-    """A nonempty group of players federating together, with distinct ids.
+    """A nonempty set of players federating together, with distinct ids;
+    ``len()`` counts them and ``in`` tests an id.
 
     ``players`` is stored sorted by id, whatever order they are given in:
-    a coalition is a set, so two coalitions with the same members are
-    equal, and every sum over the players runs in this one order, which
-    makes repeated evaluations bit-identical.
+    two coalitions with the same members are equal, and every sum over
+    the players runs in this one order, which makes repeated evaluations
+    bit-identical.
     """
 
+    __slots__ = ("players",)
     players: tuple[Player, ...]
 
-    def __post_init__(self) -> None:
-        players = tuple(sorted(self.players, key=lambda p: p.id))
+    def __init__(self, players: Iterable[Player]) -> None:
+        players = tuple(sorted(players, key=lambda p: p.id))
         if not players:
             raise EmptyCoalition("a coalition needs at least one player")
         for previous, p in zip(players, players[1:]):
@@ -107,8 +109,27 @@ class Coalition:
                 raise DuplicatePlayerId(f"duplicate player id {p.id!r}")
         object.__setattr__(self, "players", players)
 
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.players == other.players
+
+    def __hash__(self) -> int:
+        return hash((self.players,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(players={self.players!r})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.players,)
+
     @classmethod
-    def from_sizes(cls, sizes: Iterable[float]) -> "Coalition":
+    def from_sizes(cls, sizes: Iterable[float]) -> Coalition:
         """Build a coalition from bare sample counts with ids p1, p2, ..."""
         return cls(tuple(Player(f"p{i + 1}", float(n)) for i, n in enumerate(sizes)))
 

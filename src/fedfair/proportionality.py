@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import _errors, out_of_range
 from .model import Coalition, FederationMethod, PopulationParams, close
@@ -45,8 +44,7 @@ class CoalitionLabel(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class PairJudgment:
+class PairJudgment(NamedTuple):
     """Scaled-error comparison for one pair with small_n <= large_n."""
 
     small_id: str
@@ -56,15 +54,13 @@ class PairJudgment:
     classification: CoalitionLabel
 
 
-@dataclass(frozen=True)
-class ProportionalityReport:
+class ProportionalityReport(NamedTuple):
     method: str
     pairs: tuple[PairJudgment, ...]
     label: CoalitionLabel
 
 
-@dataclass(frozen=True)
-class PlayerRationality:
+class PlayerRationality(NamedTuple):
     player_id: str
     n: float
     coalition_error: float
@@ -72,8 +68,7 @@ class PlayerRationality:
     prefers_local: bool
 
 
-@dataclass(frozen=True)
-class RationalityReport:
+class RationalityReport(NamedTuple):
     method: str
     players: tuple[PlayerRationality, ...]
     individually_rational: bool
@@ -157,25 +152,24 @@ def individually_rational(
 def _defection(
     total: float,
     sum_sq: float,
-    params: PopulationParams,
+    mu_e: float,
+    sigma_sq: float,
     ids: Sequence[str],
     sizes: Sequence[float],
 ) -> float:
     """``defection_threshold`` of the members ``ids`` with ``sizes``, whose
-    sum is ``total`` and sum of squares ``sum_sq``."""
+    sum is ``total`` and sum of squares ``sum_sq``, at ``mu_e`` and
+    ``sigma_sq`` (floats, which the sweep reads once per instance)."""
     try:
-        denom = (
-            params.sigma_sq * sum_sq / (total * total)
-            + params.sigma_sq
-            - params.mu_e / total
-        )
+        denom = sigma_sq * sum_sq / (total * total) + sigma_sq - mu_e / total
         if denom <= 0.0:
             return math.inf
-        threshold = params.mu_e / denom
+        threshold = mu_e / denom
         if math.isfinite(threshold):
             return threshold
     except ZeroDivisionError:
         pass
+    params = PopulationParams(mu_e, sigma_sq)
     raise out_of_range("the defection threshold", ids, sizes, params)
 
 
@@ -184,24 +178,26 @@ def _subproportionality(
     sum_sq: float,
     s: str,
     n_s: float,
-    params: PopulationParams,
+    mu_e: float,
+    sigma_sq: float,
     ids: Sequence[str],
     sizes: Sequence[float],
 ) -> float:
     """``subproportionality_threshold`` against member ``s``, of size
     ``n_s``, of the members ``ids`` with ``sizes``, whose sum is ``total``
-    and sum of squares ``sum_sq``."""
-    denom = 2.0 * params.sigma_sq - params.mu_e / n_s
+    and sum of squares ``sum_sq``, at ``mu_e``, ``sigma_sq``."""
+    denom = 2.0 * sigma_sq - mu_e / n_s
     if denom <= 0.0:
         return math.inf
     numer = (
-        -2.0 * params.sigma_sq * total
-        + (params.mu_e / n_s) * total
-        + (params.sigma_sq / n_s) * (sum_sq + total * total)
+        -2.0 * sigma_sq * total
+        + (mu_e / n_s) * total
+        + (sigma_sq / n_s) * (sum_sq + total * total)
     )
     threshold = numer / denom
     if math.isfinite(threshold):
         return threshold
+    params = PopulationParams(mu_e, sigma_sq)
     raise out_of_range(
         f"the subproportionality threshold against {s!r}", ids, sizes, params
     )
@@ -210,7 +206,8 @@ def _subproportionality(
 def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
     """Least size at which a player joining ``rest`` weakly prefers local
     learning under the weighted average; inf when that never happens."""
-    return _defection(rest.total, rest.sum_sq, params, rest.ids(), rest.sizes())
+    mu_e, sigma_sq = params.mu_e, params.sigma_sq
+    return _defection(rest.total, rest.sum_sq, mu_e, sigma_sq, rest.ids(), rest.sizes())
 
 
 def subproportionality_threshold(
@@ -218,13 +215,13 @@ def subproportionality_threshold(
 ) -> float:
     """Least joining size at which the pair (s, newcomer) turns
     super-proportional; inf when n_s <= mu_e / (2 sigma_sq)."""
+    n_s, mu_e, sigma_sq = rest.player(s).n, params.mu_e, params.sigma_sq
     return _subproportionality(
-        rest.total, rest.sum_sq, s, rest.player(s).n, params, rest.ids(), rest.sizes()
+        rest.total, rest.sum_sq, s, n_s, mu_e, sigma_sq, rest.ids(), rest.sizes()
     )
 
 
-@dataclass(frozen=True)
-class PropstabResult:
+class PropstabResult(NamedTuple):
     """Outcome of the randomized rationality-implies-subproportionality sweep."""
 
     instances: int
@@ -268,9 +265,12 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
                 fail("rational_but_super", label=label.value)
 
         total, sum_sq = sum(sizes), sum(n * n for n in sizes)
-        defect = _defection(total, sum_sq, params, ids, sizes)
+        mu_e, sigma_sq = params.mu_e, params.sigma_sq
+        defect = _defection(total, sum_sq, mu_e, sigma_sq, ids, sizes)
         for pid, n in zip(ids, sizes):
-            violate = _subproportionality(total, sum_sq, pid, n, params, ids, sizes)
+            violate = _subproportionality(
+                total, sum_sq, pid, n, mu_e, sigma_sq, ids, sizes
+            )
             # Each threshold is finite or +inf, and close(inf, inf) holds
             # while close(inf, finite) does not.
             if not (defect <= violate or close(defect, violate)):
@@ -284,8 +284,8 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
                 fail("equality_without_singleton", s=pid, threshold=defect)
             # The singleton rest = {pid}: total n, sum of squares n^2.
             alone, alone_n = (pid,), (n,)
-            d1 = _defection(n, n * n, params, alone, alone_n)
-            v1 = _subproportionality(n, n * n, pid, n, params, alone, alone_n)
+            d1 = _defection(n, n * n, mu_e, sigma_sq, alone, alone_n)
+            v1 = _subproportionality(n, n * n, pid, n, mu_e, sigma_sq, alone, alone_n)
             if not close(d1, v1):
                 fail(
                     "singleton_mismatch",

@@ -79,8 +79,4 @@ def sweep_instances(
 def describe_instance(params: PopulationParams, coalition: Coalition) -> dict:
     """JSON-ready record of an instance, for counterexample replay and the
     CLI's ``--dump-scenario``; players are listed in id order."""
-    return {
-        "mu_e": params.mu_e,
-        "sigma_sq": params.sigma_sq,
-        "players": [{"id": p.id, "n": p.n} for p in coalition.players],
-    }
+    return {**params._asdict(), "players": [p._asdict() for p in coalition.players]}

@@ -663,6 +663,24 @@ class TestFloatRange:
         assert "fine_grained error" in err and "mu_e=1e-320" in err
         assert "sigma_sq=0.0" in err and "'a': 1.0" in err
 
+    def test_audit_never_reports_a_fine_grained_error_of_zero(
+        self, tmp_path, capsys
+    ):
+        """Every exact error is 2.006e-186, but V_c * T overflows, which
+        would print 0.0 for c: exit 2 instead."""
+        path = tmp_path / "huge_vt.json"
+        path.write_text(
+            '{"mu_e": 1.0362991679087545e59, "sigma_sq": 0, "players": ['
+            '{"id": "a", "n": 5.1656149016491354e244}, '
+            '{"id": "b", "n": 0.051232816207198995}, '
+            '{"id": "c", "n": 4.836641475429374e-192}], "method": "fine_grained"}'
+        )
+        code, text = run_cli(["audit", str(path)], tmp_path)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "fine_grained error" in err and "mu_e=1.0362991679087545e+59" in err
+        assert "sigma_sq=0.0" in err and "'c': 4.836641475429374e-192" in err
+
     def test_audit_never_reports_an_infinite_bound(self, tmp_path, capsys):
         path = tmp_path / "huge_c.json"
         path.write_text(

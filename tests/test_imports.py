@@ -1,7 +1,7 @@
 """Import-time contract: the closed-form commands and both randomized
-sweeps never load numpy, importing the CLI loads neither numpy nor
-hashlib, and the Monte Carlo names the package exports lazily behave like
-plain ones."""
+sweeps never load numpy, dataclasses or inspect, importing the CLI loads
+none of those nor hashlib, and the Monte Carlo names the package exports
+lazily behave like plain ones."""
 
 import json
 import subprocess
@@ -30,18 +30,22 @@ codes = [
         ["verify", "propstab", "--instances", "50"],
     )
 ]
-print(codes, "numpy" in sys.modules)
+print(codes, *(name in sys.modules for name in {names!r}))
 """
 
 CLI_IMPORT = """
 import sys
 sys.path.insert(0, {src!r})
 import fedfair.cli
-print("numpy" in sys.modules, "hashlib" in sys.modules)
+print(*(name in sys.modules for name in {names!r}))
 """
 
 
-def test_closed_form_commands_do_not_import_numpy(tmp_path):
+@pytest.fixture(scope="module")
+def closed_form_modules(tmp_path_factory):
+    """Which of numpy, dataclasses and inspect are loaded after ``main``
+    ran every closed-form command and both sweeps, once per module."""
+    tmp_path = tmp_path_factory.mktemp("closed_form")
     scenario = tmp_path / "pair.json"
     scenario.write_text(
         json.dumps(
@@ -54,24 +58,45 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path):
         )
     )
     code = NUMPY_FREE.format(
-        src=str(SRC), out=str(tmp_path / "out.txt"), scenario=str(scenario)
+        src=str(SRC),
+        out=str(tmp_path / "out.txt"),
+        scenario=str(scenario),
+        names=("numpy", "dataclasses", "inspect"),
     )
     child = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0]", "False"]
+    return child.stdout.split()
 
 
-def test_cli_import_loads_neither_numpy_nor_hashlib():
+def test_closed_form_commands_do_not_import_numpy(closed_form_modules):
+    assert closed_form_modules[:7] == ["[0,", "0,", "0,", "0,", "0,", "0]", "False"]
+
+
+def test_closed_form_commands_do_not_import_dataclasses(closed_form_modules):
+    """``dataclasses`` loads ``inspect``, which loads ``ast``, ``dis`` and
+    ``tokenize``: start-up time that no closed form needs."""
+    assert closed_form_modules[7:] == ["False", "False"]
+
+
+def cli_import_loads(*names):
     child = subprocess.run(
-        [sys.executable, "-c", CLI_IMPORT.format(src=str(SRC))],
+        [sys.executable, "-c", CLI_IMPORT.format(src=str(SRC), names=names)],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["False", "False"]
+    return child.stdout.split()
+
+
+def test_cli_import_loads_neither_numpy_nor_hashlib():
+    assert cli_import_loads("numpy", "hashlib") == ["False", "False"]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert cli_import_loads("dataclasses", "inspect") == ["False", "False"]
 
 
 def test_every_exported_name_resolves():

@@ -1,19 +1,26 @@
-"""Domain type invariants."""
+"""Domain type invariants and the value-type contract."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
 from fedfair import (
     Coalition,
+    FederationMethod,
     Player,
     PopulationParams,
+    WeightVector,
+    audit_egalitarian,
+    classify_proportionality,
 )
 from fedfair.exceptions import (
     DuplicatePlayerId,
     EmptyCoalition,
     NegativeVariance,
     NonPositiveSamples,
+    NonUnitSum,
 )
 
 
@@ -102,3 +109,117 @@ class TestCoalition:
         assert "p1" in coalition and "missing" not in coalition
         with pytest.raises(KeyError):
             coalition.player("missing")
+
+
+PAIR = Coalition((Player("s", 6.0), Player("l", 20.0)))
+# One valid value of each type, by keyword and positional arguments that
+# equal the valid ones except for one bad field, and the error they raise.
+VALUE_TYPES = [
+    (
+        PopulationParams(10.0, 1.0),
+        PopulationParams,
+        (10.0, -1.0),
+        {"mu_e": 10.0, "sigma_sq": -1.0},
+        NegativeVariance,
+    ),
+    (Player("a", 2.0), Player, ("a", 0.0), {"id": "a", "n": 0.0}, NonPositiveSamples),
+    (PAIR, Coalition, ((),), {"players": ()}, EmptyCoalition),
+    (
+        WeightVector("s", {"s": 0.25, "l": 0.75}),
+        WeightVector,
+        ("s", {"s": 0.5}),
+        {"target": "s", "weights": {"s": 0.5}},
+        NonUnitSum,
+    ),
+]
+IDS = [case[1].__name__ for case in VALUE_TYPES]
+
+
+def unvalidated(cls, args):
+    """An instance of ``cls`` holding ``args`` that skipped validation."""
+    if cls is Coalition:
+        bad = object.__new__(Coalition)
+        object.__setattr__(bad, "players", *args)
+        return bad
+    return tuple.__new__(cls, args)
+
+
+class TestValueTypeContract:
+    @pytest.mark.parametrize("value,cls,args,kwargs,error", VALUE_TYPES, ids=IDS)
+    def test_bad_values_rejected_positionally_and_by_keyword(
+        self, value, cls, args, kwargs, error
+    ):
+        with pytest.raises(error):
+            cls(*args)
+        with pytest.raises(error):
+            cls(**kwargs)
+
+    @pytest.mark.parametrize("value", [case[0] for case in VALUE_TYPES], ids=IDS)
+    def test_immutable(self, value):
+        field = {Coalition: "players", WeightVector: "weights"}.get(type(value), "id")
+        for name in (field, "mu_e", "new_attribute"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1.0)
+
+    @pytest.mark.parametrize("value", [case[0] for case in VALUE_TYPES], ids=IDS)
+    def test_equal_values_compare_and_hash_equal(self, value):
+        twin = pickle.loads(pickle.dumps(value))
+        assert twin == value and twin is not value
+        if isinstance(value, WeightVector):
+            # The weights are a dict.
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(twin) == hash(value)
+
+    @pytest.mark.parametrize("value,cls,args,kwargs,error", VALUE_TYPES, ids=IDS)
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal_and_revalidated(
+        self, value, cls, args, kwargs, error, round_trip
+    ):
+        twin = round_trip(value)
+        assert twin == value and type(twin) is cls
+        with pytest.raises(error):
+            round_trip(unvalidated(cls, args))
+
+    def test_replace_revalidates(self):
+        assert Player("a", 1.0)._replace(n=2.0) == Player("a", 2.0)
+        with pytest.raises(NonPositiveSamples):
+            Player("a", 1.0)._replace(n=-2.0)
+        with pytest.raises(NegativeVariance):
+            PopulationParams(1.0, 1.0)._replace(mu_e=math.nan)
+
+    def test_coalition_is_a_set_of_players_not_a_tuple(self):
+        assert not isinstance(PAIR, tuple)
+        assert len(PAIR) == 2
+        assert "s" in PAIR and "x" not in PAIR
+        assert Player("s", 6.0) not in PAIR  # membership is by id
+
+    def test_reprs_name_their_fields(self):
+        assert repr(Player("a", 2.0)) == "Player(id='a', n=2.0)"
+        assert repr(PopulationParams(10.0, 1.0)) == (
+            "PopulationParams(mu_e=10.0, sigma_sq=1.0)"
+        )
+        assert repr(PAIR) == (
+            "Coalition(players=(Player(id='l', n=20.0), Player(id='s', n=6.0)))"
+        )
+        params = PopulationParams(10.0, 1.0)
+        audit = audit_egalitarian(PAIR, FederationMethod.UNIFORM, params)
+        assert repr(audit) == (
+            "FairnessAudit(method='uniform', max_ratio=3.1927710843373496, "
+            "worst_pair=('s', 'l'), c_value=2.0, bound=5.0, satisfied=True)"
+        )
+
+    def test_records_unpack_and_index(self):
+        report = classify_proportionality(
+            PAIR, FederationMethod.UNIFORM, PopulationParams(10.0, 1.0)
+        )
+        method, pairs, label = report
+        assert report[2] is label is report.label
+        assert report == (method, pairs, label)
+        mu_e, sigma_sq = PopulationParams(10.0, 1.0)
+        assert (mu_e, sigma_sq) == (10.0, 1.0)

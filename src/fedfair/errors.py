@@ -226,8 +226,9 @@ def fine_grained_weights(
         v_jk = (1/V_k) * (V_j - sigma_sq) / (1 + V_j * S)
 
     All weights are nonnegative because V_j - sigma_sq = mu_e / n_j >= 0.
-    Raises ``OutOfFloatRange`` where rounding leaves a weight that is not
-    a finite nonnegative float.
+    Raises ``OutOfFloatRange`` where 1 + V_j * S overflows (every weight
+    would round to 0) or rounding leaves a weight that is not a finite
+    nonnegative float.
     """
     if target not in coalition:
         raise TargetNotInCoalition(f"target {target!r} not in coalition")
@@ -236,6 +237,8 @@ def fine_grained_weights(
     v, _, s_off = _fine_grained_terms(sizes, params, ids)
     s = s_off[j]
     denom = 1.0 + v[j] * s
+    if not math.isfinite(denom):
+        raise out_of_range("a fine_grained error", ids, sizes, params)
     out: dict[str, float] = {}
     for pid, v_i in zip(ids, v):
         if pid == target:

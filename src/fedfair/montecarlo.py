@@ -13,10 +13,11 @@ closed form via a z-score.
 
 Determinism: trials are processed in fixed chunks of 65536, the k-th
 chunk seeded by ``SeedSequence(seed, spawn_key=(k,))`` (what
-``SeedSequence(seed).spawn`` would make), and per-chunk partial sums are
-reduced in chunk order.  Results are therefore bit-identical for a given
-spec regardless of thread count or scheduling.  At most one chunk per
-thread is in flight, so memory does not grow with the trial count.
+``SeedSequence(seed).spawn`` would make).  A simulation runs its chunks
+in order on the calling thread and adds their partial sums in chunk
+order, holding one chunk at a time, so memory does not grow with the
+trial count.  ``simulate_suite(threads=N)`` runs up to N whole
+simulations at once; each result is bit-identical at any N.
 
 Draw order inside a chunk never depends on how the weights were
 specified, so an explicit weight vector equal to the method's weights
@@ -26,11 +27,10 @@ reproduces the method's estimates exactly, draw for draw.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -181,32 +181,18 @@ def _chunk_sums(
         return float(squared.sum()), float((squared * squared).sum())
 
 
-def _chunk_partials(
-    spec: SimulationSpec, weights: np.ndarray, threads: int
-) -> Iterator[tuple[float, float]]:
-    """Every chunk's partial sums in chunk order.  A sliding window keeps
-    at most ``threads`` chunks in flight: the next chunk is submitted as
-    soon as the oldest one is collected, never after a whole batch."""
-    in_flight: deque[Future[tuple[float, float]]] = deque()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for k in range(-(-spec.trials // CHUNK_TRIALS)):
-            if len(in_flight) == threads:
-                yield in_flight.popleft().result()
-            in_flight.append(pool.submit(_chunk_sums, spec, k, weights))
-        while in_flight:
-            yield in_flight.popleft().result()
-
-
-def simulate_error(spec: SimulationSpec, *, threads: int = 1) -> SimulationResult:
+def simulate_error(spec: SimulationSpec) -> SimulationResult:
     """Estimate the target's expected squared error empirically.
 
     Raises ``OutOfFloatRange`` when the sum of the squared errors or of
     their squares leaves the floating-point range, since the standard
     error would then be meaningless.
     """
+    weights = spec.resolved_weights()
     total = 0.0
     total_sq = 0.0
-    for part_sum, part_sq in _chunk_partials(spec, spec.resolved_weights(), threads):
+    for k in range(-(-spec.trials // CHUNK_TRIALS)):
+        part_sum, part_sq = _chunk_sums(spec, k, weights)
         total += part_sum
         total_sq += part_sq
         if not (math.isfinite(total) and math.isfinite(total_sq)):
@@ -258,17 +244,17 @@ def simulate_suite(
 ) -> SuiteResult:
     """Run each spec and fail any whose |z| exceeds the threshold.
 
-    The default threshold of 4 leaves the false-failure rate of a
-    ~20-spec suite well under 1%.
+    Up to ``threads`` simulations run at once; results come back in spec
+    order and do not depend on the thread count.  The default threshold
+    of 4 leaves the false-failure rate of a ~20-spec suite well under 1%.
     """
-    entries = []
-    for index, spec in enumerate(specs):
-        result = simulate_error(spec, threads=threads)
-        label = spec.label or f"spec{index}"
-        entries.append(
-            SuiteEntry(label, result, abs(result.z_score) <= z_threshold)
-        )
-    return SuiteResult(entries=tuple(entries), z_threshold=z_threshold)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(simulate_error, specs))
+    entries = tuple(
+        SuiteEntry(spec.label or f"spec{i}", result, abs(result.z_score) <= z_threshold)
+        for i, (spec, result) in enumerate(zip(specs, results))
+    )
+    return SuiteResult(entries=entries, z_threshold=z_threshold)
 
 
 def default_suite(trials: int = 1_000_000, base_seed: int = 90_125) -> tuple[

@@ -70,7 +70,10 @@ def sweep_instances(
     count: int, seed: int
 ) -> Iterator[tuple[int, PopulationParams, tuple[str, ...], tuple[float, ...]]]:
     """(index, params, ids, sizes) of each of the first ``count``
-    instances of the sweep at ``seed``."""
+    instances of the sweep at ``seed``; a count below 1 would make a
+    sweep pass with no checks, so it raises ``ValueError``."""
+    if count < 1:
+        raise ValueError(f"instance count must be >= 1, got {count!r}")
     for index in range(count):
         params, sizes = instance_sizes(instance_rng(seed, index))
         yield index, params, INSTANCE_IDS[: len(sizes)], sizes

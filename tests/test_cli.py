@@ -250,6 +250,25 @@ class TestScenarioParsing:
         _, coalition, _ = load_scenario_file(path)
         assert [(p.id, p.n) for p in coalition.players] == [("p1", 2.0), ("p2", 3.0)]
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "top level must be a JSON object"),
+            ({"players": [5]}, "players[0] must be a JSON object"),
+            ({"mu_e": "10"}, "field 'mu_e' must be a number, got '10'"),
+            ({"players": {}}, "field 'players' must be a list"),
+            ({"players": [{"id": 5, "n": 2}]}, "players[0].id must be a string"),
+        ],
+        ids=["top-level-list", "player-number", "mu-e-string", "players-object",
+             "id-number"],
+    )
+    def test_malformed_value_named(self, data, message, tmp_path, capsys):
+        if isinstance(data, dict):
+            data = {"mu_e": 1, "sigma_sq": 1, "players": [{"n": 2}],
+                    "method": "local", **data}
+        assert main(["audit", self.write(tmp_path, data)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", [[], {}, ["uniform"]])
     def test_non_string_method_rejected(self, method, tmp_path, capsys):
         path = self.write(
@@ -681,6 +700,35 @@ class TestFloatRange:
         assert "fine_grained error" in err and "mu_e=1.0362991679087545e+59" in err
         assert "sigma_sq=0.0" in err and "'c': 4.836641475429374e-192" in err
 
+    def test_underflowing_total_squared_is_a_uniform_range_error(
+        self, tmp_path, capsys
+    ):
+        """T^2 = (2e-170)^2 underflows to zero, so the uniform error divides
+        by zero: exit 2 naming the inputs, not a traceback."""
+        path = tmp_path / "tiny_t.json"
+        path.write_text(
+            '{"mu_e": 1, "sigma_sq": 1, "players": [{"id": "a", "n": 1e-170}, '
+            '{"id": "b", "n": 1e-170}], "method": "uniform"}'
+        )
+        code, text = run_cli(["audit", str(path)], tmp_path)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "a uniform error is outside the floating-point range" in err
+        assert "'a': 1e-170" in err and "'b': 1e-170" in err
+
+    def test_nan_subproportionality_threshold(self, tmp_path, capsys):
+        code, text = run_cli(
+            [
+                "scan", "--ns", "1e10", "--nl-start", "1", "--nl-stop", "1",
+                "--nl-step", "1", "--mu-e", "1", "--sigma-sq", "1e300",
+            ],
+            tmp_path,
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "the subproportionality threshold against 's' is outside" in err
+        assert "sigma_sq=1e+300" in err
+
     def test_audit_never_reports_an_infinite_bound(self, tmp_path, capsys):
         path = tmp_path / "huge_c.json"
         path.write_text(
@@ -731,17 +779,20 @@ class TestArgumentErrors:
               "--nl-step", "0", "--mu-e", "10", "--sigma-sq", "1"], "--nl-step"),
             (["audit", "missing.json"], "missing.json"),
             (["verify", "propstab", "--instances", "0"], "--instances"),
+            (["verify", "egalitarian-bound", "--instances", "abc"], "--instances"),
             (["reproduce", "mystery"], "mystery"),
             (["simulate", "SCENARIO", "--trials", "1", "--dump-scenario", "dump.json"],
              "--trials"),
+            (["simulate", "SCENARIO", "--trials", "2.5"], "--trials"),
             # Both pass parsing and fail the command's own checks after it.
             (["--seed", str(2**64 - 1), "simulate", "SCENARIO", "--trials", "4096",
               "--dump-scenario", "dump.json"], "--seed"),
             (["audit", "UNDERFLOW", "--dump-scenario", "dump.json"],
              "outside the floating-point range"),
         ],
-        ids=["scan-step", "audit-missing", "verify-instances", "reproduce-table",
-             "simulate-trials", "simulate-seed-dump", "audit-range-dump"],
+        ids=["scan-step", "audit-missing", "verify-instances", "verify-instances-text",
+             "reproduce-table", "simulate-trials", "simulate-trials-fraction",
+             "simulate-seed-dump", "audit-range-dump"],
     )
     def test_rejected_command_writes_nothing(
         self, argv, named, scenario_620, tmp_path, capsys, monkeypatch

@@ -161,6 +161,20 @@ class TestFineGrainedWeights:
         assert "mu_e=1e-320" in message and "sigma_sq=0.0" in message
         assert "'p1': 1.0" in message and "'p2': 1.0" in message
 
+    def test_overflowing_denominator_is_out_of_range(self):
+        """For c, 1 + V_c * S_c overflows, so every weight would round to 0
+        and the vector would fail its unit sum as if it were a bad input."""
+        coalition = Coalition((
+            Player("a", 5.1656149016491354e244),
+            Player("b", 0.051232816207198995),
+            Player("c", 4.836641475429374e-192),
+        ))
+        params = PopulationParams(1.0362991679087545e59, 0.0)
+        with pytest.raises(OutOfFloatRange, match="a fine_grained error"):
+            fine_grained_weights(coalition, "c", params)
+        for target in ("a", "b"):
+            assert fine_grained_weights(coalition, target, params).target == target
+
 
 class TestFineGrainedError:
     def test_motivating_values(self):

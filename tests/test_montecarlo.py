@@ -195,14 +195,14 @@ class TestMemory:
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_memory_does_not_grow_with_chunk_count(self, monkeypatch):
-        """Only one chunk per thread is in flight, so 2,000 chunks cost no
-        more memory than a few; seeding and submitting every chunk up front
-        would hold about 2 KB per chunk."""
+        """A simulation holds one chunk at a time, so 2,000 chunks cost no
+        more memory than a few; seeding every chunk up front would hold
+        about 2 KB per chunk."""
         monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 2)
-        simulate_error(spec(trials=4), threads=2)  # first-call allocations
+        simulate_error(spec(trials=4))  # first-call allocations
         tracemalloc.start()
         try:
-            result = simulate_error(spec(trials=4000), threads=2)
+            result = simulate_error(spec(trials=4000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -223,11 +223,10 @@ class TestDeterminism:
         assert a.empirical_mse != b.empirical_mse
 
     def test_thread_count_does_not_change_bits(self):
-        serial = simulate_error(spec(trials=200_000))
+        specs = [spec(trials=200_000), spec(trials=200_000, seed=4321)]
+        serial = simulate_suite(specs, threads=1)
         for threads in (2, 4):
-            threaded = simulate_error(spec(trials=200_000), threads=threads)
-            assert threaded.empirical_mse == serial.empirical_mse
-            assert threaded.standard_error == serial.standard_error
+            assert simulate_suite(specs, threads=threads) == serial
 
     def test_explicit_uniform_weights_reproduce_method_exactly(self):
         """Same seed, same draws: spelling the uniform weights out changes
@@ -284,6 +283,13 @@ class TestSpecValidation:
     def test_noise_list_length_must_match(self):
         with pytest.raises(InvalidNoiseList):
             spec(noise_variances=(5.0, 10.0, 15.0))
+
+    @pytest.mark.parametrize(
+        "noise", [(-5.0, 25.0), (math.inf, 10.0), (math.nan, 10.0)]
+    )
+    def test_noise_variances_must_be_finite_and_nonnegative(self, noise):
+        with pytest.raises(InvalidNoiseList, match="finite and >= 0"):
+            spec(noise_variances=noise)
 
     def test_noise_list_average_must_be_mu_e(self):
         with pytest.raises(InvalidNoiseList):

@@ -227,6 +227,14 @@ class TestFailingInstancesGetFullRecords:
         assert_same_records(result.counterexamples, want)
 
 
+@pytest.mark.parametrize("sweep", [bound_sweep, verify_propstab])
+@pytest.mark.parametrize("count", [0, -5])
+def test_sweep_without_instances_is_rejected(sweep, count):
+    """Zero instances would pass with zero checks: a vacuous PASS."""
+    with pytest.raises(ValueError, match=f"instance count must be >= 1, got {count}"):
+        sweep(count)
+
+
 def test_default_sweep_summaries_are_pinned():
     """Any change to the sweep arithmetic moves these."""
     bound = bound_sweep(10_000, 42)

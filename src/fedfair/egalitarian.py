@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 from .errors import WeightVector, _errors, weighted_error
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, close
-from .sampling import describe_instance, instance_rng, random_instance, sweep_instances
+from .sampling import describe_instance, sweep_instances
 
 ErrorFn = Callable[[Coalition, str, PopulationParams], float]
 # A modularity check's verdict and its measured values.
@@ -396,14 +396,13 @@ def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResul
             ratio = _worst_ratio(ids, _errors(sizes, method, params, ids))[0]
             max_quotient = max(max_quotient, ratio / bound)
             if ratio < 1.0 - 1e-12 or ratio > bound + 1e-9:
-                instance = random_instance(instance_rng(seed, index))
                 violations.append(
                     {
                         "index": index,
                         "method": method.value,
                         "max_ratio": ratio,
                         "bound": bound,
-                        **describe_instance(*instance),
+                        **describe_instance(params, Coalition.from_sizes(sizes)),
                     }
                 )
     return BoundSweepResult(

@@ -6,8 +6,8 @@ it.  The local estimate is the mean of n samples with noise variance v,
 which is exactly N(true mean, v/n), so it is drawn as one normal rather
 than from n individual samples; time and memory per trial do not depend
 on n.  The estimates are combined with the weights implied by the
-federation method (or an explicit weight vector), and the squared error
-against the target's true mean is recorded.
+federation method, and the squared error against the target's true
+mean is recorded.
 The empirical mean squared error is then compared with the matching
 closed form via a z-score.
 
@@ -18,10 +18,6 @@ in order on the calling thread and adds their partial sums in chunk
 order, holding one chunk at a time, so memory does not grow with the
 trial count.  ``simulate_suite(threads=N)`` runs up to N whole
 simulations at once; each result is bit-identical at any N.
-
-Draw order inside a chunk never depends on how the weights were
-specified, so an explicit weight vector equal to the method's weights
-reproduces the method's estimates exactly, draw for draw.
 """
 
 from __future__ import annotations
@@ -34,13 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    WeightVector,
-    expected_error,
-    fine_grained_weights,
-    out_of_range,
-    weighted_error,
-)
+from .errors import expected_error, fine_grained_weights, out_of_range
 from .exceptions import InvalidNoiseList, TargetNotInCoalition
 from .model import Coalition, FederationMethod, Player, PopulationParams, close
 
@@ -76,8 +66,7 @@ class SimulationSpec:
     coalition: Coalition
     target: str
     params: PopulationParams
-    method: FederationMethod | None = None
-    weights: WeightVector | None = None
+    method: FederationMethod
     mean_distribution: MeanDistribution = MeanDistribution.GAUSSIAN
     noise_variances: tuple[float, ...] | None = None
     trials: int = 1_000_000
@@ -87,8 +76,8 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if self.target not in self.coalition:
             raise TargetNotInCoalition(f"target {self.target!r} not in coalition")
-        if (self.method is None) == (self.weights is None):
-            raise ValueError("specify exactly one of method or weights")
+        if not isinstance(self.method, FederationMethod):
+            raise ValueError(f"method must be a FederationMethod, got {self.method!r}")
         if self.noise_variances is not None:
             object.__setattr__(self, "noise_variances", tuple(self.noise_variances))
             values = self.noise_variances
@@ -113,9 +102,6 @@ class SimulationSpec:
     def resolved_weights(self) -> np.ndarray:
         """Combination weights aligned to the coalition's player order."""
         players = self.coalition.players
-        if self.weights is not None:
-            pairs = self.weights.aligned(self.coalition)
-            return np.array([w for _, w in pairs], dtype=np.float64)
         if self.method is FederationMethod.LOCAL:
             return np.array(
                 [1.0 if p.id == self.target else 0.0 for p in players],
@@ -129,9 +115,6 @@ class SimulationSpec:
 
     def analytic_error(self) -> float:
         """The closed form this simulation is expected to reproduce."""
-        if self.weights is not None:
-            return weighted_error(self.coalition, self.weights, self.params)
-        assert self.method is not None
         return expected_error(self.coalition, self.target, self.method, self.params)
 
 
@@ -247,7 +230,10 @@ def simulate_suite(
     Up to ``threads`` simulations run at once; results come back in spec
     order and do not depend on the thread count.  The default threshold
     of 4 leaves the false-failure rate of a ~20-spec suite well under 1%.
+    An empty suite would pass with no checks, so it raises ``ValueError``.
     """
+    if not specs:
+        raise ValueError(f"spec count must be >= 1, got {len(specs)}")
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(simulate_error, specs))
     entries = tuple(

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import _errors, out_of_range
 from .model import Coalition, FederationMethod, PopulationParams, close
-from .sampling import describe_instance, instance_rng, random_instance, sweep_instances
+from .sampling import describe_instance, sweep_instances
 
 
 class CoalitionLabel(str, Enum):
@@ -250,8 +250,8 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
 
     def fail(kind: str, **fields: object) -> None:
         # The record describes the instance the loop below is checking.
-        instance = random_instance(instance_rng(seed, index))
-        record = {"index": index, **describe_instance(*instance)}
+        coalition = Coalition.from_sizes(sizes)
+        record = {"index": index, **describe_instance(params, coalition)}
         counterexamples.append({**record, "kind": kind, **fields})
 
     for index, params, ids, sizes in sweep_instances(instance_count, seed):

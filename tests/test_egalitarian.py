@@ -16,6 +16,7 @@ from fedfair import (
     check_modularity,
     error_ratio,
     inverse_size_error,
+    local_error,
     tightness_search,
 )
 from fedfair.exceptions import UndefinedBound, ZeroDenominator
@@ -145,6 +146,14 @@ class TestModularity:
         err_s = inverse_size_error(pair(6, 20), "s", PARAMS)
         err_l = inverse_size_error(pair(6, 20), "l", PARAMS)
         assert err_s < err_l  # the larger player is worse off: P1 violated
+
+    def test_inverse_size_weighting_of_a_singleton_is_local(self):
+        alone = Coalition((Player("x", 7.0),))
+        assert math.isclose(
+            inverse_size_error(alone, "x", PARAMS),
+            local_error(Player("x", 7.0), PARAMS),
+            rel_tol=1e-15,
+        )
 
 
 class TestTightness:

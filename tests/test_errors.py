@@ -109,11 +109,20 @@ class TestWeightedError:
         with pytest.raises(NonUnitSum):
             WeightVector("s", {"s": math.inf, "l": 1.0})
 
+    def test_unknown_target(self):
+        weights = WeightVector("x", {"x": 1.0})
+        with pytest.raises(TargetNotInCoalition):
+            weighted_error(pair(6, 20), weights, PARAMS)
+
 
 class TestFineGrainedWeights:
     def test_zero_noise_keeps_self_estimate(self):
         weights = fine_grained_weights(pair(6, 20), "l", PopulationParams(0.0, 1.0))
         assert weights.weights == {"l": 1.0, "s": 0.0}
+
+    def test_unknown_target(self):
+        with pytest.raises(TargetNotInCoalition):
+            fine_grained_weights(pair(6, 20), "nope", PARAMS)
 
     def test_motivating_large_player(self):
         # V_s = 8/3, V_l = 3/2: v_ll = 1.375/1.5625, v_ls = 0.1875/1.5625
@@ -219,6 +228,11 @@ class TestDispatch:
             pair(6, 20), "l", FederationMethod.FINE_GRAINED, PopulationParams(0.0, 2.0)
         )
         assert err == 0.0
+
+    def test_unknown_method_rejected(self):
+        """The method's name is not the method: a string is refused."""
+        with pytest.raises(ValueError, match="unknown federation method"):
+            expected_error(pair(6, 20), "l", "uniform", PARAMS)
 
 
 def test_grid_minimization_oracle_confirms_optimum():

@@ -89,6 +89,12 @@ class TestCoalition:
         assert Coalition((b, a)) == Coalition((a, b))
         assert hash(Coalition((b, a))) == hash(Coalition((a, b)))
 
+    def test_never_equal_to_another_type(self):
+        """Not even to the tuple of its own players."""
+        coalition = Coalition((Player("a", 1.0), Player("b", 2.0)))
+        assert coalition != coalition.players
+        assert coalition != "a coalition"
+
     def test_players_stored_in_id_order(self):
         coalition = Coalition((Player("z", 1.0), Player("a", 2.0), Player("m", 3.0)))
         assert [p.id for p in coalition.players] == ["a", "m", "z"]

@@ -228,25 +228,6 @@ class TestDeterminism:
         for threads in (2, 4):
             assert simulate_suite(specs, threads=threads) == serial
 
-    def test_explicit_uniform_weights_reproduce_method_exactly(self):
-        """Same seed, same draws: spelling the uniform weights out changes
-        nothing, bit for bit."""
-        total = PAIR.total
-        explicit = WeightVector("s", {"s": 6.0 / total, "l": 20.0 / total})
-        by_method = simulate_error(spec())
-        by_weights = simulate_error(spec(method=None, weights=explicit))
-        assert by_method.empirical_mse == by_weights.empirical_mse
-        assert by_method.standard_error == by_weights.standard_error
-
-    def test_explicit_optimal_weights_reproduce_fine_grained_exactly(self):
-        from fedfair import fine_grained_weights
-
-        explicit = fine_grained_weights(PAIR, "l", PARAMS)
-        by_method = simulate_error(spec(target="l", method=FederationMethod.FINE_GRAINED))
-        by_weights = simulate_error(spec(target="l", method=None, weights=explicit))
-        assert by_method.empirical_mse == by_weights.empirical_mse
-        assert math.isclose(by_weights.closed_form, 0.44)
-
 
 def skew_closed_form(monkeypatch, target: str | None = None) -> None:
     """Make the analytic reference 10% too high (for ``target`` only, when
@@ -299,12 +280,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(trials=1)
 
+    def test_empty_suite_is_rejected(self):
+        """No spec means no check: an empty suite is an error, not a PASS
+        whose max |z| cannot be taken."""
+        with pytest.raises(ValueError, match="spec count must be >= 1, got 0"):
+            simulate_suite([])
+
     def test_method_weights_exclusivity(self):
+        """The method alone names the combination: a weight vector is not
+        a field, and anything but a FederationMethod fails at construction
+        rather than after the trials have run."""
         weights = WeightVector("s", {"s": 0.5, "l": 0.5})
-        with pytest.raises(ValueError):
-            spec(weights=weights)  # method also set
-        with pytest.raises(ValueError):
-            spec(method=None)  # neither set
+        with pytest.raises(TypeError):
+            spec(weights=weights)
+        for method in (None, "uniform"):
+            with pytest.raises(ValueError, match="FederationMethod"):
+                spec(method=method)
 
     def test_target_must_be_member(self):
         with pytest.raises(TargetNotInCoalition):

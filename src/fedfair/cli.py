@@ -53,6 +53,9 @@ CELL_REL_TOL = 5e-3
 METHOD_NAMES = {m.value: m for m in FederationMethod}
 # The scan grid is built in memory, so its size is capped.
 MAX_SCAN_ROWS = 100_000
+# An audit judges every pair and a simulation chunk holds 65,536 floats per
+# player, so the players of a scenario file are capped.
+MAX_PLAYERS = 100
 # Every seed is an unsigned 64-bit integer.
 SEED_LIMIT = 2**64
 
@@ -107,8 +110,9 @@ def load_scenario_file(
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle, object_pairs_hook=_JsonObject)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested too deeply to decode.
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # JSON text is UTF-8 (RFC 8259).  RecursionError: arrays or objects
+        # nested too deeply to decode.
         raise ScenarioFileError(f"{path}: invalid JSON ({exc})") from exc
     fields = ("mu_e", "sigma_sq", "players", "method")
     data = _require_object(data, "top level", fields, fields)
@@ -116,6 +120,8 @@ def load_scenario_file(
     sigma_sq = _require_number(data["sigma_sq"], "sigma_sq")
     if not isinstance(data["players"], list):
         raise ScenarioFileError("field 'players' must be a list")
+    if len(data["players"]) > MAX_PLAYERS:
+        raise ScenarioFileError(f"field 'players' lists over {MAX_PLAYERS} players")
     players: list[tuple[str, float]] = []
     for idx, entry in enumerate(data["players"]):
         where = f"players[{idx}]"
@@ -333,6 +339,8 @@ def run_reproduce(args: argparse.Namespace) -> Output:
 
 def run_verify(args: argparse.Namespace) -> Output:
     if args.suite == "modularity":
+        if args.instances is not None:
+            raise ValueError("--instances applies to the sweeps, not to modularity")
         columns = [
             "method", "property", "passed", "checks", "expected_modular",
             "counterexample",
@@ -364,15 +372,16 @@ def run_verify(args: argparse.Namespace) -> Output:
                     }
                 )
     else:
+        count = 10_000 if args.instances is None else args.instances
         if args.suite == "propstab":
-            result = verify_propstab(instance_count=args.instances, seed=args.seed)
+            result = verify_propstab(instance_count=count, seed=args.seed)
             summary = {
                 "instances": result.instances,
                 "counterexamples": len(result.counterexamples),
             }
             details = [(ce["kind"], ce) for ce in result.counterexamples]
         else:  # egalitarian-bound; argparse admits no other suite
-            result = bound_sweep(instance_count=args.instances, seed=args.seed)
+            result = bound_sweep(instance_count=count, seed=args.seed)
             summary = {
                 "instances": result.instances,
                 "checks": result.checks,
@@ -569,8 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "suite", choices=("modularity", "propstab", "egalitarian-bound")
     )
-    # A sweep over no instances would report a vacuous pass.
-    p_verify.add_argument("--instances", type=_at_least(1), default=10_000)
+    # For the two sweeps only (default 10,000); a sweep over no instances
+    # would report a vacuous pass.
+    p_verify.add_argument("--instances", type=_at_least(1))
     p_verify.set_defaults(run=run_verify)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo check of a scenario")

@@ -29,7 +29,8 @@ import math
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .errors import _errors, out_of_range
+from .errors import _errors
+from .exceptions import OutOfFloatRange
 from .model import Coalition, FederationMethod, PopulationParams, close
 from .sampling import describe_instance, sweep_instances
 
@@ -149,17 +150,10 @@ def individually_rational(
     return _rationality(ids, sizes, _errors(sizes, method, params, ids), method, params)
 
 
-def _defection(
-    total: float,
-    sum_sq: float,
-    mu_e: float,
-    sigma_sq: float,
-    ids: Sequence[str],
-    sizes: Sequence[float],
-) -> float:
-    """``defection_threshold`` of the members ``ids`` with ``sizes``, whose
-    sum is ``total`` and sum of squares ``sum_sq``, at ``mu_e`` and
-    ``sigma_sq`` (floats, which the sweep reads once per instance)."""
+def _defection(total: float, sum_sq: float, mu_e: float, sigma_sq: float) -> float:
+    """``defection_threshold`` of a rest coalition whose sizes sum to
+    ``total`` with sum of squares ``sum_sq``, at ``mu_e`` and ``sigma_sq``
+    (floats, which the sweep reads once per instance)."""
     try:
         denom = sigma_sq * sum_sq / (total * total) + sigma_sq - mu_e / total
         if denom <= 0.0:
@@ -169,23 +163,18 @@ def _defection(
             return threshold
     except ZeroDivisionError:
         pass
-    params = PopulationParams(mu_e, sigma_sq)
-    raise out_of_range("the defection threshold", ids, sizes, params)
+    raise OutOfFloatRange(
+        "the defection threshold",
+        mu_e=mu_e, sigma_sq=sigma_sq, total=total, sum_sq=sum_sq,
+    )
 
 
 def _subproportionality(
-    total: float,
-    sum_sq: float,
-    s: str,
-    n_s: float,
-    mu_e: float,
-    sigma_sq: float,
-    ids: Sequence[str],
-    sizes: Sequence[float],
+    total: float, sum_sq: float, s: str, n_s: float, mu_e: float, sigma_sq: float
 ) -> float:
-    """``subproportionality_threshold`` against member ``s``, of size
-    ``n_s``, of the members ``ids`` with ``sizes``, whose sum is ``total``
-    and sum of squares ``sum_sq``, at ``mu_e``, ``sigma_sq``."""
+    """``subproportionality_threshold`` against member ``s`` of size ``n_s``,
+    of a rest coalition whose sizes sum to ``total`` with sum of squares
+    ``sum_sq``, at ``mu_e`` and ``sigma_sq``."""
     denom = 2.0 * sigma_sq - mu_e / n_s
     if denom <= 0.0:
         return math.inf
@@ -197,17 +186,16 @@ def _subproportionality(
     threshold = numer / denom
     if math.isfinite(threshold):
         return threshold
-    params = PopulationParams(mu_e, sigma_sq)
-    raise out_of_range(
-        f"the subproportionality threshold against {s!r}", ids, sizes, params
+    raise OutOfFloatRange(
+        f"the subproportionality threshold against {s!r}",
+        mu_e=mu_e, sigma_sq=sigma_sq, total=total, sum_sq=sum_sq, n_s=n_s,
     )
 
 
 def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
     """Least size at which a player joining ``rest`` weakly prefers local
     learning under the weighted average; inf when that never happens."""
-    mu_e, sigma_sq = params.mu_e, params.sigma_sq
-    return _defection(rest.total, rest.sum_sq, mu_e, sigma_sq, rest.ids(), rest.sizes())
+    return _defection(rest.total, rest.sum_sq, *params)
 
 
 def subproportionality_threshold(
@@ -215,10 +203,7 @@ def subproportionality_threshold(
 ) -> float:
     """Least joining size at which the pair (s, newcomer) turns
     super-proportional; inf when n_s <= mu_e / (2 sigma_sq)."""
-    n_s, mu_e, sigma_sq = rest.player(s).n, params.mu_e, params.sigma_sq
-    return _subproportionality(
-        rest.total, rest.sum_sq, s, n_s, mu_e, sigma_sq, rest.ids(), rest.sizes()
-    )
+    return _subproportionality(rest.total, rest.sum_sq, s, rest.player(s).n, *params)
 
 
 class PropstabResult(NamedTuple):
@@ -266,11 +251,9 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
 
         total, sum_sq = sum(sizes), sum(n * n for n in sizes)
         mu_e, sigma_sq = params.mu_e, params.sigma_sq
-        defect = _defection(total, sum_sq, mu_e, sigma_sq, ids, sizes)
+        defect = _defection(total, sum_sq, mu_e, sigma_sq)
         for pid, n in zip(ids, sizes):
-            violate = _subproportionality(
-                total, sum_sq, pid, n, mu_e, sigma_sq, ids, sizes
-            )
+            violate = _subproportionality(total, sum_sq, pid, n, mu_e, sigma_sq)
             # Each threshold is finite or +inf, and close(inf, inf) holds
             # while close(inf, finite) does not.
             if not (defect <= violate or close(defect, violate)):
@@ -283,9 +266,8 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
             if len(sizes) > 1 and math.isfinite(defect) and close(defect, violate):
                 fail("equality_without_singleton", s=pid, threshold=defect)
             # The singleton rest = {pid}: total n, sum of squares n^2.
-            alone, alone_n = (pid,), (n,)
-            d1 = _defection(n, n * n, mu_e, sigma_sq, alone, alone_n)
-            v1 = _subproportionality(n, n * n, pid, n, mu_e, sigma_sq, alone, alone_n)
+            d1 = _defection(n, n * n, mu_e, sigma_sq)
+            v1 = _subproportionality(n, n * n, pid, n, mu_e, sigma_sq)
             if not close(d1, v1):
                 fail(
                     "singleton_mismatch",

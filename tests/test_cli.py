@@ -22,7 +22,7 @@ from fedfair import (
     PopulationParams,
     uniform_error,
 )
-from fedfair.cli import MAX_SCAN_ROWS, load_scenario_file, main
+from fedfair.cli import MAX_PLAYERS, MAX_SCAN_ROWS, load_scenario_file, main
 from fedfair.proportionality import PropstabResult
 
 UNIFORM, LOCAL = FederationMethod.UNIFORM, FederationMethod.LOCAL
@@ -206,6 +206,13 @@ class TestScenarioParsing:
         assert main(["audit", path]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_non_utf8_file_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"mu_e": 1}')
+        assert main(["audit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: invalid JSON" in err and "utf-8" in err
+
     def test_deeply_nested_json_rejected(self, tmp_path, capsys):
         path = self.write(tmp_path, "[" * 100_000 + "]" * 100_000)
         assert main(["audit", path]) == 2
@@ -241,6 +248,14 @@ class TestScenarioParsing:
         err = capsys.readouterr().err
         assert where in err and f"duplicate field {key!r}" in err
 
+    def test_audit_at_the_player_cap(self, tmp_path):
+        players = [{"n": k + 1} for k in range(MAX_PLAYERS)]
+        data = {"mu_e": 1, "sigma_sq": 1, "players": players, "method": "uniform"}
+        code, text = run_cli(["audit", self.write(tmp_path, data)], tmp_path)
+        rows = parse_csv(text)
+        assert code == 0 and len(rows) == MAX_PLAYERS + 1
+        assert rows[-1]["kind"] == "coalition"
+
     def test_default_ids_are_positional(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -258,9 +273,15 @@ class TestScenarioParsing:
             ({"mu_e": "10"}, "field 'mu_e' must be a number, got '10'"),
             ({"players": {}}, "field 'players' must be a list"),
             ({"players": [{"id": 5, "n": 2}]}, "players[0].id must be a string"),
+            # The cap is checked before any entry, so a bad 101st entry is
+            # not what the error names.
+            ({"players": [{"n": 2}] * (MAX_PLAYERS + 1)},
+             "field 'players' lists over 100 players"),
+            ({"players": [{"n": 2}] * MAX_PLAYERS + [{"n": "x"}]},
+             "field 'players' lists over 100 players"),
         ],
         ids=["top-level-list", "player-number", "mu-e-string", "players-object",
-             "id-number"],
+             "id-number", "players-over-cap", "players-over-cap-bad-entry"],
     )
     def test_malformed_value_named(self, data, message, tmp_path, capsys):
         if isinstance(data, dict):
@@ -780,6 +801,7 @@ class TestArgumentErrors:
             (["audit", "missing.json"], "missing.json"),
             (["verify", "propstab", "--instances", "0"], "--instances"),
             (["verify", "egalitarian-bound", "--instances", "abc"], "--instances"),
+            (["verify", "modularity", "--instances", "3"], "--instances"),
             (["reproduce", "mystery"], "mystery"),
             (["simulate", "SCENARIO", "--trials", "1", "--dump-scenario", "dump.json"],
              "--trials"),
@@ -791,6 +813,7 @@ class TestArgumentErrors:
              "outside the floating-point range"),
         ],
         ids=["scan-step", "audit-missing", "verify-instances", "verify-instances-text",
+             "verify-modularity-instances",
              "reproduce-table", "simulate-trials", "simulate-trials-fraction",
              "simulate-seed-dump", "audit-range-dump"],
     )

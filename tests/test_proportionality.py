@@ -18,6 +18,7 @@ from fedfair import (
     subproportionality_threshold,
     verify_propstab,
 )
+from fedfair.exceptions import OutOfFloatRange
 from fedfair.proportionality import classify_pair
 from fedfair.sampling import instance_rng, random_instance
 
@@ -185,6 +186,26 @@ class TestThresholds:
         fed = uniform_error(joined, "l", PARAMS)
         loc = local_error(Player("l", threshold), PARAMS)
         assert math.isclose(fed, loc, rel_tol=1e-9)
+
+    def test_defection_range_error_names_total_and_sum_sq(self):
+        """T^2 underflows to zero: the error names the formula's inputs."""
+        rest = Coalition((Player("s", 1e-320),))
+        with pytest.raises(OutOfFloatRange) as info:
+            defection_threshold(rest, PARAMS)
+        message = str(info.value)
+        assert "the defection threshold is outside" in message
+        assert "mu_e=10.0" in message and "sigma_sq=1.0" in message
+        assert "total=1e-320" in message and "sum_sq=0.0" in message
+
+    def test_subproportionality_range_error_names_n_s(self):
+        """(sigma_sq/n_s)(S + T^2) overflows against -2 sigma_sq T: nan."""
+        rest = Coalition((Player("s", 1e10),))
+        with pytest.raises(OutOfFloatRange) as info:
+            subproportionality_threshold(rest, "s", PopulationParams(1.0, 1e300))
+        message = str(info.value)
+        assert "the subproportionality threshold against 's' is outside" in message
+        assert "total=10000000000.0" in message and "sum_sq=1e+20" in message
+        assert "n_s=10000000000.0" in message
 
 
 class TestVerifyPropstab:

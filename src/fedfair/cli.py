@@ -56,8 +56,8 @@ MAX_SCAN_ROWS = 100_000
 # An audit judges every pair and a simulation chunk holds 65,536 floats per
 # player, so the players of a scenario file are capped.
 MAX_PLAYERS = 100
-# Every seed is an unsigned 64-bit integer.
-SEED_LIMIT = 2**64
+# Every seed, instance count and trial count is an unsigned 64-bit integer.
+INT_LIMIT = 2**64
 
 
 class ScenarioFileError(FedFairError):
@@ -68,9 +68,12 @@ class _JsonObject(dict):
     """A decoded JSON object; ``duplicate`` is the first key it repeats."""
 
     def __init__(self, pairs: list[tuple[str, object]]) -> None:
-        super().__init__(pairs)
-        keys = [key for key, _ in pairs]
-        self.duplicate = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+        super().__init__()
+        self.duplicate = None
+        for key, value in pairs:
+            if key in self and self.duplicate is None:
+                self.duplicate = key
+            self[key] = value
 
 
 def _require_object(
@@ -420,7 +423,7 @@ def run_simulate(args: argparse.Namespace) -> Output:
     params, coalition, method = load_scenario_file(args.scenario)
     seed = args.seed
     last_seed = seed + len(coalition) - 1
-    if last_seed >= SEED_LIMIT:
+    if last_seed >= INT_LIMIT:
         raise ValueError(
             f"--seed {seed} is too large for {len(coalition)} players: "
             f"they are simulated at seeds {seed} to {last_seed}, "
@@ -508,30 +511,17 @@ def run_scan(args: argparse.Namespace) -> Output:
 # Argument parsing
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: an integer in [0, 2**64)."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if not 0 <= seed < SEED_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer in [0, 2**64), got {text!r}"
-        )
-    return seed
-
-
-def _at_least(floor: int) -> Callable[[str], int]:
-    """An argparse type: an integer >= ``floor``."""
+def _integer(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer in [``low``, 2**64)."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = floor - 1
-        if value < floor:
+            value = low - 1
+        if not low <= value < INT_LIMIT:
             raise argparse.ArgumentTypeError(
-                f"must be an integer >= {floor}, got {text!r}"
+                f"must be an integer in [{low}, 2**64), got {text!r}"
             )
         return value
 
@@ -554,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed",
-        type=_seed,
+        type=_integer(0),
         default=42,
         help="master seed for randomized commands, in [0, 2**64) (default: 42)",
     )
@@ -580,13 +570,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # For the two sweeps only (default 10,000); a sweep over no instances
     # would report a vacuous pass.
-    p_verify.add_argument("--instances", type=_at_least(1))
+    p_verify.add_argument("--instances", type=_integer(1))
     p_verify.set_defaults(run=run_verify)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo check of a scenario")
     p_sim.add_argument("scenario", help="path to a scenario JSON file")
     # A standard error needs at least two trials.
-    p_sim.add_argument("--trials", type=_at_least(2), default=100_000)
+    p_sim.add_argument("--trials", type=_integer(2), default=100_000)
     p_sim.add_argument(
         "--dump-scenario", default=None, help="re-emit the parsed scenario as JSON"
     )

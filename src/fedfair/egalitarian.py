@@ -58,7 +58,10 @@ def _worst_ratio(ids: Sequence[str], errs: Sequence[float]) -> tuple[float, str,
 
 
 def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, float]:
-    """c = n_max * sigma_sq / mu_e and the egalitarian bound 2c + 1."""
+    """c = n_max * sigma_sq / mu_e and the egalitarian bound 2c + 1; the
+    bound is defined only for mu_e > 0 and sigma_sq > 0."""
+    if params.mu_e <= 0.0 or params.sigma_sq <= 0.0:
+        raise UndefinedBound("the 2c+1 bound needs mu_e > 0 and sigma_sq > 0")
     c_value = n_max * params.sigma_sq / params.mu_e
     bound = 2.0 * c_value + 1.0
     if not math.isfinite(bound):
@@ -90,11 +93,6 @@ class FairnessAudit(NamedTuple):
     satisfied: bool
 
 
-def _require_bound(params: PopulationParams) -> None:
-    if params.mu_e <= 0.0 or params.sigma_sq <= 0.0:
-        raise UndefinedBound("the 2c+1 bound needs mu_e > 0 and sigma_sq > 0")
-
-
 def audit_egalitarian(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> FairnessAudit:
@@ -103,8 +101,8 @@ def audit_egalitarian(
     c is reported as the exact real n_max * sigma_sq / mu_e (the smallest
     value covering the coalition); needs mu_e > 0 and sigma_sq > 0.
     """
-    _require_bound(params)  # before the errors, which may fail otherwise
     ids, sizes = coalition.ids(), coalition.sizes()
+    egalitarian_bound(max(sizes), params)  # before the errors, which may fail otherwise
     return _audit(ids, sizes, _errors(sizes, method, params, ids), method, params)
 
 
@@ -117,7 +115,6 @@ def _audit(
 ) -> FairnessAudit:
     """``audit_egalitarian`` of the members ``ids`` with ``sizes``, whose
     errors under ``method`` are ``errs``, all aligned in id order."""
-    _require_bound(params)
     max_ratio, hi, lo = _worst_ratio(ids, errs)
     c_value, bound = egalitarian_bound(max(sizes), params)
     return FairnessAudit(
@@ -389,7 +386,6 @@ def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResul
     max_quotient = 0.0
     checks = 0
     for index, params, ids, sizes in sweep_instances(instance_count, seed):
-        _require_bound(params)
         bound = egalitarian_bound(max(sizes), params)[1]
         for method in (FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED):
             checks += 1

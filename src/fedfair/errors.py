@@ -32,7 +32,7 @@ from .exceptions import (
     TargetNotInCoalition,
     WeightDomainMismatch,
 )
-from .model import Coalition, FederationMethod, Player, PopulationParams, REL_TOL
+from .model import Coalition, FederationMethod, Player, PopulationParams, close
 
 
 class WeightVector(NamedTuple("WeightVector", [("target", str), ("weights", dict)])):
@@ -55,7 +55,7 @@ class WeightVector(NamedTuple("WeightVector", [("target", str), ("weights", dict
             if not math.isfinite(w):
                 raise NonUnitSum(f"weight for {pid!r} is not finite: {w!r}")
             total += w
-        if not math.isclose(total, 1.0, rel_tol=REL_TOL, abs_tol=0.0):
+        if not close(total, 1.0):
             raise NonUnitSum(f"weights sum to {total!r}, expected 1")
         return super().__new__(cls, target, weights)
 

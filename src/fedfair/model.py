@@ -29,15 +29,6 @@ from .exceptions import (
 REL_TOL = 1e-9
 
 
-def check_size(player_id: str, n: float) -> float:
-    """``n``, once it is a finite positive sample count for ``player_id``."""
-    if not math.isfinite(n) or n <= 0:
-        raise NonPositiveSamples(
-            f"player {player_id!r}: n must be finite and > 0, got {n!r}"
-        )
-    return n
-
-
 def close(a: float, b: float) -> bool:
     """True when a and b agree to the package-wide relative tolerance."""
     return math.isclose(a, b, rel_tol=REL_TOL)
@@ -84,7 +75,11 @@ class Player(NamedTuple("Player", [("id", str), ("n", float)])):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, id: str, n: float) -> Player:
-        return super().__new__(cls, id, check_size(id, n))
+        if not math.isfinite(n) or n <= 0:
+            raise NonPositiveSamples(
+                f"player {id!r}: n must be finite and > 0, got {n!r}"
+            )
+        return super().__new__(cls, id, n)
 
 
 class Coalition:

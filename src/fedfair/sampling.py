@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .model import Coalition, PopulationParams, check_size
+from .model import Coalition, PopulationParams
 
 # Uniforms per instance: the player count, six sizes (the first k are
 # used) and the two constants.  Each comes from its own 56-bit word of a
@@ -55,8 +55,8 @@ def instance_sizes(
     u: k = 2 + floor(5 u_0) players p1..pk with n_i = 1 + 99 u_i,
     mu_e = 50 - 49.99 u_7 and sigma_sq = 50 - 49.99 u_8."""
     k = 2 + int(draw[0] * 5.0)
-    n = [1.0 + 99.0 * u for u in draw[1 : 1 + k]]
-    sizes = tuple(map(check_size, INSTANCE_IDS, n))
+    # Each u is in [0, 1), so each size is a valid count in [1, 100).
+    sizes = tuple(1.0 + 99.0 * u for u in draw[1 : 1 + k])
     return PopulationParams(50.0 - 49.99 * draw[7], 50.0 - 49.99 * draw[8]), sizes
 
 

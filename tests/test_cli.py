@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -22,7 +23,13 @@ from fedfair import (
     PopulationParams,
     uniform_error,
 )
-from fedfair.cli import MAX_PLAYERS, MAX_SCAN_ROWS, load_scenario_file, main
+from fedfair.cli import (
+    MAX_PLAYERS,
+    MAX_SCAN_ROWS,
+    build_parser,
+    load_scenario_file,
+    main,
+)
 from fedfair.proportionality import PropstabResult
 
 UNIFORM, LOCAL = FederationMethod.UNIFORM, FederationMethod.LOCAL
@@ -247,6 +254,21 @@ class TestScenarioParsing:
         assert main(["audit", self.write(tmp_path, text)]) == 2
         err = capsys.readouterr().err
         assert where in err and f"duplicate field {key!r}" in err
+
+    def test_many_distinct_keys_rejected_promptly(self, tmp_path, capsys):
+        """Repeated keys are found in time linear in the key count."""
+        path = self.write(tmp_path, {f"k{i}": 0 for i in range(100_000)})
+        start = time.perf_counter()
+        assert main(["audit", path]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "top level: unknown field 'k0'" in capsys.readouterr().err
+
+    def test_last_key_repeating_an_early_one_is_named(self, tmp_path, capsys):
+        keys = ["mu_e", "sigma_sq", "players", "method"]
+        keys += [f"k{i}" for i in range(50)] + ["sigma_sq"]
+        text = "{" + ", ".join(f'"{key}": 1' for key in keys) + "}"
+        assert main(["audit", self.write(tmp_path, text)]) == 2
+        assert "top level: duplicate field 'sigma_sq'" in capsys.readouterr().err
 
     def test_audit_at_the_player_cap(self, tmp_path):
         players = [{"n": k + 1} for k in range(MAX_PLAYERS)]
@@ -897,3 +919,30 @@ class TestSeedRange:
             str(2**64 - 2),
             str(2**64 - 1),
         ]
+
+
+class TestIntegerOptions:
+    """--seed, --instances and --trials are integers below 2**64, checked
+    when the arguments are parsed."""
+
+    @pytest.mark.parametrize(
+        "argv, named, low",
+        [
+            (["verify", "propstab", "--instances", str(2**64)], "--instances", 1),
+            (["simulate", "x.json", "--trials", str(2**64)], "--trials", 2),
+        ],
+        ids=["instances", "trials"],
+    )
+    def test_2_to_the_64_rejected(self, argv, named, low, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert f"must be an integer in [{low}, 2**64), got '{2**64}'" in err
+
+    def test_largest_value_parses(self):
+        top = 2**64 - 1
+        parse = build_parser().parse_args
+        assert parse(["verify", "propstab", "--instances", str(top)]).instances == top
+        assert parse(["simulate", "x.json", "--trials", str(top)]).trials == top

@@ -19,7 +19,8 @@ from fedfair import (
     local_error,
     tightness_search,
 )
-from fedfair.exceptions import UndefinedBound, ZeroDenominator
+from fedfair.egalitarian import egalitarian_bound
+from fedfair.exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from fedfair.sampling import instance_rng, random_instance
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
@@ -89,6 +90,27 @@ class TestAuditEgalitarian:
             audit_egalitarian(
                 pair(6, 20), FederationMethod.UNIFORM, PopulationParams(mu_e, sigma_sq)
             )
+
+    @pytest.mark.parametrize("mu_e,sigma_sq", [(0.0, 1.0), (1.0, 0.0)])
+    def test_bound_refuses_its_undefined_domain(self, mu_e, sigma_sq):
+        """egalitarian_bound owns its domain: mu_e = 0 would divide by zero
+        and sigma_sq = 0 would give a meaningless bound of 1."""
+        with pytest.raises(UndefinedBound):
+            egalitarian_bound(10.0, PopulationParams(mu_e, sigma_sq))
+
+    def test_undefined_bound_before_degenerate_errors(self):
+        """At mu_e = sigma_sq = 0 the fine-grained errors are degenerate too;
+        the audit reports the bound's domain first."""
+        with pytest.raises(UndefinedBound):
+            audit_egalitarian(
+                pair(6, 20), FederationMethod.FINE_GRAINED, PopulationParams(0, 0)
+            )
+
+    def test_bound_out_of_range_before_the_errors(self):
+        """Where the bound and an error both overflow, the bound is named."""
+        params = PopulationParams(1e-300, 1.7e308)
+        with pytest.raises(OutOfFloatRange, match="the 2c\\+1 bound"):
+            audit_egalitarian(pair(6, 20), FederationMethod.UNIFORM, params)
 
 
 class TestTwoPlayerClosedForms:

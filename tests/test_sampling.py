@@ -1,9 +1,11 @@
 """The verification instance stream: pinned replay values, the declared
 distribution, and independence from draw order."""
 
+import math
+
 import pytest
 
-from fedfair.sampling import DRAWS, instance_rng, random_instance
+from fedfair.sampling import DRAWS, instance_rng, instance_sizes, random_instance
 
 
 def hex_instance(seed, index):
@@ -80,3 +82,19 @@ def test_distribution_over_20k_indices():
         assert 0.01 < params.sigma_sq <= 50.0
     assert counts == {2, 3, 4, 5, 6}
 
+
+
+class TestSizeInvariant:
+    """Every uniform is in [0, 1), so every size 1 + 99 u is a valid sample
+    count in [1, 100); instance_sizes relies on this and checks nothing."""
+
+    def test_lowest_draw(self):
+        params, sizes = instance_sizes((0.0,) * DRAWS)
+        assert sizes == (1.0, 1.0)
+        assert params.mu_e == 50.0 and params.sigma_sq == 50.0
+
+    def test_highest_draw(self):
+        params, sizes = instance_sizes((1 - 2**-53,) * DRAWS)
+        assert len(sizes) == 6
+        assert all(math.isfinite(n) and n < 100.0 for n in sizes)
+        assert params.mu_e > 0.01 and params.sigma_sq > 0.01

@@ -34,6 +34,14 @@ def close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=REL_TOL)
 
 
+def compare(a: float, b: float) -> int:
+    """The one verdict rule: 0 when ``close(a, b)``, else the sign of a - b.
+    Against 0.0 it is the exact sign; inf ties with inf and tops any float."""
+    if math.isclose(a, b, rel_tol=REL_TOL):
+        return 0
+    return 1 if a > b else -1
+
+
 class FederationMethod(str, Enum):
     """How a player's estimate is assembled from the coalition's local means."""
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import expected_error, fine_grained_weights, out_of_range
 from .exceptions import InvalidNoiseList, TargetNotInCoalition
-from .model import Coalition, FederationMethod, Player, PopulationParams, close
+from .model import Coalition, FederationMethod, Player, PopulationParams, compare
 
 CHUNK_TRIALS = 1 << 16
 
@@ -55,7 +55,7 @@ class SimulationSpec:
 
     ``noise_variances`` is optional: when absent every sample has variance
     mu_e.  When present it lists candidate noise variances (one entry per
-    coalition member, averaging mu_e within 1e-12) and each trial draws
+    coalition member, averaging mu_e to a relative 1e-12) and each trial draws
     every player's variance independently and uniformly from the list, so
     the population noise expectation stays mu_e while individual draws
     vary.  A player's variance is fixed within a trial, so its local mean
@@ -89,7 +89,7 @@ class SimulationSpec:
             if any(not math.isfinite(v) or v < 0 for v in values):
                 raise InvalidNoiseList("noise variances must be finite and >= 0")
             mean = sum(values) / len(values)
-            if not math.isclose(mean, self.params.mu_e, rel_tol=1e-12, abs_tol=1e-12):
+            if not math.isclose(mean, self.params.mu_e, rel_tol=1e-12):
                 raise InvalidNoiseList(
                     f"noise variances average {mean!r}, expected mu_e="
                     f"{self.params.mu_e!r}"
@@ -191,10 +191,11 @@ def simulate_error(spec: SimulationSpec) -> SimulationResult:
     variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
     std_error = math.sqrt(variance / n)
     reference = spec.analytic_error()
+    z = 0.0
     if std_error > 0.0:
         z = (mean - reference) / std_error
-    else:
-        z = 0.0 if close(mean, reference) else math.copysign(math.inf, mean - reference)
+    elif compare(mean, reference):
+        z = math.copysign(math.inf, mean - reference)
     return SimulationResult(mean, std_error, n, reference, z)
 
 

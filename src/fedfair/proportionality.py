@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import _errors
 from .exceptions import OutOfFloatRange
-from .model import Coalition, FederationMethod, PopulationParams, close
+from .model import Coalition, FederationMethod, PopulationParams, compare
 from .sampling import describe_instance, sweep_instances
 
 
@@ -77,16 +77,10 @@ class RationalityReport(NamedTuple):
 
 def classify_pair(n_i: float, err_i: float, n_j: float, err_j: float) -> CoalitionLabel:
     """Compare n_i * err_i against n_j * err_j (roles: n_i <= n_j)."""
-    scaled_i = n_i * err_i
-    scaled_j = n_j * err_j
-    if close(scaled_i, scaled_j):
+    order = compare(n_i * err_i, n_j * err_j)
+    if order == 0:
         return CoalitionLabel.EXACT
-    return CoalitionLabel.SUB if scaled_i < scaled_j else CoalitionLabel.SUPER
-
-
-def _prefers_local(coalition_error: float, local_error: float) -> bool:
-    """A member strictly prefers local learning, beyond the tolerance."""
-    return coalition_error > local_error and not close(coalition_error, local_error)
+    return CoalitionLabel.SUB if order < 0 else CoalitionLabel.SUPER
 
 
 def _classify(
@@ -124,7 +118,7 @@ def _rationality(
 ) -> RationalityReport:
     local = _errors(n, FederationMethod.LOCAL, params, ids)
     rows = tuple(
-        PlayerRationality(pid, n_i, ce, le, _prefers_local(ce, le))
+        PlayerRationality(pid, n_i, ce, le, compare(ce, le) > 0)
         for pid, n_i, ce, le in zip(ids, n, e, local)
     )
     return RationalityReport(
@@ -244,7 +238,7 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
         # only a rational coalition needs its pairs classified.
         errs = _errors(sizes, uniform, params, ids)
         local_errs = _errors(sizes, local, params, ids)
-        if not any(map(_prefers_local, errs, local_errs)):
+        if not any(compare(ce, le) > 0 for ce, le in zip(errs, local_errs)):
             label = _classify(ids, sizes, errs, uniform).label
             if label not in (CoalitionLabel.SUB, CoalitionLabel.EXACT):
                 fail("rational_but_super", label=label.value)
@@ -254,21 +248,20 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
         defect = _defection(total, sum_sq, mu_e, sigma_sq)
         for pid, n in zip(ids, sizes):
             violate = _subproportionality(total, sum_sq, pid, n, mu_e, sigma_sq)
-            # Each threshold is finite or +inf, and close(inf, inf) holds
-            # while close(inf, finite) does not.
-            if not (defect <= violate or close(defect, violate)):
+            order = compare(defect, violate)
+            if order > 0:
                 fail(
                     "threshold_order",
                     s=pid,
                     defection=defect,
                     subproportionality=violate,
                 )
-            if len(sizes) > 1 and math.isfinite(defect) and close(defect, violate):
+            if len(sizes) > 1 and math.isfinite(defect) and order == 0:
                 fail("equality_without_singleton", s=pid, threshold=defect)
             # The singleton rest = {pid}: total n, sum of squares n^2.
             d1 = _defection(n, n * n, mu_e, sigma_sq)
             v1 = _subproportionality(n, n * n, pid, n, mu_e, sigma_sq)
-            if not close(d1, v1):
+            if compare(d1, v1) != 0:
                 fail(
                     "singleton_mismatch",
                     s=pid,

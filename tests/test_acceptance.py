@@ -92,7 +92,8 @@ def test_criterion_2_local_vs_federated_boundary():
 
 
 def test_criterion_3_egalitarian_bound_sweep():
-    """10,000 instances, both methods: 1 - 1e-12 <= ratio <= 2c+1 + 1e-9."""
+    """10,000 instances, both methods: no worst ratio above 2c+1 by
+    ``compare``, which ties values within a relative 1e-9."""
     start = time.perf_counter()
     result = bound_sweep(instance_count=10_000, seed=42)
     elapsed = time.perf_counter() - start

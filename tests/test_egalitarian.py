@@ -18,6 +18,7 @@ from fedfair import (
     inverse_size_error,
     local_error,
     tightness_search,
+    uniform_error,
 )
 from fedfair.egalitarian import egalitarian_bound
 from fedfair.exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
@@ -163,6 +164,19 @@ class TestModularity:
         assert not first.passed
         assert first.counterexample is not None
         assert first.counterexample["err_small"] < first.counterexample["err_large"]
+
+    def test_limit_catches_a_relative_miss_of_1e_6(self):
+        """A two-player error 1e-6 too large for s moves the limiting ratio
+        by about 3e-6, which property 5 must not excuse."""
+
+        def skewed(coalition, target, params):
+            err = uniform_error(coalition, target, params)
+            return err * (1 + 1e-6) if target == "s" and len(coalition) == 2 else err
+
+        fifth = check_modularity(skewed).result(5)
+        assert not fifth.passed
+        assert fifth.counterexample["ratio"] == 3.000002999998181
+        assert fifth.counterexample["limit"] == 3.0
 
     def test_inverse_size_weighting_fails_on_a_two_player_instance(self):
         err_s = inverse_size_error(pair(6, 20), "s", PARAMS)

@@ -22,6 +22,25 @@ from fedfair.exceptions import (
     NonPositiveSamples,
     NonUnitSum,
 )
+from fedfair.model import compare
+
+
+@pytest.mark.parametrize(
+    "a, b, sign",
+    [
+        (1.0, 1.0 + 1e-12, 0),
+        (1.0, 1.0 + 1e-7, -1),
+        (math.inf, math.inf, 0),
+        (math.inf, 1.0, 1),
+        (0.0, 1e-300, -1),
+        (-0.0, 0.0, 0),
+    ],
+)
+def test_compare_bands_ties_and_exact_signs(a, b, sign):
+    """Ties within the relative band, exact against zero, and the reverse
+    order gives the opposite sign."""
+    assert compare(a, b) == sign
+    assert compare(b, a) == -sign
 
 
 class TestPopulationParams:

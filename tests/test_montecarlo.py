@@ -276,6 +276,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidNoiseList):
             spec(noise_variances=(5.0, 14.0))
 
+    def test_noise_list_is_checked_at_any_scale(self):
+        """The average must match mu_e relatively, even below 1e-12."""
+        with pytest.raises(InvalidNoiseList):
+            spec(params=PopulationParams(1e-13, 1.0), noise_variances=(0.0, 0.0))
+        tiny = 2.0**-60
+        scaled = (5.0 * tiny, 15.0 * tiny)
+        spec(params=PopulationParams(10 * tiny, 1.0), noise_variances=scaled)
+        spec(params=PopulationParams(0.0, 1.0), noise_variances=(0.0, 0.0))
+
     def test_trials_lower_bound(self):
         with pytest.raises(ValueError):
             spec(trials=1)

@@ -46,6 +46,18 @@ class TestClassification:
         assert len(report.pairs) == 1
         assert report.pairs[0].small_id == "s"
 
+    @pytest.mark.parametrize(
+        "gap, below, above",
+        [
+            (1e-7, CoalitionLabel.SUB, CoalitionLabel.SUPER),
+            (1e-12, CoalitionLabel.EXACT, CoalitionLabel.EXACT),
+        ],
+    )
+    def test_pair_label_at_a_relative_gap(self, gap, below, above):
+        """Scaled errors 1e-7 apart differ; 1e-12 apart they tie."""
+        assert classify_pair(2.0, 1.5, 4.0, 0.75 * (1 + gap)) is below
+        assert classify_pair(2.0, 1.5 * (1 + gap), 4.0, 0.75) is above
+
     def test_equal_players_exact(self):
         coalition = Coalition((Player("a", 7.0), Player("b", 7.0)))
         report = classify_proportionality(coalition, FederationMethod.UNIFORM, PARAMS)

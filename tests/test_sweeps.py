@@ -153,6 +153,24 @@ class TestFailingInstancesGetFullRecords:
         assert not result.passed
         assert_same_records(result.violations, want)
 
+    @pytest.mark.parametrize("below, violated", [(1e-12, False), (1e-6, True)])
+    def test_audit_and_sweep_share_the_bound_verdict(
+        self, monkeypatch, below, violated
+    ):
+        """A bound 1e-12 relative below the worst ratio ties with it in
+        both the audit and the sweep; 1e-6 below, both report it."""
+        params, coalition = instance(self.SEED, 0)
+        ratios = {m: audit_egalitarian(coalition, m, params).max_ratio
+                  for m in (UNIFORM, FINE)}
+        method = max(ratios, key=ratios.get)
+        bound = ratios[method] * (1 - below)
+        monkeypatch.setattr(
+            fedfair.egalitarian, "egalitarian_bound", lambda n_max, params: (0.0, bound)
+        )
+        assert audit_egalitarian(coalition, method, params).satisfied is not violated
+        flagged = {v["method"] for v in bound_sweep(1, self.SEED).violations}
+        assert (method.value in flagged) is violated
+
     def test_threshold_records(self, monkeypatch):
         monkeypatch.setattr(
             fedfair.proportionality, "_subproportionality", lambda *args: 0.0
@@ -185,6 +203,9 @@ class TestFailingInstancesGetFullRecords:
             (2.0, 2.0 * (1 + 1e-12), ("equality_without_singleton",)),
             # Neither event happens: ordered, and the singletons agree.
             (math.inf, math.inf, ()),
+            # Finite thresholds 1e-7 apart: ordered, but the singletons
+            # differ beyond the relative band.
+            (2.0, 2.0 * (1 + 1e-7), ("singleton_mismatch",)),
         ],
     )
     def test_forced_threshold_records(self, monkeypatch, defect, violate, kinds):

@@ -23,7 +23,7 @@ from .egalitarian import (
     check_modularity,
     inverse_size_error,
 )
-from .errors import _errors
+from .errors import Column, Columns, _errors, in_order
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams
 from .proportionality import (
@@ -244,24 +244,42 @@ AUDIT_COLUMNS = [
 
 
 def _assess(
-    coalition: Coalition, method: FederationMethod, params: PopulationParams
-) -> tuple[RationalityReport, ProportionalityReport, FairnessAudit | None]:
-    """The three verdicts on ``coalition`` from one evaluation of its errors;
-    the 2c+1 audit is None where mu_e, sigma_sq or an error is zero."""
-    ids, sizes = coalition.ids(), coalition.sizes()
-    errs = _errors(sizes, method, params, ids)
-    rationality = _rationality(ids, sizes, errs, method, params)
-    proportionality = _classify(ids, sizes, errs, method)
-    try:
-        audit = _audit(ids, sizes, errs, method, params)
-    except (UndefinedBound, ZeroDenominator):
-        audit = None
-    return rationality, proportionality, audit
+    ids: Sequence[str],
+    columns: Columns,
+    method: FederationMethod,
+    params: PopulationParams,
+) -> list[tuple[RationalityReport, ProportionalityReport, FairnessAudit | None]]:
+    """The verdicts on each coalition of a batch, whose members ``ids`` have
+    one column of sizes each, from one evaluation of its errors and one of
+    its local errors; the 2c+1 audit is None where mu_e, sigma_sq or an
+    error is zero.  A failing batch raises as ``in_order`` does."""
+
+    def evaluate(*columns: Column) -> list[tuple]:
+        for pid, column in zip(ids, columns):
+            for n in column:
+                Player(pid, n)  # the size check of each member
+        mu_e, sigma_sq = [[value] * len(columns[0]) for value in params]
+        errs = _errors(columns, method, mu_e, sigma_sq, ids)
+        local = _errors(columns, FederationMethod.LOCAL, mu_e, sigma_sq, ids)
+        verdicts = []
+        for sizes, e, le in zip(zip(*columns), zip(*errs), zip(*local)):
+            rationality = _rationality(ids, sizes, e, le, method)
+            proportionality = _classify(ids, sizes, e, method)
+            try:
+                audit = _audit(ids, sizes, e, method, params)
+            except (UndefinedBound, ZeroDenominator):
+                audit = None
+            verdicts.append((rationality, proportionality, audit))
+        return verdicts
+
+    return in_order(evaluate, *columns)
 
 
 def run_audit(args: argparse.Namespace) -> Output:
     params, coalition, method = load_scenario_file(args.scenario)
-    rationality, proportionality, audit = _assess(coalition, method, params)
+    columns = [[n] for n in coalition.sizes()]
+    verdicts = _assess(coalition.ids(), columns, method, params)
+    rationality, proportionality, audit = verdicts[0]
     rows: list[dict] = [
         {
             "kind": "player",
@@ -302,33 +320,39 @@ REPRODUCE_COLUMNS = [
 ]
 
 
-def _pair_row(n_s: float, n_l: float, params: PopulationParams) -> dict:
-    """The uniform-federation cells of the pair s (n_s) and l (n_l): the
-    scan columns up to ``individually_rational``."""
-    coalition = Coalition((Player("s", n_s), Player("l", n_l)))
-    rationality, report, audit = _assess(coalition, FederationMethod.UNIFORM, params)
-    err = {r.player_id: r.coalition_error for r in rationality.players}
-    return {
-        "n_s": n_s,
-        "n_l": n_l,
-        "mu_e": params.mu_e,
-        "sigma_sq": params.sigma_sq,
-        "err_small": err["s"],
-        "err_large": err["l"],
-        "ratio": err["s"] / err["l"] if err["l"] else None,
-        "c": audit.c_value if audit else None,
-        "bound": audit.bound if audit else None,
-        "size_ratio": n_l / n_s,
-        "proportionality": report.label.value,
-        "individually_rational": rationality.individually_rational,
-    }
+def _pair_rows(n_s: float, n_ls: Column, params: PopulationParams) -> list[dict]:
+    """The uniform-federation cells of the pairs s (n_s) and l (each of
+    ``n_ls``) as one batch: the scan columns up to ``individually_rational``."""
+    # Ids sort l < s.
+    columns = [n_ls, [n_s] * len(n_ls)]
+    verdicts = _assess(("l", "s"), columns, FederationMethod.UNIFORM, params)
+    rows = []
+    for n_l, (rationality, report, audit) in zip(n_ls, verdicts):
+        err = {r.player_id: r.coalition_error for r in rationality.players}
+        rows.append(
+            {
+                "n_s": n_s,
+                "n_l": n_l,
+                "mu_e": params.mu_e,
+                "sigma_sq": params.sigma_sq,
+                "err_small": err["s"],
+                "err_large": err["l"],
+                "ratio": err["s"] / err["l"] if err["l"] else None,
+                "c": audit.c_value if audit else None,
+                "bound": audit.bound if audit else None,
+                "size_ratio": n_l / n_s,
+                "proportionality": report.label.value,
+                "individually_rational": rationality.individually_rational,
+            }
+        )
+    return rows
 
 
 def run_reproduce(args: argparse.Namespace) -> Output:
     params = PopulationParams(mu_e=10.0, sigma_sq=1.0)
     rows = []
-    for n_l, reference in REFERENCE_MOTIVATING.items():
-        pair = _pair_row(6.0, float(n_l), params)
+    pairs = _pair_rows(6.0, [float(n_l) for n_l in REFERENCE_MOTIVATING], params)
+    for (n_l, reference), pair in zip(REFERENCE_MOTIVATING.items(), pairs):
         cells = {column: pair[column] for column in REPRODUCE_COLUMNS[1:-1]}
         matches = all(
             abs(got - want) <= CELL_REL_TOL * abs(want)
@@ -500,10 +524,8 @@ def run_scan(args: argparse.Namespace) -> Output:
             rest, "s", params
         ),
     }
-    rows = [
-        {**_pair_row(n_s, nl_start + i * nl_step, params), **thresholds}
-        for i in range(count)
-    ]
+    n_ls = [nl_start + i * nl_step for i in range(count)]
+    rows = [{**pair, **thresholds} for pair in _pair_rows(n_s, n_ls, params)]
     return SCAN_COLUMNS, rows, None
 
 

@@ -15,15 +15,15 @@ deliberately broken weighting can be pushed through the same checks.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+from operator import itemgetter, truediv
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import WeightVector, _errors, weighted_error
+from .errors import WeightVector, _coalition_errors, _errors, in_order, weighted_error
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, compare
-from .sampling import describe_instance, sweep_instances
+from .sampling import INSTANCE_IDS, describe_instance, instance_groups
 
 ErrorFn = Callable[[Coalition, str, PopulationParams], float]
 # A modularity check's verdict and its measured values.
@@ -50,14 +50,6 @@ def _ratio(err_i: float, err_j: float, j: str) -> float:
     return err_i / err_j
 
 
-def _worst_ratio(ids: Sequence[str], errs: Sequence[float]) -> tuple[float, str, str]:
-    """The largest error over the smallest (1.0 for a lone member) and the
-    first members holding each, from errors aligned with ``ids``."""
-    top, bottom = max(errs), min(errs)
-    hi, lo = ids[errs.index(top)], ids[errs.index(bottom)]
-    return 1.0 if len(errs) == 1 else _ratio(top, bottom, lo), hi, lo
-
-
 def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, float]:
     """c = n_max * sigma_sq / mu_e and the egalitarian bound 2c + 1; the
     bound is defined only for mu_e > 0 and sigma_sq > 0."""
@@ -78,8 +70,7 @@ def error_ratio(
     params: PopulationParams,
 ) -> float:
     """err_i / err_j for two members of the same coalition."""
-    ids = coalition.ids()
-    errs = dict(zip(ids, _errors(coalition.sizes(), method, params, ids)))
+    errs = dict(zip(coalition.ids(), _coalition_errors(coalition, method, params)))
     return _ratio(errs[i], errs[j], j)
 
 
@@ -104,7 +95,8 @@ def audit_egalitarian(
     """
     ids, sizes = coalition.ids(), coalition.sizes()
     egalitarian_bound(max(sizes), params)  # before the errors, which may fail otherwise
-    return _audit(ids, sizes, _errors(sizes, method, params, ids), method, params)
+    errs = _coalition_errors(coalition, method, params)
+    return _audit(ids, sizes, errs, method, params)
 
 
 def _audit(
@@ -115,8 +107,12 @@ def _audit(
     params: PopulationParams,
 ) -> FairnessAudit:
     """``audit_egalitarian`` of the members ``ids`` with ``sizes``, whose
-    errors under ``method`` are ``errs``, all aligned in id order."""
-    max_ratio, hi, lo = _worst_ratio(ids, errs)
+    errors under ``method`` are ``errs``, all aligned in id order.  The
+    worst ratio is the largest error over the smallest (1.0 for a lone
+    member), between the first members holding each."""
+    top, bottom = max(errs), min(errs)
+    hi, lo = ids[errs.index(top)], ids[errs.index(bottom)]
+    max_ratio = 1.0 if len(errs) == 1 else _ratio(top, bottom, lo)
     c_value, bound = egalitarian_bound(max(sizes), params)
     return FairnessAudit(
         method=method.value,
@@ -204,13 +200,19 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
 
     # Property 1 checks each grid coalition once per pair of its members,
     # and property 2 reuses one two-player ratio for every third size.
-    @functools.cache
+    known: dict[tuple[PopulationParams, tuple[float, ...]], dict[str, float]] = {}
+    # For a FederationMethod: what a first pass reads, by params and size.
+    wanted: dict[tuple[PopulationParams, int], dict[tuple[float, ...], None]] = {}
+
     def errs(params: PopulationParams, sizes: tuple[float, ...]) -> dict[str, float]:
-        coalition = Coalition(tuple(map(Player, "slk", sizes)))
-        ids = coalition.ids()
-        if isinstance(method, FederationMethod):
-            return dict(zip(ids, _errors(coalition.sizes(), method, params, ids)))
-        return {pid: method(coalition, pid, params) for pid in ids}
+        if (params, sizes) not in known:
+            if isinstance(method, FederationMethod):
+                wanted.setdefault((params, len(sizes)), {})[sizes] = None
+                return dict.fromkeys("slk", 1.0)
+            coalition = Coalition(tuple(map(Player, "slk", sizes)))
+            ids = coalition.ids()
+            known[params, sizes] = {pid: method(coalition, pid, params) for pid in ids}
+        return known[params, sizes]
 
     def ratio(params: PopulationParams, *sizes: float) -> float:
         e = errs(params, sizes)
@@ -302,16 +304,29 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
         (4, monotone(0, -1.0, "derivative_in_small"), pairs),
         (5, vanishing_limit, [(pa, n_l) for pa in param_grid for n_l in PAIR_SIZES]),
     )
-    results = []
-    for prop, predicate, cases in table:
-        counterexample = None
-        for params, *args in cases:
-            ok, measured = predicate(params, *args)
-            if not ok and counterexample is None:
-                counterexample = {**params._asdict(), **measured}
-        results.append(
-            PropertyResult(prop, counterexample is None, len(cases), counterexample)
-        )
+    while True:
+        results = []
+        for prop, predicate, cases in table:
+            counterexample = None
+            for params, *args in cases:
+                ok, measured = predicate(params, *args)
+                if not ok and counterexample is None:
+                    counterexample = {**params._asdict(), **measured}
+            results.append(
+                PropertyResult(prop, counterexample is None, len(cases), counterexample)
+            )
+        if not wanted:
+            break
+        # Which coalitions a check reads never depends on their errors, so
+        # the pass on placeholder errors listed them all.  Each batch is one
+        # evaluation; ids sort k < l < s, so id order is the sizes reversed.
+        for (params, size), batch in wanted.items():
+            ids, columns = "kls"[3 - size :], list(zip(*batch))[::-1]
+            mu_e, sigma_sq = ([value] * len(batch) for value in params)
+            errors = _errors(columns, method, mu_e, sigma_sq, ids)
+            for sizes, row in zip(batch, zip(*errors)):
+                known[params, sizes] = dict(zip(ids, row))
+        wanted.clear()
     name = method.value if isinstance(method, FederationMethod) else method.__name__
     return ModularityReport(method=name, properties=tuple(results))
 
@@ -383,23 +398,34 @@ def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResul
     """Check that no worst ratio exceeds 2c+1 by ``compare``, the rule of
     ``audit_egalitarian``, on random instances under uniform and
     fine-grained federation; only a violation builds the instance's players."""
-    violations: list[dict] = []
-    max_quotient = 0.0
-    checks = 0
-    for index, params, ids, sizes in sweep_instances(instance_count, seed):
-        bound = egalitarian_bound(max(sizes), params)[1]
-        for method in (FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED):
-            checks += 1
-            ratio = _worst_ratio(ids, _errors(sizes, method, params, ids))[0]
-            max_quotient = max(max_quotient, ratio / bound)
-            if compare(ratio, bound) > 0:
-                violations.append(
-                    {
-                        "index": index,
-                        "method": method.value,
-                        "max_ratio": ratio,
-                        "bound": bound,
-                        **describe_instance(params, Coalition.from_sizes(sizes)),
-                    }
-                )
+    methods = (FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED)
+
+    def check(indices, params, sizes) -> tuple[list[dict], float]:
+        """The violations and the largest ratio/bound of one group."""
+        ids, columns = INSTANCE_IDS[: len(sizes[0])], list(zip(*sizes))
+        mu_e, sigma_sq = zip(*params)
+        bounds = [egalitarian_bound(max(n), p)[1] for n, p in zip(sizes, params)]
+        found, top = [], 0.0
+        for method in methods:
+            # Sweep errors are positive (mu_e >= 0.01 and n < 100), so the
+            # smallest error of an instance never divides by zero.
+            rows = list(zip(*_errors(columns, method, mu_e, sigma_sq, ids)))
+            ratios = list(map(truediv, map(max, rows), map(min, rows)))
+            top = max(top, *map(truediv, ratios, bounds))
+            for i, order in enumerate(map(compare, ratios, bounds)):
+                if order > 0:
+                    coalition = Coalition.from_sizes(sizes[i])
+                    record = describe_instance(params[i], coalition)
+                    found.append({"index": indices[i], "method": method.value,
+                                  "max_ratio": ratios[i], "bound": bounds[i], **record})
+        return found, top
+
+    violations, max_quotient = [], 0.0
+    for group in instance_groups(instance_count, seed):
+        found, top = in_order(check, *group)
+        violations += found
+        max_quotient = max(max_quotient, top)
+    # Groups follow player counts; records follow the instance indices.
+    violations.sort(key=itemgetter("index"))
+    checks = len(methods) * instance_count
     return BoundSweepResult(instance_count, checks, tuple(violations), max_quotient)

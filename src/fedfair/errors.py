@@ -16,23 +16,36 @@ Three weightings matter:
   closed-form optimum expressed through V_i = sigma_sq + mu_e / n_i and
   T = sum_i 1 / V_i.
 
-One kernel evaluates these forms for every member of a coalition at once;
-the per-target functions return its entries.
+The closed forms are one column kernel, ``_errors``: a column of sizes per
+member plus mu_e and sigma_sq columns go in, each elementwise step maps an
+``operator`` function over columns, and every reduction is ``sum()`` over
+exactly the member-ordered sequence a per-coalition loop sums, so floats
+are bit-identical for any batch, also under Python 3.12+, whose float
+``sum`` is compensated.  A per-coalition call is a batch of one; the sweeps
+run blocks of 1,024 instances, so their memory does not grow with
+``--instances``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from itertools import chain, combinations, repeat
+from operator import add, mul, truediv
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .exceptions import (
     DegenerateParams,
+    FedFairError,
     NonUnitSum,
     OutOfFloatRange,
     TargetNotInCoalition,
     WeightDomainMismatch,
 )
 from .model import Coalition, FederationMethod, Player, PopulationParams, close
+
+# One value per instance of a batch; a batch's sizes are one column per member.
+Column = Sequence[float]
+Columns = Sequence[Column]
 
 
 class WeightVector(NamedTuple("WeightVector", [("target", str), ("weights", dict)])):
@@ -69,11 +82,28 @@ class WeightVector(NamedTuple("WeightVector", [("target", str), ("weights", dict
         return tuple((p, self.weights[p.id]) for p in coalition.players)
 
 
-def _leave_one_out(values: list[float]) -> list[float]:
-    """sum_{i != j} values_i for every j, each summed directly in order
-    (never as the total minus the own term, which cancels badly when one
-    value dwarfs the rest)."""
-    return [sum(values[:j] + values[j + 1 :]) for j in range(len(values))]
+def in_order(evaluate: Callable[..., Any], *columns: Sequence) -> Any:
+    """``evaluate(*columns)`` of a batch of independent instances, the rows
+    of ``columns``.  On a ``FedFairError`` each instance is evaluated alone,
+    in order: the first that fails raises what a loop over them would."""
+    try:
+        return evaluate(*columns)
+    except FedFairError:
+        if len(columns[0]) > 1:
+            for instance in zip(*columns):
+                evaluate(*([value] for value in instance))
+        raise
+
+
+def _leave_one_out(columns: Columns) -> list[list[float]]:
+    """Column j holds every instance's sum_{i != j} columns_i, each summed
+    directly in member order (never as the total minus the own term, which
+    cancels badly when one value dwarfs the rest); zeros for a lone member."""
+    if len(columns) == 1:
+        return [[0.0] * len(columns[0])]
+    # The subsets come out leaving out the last member first.
+    others = combinations(columns, len(columns) - 1)
+    return [list(map(sum, zip(*rest))) for rest in others][::-1]
 
 
 def out_of_range(
@@ -85,37 +115,35 @@ def out_of_range(
 
 
 def _fine_grained_terms(
-    sizes: Sequence[float], params: PopulationParams, ids: Sequence[str]
-) -> tuple[list[float], float, list[float]]:
-    """V_i = sigma_sq + mu_e / n_i, T = sum_i 1/V_i and, for every j,
-    S_j = sum_{i != j} 1/V_i.  Raises ``OutOfFloatRange`` when some V_i
-    underflows to zero or T overflows.
-    """
-    mu_e, sigma_sq = params.mu_e, params.sigma_sq
-    if mu_e == 0.0 and sigma_sq == 0.0:
+    columns: Columns, mu_e: Column, sigma_sq: Column
+) -> tuple[list[list[float]], list[float], list[list[float]]]:
+    """The columns V_i = sigma_sq + mu_e / n_i, T = sum_i 1/V_i and
+    S_j = sum_{i != j} 1/V_i.  ``DegenerateParams`` at mu_e = sigma_sq = 0;
+    ``ArithmeticError`` when a V_i underflows to zero or a T overflows."""
+    # Both are nonnegative, so a zero sum means both are zero.
+    if 0.0 in map(add, mu_e, sigma_sq):
         raise DegenerateParams(
             "mu_e = sigma_sq = 0: every unit-sum weighting is optimal"
         )
-    v = [sigma_sq + mu_e / n for n in sizes]
-    # A zero V_i is tested before dividing: 1.0 / 0.0 raises, not inf.
-    if 0.0 not in v:
-        inverse = [1.0 / v_i for v_i in v]
-        total = sum(inverse)
-        if math.isfinite(total):
-            return v, total, _leave_one_out(inverse)
-    raise out_of_range("a fine_grained error", ids, sizes, params)
+    v = [list(map(add, sigma_sq, map(truediv, mu_e, n))) for n in columns]
+    inverse = [list(map(truediv, repeat(1.0), v_i)) for v_i in v]
+    total = list(map(sum, zip(*inverse)))
+    if not all(map(math.isfinite, total)):
+        raise ArithmeticError
+    return v, total, _leave_one_out(inverse)
 
 
 def _errors(
-    sizes: Sequence[float],
+    columns: Columns,
     method: FederationMethod,
-    params: PopulationParams,
+    mu_e: Column,
+    sigma_sq: Column,
     ids: Sequence[str],
-) -> list[float]:
-    """Every member's expected error under ``method``, from the members'
-    sample counts; ``ids`` only name them in ``OutOfFloatRange``.
-
-    The result is in the order of ``sizes``.  With T = sum_i n_i and the
+) -> list[list[float]]:
+    """One error column per member under ``method`` for a batch of
+    instances: ``columns`` holds one column of sample counts per member,
+    ``mu_e`` and ``sigma_sq`` one entry per instance, and ``ids`` only
+    name the members in ``OutOfFloatRange``.  With T = sum_i n_i and the
     leave-one-out sums taken over i != j:
 
         local:        mu_e / n_j
@@ -123,42 +151,57 @@ def _errors(
         fine-grained: (mu_e / n_j) / (V_j * T') * (1 + sigma_sq * S_j)
 
     where V_i = sigma_sq + mu_e / n_i, T' = sum_i 1/V_i and
-    S_j = sum_{i != j} 1/V_i.  Raises ``OutOfFloatRange`` when an error
-    overflows or a denominator underflows to zero or overflows.
+    S_j = sum_{i != j} 1/V_i.  Raises, as ``in_order`` does, for the first
+    instance where an error overflows or a denominator underflows to zero
+    or overflows.
     """
-    mu_e, sigma_sq = params.mu_e, params.sigma_sq
-    try:
-        if method is FederationMethod.LOCAL:
-            errors = [mu_e / n for n in sizes]
-        elif method is FederationMethod.UNIFORM:
-            total = sum(sizes)
-            off_sum = _leave_one_out(sizes)
-            off_sq = _leave_one_out([n * n for n in sizes])
-            errors = [
-                mu_e / total + sigma_sq * (sq + s * s) / (total * total)
-                for s, sq in zip(off_sum, off_sq)
-            ]
-        elif method is FederationMethod.FINE_GRAINED:
-            v, t_sum, s_off = _fine_grained_terms(sizes, params, ids)
-            # An infinite V_j * T' (largest for the largest V_j) gives 0.0.
-            if not math.isfinite(max(v) * t_sum):
-                raise out_of_range("a fine_grained error", ids, sizes, params)
-            errors = [
-                (mu_e / n) / (v_j * t_sum) * (1.0 + sigma_sq * s)
-                for n, v_j, s in zip(sizes, v, s_off)
-            ]
-        else:
-            raise ValueError(f"unknown federation method: {method!r}")
-        if all(map(math.isfinite, errors)):
-            return errors
-    except ZeroDivisionError:
-        pass
-    raise out_of_range(f"a {method.value} error", ids, sizes, params)
+
+    def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list[float]]:
+        errors = []
+        try:
+            if method is FederationMethod.LOCAL:
+                errors = [list(map(truediv, mu_e, n)) for n in columns]
+            elif method is FederationMethod.UNIFORM:
+                total = list(map(sum, zip(*columns)))
+                noise = list(map(truediv, mu_e, total))
+                square = list(map(mul, total, total))
+                off_sq = _leave_one_out([list(map(mul, n, n)) for n in columns])
+                for s, sq in zip(_leave_one_out(columns), off_sq):
+                    spread = map(mul, sigma_sq, map(add, sq, map(mul, s, s)))
+                    errors.append(list(map(add, noise, map(truediv, spread, square))))
+            elif method is FederationMethod.FINE_GRAINED:
+                v, t_sum, s_off = _fine_grained_terms(columns, mu_e, sigma_sq)
+                # An infinite V_j * T' (largest for the largest V_j) gives 0.0.
+                if not all(map(math.isfinite, map(mul, map(max, zip(*v)), t_sum))):
+                    raise ArithmeticError
+                for n, v_j, s in zip(columns, v, s_off):
+                    own = map(truediv, map(truediv, mu_e, n), map(mul, v_j, t_sum))
+                    pooled = map(add, repeat(1.0), map(mul, sigma_sq, s))
+                    errors.append(list(map(mul, own, pooled)))
+            else:
+                raise ValueError(f"unknown federation method: {method!r}")
+            if all(map(math.isfinite, chain.from_iterable(errors))):
+                return errors
+        except ArithmeticError:
+            pass
+        # Names the first instance: only a batch of one's escapes in_order.
+        sizes, params = [n[0] for n in columns], PopulationParams(mu_e[0], sigma_sq[0])
+        raise out_of_range(f"a {method.value} error", ids, sizes, params)
+
+    return in_order(evaluate, mu_e, sigma_sq, *columns)
+
+
+def _coalition_errors(
+    coalition: Coalition, method: FederationMethod, params: PopulationParams
+) -> list[float]:
+    """Each member's error in id order: ``_errors`` as a batch of one."""
+    columns, ids = [[n] for n in coalition.sizes()], coalition.ids()
+    return [e for e, in _errors(columns, method, [params.mu_e], [params.sigma_sq], ids)]
 
 
 def local_error(player: Player, params: PopulationParams) -> float:
     """Expected error when the player uses only its own samples: mu_e / n."""
-    return _errors((player.n,), FederationMethod.LOCAL, params, (player.id,))[0]
+    return _coalition_errors(Coalition((player,)), FederationMethod.LOCAL, params)[0]
 
 
 def uniform_error(coalition: Coalition, target: str, params: PopulationParams) -> float:
@@ -198,8 +241,7 @@ def expected_error(
     """
     if target not in coalition:
         raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    ids = coalition.ids()
-    return _errors(coalition.sizes(), method, params, ids)[ids.index(target)]
+    return _coalition_errors(coalition, method, params)[coalition.ids().index(target)]
 
 
 def weighted_error(
@@ -232,19 +274,22 @@ def fine_grained_weights(
     """
     if target not in coalition:
         raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    ids, sizes = coalition.ids(), coalition.sizes()
-    j = ids.index(target)
-    v, _, s_off = _fine_grained_terms(sizes, params, ids)
-    s = s_off[j]
-    denom = 1.0 + v[j] * s
-    if not math.isfinite(denom):
-        raise out_of_range("a fine_grained error", ids, sizes, params)
-    out: dict[str, float] = {}
-    for pid, v_i in zip(ids, v):
-        if pid == target:
-            out[pid] = (1.0 + params.sigma_sq * s) / denom
-        else:
-            out[pid] = (params.mu_e / sizes[j]) / (v_i * denom)
-        if not (math.isfinite(out[pid]) and out[pid] >= 0.0):
-            raise out_of_range("a fine_grained error", ids, sizes, params)
+    ids, columns = coalition.ids(), [[n] for n in coalition.sizes()]
+    j, out = ids.index(target), {}
+    try:
+        v, _, s_off = _fine_grained_terms(columns, [params.mu_e], [params.sigma_sq])
+        s = s_off[j][0]
+        denom = 1.0 + v[j][0] * s
+        if not math.isfinite(denom):
+            raise ArithmeticError
+        for pid, (v_i,) in zip(ids, v):
+            if pid == target:
+                out[pid] = (1.0 + params.sigma_sq * s) / denom
+            else:
+                out[pid] = (params.mu_e / columns[j][0]) / (v_i * denom)
+            if not (math.isfinite(out[pid]) and out[pid] >= 0.0):
+                raise ArithmeticError
+    except ArithmeticError:
+        sizes = coalition.sizes()
+        raise out_of_range("a fine_grained error", ids, sizes, params) from None
     return WeightVector(target=target, weights=out)

@@ -27,12 +27,14 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from operator import add, itemgetter, le, mul, sub, truediv
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import _errors
+from .errors import Column, _coalition_errors, _errors, in_order
 from .exceptions import OutOfFloatRange
 from .model import Coalition, FederationMethod, PopulationParams, compare
-from .sampling import describe_instance, sweep_instances
+from .sampling import INSTANCE_IDS, describe_instance, instance_groups
 
 
 class CoalitionLabel(str, Enum):
@@ -113,10 +115,9 @@ def _rationality(
     ids: Sequence[str],
     n: Sequence[float],
     e: Sequence[float],
+    local: Sequence[float],
     method: FederationMethod,
-    params: PopulationParams,
 ) -> RationalityReport:
-    local = _errors(n, FederationMethod.LOCAL, params, ids)
     rows = tuple(
         PlayerRationality(pid, n_i, ce, le, compare(ce, le) > 0)
         for pid, n_i, ce, le in zip(ids, n, e, local)
@@ -132,64 +133,80 @@ def classify_proportionality(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> ProportionalityReport:
     """Classify every pair, smaller player first (ties broken by id)."""
-    ids, sizes = coalition.ids(), coalition.sizes()
-    return _classify(ids, sizes, _errors(sizes, method, params, ids), method)
+    errs = _coalition_errors(coalition, method, params)
+    return _classify(coalition.ids(), coalition.sizes(), errs, method)
 
 
 def individually_rational(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> RationalityReport:
     """Weak-preference check of coalition error against local error."""
-    ids, sizes = coalition.ids(), coalition.sizes()
-    return _rationality(ids, sizes, _errors(sizes, method, params, ids), method, params)
+    errs = _coalition_errors(coalition, method, params)
+    local = _coalition_errors(coalition, FederationMethod.LOCAL, params)
+    return _rationality(coalition.ids(), coalition.sizes(), errs, local, method)
 
 
-def _defection(total: float, sum_sq: float, mu_e: float, sigma_sq: float) -> float:
-    """``defection_threshold`` of a rest coalition whose sizes sum to
-    ``total`` with sum of squares ``sum_sq``, at ``mu_e`` and ``sigma_sq``
-    (floats, which the sweep reads once per instance)."""
-    try:
-        denom = sigma_sq * sum_sq / (total * total) + sigma_sq - mu_e / total
-        if denom <= 0.0:
-            return math.inf
-        threshold = mu_e / denom
-        if math.isfinite(threshold):
-            return threshold
-    except ZeroDivisionError:
-        pass
-    raise OutOfFloatRange(
-        "the defection threshold",
-        mu_e=mu_e, sigma_sq=sigma_sq, total=total, sum_sq=sum_sq,
-    )
+def _thresholds(
+    what: str, formula: Callable[..., tuple[Iterable, Iterable]], **inputs: Sequence
+) -> list[float]:
+    """numer / denom of ``formula(*inputs)`` per instance of the input
+    columns, inf where denom <= 0 (the event never happens).  The first
+    instance that is not finite raises ``OutOfFloatRange`` for ``what``."""
+
+    def evaluate(*columns: Column) -> list[float]:
+        try:
+            numer, denom = formula(*columns)
+            denom = list(denom)
+            out = [math.inf if d <= 0.0 else q / d for q, d in zip(numer, denom)]
+            # Each entry is the inf of a denominator <= 0 or a finite quotient.
+            nonpositive = sum(map(le, denom, repeat(0.0)))
+            if sum(map(math.isfinite, out)) + nonpositive == len(out):
+                return out
+        except ZeroDivisionError:
+            pass
+        # Names the first instance: only a batch of one's escapes in_order.
+        raise OutOfFloatRange(what, **{k: c[0] for k, c in zip(inputs, columns)})
+
+    return in_order(evaluate, *inputs.values())
+
+
+def _defection(
+    total: Column, sum_sq: Column, mu_e: Column, sigma_sq: Column
+) -> list[float]:
+    """``defection_threshold`` of a batch of rest coalitions, each given by
+    the sum ``total`` and the sum of squares ``sum_sq`` of its sizes."""
+
+    def formula(mu_e, sigma_sq, total, sum_sq) -> tuple[Iterable, Iterable]:
+        spread = map(truediv, map(mul, sigma_sq, sum_sq), map(mul, total, total))
+        return mu_e, map(sub, map(add, spread, sigma_sq), map(truediv, mu_e, total))
+
+    inputs = {"mu_e": mu_e, "sigma_sq": sigma_sq, "total": total, "sum_sq": sum_sq}
+    return _thresholds("the defection threshold", formula, **inputs)
 
 
 def _subproportionality(
-    total: float, sum_sq: float, s: str, n_s: float, mu_e: float, sigma_sq: float
-) -> float:
-    """``subproportionality_threshold`` against member ``s`` of size ``n_s``,
-    of a rest coalition whose sizes sum to ``total`` with sum of squares
-    ``sum_sq``, at ``mu_e`` and ``sigma_sq``."""
-    denom = 2.0 * sigma_sq - mu_e / n_s
-    if denom <= 0.0:
-        return math.inf
-    numer = (
-        -2.0 * sigma_sq * total
-        + (mu_e / n_s) * total
-        + (sigma_sq / n_s) * (sum_sq + total * total)
-    )
-    threshold = numer / denom
-    if math.isfinite(threshold):
-        return threshold
-    raise OutOfFloatRange(
-        f"the subproportionality threshold against {s!r}",
-        mu_e=mu_e, sigma_sq=sigma_sq, total=total, sum_sq=sum_sq, n_s=n_s,
-    )
+    total: Column, sum_sq: Column, s: str, n_s: Column, mu_e: Column, sigma_sq: Column
+) -> list[float]:
+    """``subproportionality_threshold`` against member ``s``, of size
+    ``n_s``, of a batch of rest coalitions given as ``_defection``'s are."""
+
+    def formula(mu_e, sigma_sq, total, sum_sq, n_s) -> tuple[Iterable, Iterable]:
+        noise = list(map(truediv, mu_e, n_s))
+        own = map(add, map(mul, map(mul, repeat(-2.0), sigma_sq), total),
+                  map(mul, noise, total))
+        rest = map(mul, map(truediv, sigma_sq, n_s),
+                   map(add, sum_sq, map(mul, total, total)))
+        return map(add, own, rest), map(sub, map(mul, repeat(2.0), sigma_sq), noise)
+
+    inputs = {"mu_e": mu_e, "sigma_sq": sigma_sq, "total": total, "sum_sq": sum_sq}
+    what = f"the subproportionality threshold against {s!r}"
+    return _thresholds(what, formula, **inputs, n_s=n_s)
 
 
 def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
     """Least size at which a player joining ``rest`` weakly prefers local
     learning under the weighted average; inf when that never happens."""
-    return _defection(rest.total, rest.sum_sq, *params)
+    return _defection([rest.total], [rest.sum_sq], [params.mu_e], [params.sigma_sq])[0]
 
 
 def subproportionality_threshold(
@@ -197,7 +214,8 @@ def subproportionality_threshold(
 ) -> float:
     """Least joining size at which the pair (s, newcomer) turns
     super-proportional; inf when n_s <= mu_e / (2 sigma_sq)."""
-    return _subproportionality(rest.total, rest.sum_sq, s, rest.player(s).n, *params)
+    total, sum_sq, n_s = [rest.total], [rest.sum_sq], [rest.player(s).n]
+    return _subproportionality(total, sum_sq, s, n_s, *([v] for v in params))[0]
 
 
 class PropstabResult(NamedTuple):
@@ -224,50 +242,54 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
     Only a counterexample builds its instance's players.  Violations are
     returned as replayable counterexamples.
     """
-    counterexamples: list[dict] = []
     uniform, local = FederationMethod.UNIFORM, FederationMethod.LOCAL
 
-    def fail(kind: str, **fields: object) -> None:
-        # The record describes the instance the loop below is checking.
-        coalition = Coalition.from_sizes(sizes)
-        record = {"index": index, **describe_instance(params, coalition)}
-        counterexamples.append({**record, "kind": kind, **fields})
+    def check(indices, params, sizes) -> list[dict]:
+        """The counterexamples of one group, each instance's in check order."""
+        ids, columns = INSTANCE_IDS[: len(sizes[0])], list(zip(*sizes))
+        mu_e, sigma_sq = zip(*params)
+        found: list[dict] = []
 
-    for index, params, ids, sizes in sweep_instances(instance_count, seed):
+        def fail(i: int, kind: str, **fields: object) -> None:
+            coalition = Coalition.from_sizes(sizes[i])
+            record = {"index": indices[i], **describe_instance(params[i], coalition)}
+            found.append({**record, "kind": kind, **fields})
+
         # One evaluation of the uniform errors serves both verdicts, and
         # only a rational coalition needs its pairs classified.
-        errs = _errors(sizes, uniform, params, ids)
-        local_errs = _errors(sizes, local, params, ids)
-        if not any(compare(ce, le) > 0 for ce, le in zip(errs, local_errs)):
-            label = _classify(ids, sizes, errs, uniform).label
-            if label not in (CoalitionLabel.SUB, CoalitionLabel.EXACT):
-                fail("rational_but_super", label=label.value)
+        errs = _errors(columns, uniform, mu_e, sigma_sq, ids)
+        local_errs = _errors(columns, local, mu_e, sigma_sq, ids)
+        prefers = [list(map(compare, e, le)) for e, le in zip(errs, local_errs)]
+        for i, (row, orders) in enumerate(zip(zip(*errs), zip(*prefers))):
+            if max(orders) <= 0:
+                label = _classify(ids, sizes[i], row, uniform).label
+                if label not in (CoalitionLabel.SUB, CoalitionLabel.EXACT):
+                    fail(i, "rational_but_super", label=label.value)
 
-        total, sum_sq = sum(sizes), sum(n * n for n in sizes)
-        mu_e, sigma_sq = params.mu_e, params.sigma_sq
+        squares = [list(map(mul, n, n)) for n in columns]
+        total, sum_sq = list(map(sum, zip(*columns))), list(map(sum, zip(*squares)))
         defect = _defection(total, sum_sq, mu_e, sigma_sq)
-        for pid, n in zip(ids, sizes):
+        for pid, n, sq in zip(ids, columns, squares):
             violate = _subproportionality(total, sum_sq, pid, n, mu_e, sigma_sq)
-            order = compare(defect, violate)
-            if order > 0:
-                fail(
-                    "threshold_order",
-                    s=pid,
-                    defection=defect,
-                    subproportionality=violate,
-                )
-            if len(sizes) > 1 and math.isfinite(defect) and order == 0:
-                fail("equality_without_singleton", s=pid, threshold=defect)
             # The singleton rest = {pid}: total n, sum of squares n^2.
-            d1 = _defection(n, n * n, mu_e, sigma_sq)
-            v1 = _subproportionality(n, n * n, pid, n, mu_e, sigma_sq)
-            if compare(d1, v1) != 0:
-                fail(
-                    "singleton_mismatch",
-                    s=pid,
-                    defection=d1,
-                    subproportionality=v1,
-                )
+            alone = zip(_defection(n, sq, mu_e, sigma_sq),
+                        _subproportionality(n, sq, pid, n, mu_e, sigma_sq))
+            for i, (d, v, (d1, v1)) in enumerate(zip(defect, violate, alone)):
+                order = compare(d, v)
+                if order > 0:
+                    fail(i, "threshold_order", s=pid, defection=d, subproportionality=v)
+                if len(ids) > 1 and math.isfinite(d) and order == 0:
+                    fail(i, "equality_without_singleton", s=pid, threshold=d)
+                if compare(d1, v1) != 0:
+                    fail(i, "singleton_mismatch", s=pid, defection=d1,
+                         subproportionality=v1)
+        return found
+
+    counterexamples: list[dict] = []
+    for group in instance_groups(instance_count, seed):
+        counterexamples += in_order(check, *group)
+    # Groups follow player counts; records follow the instance indices.
+    counterexamples.sort(key=itemgetter("index"))
     return PropstabResult(
         instances=instance_count, counterexamples=tuple(counterexamples)
     )

@@ -29,6 +29,8 @@ _SHIFTS = tuple(range(3, DRAWS * 8 * _WORD_BYTES, 8 * _WORD_BYTES))
 # The ids ``Coalition.from_sizes`` gives an instance's players.  At most
 # six, so id order is draw order.
 INSTANCE_IDS = ("p1", "p2", "p3", "p4", "p5", "p6")
+# Instances a sweep draws and checks at once, which bounds its memory.
+BLOCK_SIZE = 1024
 
 
 def instance_rng(seed: int, index: int) -> tuple[float, ...]:
@@ -66,17 +68,20 @@ def random_instance(draw: tuple[float, ...]) -> tuple[PopulationParams, Coalitio
     return params, Coalition.from_sizes(sizes)
 
 
-def sweep_instances(
-    count: int, seed: int
-) -> Iterator[tuple[int, PopulationParams, tuple[str, ...], tuple[float, ...]]]:
-    """(index, params, ids, sizes) of each of the first ``count``
-    instances of the sweep at ``seed``; a count below 1 would make a
-    sweep pass with no checks, so it raises ``ValueError``."""
+def instance_groups(count: int, seed: int) -> Iterator[tuple[tuple, tuple, tuple]]:
+    """The first ``count`` instances of the sweep at ``seed`` as (indices,
+    params, sizes) groups: each block of ``BLOCK_SIZE`` consecutive indices,
+    split by player count.  A count below 1 would make a sweep pass with no
+    checks, so it raises ``ValueError``."""
     if count < 1:
         raise ValueError(f"instance count must be >= 1, got {count!r}")
-    for index in range(count):
-        params, sizes = instance_sizes(instance_rng(seed, index))
-        yield index, params, INSTANCE_IDS[: len(sizes)], sizes
+    for start in range(0, count, BLOCK_SIZE):
+        groups: dict[int, list] = {}
+        for index in range(start, min(start + BLOCK_SIZE, count)):
+            params, sizes = instance_sizes(instance_rng(seed, index))
+            groups.setdefault(len(sizes), []).append((index, params, sizes))
+        for players in sorted(groups):
+            yield tuple(zip(*groups.pop(players)))
 
 
 def describe_instance(params: PopulationParams, coalition: Coalition) -> dict:

@@ -633,19 +633,20 @@ class TestScan:
 
 
 class TestOneEvaluationPerCoalition:
-    """An audit, and each reproduce or scan row, evaluates the closed forms
-    twice: once under its method, once for the local errors."""
+    """An audit evaluates the closed forms twice, once under its method and
+    once for the local errors; reproduce and scan do the same for all their
+    rows at once, as one batch each."""
 
     @pytest.fixture
-    def methods(self, monkeypatch):
-        """The method of each closed-form evaluation, in call order, with
-        every module's binding of the kernel counted."""
+    def batches(self, monkeypatch):
+        """(method, batch size) of each closed-form evaluation, in call
+        order, with every module's binding of the kernel counted."""
         kernel = fedfair.errors._errors
         seen = []
 
-        def counting(sizes, method, params, ids):
-            seen.append(method)
-            return kernel(sizes, method, params, ids)
+        def counting(columns, method, mu_e, sigma_sq, ids):
+            seen.append((method, len(mu_e)))
+            return kernel(columns, method, mu_e, sigma_sq, ids)
 
         for name, module in list(sys.modules.items()):
             binding = getattr(module, "_errors", None)
@@ -653,15 +654,15 @@ class TestOneEvaluationPerCoalition:
                 monkeypatch.setattr(module, "_errors", counting)
         return seen
 
-    def test_audit(self, methods, scenario_620, tmp_path):
+    def test_audit(self, batches, scenario_620, tmp_path):
         assert run_cli(["audit", scenario_620], tmp_path)[0] == 0
-        assert methods == [UNIFORM, LOCAL]
+        assert batches == [(UNIFORM, 1), (LOCAL, 1)]
 
-    def test_reproduce(self, methods, tmp_path):
+    def test_reproduce(self, batches, tmp_path):
         assert run_cli(["reproduce", "motivating"], tmp_path)[0] == 0
-        assert methods == [UNIFORM, LOCAL] * 3
+        assert batches == [(UNIFORM, 3), (LOCAL, 3)]
 
-    def test_scan(self, methods, tmp_path):
+    def test_scan(self, batches, tmp_path):
         code, text = run_cli(
             [
                 "scan", "--ns", "6", "--nl-start", "20", "--nl-stop", "50",
@@ -670,7 +671,7 @@ class TestOneEvaluationPerCoalition:
             tmp_path,
         )
         assert code == 0 and len(parse_csv(text)) == 4
-        assert methods == [UNIFORM, LOCAL] * 4
+        assert batches == [(UNIFORM, 4), (LOCAL, 4)]
 
 
 class TestFloatRange:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedfair import (
     Coalition,
@@ -19,14 +21,16 @@ from fedfair import (
     uniform_error,
     weighted_error,
 )
+from fedfair.errors import _errors
 from fedfair.exceptions import (
     DegenerateParams,
+    FedFairError,
     NonUnitSum,
     OutOfFloatRange,
     TargetNotInCoalition,
     WeightDomainMismatch,
 )
-from fedfair.sampling import instance_rng, random_instance
+from fedfair.sampling import INSTANCE_IDS, instance_rng, random_instance
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
 
@@ -346,3 +350,114 @@ class TestRandomizedInvariants:
             assert uniform_error(coalition, "x", params) == local_error(
                 Player("x", n), params
             )
+
+
+def _scalar_errors(sizes, method, params):
+    """The closed forms one coalition at a time, each sum taken over the
+    member-ordered list, as a per-coalition loop writes them."""
+
+    def leave_one_out(values):
+        return [sum(values[:j] + values[j + 1 :]) for j in range(len(values))]
+
+    mu_e, sigma_sq = params
+    if method is FederationMethod.LOCAL:
+        return [mu_e / n for n in sizes]
+    if method is FederationMethod.UNIFORM:
+        total = sum(sizes)
+        off_sq = leave_one_out([n * n for n in sizes])
+        return [
+            mu_e / total + sigma_sq * (sq + s * s) / (total * total)
+            for s, sq in zip(leave_one_out(sizes), off_sq)
+        ]
+    v = [sigma_sq + mu_e / n for n in sizes]
+    inverse = [1.0 / v_i for v_i in v]
+    t_sum = sum(inverse)
+    return [
+        (mu_e / n) / (v_j * t_sum) * (1.0 + sigma_sq * s)
+        for n, v_j, s in zip(sizes, v, leave_one_out(inverse))
+    ]
+
+
+def _batches(instances):
+    """(ids, columns, mu_e, sigma_sq, instances) per player count, in order
+    of first appearance: the batches a sweep hands the column kernel."""
+    groups = {}
+    for params, sizes in instances:
+        groups.setdefault(len(sizes), []).append((params, sizes))
+    for k, group in groups.items():
+        mu_e, sigma_sq = (list(c) for c in zip(*(params for params, _ in group)))
+        columns = [list(c) for c in zip(*(sizes for _, sizes in group))]
+        yield INSTANCE_IDS[:k], columns, mu_e, sigma_sq, group
+
+
+METHODS = st.sampled_from(list(FederationMethod))
+COLUMN_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+IN_RANGE = st.tuples(
+    st.builds(PopulationParams, st.floats(0.0, 50.0), st.floats(0.01, 50.0)),
+    st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=6),
+)
+# Extreme sizes and constants: many instances leave the float range.
+ANY_RANGE = st.tuples(
+    st.builds(
+        PopulationParams,
+        st.sampled_from([0.0, 1e-320, 1.0, 1e300]),
+        st.sampled_from([0.0, 1e-320, 1.0, 1e300]),
+    ),
+    st.lists(st.sampled_from([5e-324, 1e-300, 1.0, 1e300, 1e308]), min_size=1, max_size=6),
+)
+
+
+class TestColumnKernel:
+    """A batch of instances through the column kernel gives what evaluating
+    each coalition alone gives: the same bits, or the same first failure."""
+
+    @COLUMN_SETTINGS
+    @given(instances=st.lists(IN_RANGE, min_size=1, max_size=12), method=METHODS)
+    def test_batch_equals_per_coalition_bit_for_bit(self, instances, method):
+        for ids, columns, mu_e, sigma_sq, group in _batches(instances):
+            got = zip(*_errors(columns, method, mu_e, sigma_sq, ids))
+            for row, (params, sizes) in zip(got, group):
+                coalition = Coalition.from_sizes(sizes)
+                alone = [expected_error(coalition, pid, method, params) for pid in ids]
+                scalar = _scalar_errors(sizes, method, params)
+                assert [e.hex() for e in row] == [e.hex() for e in alone]
+                assert [e.hex() for e in row] == [e.hex() for e in scalar]
+
+    @COLUMN_SETTINGS
+    @given(
+        instances=st.lists(st.one_of(IN_RANGE, ANY_RANGE), min_size=1, max_size=12),
+        method=METHODS,
+    )
+    def test_batch_raises_the_first_failure_of_an_in_order_loop(
+        self, instances, method
+    ):
+        for ids, columns, mu_e, sigma_sq, group in _batches(instances):
+            alone, first = [], None
+            for params, sizes in group:
+                coalition = Coalition.from_sizes(sizes)
+                try:
+                    alone.append(
+                        [expected_error(coalition, pid, method, params) for pid in ids]
+                    )
+                except FedFairError as exc:
+                    first = exc
+                    break
+            if first is None:
+                got = list(zip(*_errors(columns, method, mu_e, sigma_sq, ids)))
+                assert [[e.hex() for e in r] for r in got] == [
+                    [e.hex() for e in r] for r in alone
+                ]
+            else:
+                with pytest.raises(type(first)) as info:
+                    _errors(columns, method, mu_e, sigma_sq, ids)
+                assert str(info.value) == str(first)
+
+    def test_later_failure_does_not_mask_an_earlier_one(self):
+        """Instance 1 overflows its local error and instance 2 underflows:
+        the batch names instance 1, the first an in-order loop reaches."""
+        columns = [[1.0, 1e-310, 1e-320], [2.0, 3.0, 4.0]]
+        mu_e, sigma_sq = [1.0, 1e300, 1.0], [1.0, 1.0, 1.0]
+        with pytest.raises(OutOfFloatRange) as info:
+            _errors(columns, FederationMethod.LOCAL, mu_e, sigma_sq, ("p1", "p2"))
+        assert "mu_e=1e+300" in str(info.value)
+        assert "'p1': 1e-310" in str(info.value)

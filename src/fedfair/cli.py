@@ -14,11 +14,11 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 from typing import IO, Callable, Sequence
 
 from .egalitarian import (
-    FairnessAudit,
-    _audit,
+    _audits,
     bound_sweep,
     check_modularity,
     inverse_size_error,
@@ -27,9 +27,7 @@ from .errors import Column, Columns, _errors, in_order
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams
 from .proportionality import (
-    ProportionalityReport,
-    RationalityReport,
-    _classify,
+    _labels,
     _rationality,
     defection_threshold,
     subproportionality_threshold,
@@ -165,27 +163,29 @@ def _dump_scenario(
 # Output rendering
 
 
-def _cell(value: object, number: Callable[[float], str]) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return number(value)
-    return str(value)
+# A cell's text by the type of its value; a float's depends on the format.
+CELL_TEXT = {type(None): "".format, bool: ("false", "true").__getitem__}
+INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
+# Rows rendered per write of a csv or json text.
+BLOCK_ROWS = 256
+
+
+def _texts(rows: Sequence[dict], column: str, number: Callable[[float], str]) -> list:
+    """The cells of one output column as text: empty for None, true or
+    false, Infinity or -Infinity, ``number`` of any other float and
+    ``str`` of anything else."""
+    values = list(map(dict.get, rows, repeat(column)))
+    text = {**CELL_TEXT, float: number}
+    cells = [text.get(type(value), str)(value) for value in values]
+    if math.inf in values or -math.inf in values:
+        return list(map(INFINITIES.get, values, cells))
+    return cells
 
 
 def _json_safe(row: dict) -> dict:
-    """``row`` with each non-finite float replaced by its csv text, since
-    RFC 8259 JSON has no Infinity or NaN."""
-    return {
-        key: _cell(value, repr)
-        if isinstance(value, float) and not math.isfinite(value)
-        else value
-        for key, value in row.items()
-    }
+    """``row`` with each infinite float replaced by its csv text, since
+    RFC 8259 JSON has no Infinity."""
+    return dict(zip(row, map(INFINITIES.get, row.values(), row.values())))
 
 
 def _json_text(record: dict) -> str:
@@ -193,29 +193,44 @@ def _json_text(record: dict) -> str:
     return json.dumps(_json_safe(record), allow_nan=False)
 
 
+def _write_json(rows: Sequence[dict], out: IO[str]) -> None:
+    """Write what ``json.dump({"rows": rows}, out, indent=2)`` and a
+    newline write, for rows of scalar cells with at least one cell each.
+    The C encoder writes a block of rows at a time: with these separators
+    each newline it puts out ends a cell (a JSON string holds none) or,
+    after a "}", a row.  Blocks bound the memory a long text would take;
+    and an unbuffered stream drops what a short write leaves over, so one
+    write would miss a reader that went away."""
+    if not rows:
+        out.write('{\n  "rows": []\n}\n')
+        return
+    cell, between = ",\n      ", "\n    },\n    {\n      "
+    out.write('{\n  "rows": [\n    {\n      ')
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = [_json_safe(row) for row in rows[start : start + BLOCK_ROWS]]
+        text = json.dumps(block, separators=(cell, ": "), allow_nan=False)
+        text = text[2:-2].replace("}" + cell + "{", between)
+        out.write(between + text if start else text)
+    out.write("\n    }\n  ]\n}\n")
+
+
 def emit_rows(
     rows: Sequence[dict], columns: Sequence[str], fmt: str, out: IO[str]
 ) -> None:
     if fmt == "json":
-        safe = {"rows": [_json_safe(row) for row in rows]}
-        json.dump(safe, out, indent=2, allow_nan=False)
-        out.write("\n")
+        _write_json(rows, out)
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(c), repr) for c in columns])
+        for start in range(0, len(rows), BLOCK_ROWS):
+            block = rows[start : start + BLOCK_ROWS]
+            writer.writerows(zip(*(_texts(block, c, repr) for c in columns)))
     else:
-        cells = [[_cell(row.get(c), "{:.3g}".format) for c in columns] for row in rows]
-        widths = [
-            max(len(str(col)), *(len(r[i]) for r in cells)) if cells else len(str(col))
-            for i, col in enumerate(columns)
-        ]
-        out.write("  ".join(str(c).ljust(w) for c, w in zip(columns, widths)).rstrip())
-        out.write("\n")
-        for r in cells:
-            out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-            out.write("\n")
+        cells = [_texts(rows, c, "{:.3g}".format) for c in columns]
+        widths = [max([len(c), *map(len, texts)]) for c, texts in zip(columns, cells)]
+        line = "  ".join(f"{{:<{width}}}" for width in widths)
+        for texts in (columns, *zip(*cells)):
+            out.write(line.format(*texts).rstrip() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -248,53 +263,53 @@ def _assess(
     columns: Columns,
     method: FederationMethod,
     params: PopulationParams,
-) -> list[tuple[RationalityReport, ProportionalityReport, FairnessAudit | None]]:
+) -> tuple:
     """The verdicts on each coalition of a batch, whose members ``ids`` have
     one column of sizes each, from one evaluation of its errors and one of
-    its local errors; the 2c+1 audit is None where mu_e, sigma_sq or an
-    error is zero.  A failing batch raises as ``in_order`` does."""
+    its local errors: those two (a column per member), whether each member
+    prefers local learning, whether each coalition is individually
+    rational, its proportionality label and its 2c+1 audit, None where
+    mu_e, sigma_sq or an error is zero.  A failing batch raises as
+    ``in_order`` does."""
 
-    def evaluate(*columns: Column) -> list[tuple]:
+    def evaluate(*columns: Column) -> tuple:
         for pid, column in zip(ids, columns):
-            for n in column:
-                Player(pid, n)  # the size check of each member
+            if not (all(map(math.isfinite, column)) and min(column) > 0.0):
+                for n in column:
+                    Player(pid, n)  # raises the size rule's own message
         mu_e, sigma_sq = [[value] * len(columns[0]) for value in params]
         errs = _errors(columns, method, mu_e, sigma_sq, ids)
         local = _errors(columns, FederationMethod.LOCAL, mu_e, sigma_sq, ids)
-        verdicts = []
-        for sizes, e, le in zip(zip(*columns), zip(*errs), zip(*local)):
-            rationality = _rationality(ids, sizes, e, le, method)
-            proportionality = _classify(ids, sizes, e, method)
-            try:
-                audit = _audit(ids, sizes, e, method, params)
-            except (UndefinedBound, ZeroDenominator):
-                audit = None
-            verdicts.append((rationality, proportionality, audit))
-        return verdicts
+        undefined = (UndefinedBound, ZeroDenominator)
+        audits = _audits(ids, columns, errs, method, params, undefined)
+        _, labels = _labels(ids, columns, errs)
+        return errs, local, *_rationality(errs, local), labels, audits
 
     return in_order(evaluate, *columns)
 
 
 def run_audit(args: argparse.Namespace) -> Output:
     params, coalition, method = load_scenario_file(args.scenario)
-    columns = [[n] for n in coalition.sizes()]
-    verdicts = _assess(coalition.ids(), columns, method, params)
-    rationality, proportionality, audit = verdicts[0]
+    ids, sizes = coalition.ids(), coalition.sizes()
+    verdicts = _assess(ids, [[n] for n in sizes], method, params)
+    errs, local, prefers, (rational,), (label,), (audit,) = verdicts
     rows: list[dict] = [
         {
             "kind": "player",
-            "id": entry.player_id,
-            "n": entry.n,
-            "error": entry.coalition_error,
-            "local_error": entry.local_error,
-            "prefers_local": entry.prefers_local,
+            "id": pid,
+            "n": n,
+            "error": error,
+            "local_error": local_error,
+            "prefers_local": prefers_local,
         }
-        for entry in rationality.players
+        for pid, n, (error,), (local_error,), (prefers_local,) in zip(
+            ids, sizes, errs, local, prefers
+        )
     ]
     summary: dict = {
         "kind": "coalition",
-        "proportionality": proportionality.label.value,
-        "individually_rational": rationality.individually_rational,
+        "proportionality": label.value,
+        "individually_rational": rational,
     }
     if audit:
         summary.update(
@@ -320,32 +335,37 @@ REPRODUCE_COLUMNS = [
 ]
 
 
-def _pair_rows(n_s: float, n_ls: Column, params: PopulationParams) -> list[dict]:
+def _pair_rows(
+    n_s: float, n_ls: Column, params: PopulationParams, **same: object
+) -> list[dict]:
     """The uniform-federation cells of the pairs s (n_s) and l (each of
-    ``n_ls``) as one batch: the scan columns up to ``individually_rational``."""
+    ``n_ls``) as one batch: the scan columns up to ``individually_rational``,
+    then the cells ``same`` that every row shares."""
     # Ids sort l < s.
     columns = [n_ls, [n_s] * len(n_ls)]
     verdicts = _assess(("l", "s"), columns, FederationMethod.UNIFORM, params)
-    rows = []
-    for n_l, (rationality, report, audit) in zip(n_ls, verdicts):
-        err = {r.player_id: r.coalition_error for r in rationality.players}
-        rows.append(
-            {
-                "n_s": n_s,
-                "n_l": n_l,
-                "mu_e": params.mu_e,
-                "sigma_sq": params.sigma_sq,
-                "err_small": err["s"],
-                "err_large": err["l"],
-                "ratio": err["s"] / err["l"] if err["l"] else None,
-                "c": audit.c_value if audit else None,
-                "bound": audit.bound if audit else None,
-                "size_ratio": n_l / n_s,
-                "proportionality": report.label.value,
-                "individually_rational": rationality.individually_rational,
-            }
+    (err_l, err_s), _, _, rational, labels, audits = verdicts
+    mu_e, sigma_sq = params
+    return [
+        {
+            "n_s": n_s,
+            "n_l": n_l,
+            "mu_e": mu_e,
+            "sigma_sq": sigma_sq,
+            "err_small": e_s,
+            "err_large": e_l,
+            "ratio": e_s / e_l if e_l else None,
+            "c": audit.c_value if audit else None,
+            "bound": audit.bound if audit else None,
+            "size_ratio": n_l / n_s,
+            "proportionality": label.value,
+            "individually_rational": ok,
+            **same,
+        }
+        for n_l, e_s, e_l, ok, label, audit in zip(
+            n_ls, err_s, err_l, rational, labels, audits
         )
-    return rows
+    ]
 
 
 def run_reproduce(args: argparse.Namespace) -> Output:
@@ -525,8 +545,7 @@ def run_scan(args: argparse.Namespace) -> Output:
         ),
     }
     n_ls = [nl_start + i * nl_step for i in range(count)]
-    rows = [{**pair, **thresholds} for pair in _pair_rows(n_s, n_ls, params)]
-    return SCAN_COLUMNS, rows, None
+    return SCAN_COLUMNS, _pair_rows(n_s, n_ls, params, **thresholds), None
 
 
 # ---------------------------------------------------------------------------

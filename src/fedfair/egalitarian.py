@@ -20,7 +20,8 @@ import math
 from operator import itemgetter, truediv
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import WeightVector, _coalition_errors, _errors, in_order, weighted_error
+from .errors import (Columns, WeightVector, _coalition_errors, _errors, in_order,
+                     weighted_error)
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, compare
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
@@ -96,32 +97,38 @@ def audit_egalitarian(
     ids, sizes = coalition.ids(), coalition.sizes()
     egalitarian_bound(max(sizes), params)  # before the errors, which may fail otherwise
     errs = _coalition_errors(coalition, method, params)
-    return _audit(ids, sizes, errs, method, params)
+    return _audits(ids, [[n] for n in sizes], [[e] for e in errs], method, params)[0]
 
 
-def _audit(
+def _audits(
     ids: Sequence[str],
-    sizes: Sequence[float],
-    errs: Sequence[float],
+    columns: Columns,
+    errs: Columns,
     method: FederationMethod,
     params: PopulationParams,
-) -> FairnessAudit:
-    """``audit_egalitarian`` of the members ``ids`` with ``sizes``, whose
-    errors under ``method`` are ``errs``, all aligned in id order.  The
-    worst ratio is the largest error over the smallest (1.0 for a lone
-    member), between the first members holding each."""
-    top, bottom = max(errs), min(errs)
-    hi, lo = ids[errs.index(top)], ids[errs.index(bottom)]
-    max_ratio = 1.0 if len(errs) == 1 else _ratio(top, bottom, lo)
-    c_value, bound = egalitarian_bound(max(sizes), params)
-    return FairnessAudit(
-        method=method.value,
-        max_ratio=max_ratio,
-        worst_pair=(hi, lo),
-        c_value=c_value,
-        bound=bound,
-        satisfied=compare(max_ratio, bound) <= 0,
-    )
+    undefined: tuple[type[Exception], ...] = (),
+) -> list[FairnessAudit | None]:
+    """``audit_egalitarian`` of each coalition of a batch whose members
+    ``ids`` have one column each of sizes ``columns`` and of errors
+    ``errs`` under ``method``; None for a coalition whose audit raises one
+    of ``undefined``.  The worst ratio is the largest error over the
+    smallest (1.0 for a lone member), between the first members holding
+    each."""
+    rows = list(zip(*errs))
+    tops, bottoms = list(map(max, rows)), list(map(min, rows))
+    his, los = ([ids[r.index(e)] for r, e in zip(rows, es)] for es in (tops, bottoms))
+    audits, name, n_maxes = [], method.value, map(max, zip(*columns))
+    for top, bottom, hi, lo, n_max in zip(tops, bottoms, his, los, n_maxes):
+        try:
+            max_ratio = 1.0 if len(ids) == 1 else _ratio(top, bottom, lo)
+            c_value, bound = egalitarian_bound(n_max, params)
+        except undefined:
+            audits.append(None)
+            continue
+        satisfied = compare(max_ratio, bound) <= 0
+        pair = (hi, lo)
+        audits.append(FairnessAudit(name, max_ratio, pair, c_value, bound, satisfied))
+    return audits
 
 
 def inverse_size_error(

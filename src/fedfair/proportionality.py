@@ -28,10 +28,10 @@ import itertools
 import math
 from enum import Enum
 from itertools import repeat
-from operator import add, itemgetter, le, mul, sub, truediv
+from operator import add, gt, itemgetter, le, lt, mul, not_, sub, truediv
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import Column, _coalition_errors, _errors, in_order
+from .errors import Column, Columns, _coalition_errors, _errors, in_order
 from .exceptions import OutOfFloatRange
 from .model import Coalition, FederationMethod, PopulationParams, compare
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
@@ -85,56 +85,55 @@ def classify_pair(n_i: float, err_i: float, n_j: float, err_j: float) -> Coaliti
     return CoalitionLabel.SUB if order < 0 else CoalitionLabel.SUPER
 
 
-def _classify(
-    ids: Sequence[str], n: Sequence[float], e: Sequence[float], method: FederationMethod
-) -> ProportionalityReport:
-    """Every pair's verdict, smaller player first (ties broken by id), from
-    the sizes ``n`` and errors ``e`` of the members ``ids``."""
-    ranked = sorted(range(len(ids)), key=lambda i: (n[i], ids[i]))
-    pairs = tuple(
-        PairJudgment(
-            small_id=ids[s],
-            large_id=ids[l],
-            scaled_small=n[s] * e[s],
-            scaled_large=n[l] * e[l],
-            classification=classify_pair(n[s], e[s], n[l], e[l]),
-        )
-        for s, l in itertools.combinations(ranked, 2)
-    )
-    kinds = {p.classification for p in pairs} - {CoalitionLabel.EXACT}
-    if not kinds:
-        label = CoalitionLabel.EXACT
-    elif len(kinds) == 1:
-        label = kinds.pop()
-    else:
-        label = CoalitionLabel.MIXED
-    return ProportionalityReport(method=method.value, pairs=pairs, label=label)
+def _labels(
+    ids: Sequence[str], columns: Columns, errs: Columns
+) -> tuple[dict[tuple[int, int], list[CoalitionLabel]], list[CoalitionLabel]]:
+    """The proportionality verdicts on each coalition of a batch whose
+    members ``ids`` have one column each of sizes ``columns`` and errors
+    ``errs``: the label of every pair of members i < j, keyed (i, j) and
+    judged smaller player first (ties broken by id), and the coalition's."""
+    pairs = {}
+    for i, j in itertools.combinations(range(len(ids)), 2):
+        i_first = le if ids[i] < ids[j] else lt
+        pairs[i, j] = [
+            classify_pair(n_i, e_i, n_j, e_j)
+            if i_first(n_i, n_j)
+            else classify_pair(n_j, e_j, n_i, e_i)
+            for n_i, e_i, n_j, e_j in zip(columns[i], errs[i], columns[j], errs[j])
+        ]
+    labels = []
+    for row in zip(*pairs.values()) if pairs else [()] * len(columns[0]):
+        kinds = set(row) - {CoalitionLabel.EXACT}
+        if len(kinds) == 1:
+            labels.append(kinds.pop())
+        else:
+            labels.append(CoalitionLabel.MIXED if kinds else CoalitionLabel.EXACT)
+    return pairs, labels
 
 
-def _rationality(
-    ids: Sequence[str],
-    n: Sequence[float],
-    e: Sequence[float],
-    local: Sequence[float],
-    method: FederationMethod,
-) -> RationalityReport:
-    rows = tuple(
-        PlayerRationality(pid, n_i, ce, le, compare(ce, le) > 0)
-        for pid, n_i, ce, le in zip(ids, n, e, local)
-    )
-    return RationalityReport(
-        method=method.value,
-        players=rows,
-        individually_rational=not any(r.prefers_local for r in rows),
-    )
+def _rationality(errs: Columns, local: Columns) -> tuple[list[list[bool]], list[bool]]:
+    """Whether each member of each coalition of a batch strictly prefers
+    its local error (one column per member, from the errors ``errs`` and
+    local errors ``local``), and whether each coalition is individually
+    rational: nobody does."""
+    orders = (map(compare, e, le) for e, le in zip(errs, local))
+    prefers = [list(map(gt, order, repeat(0))) for order in orders]
+    return prefers, list(map(not_, map(any, zip(*prefers))))
 
 
 def classify_proportionality(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> ProportionalityReport:
     """Classify every pair, smaller player first (ties broken by id)."""
-    errs = _coalition_errors(coalition, method, params)
-    return _classify(coalition.ids(), coalition.sizes(), errs, method)
+    ids, n = coalition.ids(), coalition.sizes()
+    e = _coalition_errors(coalition, method, params)
+    pairs, (label,) = _labels(ids, [[n_i] for n_i in n], [[e_i] for e_i in e])
+    ranked = sorted(range(len(ids)), key=lambda i: (n[i], ids[i]))
+    judged = []
+    for s, l in itertools.combinations(ranked, 2):
+        (verdict,) = pairs[min(s, l), max(s, l)]
+        judged.append(PairJudgment(ids[s], ids[l], n[s] * e[s], n[l] * e[l], verdict))
+    return ProportionalityReport(method=method.value, pairs=tuple(judged), label=label)
 
 
 def individually_rational(
@@ -143,7 +142,10 @@ def individually_rational(
     """Weak-preference check of coalition error against local error."""
     errs = _coalition_errors(coalition, method, params)
     local = _coalition_errors(coalition, FederationMethod.LOCAL, params)
-    return _rationality(coalition.ids(), coalition.sizes(), errs, local, method)
+    prefers, (rational,) = _rationality([[e] for e in errs], [[e] for e in local])
+    players = map(PlayerRationality, coalition.ids(), coalition.sizes(), errs, local,
+                  [p for p, in prefers])
+    return RationalityReport(method.value, tuple(players), rational)
 
 
 def _thresholds(
@@ -256,15 +258,14 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
             found.append({**record, "kind": kind, **fields})
 
         # One evaluation of the uniform errors serves both verdicts, and
-        # only a rational coalition needs its pairs classified.
+        # only the rational coalitions need their pairs classified.
         errs = _errors(columns, uniform, mu_e, sigma_sq, ids)
         local_errs = _errors(columns, local, mu_e, sigma_sq, ids)
-        prefers = [list(map(compare, e, le)) for e, le in zip(errs, local_errs)]
-        for i, (row, orders) in enumerate(zip(zip(*errs), zip(*prefers))):
-            if max(orders) <= 0:
-                label = _classify(ids, sizes[i], row, uniform).label
-                if label not in (CoalitionLabel.SUB, CoalitionLabel.EXACT):
-                    fail(i, "rational_but_super", label=label.value)
+        rational = [i for i, ok in enumerate(_rationality(errs, local_errs)[1]) if ok]
+        n_r, e_r = ([[c[i] for i in rational] for c in cs] for cs in (columns, errs))
+        for i, label in zip(rational, _labels(ids, n_r, e_r)[1]):
+            if label not in (CoalitionLabel.SUB, CoalitionLabel.EXACT):
+                fail(i, "rational_but_super", label=label.value)
 
         squares = [list(map(mul, n, n)) for n in columns]
         total, sum_sq = list(map(sum, zip(*columns))), list(map(sum, zip(*squares)))

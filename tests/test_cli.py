@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -592,6 +593,33 @@ class TestScan:
         assert row["defection_threshold"] == "Infinity"
         assert row["subproportionality_threshold"] == "Infinity"
 
+    # A scan holds its rows until it has written them.  csv and json render
+    # 256 rows at a time, so their traced peak is the rows and verdicts:
+    # from 10,000 to 20,000 rows it grew by 960 bytes a row for both on
+    # Python 3.11.  Table also holds every cell's text to size its columns:
+    # 1,426 bytes a row.  2 KiB a row leaves 44% over table for the object
+    # sizes of other Python versions, and fails json built as one text
+    # (2,479 bytes a row).  csv peaks where json does, so json stands for it.
+    ROW_BYTES = 2048
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_memory_per_row(self, fmt, tmp_path):
+        def peak(rows):
+            argv = [
+                "--format", fmt, "--out", str(tmp_path / "out.txt"), "scan",
+                "--ns", "6", "--nl-start", "1", "--nl-stop", str(rows),
+                "--nl-step", "1", "--mu-e", "10", "--sigma-sq", "1",
+            ]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(["--out", str(tmp_path / "out.txt"), "reproduce", "motivating"])
+        assert peak(20_000) - peak(10_000) < 10_000 * self.ROW_BYTES
+
     @pytest.mark.parametrize(
         "n_s, n_l, mu_e, sigma_sq, bound",
         [
@@ -698,6 +726,21 @@ class TestFloatRange:
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert "floating-point range" in err and "1e+308" in err
+
+    def test_first_overflowing_bound_is_named(self, tmp_path, capsys):
+        """c = n_l * 1e307 here, so 2c+1 is finite on rows n_l = 1 to 8 and
+        overflows from n_l = 9 on: the message names the first such row."""
+        code, text = run_cli(
+            [
+                "scan", "--ns", "1", "--nl-start", "1", "--nl-stop", "30",
+                "--nl-step", "1", "--mu-e", "1e-10", "--sigma-sq", "1e297",
+            ],
+            tmp_path,
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "the 2c+1 bound is outside the floating-point range" in err
+        assert "n_max=9.0" in err
 
     def test_audit_never_reports_a_nan_error(self, tmp_path, capsys):
         path = tmp_path / "extreme.json"

@@ -25,7 +25,7 @@ from .egalitarian import (
 )
 from .errors import Column, Columns, _errors, in_order
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
-from .model import Coalition, FederationMethod, Player, PopulationParams
+from .model import Coalition, FederationMethod, Player, PopulationParams, check_sizes
 from .proportionality import (
     _labels,
     _rationality,
@@ -176,16 +176,16 @@ def _texts(rows: Sequence[dict], column: str, number: Callable[[float], str]) ->
     ``str`` of anything else."""
     values = list(map(dict.get, rows, repeat(column)))
     text = {**CELL_TEXT, float: number}
-    cells = [text.get(type(value), str)(value) for value in values]
     if math.inf in values or -math.inf in values:
-        return list(map(INFINITIES.get, values, cells))
-    return cells
+        text[float] = lambda value: INFINITIES.get(value) or number(value)
+    return [text.get(type(value), str)(value) for value in values]
 
 
 def _json_safe(row: dict) -> dict:
-    """``row`` with each infinite float replaced by its csv text, since
-    RFC 8259 JSON has no Infinity."""
-    return dict(zip(row, map(INFINITIES.get, row.values(), row.values())))
+    """``row`` with each non-finite float replaced by its csv text, since
+    RFC 8259 JSON has no Infinity or NaN."""
+    bad = [k for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
+    return {**row, **{k: INFINITIES.get(row[k]) or repr(row[k]) for k in bad}}
 
 
 def _json_text(record: dict) -> str:
@@ -274,9 +274,7 @@ def _assess(
 
     def evaluate(*columns: Column) -> tuple:
         for pid, column in zip(ids, columns):
-            if not (all(map(math.isfinite, column)) and min(column) > 0.0):
-                for n in column:
-                    Player(pid, n)  # raises the size rule's own message
+            check_sizes(pid, column)
         mu_e, sigma_sq = [[value] * len(columns[0]) for value in params]
         errs = _errors(columns, method, mu_e, sigma_sq, ids)
         local = _errors(columns, FederationMethod.LOCAL, mu_e, sigma_sq, ids)

@@ -72,6 +72,16 @@ class PopulationParams(
         return super().__new__(cls, mu_e, sigma_sq)
 
 
+def check_sizes(id: str, sizes: Iterable[float]) -> None:
+    """The sample-count rule of player ``id`` over a column of its sizes:
+    raise ``NonPositiveSamples`` at the first that is not finite and > 0."""
+    for n in sizes:
+        if not math.isfinite(n) or n <= 0:
+            raise NonPositiveSamples(
+                f"player {id!r}: n must be finite and > 0, got {n!r}"
+            )
+
+
 class Player(NamedTuple("Player", [("id", str), ("n", float)])):
     """One agent, identified by ``id`` and contributing ``n`` samples.
 
@@ -83,10 +93,7 @@ class Player(NamedTuple("Player", [("id", str), ("n", float)])):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, id: str, n: float) -> Player:
-        if not math.isfinite(n) or n <= 0:
-            raise NonPositiveSamples(
-                f"player {id!r}: n must be finite and > 0, got {n!r}"
-            )
+        check_sizes(id, (n,))
         return super().__new__(cls, id, n)
 
 

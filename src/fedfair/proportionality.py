@@ -87,23 +87,24 @@ def classify_pair(n_i: float, err_i: float, n_j: float, err_j: float) -> Coaliti
 
 def _labels(
     ids: Sequence[str], columns: Columns, errs: Columns
-) -> tuple[dict[tuple[int, int], list[CoalitionLabel]], list[CoalitionLabel]]:
+) -> tuple[list[list[tuple[int, int, CoalitionLabel]]], list[CoalitionLabel]]:
     """The proportionality verdicts on each coalition of a batch whose
     members ``ids`` have one column each of sizes ``columns`` and errors
-    ``errs``: the label of every pair of members i < j, keyed (i, j) and
-    judged smaller player first (ties broken by id), and the coalition's."""
-    pairs = {}
+    ``errs``: for every pair of members, a column of (small, large, label),
+    the smaller member first (ties broken by id) and the label it judges;
+    and each coalition's label."""
+    pairs = []
     for i, j in itertools.combinations(range(len(ids)), 2):
         i_first = le if ids[i] < ids[j] else lt
-        pairs[i, j] = [
-            classify_pair(n_i, e_i, n_j, e_j)
+        pairs.append([
+            (i, j, classify_pair(n_i, e_i, n_j, e_j))
             if i_first(n_i, n_j)
-            else classify_pair(n_j, e_j, n_i, e_i)
+            else (j, i, classify_pair(n_j, e_j, n_i, e_i))
             for n_i, e_i, n_j, e_j in zip(columns[i], errs[i], columns[j], errs[j])
-        ]
+        ])
     labels = []
-    for row in zip(*pairs.values()) if pairs else [()] * len(columns[0]):
-        kinds = set(row) - {CoalitionLabel.EXACT}
+    for row in zip(*pairs) if pairs else [()] * len(columns[0]):
+        kinds = {label for _, _, label in row} - {CoalitionLabel.EXACT}
         if len(kinds) == 1:
             labels.append(kinds.pop())
         else:
@@ -128,12 +129,16 @@ def classify_proportionality(
     ids, n = coalition.ids(), coalition.sizes()
     e = _coalition_errors(coalition, method, params)
     pairs, (label,) = _labels(ids, [[n_i] for n_i in n], [[e_i] for e_i in e])
-    ranked = sorted(range(len(ids)), key=lambda i: (n[i], ids[i]))
-    judged = []
-    for s, l in itertools.combinations(ranked, 2):
-        (verdict,) = pairs[min(s, l), max(s, l)]
-        judged.append(PairJudgment(ids[s], ids[l], n[s] * e[s], n[l] * e[l], verdict))
-    return ProportionalityReport(method=method.value, pairs=tuple(judged), label=label)
+    # A member's place in the (n, id) order is the count of pairs it is large in.
+    judged, place = [pair for pair, in pairs], [0] * len(ids)
+    for _, l, _ in judged:
+        place[l] += 1
+    judged.sort(key=lambda pair: (place[pair[0]], place[pair[1]]))
+    judgments = tuple(
+        PairJudgment(ids[s], ids[l], n[s] * e[s], n[l] * e[l], verdict)
+        for s, l, verdict in judged
+    )
+    return ProportionalityReport(method=method.value, pairs=judgments, label=label)
 
 
 def individually_rational(

@@ -31,7 +31,9 @@ from fedfair.cli import (
     load_scenario_file,
     main,
 )
+from fedfair.egalitarian import BoundSweepResult
 from fedfair.proportionality import PropstabResult
+from fedfair.sampling import describe_instance
 
 UNIFORM, LOCAL = FederationMethod.UNIFORM, FederationMethod.LOCAL
 
@@ -408,6 +410,28 @@ class TestVerify:
         detail = strict_json(strict_json(text)["rows"][1]["detail"])
         assert detail["defection"] == "Infinity"
         assert detail["threshold"] == "-Infinity"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    @pytest.mark.parametrize("suite", ["propstab", "egalitarian-bound"])
+    def test_replayable_records_are_reported(self, suite, fmt, tmp_path, monkeypatch):
+        """The sweeps' records hold a players list beside their floats."""
+        params = PopulationParams(1.0, 2.0)
+        instance = describe_instance(params, Coalition.from_sizes([3.0, 5.0]))
+        record = {"index": 7, **instance, "threshold": math.inf, "gap": math.nan}
+        propstab = PropstabResult(4, ({**record, "kind": "threshold_order"},))
+        bound = BoundSweepResult(4, 8, (record,), 1.5)
+        monkeypatch.setattr(fedfair.cli, "verify_propstab", lambda **_: propstab)
+        monkeypatch.setattr(fedfair.cli, "bound_sweep", lambda **_: bound)
+        code, text = run_cli(["verify", suite], tmp_path, fmt=fmt)
+        assert code == 1
+        if fmt == "json":
+            detail = strict_json(strict_json(text)["rows"][1]["detail"])
+        else:
+            assert text.count("\n") == 3
+            cell = parse_csv(text)[1]["detail"] if fmt == "csv" else text
+            detail = strict_json(cell[cell.index("{") :].rstrip())
+        assert detail["players"] == [{"id": "p1", "n": 3.0}, {"id": "p2", "n": 5.0}]
+        assert (detail["threshold"], detail["gap"]) == ("Infinity", "nan")
 
     @pytest.mark.parametrize(
         "suite, count", [("propstab", "0"), ("egalitarian-bound", "-5")]

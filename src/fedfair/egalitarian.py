@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter, truediv
+from itertools import compress, repeat
+from operator import gt, itemgetter, mul, truediv
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (Columns, WeightVector, _coalition_errors, _errors, in_order,
-                     weighted_error)
+from .errors import (Column, Columns, WeightVector, _coalition_errors, _errors,
+                     in_order, weighted_error)
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, compare
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
@@ -51,15 +52,32 @@ def _ratio(err_i: float, err_j: float, j: str) -> float:
     return err_i / err_j
 
 
+def _bounds(n_max: Column, mu_e: Column, sigma_sq: Column) -> tuple[list, list]:
+    """The c = n_max * sigma_sq / mu_e and 2c + 1 columns of a batch, defined
+    only for mu_e > 0 and sigma_sq > 0; a failing batch raises as ``in_order``."""
+
+    def evaluate(n_max: Column, mu_e: Column, sigma_sq: Column) -> tuple[list, list]:
+        if min(mu_e) <= 0.0 or min(sigma_sq) <= 0.0:
+            raise UndefinedBound("the 2c+1 bound needs mu_e > 0 and sigma_sq > 0")
+        c_values = list(map(truediv, map(mul, n_max, sigma_sq), mu_e))
+        bounds = [2.0 * c + 1.0 for c in c_values]
+        if all(map(math.isfinite, bounds)):
+            return c_values, bounds
+        raise OutOfFloatRange("the 2c+1 bound", mu_e=mu_e[0], sigma_sq=sigma_sq[0],
+                              n_max=n_max[0])
+
+    return in_order(evaluate, n_max, mu_e, sigma_sq)
+
+
+def _exceeds(ratios: Column, bounds: Column) -> list[bool]:
+    """Whether each worst ratio exceeds its 2c+1 bound: the one 2c+1 verdict."""
+    return list(map(gt, map(compare, ratios, bounds), repeat(0)))
+
+
 def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, float]:
-    """c = n_max * sigma_sq / mu_e and the egalitarian bound 2c + 1; the
-    bound is defined only for mu_e > 0 and sigma_sq > 0."""
-    if params.mu_e <= 0.0 or params.sigma_sq <= 0.0:
-        raise UndefinedBound("the 2c+1 bound needs mu_e > 0 and sigma_sq > 0")
-    c_value = n_max * params.sigma_sq / params.mu_e
-    bound = 2.0 * c_value + 1.0
-    if not math.isfinite(bound):
-        raise OutOfFloatRange("the 2c+1 bound", **params._asdict(), n_max=n_max)
+    """c = n_max * sigma_sq / mu_e and the egalitarian bound 2c + 1:
+    ``_bounds`` as a batch of one."""
+    (c_value,), (bound,) = _bounds([n_max], *([value] for value in params))
     return c_value, bound
 
 
@@ -95,9 +113,9 @@ def audit_egalitarian(
     value covering the coalition); needs mu_e > 0 and sigma_sq > 0.
     """
     ids, sizes = coalition.ids(), coalition.sizes()
-    egalitarian_bound(max(sizes), params)  # before the errors, which may fail otherwise
-    errs = _coalition_errors(coalition, method, params)
-    return _audits(ids, [[n] for n in sizes], [[e] for e in errs], method, params)[0]
+    bounds = _bounds([max(sizes)], *([v] for v in params))  # ahead of the errors
+    errs = [[e] for e in _coalition_errors(coalition, method, params)]
+    return _audits(ids, [[n] for n in sizes], errs, method, params, (), bounds)[0]
 
 
 def _audits(
@@ -107,28 +125,34 @@ def _audits(
     method: FederationMethod,
     params: PopulationParams,
     undefined: tuple[type[Exception], ...] = (),
+    bound_columns: tuple[list, list] | None = None,
 ) -> list[FairnessAudit | None]:
     """``audit_egalitarian`` of each coalition of a batch whose members
     ``ids`` have one column each of sizes ``columns`` and of errors
     ``errs`` under ``method``; None for a coalition whose audit raises one
     of ``undefined``.  The worst ratio is the largest error over the
     smallest (1.0 for a lone member), between the first members holding
-    each."""
-    rows = list(zip(*errs))
+    each, judged against ``bound_columns``: the batch's ``_bounds``, evaluated
+    first if not given."""
+    count = len(columns[0])
+    try:  # before the ratios, as in audit_egalitarian
+        n_max, shared = list(map(max, zip(*columns))), ([v] * count for v in params)
+        c_values, bounds = bound_columns or _bounds(n_max, *shared)
+    except undefined:  # every coalition of the batch shares mu_e and sigma_sq
+        return [None] * count
+    rows, ratios, name = list(zip(*errs)), [], method.value
     tops, bottoms = list(map(max, rows)), list(map(min, rows))
     his, los = ([ids[r.index(e)] for r, e in zip(rows, es)] for es in (tops, bottoms))
-    audits, name, n_maxes = [], method.value, map(max, zip(*columns))
-    for top, bottom, hi, lo, n_max in zip(tops, bottoms, his, los, n_maxes):
+    for top, bottom, lo in zip(tops, bottoms, los):
         try:
-            max_ratio = 1.0 if len(ids) == 1 else _ratio(top, bottom, lo)
-            c_value, bound = egalitarian_bound(n_max, params)
+            ratios.append(1.0 if len(ids) == 1 else _ratio(top, bottom, lo))
         except undefined:
-            audits.append(None)
-            continue
-        satisfied = compare(max_ratio, bound) <= 0
-        pair = (hi, lo)
-        audits.append(FairnessAudit(name, max_ratio, pair, c_value, bound, satisfied))
-    return audits
+            ratios.append(math.nan)  # errors are finite, so only this is NaN
+    judged = zip(ratios, his, los, c_values, bounds, _exceeds(ratios, bounds))
+    return [
+        None if math.isnan(r) else FairnessAudit(name, r, (hi, lo), c, b, not over)
+        for r, hi, lo, c, b, over in judged
+    ]
 
 
 def inverse_size_error(
@@ -402,16 +426,15 @@ class BoundSweepResult(NamedTuple):
 
 
 def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResult:
-    """Check that no worst ratio exceeds 2c+1 by ``compare``, the rule of
+    """Check that no worst ratio exceeds 2c+1 by ``_exceeds``, the rule of
     ``audit_egalitarian``, on random instances under uniform and
     fine-grained federation; only a violation builds the instance's players."""
     methods = (FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED)
 
-    def check(indices, params, sizes) -> tuple[list[dict], float]:
+    def check(indices, mu_e, sigma_sq, *columns) -> tuple[list[dict], float]:
         """The violations and the largest ratio/bound of one group."""
-        ids, columns = INSTANCE_IDS[: len(sizes[0])], list(zip(*sizes))
-        mu_e, sigma_sq = zip(*params)
-        bounds = [egalitarian_bound(max(n), p)[1] for n, p in zip(sizes, params)]
+        ids = INSTANCE_IDS[: len(columns)]
+        _, bounds = _bounds(list(map(max, zip(*columns))), mu_e, sigma_sq)
         found, top = [], 0.0
         for method in methods:
             # Sweep errors are positive (mu_e >= 0.01 and n < 100), so the
@@ -419,12 +442,12 @@ def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResul
             rows = list(zip(*_errors(columns, method, mu_e, sigma_sq, ids)))
             ratios = list(map(truediv, map(max, rows), map(min, rows)))
             top = max(top, *map(truediv, ratios, bounds))
-            for i, order in enumerate(map(compare, ratios, bounds)):
-                if order > 0:
-                    coalition = Coalition.from_sizes(sizes[i])
-                    record = describe_instance(params[i], coalition)
-                    found.append({"index": indices[i], "method": method.value,
-                                  "max_ratio": ratios[i], "bound": bounds[i], **record})
+            for i in compress(range(len(ratios)), _exceeds(ratios, bounds)):
+                params = PopulationParams(mu_e[i], sigma_sq[i])
+                coalition = Coalition.from_sizes([n[i] for n in columns])
+                record = describe_instance(params, coalition)
+                found.append({"index": indices[i], "method": method.value,
+                              "max_ratio": ratios[i], "bound": bounds[i], **record})
         return found, top
 
     violations, max_quotient = [], 0.0

@@ -251,15 +251,15 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
     """
     uniform, local = FederationMethod.UNIFORM, FederationMethod.LOCAL
 
-    def check(indices, params, sizes) -> list[dict]:
+    def check(indices, mu_e, sigma_sq, *columns) -> list[dict]:
         """The counterexamples of one group, each instance's in check order."""
-        ids, columns = INSTANCE_IDS[: len(sizes[0])], list(zip(*sizes))
-        mu_e, sigma_sq = zip(*params)
+        ids = INSTANCE_IDS[: len(columns)]
         found: list[dict] = []
 
         def fail(i: int, kind: str, **fields: object) -> None:
-            coalition = Coalition.from_sizes(sizes[i])
-            record = {"index": indices[i], **describe_instance(params[i], coalition)}
+            params = PopulationParams(mu_e[i], sigma_sq[i])
+            coalition = Coalition.from_sizes([n[i] for n in columns])
+            record = {"index": indices[i], **describe_instance(params, coalition)}
             found.append({**record, "kind": kind, **fields})
 
         # One evaluation of the uniform errors serves both verdicts, and

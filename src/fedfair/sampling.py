@@ -1,7 +1,7 @@
 """Randomized problem instances for verification sweeps.
 
 Instances follow one fixed distribution: 2 to 6 players, sample counts
-uniform on [1, 100] (reals), and both population constants uniform on
+uniform on [1, 100) (reals), and both population constants uniform on
 (0.01, 50].  Instance ``index`` of a sweep at ``seed`` is a pure function
 of the pair: its nine uniforms come from one BLAKE2b digest of
 (seed, index), a counter-based generator in the manner of Salmon et al.,
@@ -12,7 +12,10 @@ on every platform and Python version, with or without numpy.
 
 from __future__ import annotations
 
-from typing import Iterator
+import struct
+from itertools import compress, repeat
+from operator import add, eq, mul, sub
+from typing import Iterator, Sequence
 
 from .model import Coalition, PopulationParams
 
@@ -26,6 +29,8 @@ _MANTISSA = 2**53 - 1
 # Word i is bits [56 i, 56 i + 56) of the digest read as one little-endian
 # integer, so its top 53 bits start at bit 56 i + 3.
 _SHIFTS = tuple(range(3, DRAWS * 8 * _WORD_BYTES, 8 * _WORD_BYTES))
+# Clears a word's low 3 bits, so that (w & ~7) * 2**-56 = (w >> 3) * 2**-53.
+_LOW_BITS_CLEARED = bytes(b & ~7 for b in range(256))
 # The ids ``Coalition.from_sizes`` gives an instance's players.  At most
 # six, so id order is draw order.
 INSTANCE_IDS = ("p1", "p2", "p3", "p4", "p5", "p6")
@@ -35,7 +40,7 @@ BLOCK_SIZE = 1024
 
 def instance_rng(seed: int, index: int) -> tuple[float, ...]:
     """The nine uniforms on [0, 1) of instance ``index`` of the sweep at
-    ``seed``; needs 0 <= seed, index < 2**64."""
+    ``seed``, 0 <= seed, index < 2**64: the per-index reference decode."""
     # Imported here so that importing the package does not load hashlib.
     import hashlib
 
@@ -50,16 +55,27 @@ def instance_rng(seed: int, index: int) -> tuple[float, ...]:
     return tuple((words >> shift & _MANTISSA) * _UNIT for shift in _SHIFTS)
 
 
+def _instances(uniforms: Sequence[float]) -> tuple[list, list, list, list]:
+    """The player counts, mu_e, sigma_sq and six size columns of a batch whose
+    instances take ``DRAWS`` uniforms u each, in turn: k = 2 + floor(5 u_0)
+    players with sizes n_i = 1 + 99 u_i (the first k), mu_e = 50 - 49.99 u_7
+    and sigma_sq = 50 - 49.99 u_8."""
+    u = [uniforms[w::DRAWS] for w in range(DRAWS)]
+    counts = list(map(add, repeat(2), map(int, map(mul, u[0], repeat(5.0)))))
+    # Each u is in [0, 1), so each size is a valid count in [1, 100).
+    sizes = [list(map(add, repeat(1.0), map(mul, repeat(99.0), n))) for n in u[1:7]]
+    mu_e, sigma_sq = (list(map(sub, repeat(50.0), map(mul, repeat(49.99), c)))
+                      for c in u[7:])
+    return counts, mu_e, sigma_sq, sizes
+
+
 def instance_sizes(
     draw: tuple[float, ...]
 ) -> tuple[PopulationParams, tuple[float, ...]]:
-    """The params and the sizes, in id order, of one ``instance_rng`` draw
-    u: k = 2 + floor(5 u_0) players p1..pk with n_i = 1 + 99 u_i,
-    mu_e = 50 - 49.99 u_7 and sigma_sq = 50 - 49.99 u_8."""
-    k = 2 + int(draw[0] * 5.0)
-    # Each u is in [0, 1), so each size is a valid count in [1, 100).
-    sizes = tuple(1.0 + 99.0 * u for u in draw[1 : 1 + k])
-    return PopulationParams(50.0 - 49.99 * draw[7], 50.0 - 49.99 * draw[8]), sizes
+    """The params and the sizes, in id order, of one ``instance_rng`` draw:
+    ``_instances`` as a batch of one."""
+    (k,), mu_e, sigma_sq, sizes = _instances(draw)
+    return PopulationParams(*mu_e, *sigma_sq), tuple(n for n, in sizes[:k])
 
 
 def random_instance(draw: tuple[float, ...]) -> tuple[PopulationParams, Coalition]:
@@ -68,20 +84,40 @@ def random_instance(draw: tuple[float, ...]) -> tuple[PopulationParams, Coalitio
     return params, Coalition.from_sizes(sizes)
 
 
-def instance_groups(count: int, seed: int) -> Iterator[tuple[tuple, tuple, tuple]]:
-    """The first ``count`` instances of the sweep at ``seed`` as (indices,
-    params, sizes) groups: each block of ``BLOCK_SIZE`` consecutive indices,
-    split by player count.  A count below 1 would make a sweep pass with no
-    checks, so it raises ``ValueError``."""
+def instance_groups(count: int, seed: int) -> Iterator[tuple[list, ...]]:
+    """The first ``count`` instances of the sweep at ``seed`` as columns
+    (indices, mu_e, sigma_sq, n_1, ..., n_k): each block of ``BLOCK_SIZE``
+    indices, split by player count k in increasing order.  A count below 1
+    would make a sweep pass with no checks, so it raises ``ValueError``."""
     if count < 1:
         raise ValueError(f"instance count must be >= 1, got {count!r}")
+    import hashlib
+
+    instance_rng(seed, 0)  # rejects the seed as the per-index reference does
+    # A copy of this state, which has read the seed, digests each index.
+    seeded = hashlib.blake2b(seed.to_bytes(8, "little"),
+                             digest_size=DRAWS * _WORD_BYTES)
     for start in range(0, count, BLOCK_SIZE):
-        groups: dict[int, list] = {}
-        for index in range(start, min(start + BLOCK_SIZE, count)):
-            params, sizes = instance_sizes(instance_rng(seed, index))
-            groups.setdefault(len(sizes), []).append((index, params, sizes))
-        for players in sorted(groups):
-            yield tuple(zip(*groups.pop(players)))
+        indices, digest = range(start, min(start + BLOCK_SIZE, count)), bytearray()
+        for index in indices:
+            state = seeded.copy()
+            state.update(index.to_bytes(8, "little"))
+            digest += state.digest()
+        # Word w of instance i is the 7 bytes at 7 (9 i + w): widened to
+        # 8-byte lanes, one unpack reads every word.
+        lanes = bytearray(len(digest) // _WORD_BYTES * 8)
+        lanes[0::8] = digest[0::_WORD_BYTES].translate(_LOW_BITS_CLEARED)
+        for byte in range(1, _WORD_BYTES):
+            lanes[byte::8] = digest[byte::_WORD_BYTES]
+        words = struct.unpack(f"<{len(lanes) // 8}Q", lanes)
+        uniforms = list(map(mul, words, repeat(_UNIT / 8)))
+        del digest, lanes, words  # before the columns are built, for peak memory
+        k, mu_e, sigma_sq, sizes = _instances(uniforms)
+        del uniforms  # only the columns outlive the decode
+        for players in sorted(set(k)):
+            chosen = list(map(eq, k, repeat(players)))
+            group = (indices, mu_e, sigma_sq, *sizes[:players])
+            yield tuple(list(compress(column, chosen)) for column in group)
 
 
 def describe_instance(params: PopulationParams, coalition: Coalition) -> dict:

@@ -811,6 +811,22 @@ class TestFloatRange:
         assert "fine_grained error" in err and "mu_e=1.0362991679087545e+59" in err
         assert "sigma_sq=0.0" in err and "'c': 4.836641475429374e-192" in err
 
+    @pytest.mark.parametrize("method", ["local", "fine_grained"])
+    def test_bound_is_judged_before_zero_errors(self, tmp_path, capsys, method):
+        """Every error underflows to 0.0, so no ratio is defined, but the
+        2c+1 bound overflows: an input error, as ``audit_egalitarian``
+        reports it, and never a row with empty c and bound cells."""
+        path = tmp_path / "zero_errors.json"
+        path.write_text(
+            '{"mu_e": 5e-324, "sigma_sq": 1e300, "players": [{"id": "a", "n": 10}, '
+            f'{{"id": "b", "n": 20}}], "method": "{method}"}}'
+        )
+        code, text = run_cli(["audit", str(path)], tmp_path)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "the 2c+1 bound is outside the floating-point range" in err
+        assert "mu_e=5e-324" in err and "n_max=20.0" in err
+
     def test_underflowing_total_squared_is_a_uniform_range_error(
         self, tmp_path, capsys
     ):

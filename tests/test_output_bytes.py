@@ -32,8 +32,8 @@ AUDIT_PLAYERS = [
     {"id": "a", "n": 40}, {"id": "b", "n": 6}, {"id": "σ", "n": 13.75},
 ]
 
-# Digests of the output of the per-row verdicts, with the json format
-# written by json.dump(indent=2, allow_nan=False) itself.
+# Digests of the output of the per-row verdicts and the per-index sweeps,
+# with the json format written by json.dump(indent=2, allow_nan=False) itself.
 PINS = {
     "scan-rows3000-csv": "70cc2cca96c0912822dc2912b1d7f6a764e0a17ddf2dc00d031fb9250ff91c49",
     "scan-rows3000-json": "c8797e4018d13693a7091d4db54f9b4e5a293071e9ad997581e6ec28370dadc8",
@@ -65,6 +65,20 @@ PINS = {
         "acc95859c9f5986f85c87a0b99a1188cdf2e4d66e4a7e09f13aabb9b0520441b",
     "audit-fine_grained-table":
         "32ea038a2232b7b701b6e587934d07fec4f4cd7e8526a38b4bd46271a3f86142",
+    "verify-egalitarian-bound-csv":
+        "c59bf72c56abed5599d861fb6d61e6512e448a1a46dbbfb7d1c98573e0e9a156",
+    "verify-egalitarian-bound-json":
+        "f02df1ecd2b665e9e2922d2d1fcf0e152c37d1e912123838325e49d30d653fde",
+    "verify-egalitarian-bound-table":
+        "2b14d52b5ccd8b30bfe7227f76464ebe79688739d920ef8617b5638aaf8d0749",
+    "verify-propstab-csv":
+        "2c894e53820c9224a955b3fccff50130f9e94bc65a1db7a2f7e7a741adc5e972",
+    "verify-propstab-json":
+        "b4374d352b0675cc4ba8ad9c84d0f251d505a03b01cc435a46715810b97b0528",
+    "verify-propstab-table":
+        "dc85288f2f8854b3b0b4e8f332636f0887368e71c41d636fdfc18e58cd97a845",
+    "verify-modularity-csv":
+        "9988231b501b24b262e2d4ec2c49c38d2604bddc00acc75c9f266e865057df04",
 }
 
 
@@ -99,3 +113,16 @@ def test_audit(method, fmt, tmp_path):
     )
     argv = ["--format", fmt, "audit", str(scenario)]
     assert output_sha256(argv, tmp_path) == PINS[f"audit-{method}-{fmt}"]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("sweep", ["egalitarian-bound", "propstab"])
+def test_sweep(sweep, fmt, tmp_path):
+    """2,049 instances: two full blocks and a partial block of one."""
+    argv = ["--seed", "42", "--format", fmt, "verify", sweep, "--instances", "2049"]
+    assert output_sha256(argv, tmp_path) == PINS[f"verify-{sweep}-{fmt}"]
+
+
+def test_modularity(tmp_path):
+    argv = ["--format", "csv", "verify", "modularity"]
+    assert output_sha256(argv, tmp_path) == PINS["verify-modularity-csv"]

@@ -1,11 +1,15 @@
 """The verification instance stream: pinned replay values, the declared
-distribution, and independence from draw order."""
+distribution, independence from draw order, and the block decode against
+the per-index reference."""
 
 import math
 
 import pytest
 
-from fedfair.sampling import DRAWS, instance_rng, instance_sizes, random_instance
+from fedfair.egalitarian import bound_sweep
+from fedfair.proportionality import verify_propstab
+from fedfair.sampling import (BLOCK_SIZE, DRAWS, instance_groups, instance_rng,
+                              instance_sizes, random_instance)
 
 
 def hex_instance(seed, index):
@@ -71,13 +75,13 @@ class TestReplay:
 
 
 def test_distribution_over_20k_indices():
-    """2 to 6 players, every count present; sizes in [1, 100]; both
+    """2 to 6 players, every count present; sizes in [1, 100); both
     constants in (0.01, 50]."""
     counts = set()
     for index in range(20_000):
         params, coalition = random_instance(instance_rng(2024, index))
         counts.add(len(coalition))
-        assert all(1.0 <= p.n <= 100.0 for p in coalition.players)
+        assert all(1.0 <= p.n < 100.0 for p in coalition.players)
         assert 0.01 < params.mu_e <= 50.0
         assert 0.01 < params.sigma_sq <= 50.0
     assert counts == {2, 3, 4, 5, 6}
@@ -98,3 +102,39 @@ class TestSizeInvariant:
         assert len(sizes) == 6
         assert all(math.isfinite(n) and n < 100.0 for n in sizes)
         assert params.mu_e > 0.01 and params.sigma_sq > 0.01
+
+
+class TestBlockStream:
+    """``instance_groups`` decodes each block of digests at once; instance
+    by instance it must equal the per-index reference, bit for bit."""
+
+    COUNT = 2049  # two full blocks and a partial block of one
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_groups_match_the_per_index_reference(self, seed):
+        got, order = [], []
+        for indices, mu_e, sigma_sq, *sizes in instance_groups(self.COUNT, seed):
+            assert indices == sorted(indices)
+            block = indices[0] // BLOCK_SIZE
+            assert {index // BLOCK_SIZE for index in indices} == {block}
+            assert all(len(c) == len(indices) for c in (mu_e, sigma_sq, *sizes))
+            order.append((block, len(sizes)))
+            for i, index in enumerate(indices):
+                row = [n[i].hex() for n in sizes]
+                got.append((index, mu_e[i].hex(), sigma_sq[i].hex(), row))
+        want = []
+        for index in range(self.COUNT):
+            params, sizes = instance_sizes(instance_rng(seed, index))
+            row = [n.hex() for n in sizes]
+            want.append((index, params.mu_e.hex(), params.sigma_sq.hex(), row))
+        assert order == sorted(set(order))  # blocks in turn, each by player count
+        assert sorted(got) == want
+
+    @pytest.mark.parametrize("sweep", [bound_sweep, verify_propstab])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_sweeps_reject_the_seed_as_the_reference_does(self, sweep, seed):
+        with pytest.raises(ValueError, match="2\\*\\*64") as reference:
+            instance_rng(seed, 0)
+        with pytest.raises(ValueError) as swept:
+            sweep(10, seed)
+        assert str(swept.value) == str(reference.value)

@@ -115,6 +115,11 @@ class TestSweepsMatchPerCoalitionFunctions:
             assert coalition.sizes() == tuple(1.0 + 99.0 * u for u in draw[1 : 1 + k])
 
 
+def fixed_bound(bound):
+    """A stand-in for ``egalitarian._bounds`` that puts every 2c+1 at ``bound``."""
+    return lambda n_max, mu_e, sigma_sq: ([0.0] * len(n_max), [bound] * len(n_max))
+
+
 def expected_record(seed, index, **fields):
     """A record as the sweeps document it, built from the public objects."""
     return {"index": index, **describe_instance(*instance(seed, index)), **fields}
@@ -133,9 +138,7 @@ class TestFailingInstancesGetFullRecords:
     SEED, COUNT = 7, 4
 
     def test_bound_violation_records(self, monkeypatch):
-        monkeypatch.setattr(
-            fedfair.egalitarian, "egalitarian_bound", lambda n_max, params: (0.0, 0.5)
-        )
+        monkeypatch.setattr(fedfair.egalitarian, "_bounds", fixed_bound(0.5))
         want = []
         for index in range(self.COUNT):
             params, coalition = instance(self.SEED, index)
@@ -165,9 +168,7 @@ class TestFailingInstancesGetFullRecords:
                   for m in (UNIFORM, FINE)}
         method = max(ratios, key=ratios.get)
         bound = ratios[method] * (1 - below)
-        monkeypatch.setattr(
-            fedfair.egalitarian, "egalitarian_bound", lambda n_max, params: (0.0, bound)
-        )
+        monkeypatch.setattr(fedfair.egalitarian, "_bounds", fixed_bound(bound))
         assert audit_egalitarian(coalition, method, params).satisfied is not violated
         flagged = {v["method"] for v in bound_sweep(1, self.SEED).violations}
         assert (method.value in flagged) is violated
@@ -287,9 +288,7 @@ class TestBlocks:
         assert result.max_quotient.hex() == (
             reference_bound_sweep(self.SEED, count)[2].hex()
         )
-        monkeypatch.setattr(
-            fedfair.egalitarian, "egalitarian_bound", lambda n_max, params: (0.0, 0.5)
-        )
+        monkeypatch.setattr(fedfair.egalitarian, "_bounds", fixed_bound(0.5))
         checks, violations, max_quotient = reference_bound_sweep(self.SEED, count)
         result = bound_sweep(count, self.SEED)
         assert result.checks == checks == 2 * count

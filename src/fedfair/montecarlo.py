@@ -15,18 +15,22 @@ Determinism: trials are processed in fixed chunks of 65536, the k-th
 chunk seeded by ``SeedSequence(seed, spawn_key=(k,))`` (what
 ``SeedSequence(seed).spawn`` would make).  A simulation runs its chunks
 in order on the calling thread and adds their partial sums in chunk
-order, holding one chunk at a time, so memory does not grow with the
-trial count.  ``simulate_suite(threads=N)`` runs up to N whole
-simulations at once; each result is bit-identical at any N.
+order.  It allocates its buffers once and refills them for every chunk:
+the means (one row per trial of a chunk), one column of squared errors,
+and one 4096-row block of estimate noise, which each chunk draws block
+by block.  A generator fills ``out=`` in C order, so the blocks hold
+exactly the numbers one whole-chunk draw would, and memory grows neither
+with the trial count nor with a player's sample count.
+``simulate_suite(threads=N)`` runs up to N whole simulations at once;
+each result is bit-identical at any N.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import operator
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from .exceptions import InvalidNoiseList, TargetNotInCoalition
 from .model import Coalition, FederationMethod, Player, PopulationParams, compare
 
 CHUNK_TRIALS = 1 << 16
+BLOCK_ROWS = 1 << 12
 
 
 class MeanDistribution(str, Enum):
@@ -44,8 +49,32 @@ class MeanDistribution(str, Enum):
     UNIFORM = "uniform"
 
 
-@dataclass(frozen=True)
-class SimulationSpec:
+def _integer(field: str, value: object) -> int:
+    """``value`` as an int; a bool or a non-integer is rejected by name."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+class SimulationSpec(
+    NamedTuple(
+        "SimulationSpec",
+        [
+            ("coalition", Coalition),
+            ("target", str),
+            ("params", PopulationParams),
+            ("method", FederationMethod),
+            ("mean_distribution", MeanDistribution),
+            ("noise_variances", tuple[float, ...] | None),
+            ("trials", int),
+            ("seed", int),
+            ("label", str),
+        ],
+    )
+):
     """One simulation: who federates, how estimates combine, and the RNG seed.
 
     A player's local estimate is the mean of its n samples, drawn
@@ -61,43 +90,54 @@ class SimulationSpec:
     vary.  A player's variance is fixed within a trial, so its local mean
     is still exactly normal.  The closed forms depend on the noise only
     through mu_e, which is exactly what this option exists to demonstrate.
+
+    Validation runs in ``__new__``, which ``_make``, ``_replace``, copy and
+    pickle go through too.
     """
 
-    coalition: Coalition
-    target: str
-    params: PopulationParams
-    method: FederationMethod
-    mean_distribution: MeanDistribution = MeanDistribution.GAUSSIAN
-    noise_variances: tuple[float, ...] | None = None
-    trials: int = 1_000_000
-    seed: int = 0
-    label: str = ""
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self) -> None:
-        if self.target not in self.coalition:
-            raise TargetNotInCoalition(f"target {self.target!r} not in coalition")
-        if not isinstance(self.method, FederationMethod):
-            raise ValueError(f"method must be a FederationMethod, got {self.method!r}")
-        if self.noise_variances is not None:
-            object.__setattr__(self, "noise_variances", tuple(self.noise_variances))
-            values = self.noise_variances
-            if len(values) != len(self.coalition):
+    def __new__(
+        cls,
+        coalition: Coalition,
+        target: str,
+        params: PopulationParams,
+        method: FederationMethod,
+        mean_distribution: MeanDistribution = MeanDistribution.GAUSSIAN,
+        noise_variances: Sequence[float] | None = None,
+        trials: int = 1_000_000,
+        seed: int = 0,
+        label: str = "",
+    ) -> SimulationSpec:
+        if target not in coalition:
+            raise TargetNotInCoalition(f"target {target!r} not in coalition")
+        if not isinstance(method, FederationMethod):
+            raise ValueError(f"method must be a FederationMethod, got {method!r}")
+        if noise_variances is not None:
+            noise_variances = values = tuple(noise_variances)
+            if len(values) != len(coalition):
                 raise InvalidNoiseList(
                     f"{len(values)} noise entries for a coalition of "
-                    f"{len(self.coalition)}"
+                    f"{len(coalition)}"
                 )
             if any(not math.isfinite(v) or v < 0 for v in values):
                 raise InvalidNoiseList("noise variances must be finite and >= 0")
             mean = sum(values) / len(values)
-            if not math.isclose(mean, self.params.mu_e, rel_tol=1e-12):
+            if not math.isclose(mean, params.mu_e, rel_tol=1e-12):
                 raise InvalidNoiseList(
                     f"noise variances average {mean!r}, expected mu_e="
-                    f"{self.params.mu_e!r}"
+                    f"{params.mu_e!r}"
                 )
-        if self.trials < 2:
+        trials, seed = _integer("trials", trials), _integer("seed", seed)
+        if trials < 2:
             raise ValueError("trials must be >= 2")
-        if not (0 <= self.seed < 2**64):
+        if not (0 <= seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        return super().__new__(
+            cls, coalition, target, params, method, mean_distribution,
+            noise_variances, trials, seed, label,
+        )
 
     def resolved_weights(self) -> np.ndarray:
         """Combination weights aligned to the coalition's player order."""
@@ -118,8 +158,7 @@ class SimulationSpec:
         return expected_error(self.coalition, self.target, self.method, self.params)
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     empirical_mse: float
     standard_error: float
     trials: int
@@ -128,40 +167,57 @@ class SimulationResult:
 
 
 def _chunk_sums(
-    spec: SimulationSpec, k: int, weights: np.ndarray
+    spec: SimulationSpec,
+    k: int,
+    weights: np.ndarray,
+    means: np.ndarray,
+    noise: np.ndarray,
+    squared: np.ndarray,
 ) -> tuple[float, float]:
     """Sum and sum-of-squares of the squared errors for the k-th trial
-    chunk, drawn from the k-th child of the spec seed."""
+    chunk, drawn from the k-th child of the spec seed.
+
+    ``means`` and ``squared`` have one row per trial of the chunk and are
+    overwritten; ``noise`` is the block the estimate noise is drawn into.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(k,)))
-    size = min(CHUNK_TRIALS, spec.trials - k * CHUNK_TRIALS)
-    counts = np.array([p.n for p in spec.coalition.players], dtype=np.float64)
-    players = len(counts)
+    size, players = means.shape
+    sqrt_counts = np.sqrt(np.array([p.n for p in spec.coalition.players]))
     target_idx = spec.coalition.ids().index(spec.target)
 
     if spec.mean_distribution is MeanDistribution.GAUSSIAN:
-        means = rng.standard_normal((size, players)) * math.sqrt(spec.params.sigma_sq)
+        rng.standard_normal(out=means)
+        means *= math.sqrt(spec.params.sigma_sq)
     else:
         half = math.sqrt(3.0 * spec.params.sigma_sq)
-        means = rng.uniform(-half, half, size=(size, players))
-
-    if spec.noise_variances is None:
-        noise_std = np.full(
-            (1, players), math.sqrt(spec.params.mu_e), dtype=np.float64
-        )
-    else:
-        candidates = np.array(spec.noise_variances, dtype=np.float64)
-        noise_std = np.sqrt(rng.choice(candidates, size=(size, players)))
+        means[...] = rng.uniform(-half, half, size=(size, players))
 
     # The mean of n iid N(0, v) samples is exactly N(0, v/n), so each
-    # player's local-estimate noise is one standard normal per trial.
-    estimate_noise = rng.standard_normal((size, players))
+    # player's local-estimate noise is one standard normal per trial,
+    # scaled by sqrt(v) / sqrt(n).
+    if spec.noise_variances is None:
+        scale = math.sqrt(spec.params.mu_e) / sqrt_counts
+        scale = np.broadcast_to(scale, (size, players))
+    else:
+        candidates = np.array(spec.noise_variances, dtype=np.float64)
+        scale = rng.choice(candidates, size=(size, players))
+        np.sqrt(scale, out=scale)
+        scale /= sqrt_counts
+
     # An overflow shows as a non-finite sum, which simulate_error reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        estimate_noise *= noise_std / np.sqrt(counts)
-        estimates = (means + estimate_noise) @ weights
-        deviations = estimates - means[:, target_idx]
-        squared = deviations * deviations
-        return float(squared.sum()), float((squared * squared).sum())
+        for start in range(0, size, len(noise)):
+            block = noise[: size - start]  # the last block may be partial
+            rows = slice(start, start + len(block))
+            rng.standard_normal(out=block)
+            block *= scale[rows]
+            block += means[rows]
+            np.matmul(block, weights, out=squared[rows])
+        squared -= means[:, target_idx]
+        squared *= squared
+        total = float(squared.sum())
+        squared *= squared
+        return total, float(squared.sum())
 
 
 def simulate_error(spec: SimulationSpec) -> SimulationResult:
@@ -172,10 +228,17 @@ def simulate_error(spec: SimulationSpec) -> SimulationResult:
     error would then be meaningless.
     """
     weights = spec.resolved_weights()
+    rows = min(CHUNK_TRIALS, spec.trials)
+    means = np.empty((rows, len(weights)))
+    noise = np.empty((min(BLOCK_ROWS, rows), len(weights)))
+    squared = np.empty(rows)
     total = 0.0
     total_sq = 0.0
     for k in range(-(-spec.trials // CHUNK_TRIALS)):
-        part_sum, part_sq = _chunk_sums(spec, k, weights)
+        size = min(CHUNK_TRIALS, spec.trials - k * CHUNK_TRIALS)
+        part_sum, part_sq = _chunk_sums(
+            spec, k, weights, means[:size], noise, squared[:size]
+        )
         total += part_sum
         total_sq += part_sq
         if not (math.isfinite(total) and math.isfinite(total_sq)):
@@ -199,15 +262,13 @@ def simulate_error(spec: SimulationSpec) -> SimulationResult:
     return SimulationResult(mean, std_error, n, reference, z)
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
+class SuiteEntry(NamedTuple):
     label: str
     result: SimulationResult
     passed: bool
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     entries: tuple[SuiteEntry, ...]
     z_threshold: float
 
@@ -235,6 +296,9 @@ def simulate_suite(
     """
     if not specs:
         raise ValueError(f"spec count must be >= 1, got {len(specs)}")
+    # Loaded here: a single simulation needs no pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(simulate_error, specs))
     entries = tuple(

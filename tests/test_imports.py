@@ -1,7 +1,8 @@
 """Import-time contract: the closed-form commands and both randomized
 sweeps never load numpy, dataclasses or inspect, importing the CLI loads
-none of those nor hashlib, and the Monte Carlo names the package exports
-lazily behave like plain ones."""
+none of those nor hashlib, ``simulate`` loads neither dataclasses nor the
+thread pool, and the Monte Carlo names the package exports lazily behave
+like plain ones."""
 
 import json
 import subprocess
@@ -31,6 +32,17 @@ codes = [
     )
 ]
 print(codes, *(name in sys.modules for name in {names!r}))
+"""
+
+SIMULATE = """
+import sys
+sys.path.insert(0, {src!r})
+import fedfair.cli
+code = fedfair.cli.main(["--out", {out!r}, "simulate", {scenario!r}, "--trials", "4096"])
+loaded = [name in sys.modules for name in {names!r}]
+from fedfair import default_suite, simulate_suite
+suite = simulate_suite(default_suite(trials=4096), threads=2)
+print(code, *loaded, len(suite.entries), suite.passed)
 """
 
 CLI_IMPORT = """
@@ -78,6 +90,34 @@ def test_closed_form_commands_do_not_import_dataclasses(closed_form_modules):
     """``dataclasses`` loads ``inspect``, which loads ``ast``, ``dis`` and
     ``tokenize``: start-up time that no closed form needs."""
     assert closed_form_modules[7:] == ["False", "False"]
+
+
+def test_simulate_loads_neither_dataclasses_nor_the_thread_pool(tmp_path):
+    """A single simulation needs no ``concurrent.futures`` (which loads
+    ``logging``); ``simulate_suite`` loads it when it runs, and still runs
+    on two threads.  ``inspect`` is not checked here: numpy loads it."""
+    scenario = tmp_path / "pair.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "mu_e": 10,
+                "sigma_sq": 1,
+                "players": [{"id": "s", "n": 6}, {"id": "l", "n": 20}],
+                "method": "uniform",
+            }
+        )
+    )
+    code = SIMULATE.format(
+        src=str(SRC),
+        out=str(tmp_path / "out.txt"),
+        scenario=str(scenario),
+        names=("dataclasses", "concurrent.futures", "logging"),
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["0", "False", "False", "False", "23", "True"]
 
 
 def cli_import_loads(*names):

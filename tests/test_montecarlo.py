@@ -2,6 +2,7 @@
 spec validation."""
 
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -194,6 +195,29 @@ class TestMemory:
         assert abs(result.z_score) <= 4.0
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_chunk_holds_its_means_and_one_noise_block(self):
+        """A chunk's buffers are its means (trials x players), one 4,096-row
+        noise block and one column of squared errors, allocated once per
+        simulation: 10 MiB of means here and about 1.1 MiB besides.
+        Whole-chunk noise and estimate arrays would add another 10 MiB or
+        more."""
+        case = spec(
+            coalition=Coalition.from_sizes(range(1, 21)),
+            target="p1",
+            method=FederationMethod.FINE_GRAINED,
+            trials=65_536,
+        )
+        simulate_error(case._replace(trials=4))  # first-call allocations
+        tracemalloc.start()
+        try:
+            result = simulate_error(case)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(result.z_score) <= 4.0
+        means = 65_536 * 20 * 8
+        assert peak < means + 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_memory_does_not_grow_with_chunk_count(self, monkeypatch):
         """A simulation holds one chunk at a time, so 2,000 chunks cost no
         more memory than a few; seeding every chunk up front would hold
@@ -330,6 +354,31 @@ class TestSpecValidation:
             spec(seed=-1)
         with pytest.raises(ValueError):
             spec(seed=2**64)
+
+    @pytest.mark.parametrize("value", [True, False, 2.5, 4096.0, "7", None])
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    def test_integer_fields(self, field, value):
+        """A bool or a non-integer is rejected by name at construction, not
+        run at seed 1 or failed mid-run with a TypeError."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            spec(**{field: value})
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        case = spec(trials=np.int64(4096), seed=np.uint64(2**64 - 1))
+        assert type(case.trials) is int and type(case.seed) is int
+        assert (case.trials, case.seed) == (4096, 2**64 - 1)
+
+    def test_replace_make_and_pickle_validate(self):
+        """Every way to build a spec goes through the same checks."""
+        case = spec()
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            case._replace(trials=1)
+        with pytest.raises(TargetNotInCoalition):
+            case._replace(target="ghost")
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimulationSpec._make([*case[:7], True, ""])
+        assert pickle.loads(pickle.dumps(case)) == case
+        assert case._replace(seed=5).seed == 5
 
 
 class TestDefaultSuite:

@@ -32,8 +32,9 @@ AUDIT_PLAYERS = [
     {"id": "a", "n": 40}, {"id": "b", "n": 6}, {"id": "σ", "n": 13.75},
 ]
 
-# Digests of the output of the per-row verdicts and the per-index sweeps,
-# with the json format written by json.dump(indent=2, allow_nan=False) itself.
+# Digests of the output of the per-row verdicts, the per-index sweeps and
+# the Monte Carlo oracle, with the json format written by
+# json.dump(indent=2, allow_nan=False) itself.
 PINS = {
     "scan-rows3000-csv": "70cc2cca96c0912822dc2912b1d7f6a764e0a17ddf2dc00d031fb9250ff91c49",
     "scan-rows3000-json": "c8797e4018d13693a7091d4db54f9b4e5a293071e9ad997581e6ec28370dadc8",
@@ -79,6 +80,24 @@ PINS = {
         "dc85288f2f8854b3b0b4e8f332636f0887368e71c41d636fdfc18e58cd97a845",
     "verify-modularity-csv":
         "9988231b501b24b262e2d4ec2c49c38d2604bddc00acc75c9f266e865057df04",
+    "simulate-local-csv":
+        "3d993130f77333699e8183b8bb04abbfec2f2fe5900d6c3db3d1a36d1c62ba17",
+    "simulate-local-json":
+        "b397050527784f237bb3b0b0cde46bae45242754ad3f72aaf57d1c5cda8a9cc7",
+    "simulate-local-table":
+        "a98471acf76968427e4cb9b8b043a78b89c82c4aa702b38004a974a1814cd27e",
+    "simulate-uniform-csv":
+        "cd8856bbabcd8cb123c2ba46a439d55983b5fd6afdaada68510a66bc9c3b16c6",
+    "simulate-uniform-json":
+        "81847887b055b6400e53d263f533e8eff75ba8b695a4297e1dc9d3e9e01ca8c9",
+    "simulate-uniform-table":
+        "27c9965d5fe27b8f3f2784a563c6737b23a7af3ca236306e519567226195e616",
+    "simulate-fine_grained-csv":
+        "22bd04440ab0a1cb71a718c78a115c13cfb75ab38dda369f3865095555805e6e",
+    "simulate-fine_grained-json":
+        "9c684d67ce7ba06fa9833f0cf47d46f1478808530430f98841a5a7e160eeeb24",
+    "simulate-fine_grained-table":
+        "907c64adcfea26a8a0a23dbb8ff7f5e42d3b9129abdfe371a21fbe1ef9743c7b",
 }
 
 
@@ -126,3 +145,19 @@ def test_sweep(sweep, fmt, tmp_path):
 def test_modularity(tmp_path):
     argv = ["--format", "csv", "verify", "modularity"]
     assert output_sha256(argv, tmp_path) == PINS["verify-modularity-csv"]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("method", ["local", "uniform", "fine_grained"])
+def test_simulate(method, fmt, tmp_path):
+    """69,633 trials: a full chunk, then a partial chunk that ends in a
+    partial noise block of one row."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps(
+            {"mu_e": 10, "sigma_sq": 1, "players": AUDIT_PLAYERS, "method": method}
+        ),
+        encoding="utf-8",
+    )
+    argv = ["--seed", "7", "--format", fmt, "simulate", str(scenario), "--trials", "69633"]
+    assert output_sha256(argv, tmp_path) == PINS[f"simulate-{method}-{fmt}"]

@@ -22,7 +22,7 @@ from operator import gt, itemgetter, mul, truediv
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (Column, Columns, WeightVector, _coalition_errors, _errors,
-                     in_order, weighted_error)
+                     _finite, in_order, weighted_error)
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, compare
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
@@ -60,8 +60,8 @@ def _bounds(n_max: Column, mu_e: Column, sigma_sq: Column) -> tuple[list, list]:
         if min(mu_e) <= 0.0 or min(sigma_sq) <= 0.0:
             raise UndefinedBound("the 2c+1 bound needs mu_e > 0 and sigma_sq > 0")
         c_values = list(map(truediv, map(mul, n_max, sigma_sq), mu_e))
-        bounds = [2.0 * c + 1.0 for c in c_values]
-        if all(map(math.isfinite, bounds)):
+        bounds = [2 * c + 1 for c in c_values]
+        if all(_finite(bounds)):
             return c_values, bounds
         raise OutOfFloatRange("the 2c+1 bound", mu_e=mu_e[0], sigma_sq=sigma_sq[0],
                               n_max=n_max[0])

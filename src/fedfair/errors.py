@@ -23,15 +23,15 @@ exactly the member-ordered sequence a per-coalition loop sums, so floats
 are bit-identical for any batch, also under Python 3.12+, whose float
 ``sum`` is compensated.  A per-coalition call is a batch of one; the sweeps
 run blocks of 1,024 instances, so their memory does not grow with
-``--instances``.
+``--instances``.  On ``fractions.Fraction`` columns the kernel is exact.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, combinations, repeat
-from operator import add, mul, truediv
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from operator import add, lt, mul, truediv
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exceptions import (
     DegenerateParams,
@@ -95,12 +95,17 @@ def in_order(evaluate: Callable[..., Any], *columns: Sequence) -> Any:
         raise
 
 
+def _finite(values: Iterable) -> Iterator[bool]:
+    """Whether each value is finite, as ``math.isfinite``, or a ``Fraction``."""
+    return map(lt, map(abs, values), repeat(math.inf))
+
+
 def _leave_one_out(columns: Columns) -> list[list[float]]:
     """Column j holds every instance's sum_{i != j} columns_i, each summed
     directly in member order (never as the total minus the own term, which
     cancels badly when one value dwarfs the rest); zeros for a lone member."""
     if len(columns) == 1:
-        return [[0.0] * len(columns[0])]
+        return [[0] * len(columns[0])]
     # The subsets come out leaving out the last member first.
     others = combinations(columns, len(columns) - 1)
     return [list(map(sum, zip(*rest))) for rest in others][::-1]
@@ -126,9 +131,9 @@ def _fine_grained_terms(
             "mu_e = sigma_sq = 0: every unit-sum weighting is optimal"
         )
     v = [list(map(add, sigma_sq, map(truediv, mu_e, n))) for n in columns]
-    inverse = [list(map(truediv, repeat(1.0), v_i)) for v_i in v]
+    inverse = [list(map(truediv, repeat(1), v_i)) for v_i in v]
     total = list(map(sum, zip(*inverse)))
-    if not all(map(math.isfinite, total)):
+    if not all(_finite(total)):
         raise ArithmeticError
     return v, total, _leave_one_out(inverse)
 
@@ -172,15 +177,15 @@ def _errors(
             elif method is FederationMethod.FINE_GRAINED:
                 v, t_sum, s_off = _fine_grained_terms(columns, mu_e, sigma_sq)
                 # An infinite V_j * T' (largest for the largest V_j) gives 0.0.
-                if not all(map(math.isfinite, map(mul, map(max, zip(*v)), t_sum))):
+                if not all(_finite(map(mul, map(max, zip(*v)), t_sum))):
                     raise ArithmeticError
                 for n, v_j, s in zip(columns, v, s_off):
                     own = map(truediv, map(truediv, mu_e, n), map(mul, v_j, t_sum))
-                    pooled = map(add, repeat(1.0), map(mul, sigma_sq, s))
+                    pooled = map(add, repeat(1), map(mul, sigma_sq, s))
                     errors.append(list(map(mul, own, pooled)))
             else:
                 raise ValueError(f"unknown federation method: {method!r}")
-            if all(map(math.isfinite, chain.from_iterable(errors))):
+            if all(_finite(chain.from_iterable(errors))):
                 return errors
         except ArithmeticError:
             pass

@@ -114,6 +114,9 @@ class SimulationSpec(
             raise TargetNotInCoalition(f"target {target!r} not in coalition")
         if not isinstance(method, FederationMethod):
             raise ValueError(f"method must be a FederationMethod, got {method!r}")
+        if not isinstance(mean_distribution, MeanDistribution):
+            raise ValueError("mean_distribution must be a MeanDistribution, "
+                             f"got {mean_distribution!r}")
         if noise_variances is not None:
             noise_variances = values = tuple(noise_variances)
             if len(values) != len(coalition):

@@ -19,7 +19,8 @@ sub-proportionality against a member s breaks:
 
 with T and S the total and sum of squares over ``rest``.  Either bound is
 infinite when its denominator is nonpositive (the event never happens);
-both reduce to mu_e / (2 sigma_sq - mu_e/n_s) when rest = {s}.
+both reduce to mu_e / (2 sigma_sq - mu_e/n_s) when rest = {s}, an identity
+that tests/test_exact_reference.py proves exactly, once, not every sweep.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ import itertools
 import math
 from enum import Enum
 from itertools import repeat
-from operator import add, gt, itemgetter, le, lt, mul, not_, sub, truediv
+from operator import add, gt, itemgetter, le, lt, mul, not_, or_, sub, truediv
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import Column, Columns, _coalition_errors, _errors, in_order
+from .errors import Column, Columns, _coalition_errors, _errors, _finite, in_order
 from .exceptions import OutOfFloatRange
 from .model import Coalition, FederationMethod, PopulationParams, compare
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
@@ -166,8 +167,7 @@ def _thresholds(
             denom = list(denom)
             out = [math.inf if d <= 0.0 else q / d for q, d in zip(numer, denom)]
             # Each entry is the inf of a denominator <= 0 or a finite quotient.
-            nonpositive = sum(map(le, denom, repeat(0.0)))
-            if sum(map(math.isfinite, out)) + nonpositive == len(out):
+            if all(map(or_, _finite(out), map(le, denom, repeat(0.0)))):
                 return out
         except ZeroDivisionError:
             pass
@@ -199,11 +199,11 @@ def _subproportionality(
 
     def formula(mu_e, sigma_sq, total, sum_sq, n_s) -> tuple[Iterable, Iterable]:
         noise = list(map(truediv, mu_e, n_s))
-        own = map(add, map(mul, map(mul, repeat(-2.0), sigma_sq), total),
+        own = map(add, map(mul, map(mul, repeat(-2), sigma_sq), total),
                   map(mul, noise, total))
         rest = map(mul, map(truediv, sigma_sq, n_s),
                    map(add, sum_sq, map(mul, total, total)))
-        return map(add, own, rest), map(sub, map(mul, repeat(2.0), sigma_sq), noise)
+        return map(add, own, rest), map(sub, map(mul, repeat(2), sigma_sq), noise)
 
     inputs = {"mu_e": mu_e, "sigma_sq": sigma_sq, "total": total, "sum_sq": sum_sq}
     what = f"the subproportionality threshold against {s!r}"
@@ -243,8 +243,8 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
       (coalition label must be sub or exact), and
     * defection_threshold(rest) <= subproportionality_threshold(rest, s)
       for the drawn coalition as ``rest`` and each member s, with finite
-      equality only in the singleton case rest = {s} (checked positively
-      by also evaluating both thresholds on each singleton sub-coalition).
+      equality only in the singleton case rest = {s}, where the two are
+      one formula (proven exactly in tests/test_exact_reference.py).
 
     Only a counterexample builds its instance's players.  Violations are
     returned as replayable counterexamples.
@@ -275,20 +275,14 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
         squares = [list(map(mul, n, n)) for n in columns]
         total, sum_sq = list(map(sum, zip(*columns))), list(map(sum, zip(*squares)))
         defect = _defection(total, sum_sq, mu_e, sigma_sq)
-        for pid, n, sq in zip(ids, columns, squares):
+        for pid, n in zip(ids, columns):
             violate = _subproportionality(total, sum_sq, pid, n, mu_e, sigma_sq)
-            # The singleton rest = {pid}: total n, sum of squares n^2.
-            alone = zip(_defection(n, sq, mu_e, sigma_sq),
-                        _subproportionality(n, sq, pid, n, mu_e, sigma_sq))
-            for i, (d, v, (d1, v1)) in enumerate(zip(defect, violate, alone)):
+            for i, (d, v) in enumerate(zip(defect, violate)):
                 order = compare(d, v)
                 if order > 0:
                     fail(i, "threshold_order", s=pid, defection=d, subproportionality=v)
                 if len(ids) > 1 and math.isfinite(d) and order == 0:
                     fail(i, "equality_without_singleton", s=pid, threshold=d)
-                if compare(d1, v1) != 0:
-                    fail(i, "singleton_mismatch", s=pid, defection=d1,
-                         subproportionality=v1)
         return found
 
     counterexamples: list[dict] = []

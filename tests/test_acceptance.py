@@ -7,7 +7,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import contextlib
 import io
 import math
+import operator
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,7 +34,8 @@ from fedfair import (
     weighted_error,
 )
 from fedfair.cli import CELL_REL_TOL, REFERENCE_MOTIVATING, main
-from fedfair.sampling import instance_rng, random_instance
+from fedfair.proportionality import _defection, _subproportionality
+from fedfair.sampling import instance_groups, instance_rng, random_instance
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
 
@@ -148,16 +151,29 @@ def test_criterion_5_modularity():
 
 def test_criterion_6_rationality_implies_subproportionality():
     """10,000 instances: no IR-but-super coalitions; threshold ordering
-    holds with equality exactly on singletons."""
+    holds with equality exactly on singletons.  ``verify_propstab`` checks
+    the coalitions; the singleton equality is checked here, once, exactly:
+    both thresholds of each member's rest = {s} of the same seed-42
+    instances, on ``Fraction`` columns of each block, must be equal."""
     start = time.perf_counter()
     result = verify_propstab(instance_count=10_000, seed=42)
+    singletons = equal = 0
+    for _, *values in instance_groups(10_000, 42):
+        mu_e, sigma_sq, *columns = ([Fraction(v) for v in c] for c in values)
+        for n in columns:
+            squares = [n_s * n_s for n_s in n]
+            defect = _defection(n, squares, mu_e, sigma_sq)
+            violate = _subproportionality(n, squares, "s", n, mu_e, sigma_sq)
+            singletons += len(n)
+            equal += sum(map(operator.eq, defect, violate))
     elapsed = time.perf_counter() - start
-    passed = result.passed and elapsed < 10.0
+    passed = result.passed and equal == singletons and elapsed < 10.0
     _report(
         6,
         passed,
         f"{result.instances} instances, "
-        f"{len(result.counterexamples)} counterexamples ({elapsed:.2f}s)",
+        f"{len(result.counterexamples)} counterexamples, "
+        f"{equal}/{singletons} singleton thresholds exactly equal ({elapsed:.2f}s)",
     )
 
 

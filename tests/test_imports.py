@@ -1,8 +1,8 @@
 """Import-time contract: the closed-form commands and both randomized
-sweeps never load numpy, dataclasses or inspect, importing the CLI loads
-none of those nor hashlib, ``simulate`` loads neither dataclasses nor the
-thread pool, and the Monte Carlo names the package exports lazily behave
-like plain ones."""
+sweeps never load numpy, dataclasses, inspect, fractions or decimal,
+importing the CLI loads none of those nor hashlib, ``simulate`` loads
+neither dataclasses nor the thread pool, and the Monte Carlo names the
+package exports lazily behave like plain ones."""
 
 import json
 import subprocess
@@ -55,8 +55,9 @@ print(*(name in sys.modules for name in {names!r}))
 
 @pytest.fixture(scope="module")
 def closed_form_modules(tmp_path_factory):
-    """Which of numpy, dataclasses and inspect are loaded after ``main``
-    ran every closed-form command and both sweeps, once per module."""
+    """Which of numpy, dataclasses, inspect, fractions and decimal are
+    loaded after ``main`` ran every closed-form command and both sweeps,
+    once per module."""
     tmp_path = tmp_path_factory.mktemp("closed_form")
     scenario = tmp_path / "pair.json"
     scenario.write_text(
@@ -73,7 +74,7 @@ def closed_form_modules(tmp_path_factory):
         src=str(SRC),
         out=str(tmp_path / "out.txt"),
         scenario=str(scenario),
-        names=("numpy", "dataclasses", "inspect"),
+        names=("numpy", "dataclasses", "inspect", "fractions", "decimal"),
     )
     child = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
@@ -89,7 +90,14 @@ def test_closed_form_commands_do_not_import_numpy(closed_form_modules):
 def test_closed_form_commands_do_not_import_dataclasses(closed_form_modules):
     """``dataclasses`` loads ``inspect``, which loads ``ast``, ``dis`` and
     ``tokenize``: start-up time that no closed form needs."""
-    assert closed_form_modules[7:] == ["False", "False"]
+    assert closed_form_modules[7:9] == ["False", "False"]
+
+
+def test_closed_form_commands_do_not_import_fractions(closed_form_modules):
+    """The kernel evaluates ``Fraction`` columns exactly, yet no command
+    needs exact arithmetic: ``fractions`` (which loads ``decimal``) would
+    only add start-up time."""
+    assert closed_form_modules[9:] == ["False", "False"]
 
 
 def test_simulate_loads_neither_dataclasses_nor_the_thread_pool(tmp_path):
@@ -137,6 +145,10 @@ def test_cli_import_loads_neither_numpy_nor_hashlib():
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert cli_import_loads("dataclasses", "inspect") == ["False", "False"]
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    assert cli_import_loads("fractions", "decimal") == ["False", "False"]
 
 
 def test_every_exported_name_resolves():

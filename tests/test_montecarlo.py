@@ -330,6 +330,12 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="FederationMethod"):
                 spec(method=method)
 
+    @pytest.mark.parametrize("value", ["gaussian", None])
+    def test_mean_distribution_must_be_a_mean_distribution(self, value):
+        """A string would otherwise simulate uniform means, whatever it says."""
+        with pytest.raises(ValueError, match="^mean_distribution must be a "):
+            spec(mean_distribution=value)
+
     def test_target_must_be_member(self):
         with pytest.raises(TargetNotInCoalition):
             spec(target="ghost")

@@ -10,7 +10,7 @@ import pytest
 import fedfair.egalitarian
 import fedfair.proportionality
 from fedfair.egalitarian import audit_egalitarian, bound_sweep
-from fedfair.model import Coalition, FederationMethod, close, compare
+from fedfair.model import FederationMethod, close, compare
 from fedfair.proportionality import (
     CoalitionLabel,
     classify_proportionality,
@@ -78,15 +78,6 @@ def reference_propstab(seed, count):
             if len(coalition) > 1 and finite and close(defect, violate):
                 found.append({**record, "kind": "equality_without_singleton",
                               "s": p.id, "threshold": defect})
-            alone = Coalition((p,))
-            d1 = defection_threshold(alone, params)
-            v1 = subproportionality_threshold(alone, p.id, params)
-            equal = (math.isinf(d1) and math.isinf(v1)) or (
-                math.isfinite(d1) and math.isfinite(v1) and close(d1, v1)
-            )
-            if not equal:
-                found.append({**record, "kind": "singleton_mismatch", "s": p.id,
-                              "defection": d1, "subproportionality": v1})
     return found
 
 
@@ -184,14 +175,9 @@ class TestFailingInstancesGetFullRecords:
             params, coalition = instance(self.SEED, index)
             defect = defection_threshold(coalition, params)
             for p in coalition.players:
-                alone = defection_threshold(Coalition((p,)), params)
                 want.append(
                     expected_record(self.SEED, index, kind="threshold_order", s=p.id,
                                     defection=defect, subproportionality=0.0)
-                )
-                want.append(
-                    expected_record(self.SEED, index, kind="singleton_mismatch",
-                                    s=p.id, defection=alone, subproportionality=0.0)
                 )
         result = verify_propstab(self.COUNT, self.SEED)
         assert not result.passed
@@ -201,15 +187,14 @@ class TestFailingInstancesGetFullRecords:
         "defect, violate, kinds",
         [
             # Defection never happens, yet the pair turns super-proportional:
-            # the proof rules this out for the coalition and each singleton.
-            (math.inf, 1.0, ("threshold_order", "singleton_mismatch")),
+            # the proof rules this out.
+            (math.inf, 1.0, ("threshold_order",)),
             # Finite thresholds equal within tolerance on several players.
             (2.0, 2.0 * (1 + 1e-12), ("equality_without_singleton",)),
-            # Neither event happens: ordered, and the singletons agree.
+            # Neither event happens.
             (math.inf, math.inf, ()),
-            # Finite thresholds 1e-7 apart: ordered, but the singletons
-            # differ beyond the relative band.
-            (2.0, 2.0 * (1 + 1e-7), ("singleton_mismatch",)),
+            # Finite thresholds 1e-7 apart, beyond the relative band: ordered.
+            (2.0, 2.0 * (1 + 1e-7), ()),
         ],
     )
     def test_forced_threshold_records(self, monkeypatch, defect, violate, kinds):
@@ -224,7 +209,6 @@ class TestFailingInstancesGetFullRecords:
         )
         fields = {
             "threshold_order": {"defection": defect, "subproportionality": violate},
-            "singleton_mismatch": {"defection": defect, "subproportionality": violate},
             "equality_without_singleton": {"threshold": defect},
         }
         want = [
@@ -297,8 +281,8 @@ class TestBlocks:
 
     @pytest.mark.parametrize("count", [1023, 1024, 1025, 2049])
     def test_propstab_across_block_boundaries(self, monkeypatch, count):
-        """A zero subproportionality threshold fails two checks on every
-        member, so records come out in index, then player, then kind order."""
+        """A zero subproportionality threshold fails the order check on
+        every member, so records come out in index, then player order."""
         assert verify_propstab(count, self.SEED).counterexamples == ()
         monkeypatch.setattr(
             fedfair.proportionality,
@@ -306,7 +290,7 @@ class TestBlocks:
             lambda total, *args: [0.0] * len(total),
         )
         want = reference_propstab(self.SEED, count)
-        assert len(want) == 2 * sum(
+        assert len(want) == sum(
             len(instance(self.SEED, index)[1]) for index in range(count)
         )
         assert_same_records(verify_propstab(count, self.SEED).counterexamples, want)

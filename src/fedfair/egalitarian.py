@@ -8,31 +8,33 @@ small player shrinks.  This module audits coalitions against that bound,
 verifies the five structural properties that make a method modular, and
 searches for near-tight configurations.
 
-The modularity checker also takes any callable
-``(coalition, target_id, params) -> float`` as its method, so a
-deliberately broken weighting can be pushed through the same checks.
+The modularity checker takes a federation method or a column method of
+the kernel's shape, ``(columns, mu_e, sigma_sq, ids) -> error columns``
+with the grid's ids in the order k < l < s, so a deliberately broken
+weighting (``inverse_size_error``) goes through the same checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from operator import gt, itemgetter, mul, truediv
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (Column, Columns, WeightVector, _coalition_errors, _errors,
-                     _finite, in_order, weighted_error)
+from .errors import (Column, Columns, _coalition_errors, _errors, _finite, in_order,
+                     _weighted_error)
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, compare
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
 
-ErrorFn = Callable[[Coalition, str, PopulationParams], float]
+# A column method: (size columns, mu_e, sigma_sq, ids) -> error columns.
+ErrorFn = Callable[[Columns, Column, Column, Sequence[str]], list[list[float]]]
 # A modularity check's verdict and its measured values.
 Outcome = tuple[bool, dict]
 
-# Relative step for central differences.
-DERIVATIVE_STEP = 1e-4
+# Complex step, relative to the size: f(n + 1j*h) = f(n) + 1j*h*f'(n) up to
+# h**2 terms, which vanish far below rounding, and nothing cancels.
+COMPLEX_STEP = 2.0**-64
 # Property 5 probes at n_s = 2**-LIMIT_DEPTH * min(n_l, mu_e/sigma_sq).  On
 # the grid, depth 40 puts both honest methods within 1.8e-12 of 2c+1 and
 # never above it; at depth 30 fine-grained misses the REL_TOL band on 43 of
@@ -156,19 +158,20 @@ def _audits(
 
 
 def inverse_size_error(
-    coalition: Coalition, target: str, params: PopulationParams
-) -> float:
-    """Error of a deliberately mis-weighted estimator: v_i proportional to
-    T - n_i, so smaller players get larger weight.  Breaks the usual
-    large-player advantage; used to calibrate the modularity checker."""
-    players = coalition.players
-    if len(players) == 1:
-        weights = {target: 1.0}
-    else:
-        total = coalition.total
-        scale = (len(players) - 1) * total
-        weights = {p.id: (total - p.n) / scale for p in players}
-    return weighted_error(coalition, WeightVector(target, weights), params)
+    columns: Columns, mu_e: Column, sigma_sq: Column, ids: Sequence[str]
+) -> list[list[float]]:
+    """Errors of a deliberately mis-weighted estimator, a column method:
+    v_i proportional to T - n_i, so smaller players get larger weight (a
+    lone member weighs itself 1).  Breaks the usual large-player advantage;
+    used to calibrate the modularity checker."""
+    errors = [[] for _ in ids]
+    for mu, sigma, *sizes in zip(mu_e, sigma_sq, *columns):
+        total = sum(sizes)
+        scale = (len(sizes) - 1) * total
+        weights = [(total - n) / scale for n in sizes] if len(sizes) > 1 else [1]
+        for j, column in enumerate(errors):
+            column.append(_weighted_error(mu, sigma, sizes, weights, j))
+    return errors
 
 
 class PropertyResult(NamedTuple):
@@ -192,8 +195,44 @@ class ModularityReport(NamedTuple):
         return self.properties[prop - 1]
 
 
+def _grid_errors(
+    method: FederationMethod | ErrorFn, cases: Sequence[tuple], at: int | None = None
+) -> list[dict]:
+    """Each case's errors by id from one call of ``method``, a federation
+    method through ``_errors`` or a column method.  The cases are all
+    (params, n_s, n_l) or all (params, n_s, n_l, n_k); ids sort k < l < s,
+    so the columns are the sizes reversed.  With ``at``, the sizes in that
+    place are complex: n + 1j * n * COMPLEX_STEP."""
+    params, *sizes = map(list, zip(*cases))
+    if at is not None:
+        sizes[at] = [complex(n, n * COMPLEX_STEP) for n in sizes[at]]
+    ids, columns = "kls"[3 - len(sizes) :], sizes[::-1]
+    shared = (*map(list, zip(*params)), ids)
+    if isinstance(method, FederationMethod):
+        errors = _errors(columns, method, *shared)
+    else:
+        errors = method(columns, *shared)
+    return [dict(zip(ids, row)) for row in zip(*errors)]
+
+
+def _grid_slopes(
+    method: FederationMethod | ErrorFn, cases: Sequence[tuple], at: int
+) -> list[float]:
+    """The derivative of err_s / err_l in each case's size ``at``, by the
+    quotient rule on one complex-step evaluation: with h = n * COMPLEX_STEP,
+    (Im s Re l - Re s Im l) / (Re l)^2 / h.  The imaginary part of the
+    complex quotient s / l would not do: complex division leaves about
+    1e-20 where the slope is exactly 0."""
+    slopes = []
+    for case, e in zip(cases, _grid_errors(method, cases, at)):
+        s, l = e["s"], e["l"]
+        cross = _ratio(s.imag * l.real - s.real * l.imag, l.real * l.real, "l")
+        slopes.append(cross / (case[1 + at] * COMPLEX_STEP))
+    return slopes
+
+
 def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
-    """Numerically verify the five structural properties on the grid.
+    """Verify the five structural properties on the grid.
 
     1. Within any coalition the larger player has the lower error (strict
        for strictly larger, a tie for equal sizes).
@@ -207,10 +246,19 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
        n_s = 2**-40 * min(n_l, mu_e/sigma_sq), deep inside the scale
        n_s ~ mu_e/sigma_sq at which the fine-grained ratio converges.
 
-    Values are compared by ``compare``; the slopes in 2-4 are central
-    differences (relative step 1e-4) judged by their exact sign.
+    ``method`` is a federation method or a column method, ``(columns,
+    mu_e, sigma_sq, ids) -> error columns`` as ``errors._errors``: one
+    column of sizes per member in id order, one mu_e and sigma_sq entry
+    per instance, one error column per member back.  Grid coalitions name
+    their players s (small), l (large) and k (third), so the id order is
+    k < l < s.  The grid is evaluated up front: one call for the
+    two-player errors, one for the three-player errors, and one complex
+    call for each of the three slopes.
 
-    Grid coalitions name their players s (small), l (large) and k (third).
+    Values are compared by ``compare``; the slopes in 2-4 are complex-step
+    derivatives (Squire and Trapp, SIAM Review 40(1), 1998), judged by
+    their exact sign.
+
     Failures are data: each property reports its first counterexample,
     which starts with the instance (mu_e, sigma_sq, n_small, n_large and
     n_third where a third player takes part) and ends with the measured
@@ -228,136 +276,81 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
         for n_l in PAIR_SIZES
         if n_s <= n_l
     ]
+    trios = [(*pair, n_k) for pair in pairs for n_k in THIRD_SIZES]
+    limits = [
+        (params, math.ldexp(min(n_l, params.mu_e / params.sigma_sq), -LIMIT_DEPTH), n_l)
+        for params in param_grid
+        for n_l in PAIR_SIZES
+    ]
+    # Property 1 reads each grid coalition once per pair of its members,
+    # and property 2 one two-player ratio for every third size.
+    errs = dict(zip(pairs + limits, _grid_errors(method, pairs + limits)))
+    errs.update(zip(trios, _grid_errors(method, trios)))
 
-    # Property 1 checks each grid coalition once per pair of its members,
-    # and property 2 reuses one two-player ratio for every third size.
-    known: dict[tuple[PopulationParams, tuple[float, ...]], dict[str, float]] = {}
-    # For a FederationMethod: what a first pass reads, by params and size.
-    wanted: dict[tuple[PopulationParams, int], dict[tuple[float, ...], None]] = {}
-
-    def errs(params: PopulationParams, sizes: tuple[float, ...]) -> dict[str, float]:
-        if (params, sizes) not in known:
-            if isinstance(method, FederationMethod):
-                wanted.setdefault((params, len(sizes)), {})[sizes] = None
-                return dict.fromkeys("slk", 1.0)
-            coalition = Coalition(tuple(map(Player, "slk", sizes)))
-            ids = coalition.ids()
-            known[params, sizes] = {pid: method(coalition, pid, params) for pid in ids}
-        return known[params, sizes]
-
-    def ratio(params: PopulationParams, *sizes: float) -> float:
-        e = errs(params, sizes)
+    def ratio(*case: object) -> float:
+        e = errs[case]
         return _ratio(e["s"], e["l"], "l")
-
-    def slope(params: PopulationParams, sizes: tuple[float, ...], i: int) -> float:
-        """Central difference of the ratio in the i-th size."""
-        h = DERIVATIVE_STEP * sizes[i]
-        up, down = list(sizes), list(sizes)
-        up[i] += h
-        down[i] -= h
-        return (ratio(params, *up) - ratio(params, *down)) / (2.0 * h)
 
     def ordering(
         params: PopulationParams, sizes: tuple[float, ...], small: str, large: str
     ) -> Outcome:
-        e, n = errs(params, sizes), dict(zip("slk", sizes))
+        e, n = errs[(params, *sizes)], dict(zip("slk", sizes))
         ok = compare(e[small], e[large]) == int(n[small] < n[large])
         third = {"n_third": sizes[2]} if len(sizes) == 3 else {}
-        return ok, {
-            "n_small": n[small],
-            "n_large": n[large],
-            **third,
-            "err_small": e[small],
-            "err_large": e[large],
-        }
+        return ok, {"n_small": n[small], "n_large": n[large], **third,
+                    "err_small": e[small], "err_large": e[large]}
 
     def two_player_worst(
-        params: PopulationParams, n_s: float, n_l: float, n_k: float
+        params: PopulationParams, n_s: float, n_l: float, n_k: float, deriv: float
     ) -> Outcome:
-        base = ratio(params, n_s, n_l)
-        with_third = ratio(params, n_s, n_l, n_k)
-        deriv = slope(params, (n_s, n_l, n_k), 2)
+        base, with_third = ratio(params, n_s, n_l), ratio(params, n_s, n_l, n_k)
         ok = compare(with_third, base) <= 0 and compare(deriv, 0.0) <= 0
-        return ok, {
-            "n_small": n_s,
-            "n_large": n_l,
-            "n_third": n_k,
-            "ratio_with_third": with_third,
-            "ratio_two_player": base,
-            "derivative_in_third": deriv,
-        }
+        return ok, {"n_small": n_s, "n_large": n_l, "n_third": n_k,
+                    "ratio_with_third": with_third, "ratio_two_player": base,
+                    "derivative_in_third": deriv}
 
-    def monotone(i: int, sign: float, key: str) -> Callable[..., Outcome]:
-        """The two-player ratio never moves against ``sign`` in the i-th size."""
+    def monotone(sign: float, key: str) -> Callable[..., Outcome]:
+        """The two-player ratio never moves against ``sign`` in the size."""
 
-        def predicate(params: PopulationParams, n_s: float, n_l: float) -> Outcome:
-            d = slope(params, (n_s, n_l), i)
-            return compare(sign * d, 0.0) >= 0, {
-                "n_small": n_s,
-                "n_large": n_l,
-                key: d,
-            }
+        def predicate(
+            params: PopulationParams, n_s: float, n_l: float, d: float
+        ) -> Outcome:
+            return compare(sign * d, 0.0) >= 0, {"n_small": n_s, "n_large": n_l, key: d}
 
         return predicate
 
-    def vanishing_limit(params: PopulationParams, n_l: float) -> Outcome:
-        probe = math.ldexp(min(n_l, params.mu_e / params.sigma_sq), -LIMIT_DEPTH)
-        got = ratio(params, probe, n_l)
-        limit = egalitarian_bound(n_l, params)[1]
-        return compare(got, limit) == 0, {
-            "n_small": probe,
-            "n_large": n_l,
-            "ratio": got,
-            "limit": limit,
-        }
+    def vanishing_limit(params: PopulationParams, probe: float, n_l: float) -> Outcome:
+        got, limit = ratio(params, probe, n_l), egalitarian_bound(n_l, params)[1]
+        return compare(got, limit) == 0, {"n_small": probe, "n_large": n_l,
+                                          "ratio": got, "limit": limit}
 
-    coalitions = [
-        (params, sizes)
+    def with_slopes(cases: list[tuple], at: int) -> list[tuple]:
+        return [(*case, d) for case, d in zip(cases, _grid_slopes(method, cases, at))]
+
+    members = [
+        (params, sizes, small, large)
         for params, n_s, n_l in pairs
         for sizes in [(n_s, n_l), *((n_s, n_l, n_k) for n_k in THIRD_SIZES)]
+        # members ranked by (n, id), each pair smaller first
+        for (_, small), (_, large) in combinations(sorted(zip(sizes, "slk")), 2)
     ]
     # (property, predicate, the argument tuples it is checked on)
     table = (
-        (
-            1,
-            ordering,
-            [
-                (params, sizes, small, large)
-                for params, sizes in coalitions
-                # members ranked by (n, id), each pair smaller first
-                for (_, small), (_, large) in itertools.combinations(
-                    sorted(zip(sizes, "slk")), 2
-                )
-            ],
-        ),
-        (2, two_player_worst, [(*pair, n_k) for pair in pairs for n_k in THIRD_SIZES]),
-        (3, monotone(1, 1.0, "derivative_in_large"), pairs),
-        (4, monotone(0, -1.0, "derivative_in_small"), pairs),
-        (5, vanishing_limit, [(pa, n_l) for pa in param_grid for n_l in PAIR_SIZES]),
+        (1, ordering, members),
+        (2, two_player_worst, with_slopes(trios, 2)),
+        (3, monotone(1.0, "derivative_in_large"), with_slopes(pairs, 1)),
+        (4, monotone(-1.0, "derivative_in_small"), with_slopes(pairs, 0)),
+        (5, vanishing_limit, limits),
     )
-    while True:
-        results = []
-        for prop, predicate, cases in table:
-            counterexample = None
-            for params, *args in cases:
-                ok, measured = predicate(params, *args)
-                if not ok and counterexample is None:
-                    counterexample = {**params._asdict(), **measured}
-            results.append(
-                PropertyResult(prop, counterexample is None, len(cases), counterexample)
-            )
-        if not wanted:
-            break
-        # Which coalitions a check reads never depends on their errors, so
-        # the pass on placeholder errors listed them all.  Each batch is one
-        # evaluation; ids sort k < l < s, so id order is the sizes reversed.
-        for (params, size), batch in wanted.items():
-            ids, columns = "kls"[3 - size :], list(zip(*batch))[::-1]
-            mu_e, sigma_sq = ([value] * len(batch) for value in params)
-            errors = _errors(columns, method, mu_e, sigma_sq, ids)
-            for sizes, row in zip(batch, zip(*errors)):
-                known[params, sizes] = dict(zip(ids, row))
-        wanted.clear()
+    results = []
+    for prop, predicate, cases in table:
+        failed = None
+        for params, *args in cases:
+            ok, measured = predicate(params, *args)
+            if not ok:
+                failed = {**params._asdict(), **measured}
+                break
+        results.append(PropertyResult(prop, failed is None, len(cases), failed))
     name = method.value if isinstance(method, FederationMethod) else method.__name__
     return ModularityReport(method=name, properties=tuple(results))
 
@@ -377,39 +370,35 @@ class TightnessResult(NamedTuple):
 def tightness_search(c: float, epsilon: float) -> TightnessResult:
     """Find a two-player scenario with uniform ratio >= 2c+1 - epsilon.
 
-    Construction: n_s = 1, sigma_sq = 1, n_l = c * mu_e, doubling mu_e
-    until the ratio clears the target.  The ratio is monotone increasing
-    in mu_e under this construction, which is asserted at each step, and
-    it approaches 2c+1 from below, so the search always terminates.
+    Construction: n_s = 1, sigma_sq = 1 and n_l = c * mu_e, with mu_e = m
+    the least power of two >= 1 that clears the target.  The ratio falls
+    short of 2c+1 by 2(c m + 2c + 1) / (c m^2 + m + 2), so the target holds
+    from the larger root of epsilon c m^2 + (epsilon - 2c) m + (2 epsilon -
+    4c - 2) on (from m = 1 if that root is at most 1 or there is none).
+    Rounding can move the first power of two passing the float test by one
+    step, so the powers below and above the root and the next one up are
+    tried in turn; ``ValueError`` if none passes: epsilon is then finer
+    than the float ratio resolves at this c.
     """
     if c <= 0.0 or epsilon <= 0.0:
         raise ValueError("c and epsilon must be positive")
-    mu_e = 1.0
-    previous = -math.inf
-    for _ in range(600):
+    b, k = epsilon - 2 * c, 2 * epsilon - 4 * c - 2
+    disc, root = b * b - 4 * epsilon * c * k, 1.0
+    if disc > 0:  # both roots in the forms where nothing cancels
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2
+        root = max(q / epsilon / c, k / q)
+    above = math.ldexp(1.0, math.frexp(root)[1]) if root > 1 else 1.0
+    for mu_e in (max(1.0, above / 2), above, 2 * above):
         params = PopulationParams(mu_e, 1.0)
         n_l = c * mu_e
         # mu_e is a power of two, so this c_value is exactly c.
         c_value, bound = egalitarian_bound(n_l, params)
         pair = Coalition((Player("s", 1.0), Player("l", n_l)))
         ratio = error_ratio(pair, "s", "l", FederationMethod.UNIFORM, params)
-        if not math.isfinite(ratio):
-            raise ArithmeticError("ratio overflowed before reaching the target")
-        if compare(ratio, previous) < 0:
-            raise ArithmeticError("ratio failed to increase while doubling mu_e")
-        previous = ratio
         if ratio >= bound - epsilon:
-            return TightnessResult(
-                n_s=1.0,
-                n_l=n_l,
-                mu_e=mu_e,
-                sigma_sq=1.0,
-                ratio=ratio,
-                c_value=c_value,
-                bound=bound,
-            )
-        mu_e *= 2.0
-    raise ArithmeticError("target not reached within 600 doublings")
+            return TightnessResult(1.0, n_l, mu_e, 1.0, ratio, c_value, bound)
+    raise ValueError(f"epsilon={epsilon!r} is finer than the float ratio resolves "
+                     f"at c={c!r}")
 
 
 class BoundSweepResult(NamedTuple):

@@ -112,11 +112,11 @@ def _leave_one_out(columns: Columns) -> list[list[float]]:
 
 
 def out_of_range(
-    what: str, ids: Sequence[str], sizes: Sequence[float], params: PopulationParams
+    what: str, ids: Sequence[str], sizes: Sequence[float], mu_e: float, sigma_sq: float
 ) -> OutOfFloatRange:
     """``OutOfFloatRange`` for ``what``, naming mu_e, sigma_sq and each
     player's n by id."""
-    return OutOfFloatRange(what, **params._asdict(), n=dict(zip(ids, sizes)))
+    return OutOfFloatRange(what, mu_e=mu_e, sigma_sq=sigma_sq, n=dict(zip(ids, sizes)))
 
 
 def _fine_grained_terms(
@@ -176,11 +176,11 @@ def _errors(
                     errors.append(list(map(add, noise, map(truediv, spread, square))))
             elif method is FederationMethod.FINE_GRAINED:
                 v, t_sum, s_off = _fine_grained_terms(columns, mu_e, sigma_sq)
-                # An infinite V_j * T' (largest for the largest V_j) gives 0.0.
-                if not all(_finite(map(mul, map(max, zip(*v)), t_sum))):
-                    raise ArithmeticError
                 for n, v_j, s in zip(columns, v, s_off):
-                    own = map(truediv, map(truediv, mu_e, n), map(mul, v_j, t_sum))
+                    scale = list(map(mul, v_j, t_sum))
+                    if not all(_finite(scale)):  # an infinite V_j * T' gives 0.0
+                        raise ArithmeticError
+                    own = map(truediv, map(truediv, mu_e, n), scale)
                     pooled = map(add, repeat(1), map(mul, sigma_sq, s))
                     errors.append(list(map(mul, own, pooled)))
             else:
@@ -190,8 +190,8 @@ def _errors(
         except ArithmeticError:
             pass
         # Names the first instance: only a batch of one's escapes in_order.
-        sizes, params = [n[0] for n in columns], PopulationParams(mu_e[0], sigma_sq[0])
-        raise out_of_range(f"a {method.value} error", ids, sizes, params)
+        sizes = [n[0] for n in columns]
+        raise out_of_range(f"a {method.value} error", ids, sizes, mu_e[0], sigma_sq[0])
 
     return in_order(evaluate, mu_e, sigma_sq, *columns)
 
@@ -255,11 +255,20 @@ def weighted_error(
     """Expected error of the target under arbitrary unit-sum weights."""
     if weights.target not in coalition:
         raise TargetNotInCoalition(f"target {weights.target!r} not in coalition")
-    pairs = weights.aligned(coalition)
-    noise = sum(w * w / p.n for p, w in pairs)
-    off_sq = sum(w * w for p, w in pairs if p.id != weights.target)
-    off_sum = sum(w for p, w in pairs if p.id != weights.target)
-    return params.mu_e * noise + params.sigma_sq * (off_sq + off_sum * off_sum)
+    weights_in_order = [w for _, w in weights.aligned(coalition)]
+    j = coalition.ids().index(weights.target)
+    return _weighted_error(*params, coalition.sizes(), weights_in_order, j)
+
+
+def _weighted_error(
+    mu_e: float, sigma_sq: float, sizes: Sequence[float], weights: list, j: int
+) -> float:
+    """Member j's error under unit-sum weights v, one per member in id order:
+    mu_e sum_i v_i^2 / n_i + sigma_sq (sum' v_i^2 + (sum' v_i)^2), sum' over i != j."""
+    others = weights[:j] + weights[j + 1 :]
+    noise = sum(w * w / n for n, w in zip(sizes, weights))
+    off_sum = sum(others)
+    return mu_e * noise + sigma_sq * (sum(w * w for w in others) + off_sum * off_sum)
 
 
 def fine_grained_weights(
@@ -296,5 +305,5 @@ def fine_grained_weights(
                 raise ArithmeticError
     except ArithmeticError:
         sizes = coalition.sizes()
-        raise out_of_range("a fine_grained error", ids, sizes, params) from None
+        raise out_of_range("a fine_grained error", ids, sizes, *params) from None
     return WeightVector(target=target, weights=out)

@@ -249,7 +249,7 @@ def simulate_error(spec: SimulationSpec) -> SimulationResult:
                 "the Monte Carlo sum of squared errors",
                 spec.coalition.ids(),
                 spec.coalition.sizes(),
-                spec.params,
+                *spec.params,
             )
 
     n = spec.trials

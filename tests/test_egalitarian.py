@@ -2,6 +2,7 @@
 and the near-tightness construction."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +19,16 @@ from fedfair import (
     inverse_size_error,
     local_error,
     tightness_search,
-    uniform_error,
 )
-from fedfair.egalitarian import egalitarian_bound
+from fedfair.egalitarian import (
+    PAIR_SIZES,
+    PARAM_LEVELS,
+    THIRD_SIZES,
+    TightnessResult,
+    _grid_slopes,
+    egalitarian_bound,
+)
+from fedfair.errors import _errors
 from fedfair.exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from fedfair.sampling import instance_rng, random_instance
 
@@ -38,6 +46,72 @@ def uniform_pair_ratio(n_s, n_l, mu_e, sigma_sq):
     return (mu_e * (n_s + n_l) + 2 * sigma_sq * n_l * n_l) / (
         mu_e * (n_s + n_l) + 2 * sigma_sq * n_s * n_s
     )
+
+
+def fine_grained_pair_ratio(n_s, n_l, mu_e, sigma_sq):
+    """Two-player fine-grained ratio in closed form:
+    (2 sigma_sq n_l + mu_e) / (2 sigma_sq n_s + mu_e)."""
+    return (2 * sigma_sq * n_l + mu_e) / (2 * sigma_sq * n_s + mu_e)
+
+
+def inverse_size_ratio(*args):
+    """err_s / err_l of ``inverse_size_error`` for sizes (n_s, n_l[, n_k])
+    followed by mu_e and sigma_sq; ids sort k < l < s."""
+    *sizes, mu_e, sigma_sq = args
+    ids = "kls"[3 - len(sizes) :]
+    errors = inverse_size_error([[n] for n in sizes[::-1]], [mu_e], [sigma_sq], ids)
+    err = {pid: column[0] for pid, column in zip(ids, errors)}
+    return err["s"] / err["l"]
+
+
+class Dual:
+    """a + b e with e^2 = 0 and exact ``Fraction`` parts: pushed through
+    +, -, * and /, b carries the exact derivative."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @staticmethod
+    def lift(x):
+        return x if isinstance(x, Dual) else Dual(x)
+
+    def __add__(self, other):
+        other = Dual.lift(other)
+        return Dual(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -1 * Dual.lift(other)
+
+    def __rsub__(self, other):
+        return Dual.lift(other) - self
+
+    def __mul__(self, other):
+        other = Dual.lift(other)
+        return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = Dual.lift(other)
+        slope = (self.b * other.a - self.a * other.b) / (other.a * other.a)
+        return Dual(self.a / other.a, slope)
+
+    def __rtruediv__(self, other):
+        return Dual.lift(other) / self
+
+
+def exact_slope(ratio, mu_e, sigma_sq, sizes, at):
+    """The derivative of ``ratio(*sizes, mu_e, sigma_sq)`` in ``sizes[at]``,
+    exact on the given floats."""
+    args = [Fraction(n) for n in sizes]
+    args[at] = Dual(args[at], 1)
+    return ratio(*args, Fraction(mu_e), Fraction(sigma_sq)).b
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
 
 
 class TestErrorRatio:
@@ -139,9 +213,7 @@ class TestTwoPlayerClosedForms:
             via_errors = error_ratio(
                 pair(n_s, n_l), "s", "l", FederationMethod.FINE_GRAINED, params
             )
-            direct = (2 * params.sigma_sq * n_l + params.mu_e) / (
-                2 * params.sigma_sq * n_s + params.mu_e
-            )
+            direct = fine_grained_pair_ratio(n_s, n_l, *params)
             assert math.isclose(via_errors, direct, rel_tol=1e-9)
 
 
@@ -169,9 +241,11 @@ class TestModularity:
         """A two-player error 1e-6 too large for s moves the limiting ratio
         by about 3e-6, which property 5 must not excuse."""
 
-        def skewed(coalition, target, params):
-            err = uniform_error(coalition, target, params)
-            return err * (1 + 1e-6) if target == "s" and len(coalition) == 2 else err
+        def skewed(columns, mu_e, sigma_sq, ids):
+            errors = _errors(columns, FederationMethod.UNIFORM, mu_e, sigma_sq, ids)
+            if len(ids) == 2:  # ids "ls": s is the last column
+                errors[1] = [e * (1 + 1e-6) for e in errors[1]]
+            return errors
 
         fifth = check_modularity(skewed).result(5)
         assert not fifth.passed
@@ -179,17 +253,71 @@ class TestModularity:
         assert fifth.counterexample["limit"] == 3.0
 
     def test_inverse_size_weighting_fails_on_a_two_player_instance(self):
-        err_s = inverse_size_error(pair(6, 20), "s", PARAMS)
-        err_l = inverse_size_error(pair(6, 20), "l", PARAMS)
+        # Columns in id order: l (n = 20), then s (n = 6).
+        (err_l,), (err_s,) = inverse_size_error([[20.0], [6.0]], [10.0], [1.0], "ls")
         assert err_s < err_l  # the larger player is worse off: P1 violated
 
     def test_inverse_size_weighting_of_a_singleton_is_local(self):
-        alone = Coalition((Player("x", 7.0),))
-        assert math.isclose(
-            inverse_size_error(alone, "x", PARAMS),
-            local_error(Player("x", 7.0), PARAMS),
-            rel_tol=1e-15,
-        )
+        ((err,),) = inverse_size_error([[7.0]], [PARAMS.mu_e], [PARAMS.sigma_sq], "x")
+        assert math.isclose(err, local_error(Player("x", 7.0), PARAMS), rel_tol=1e-15)
+
+
+@pytest.fixture(scope="module")
+def inverse_size_report():
+    return check_modularity(inverse_size_error)
+
+
+class TestExactSlopes:
+    """Properties 2-4 read each slope from a complex-step evaluation.  It
+    must agree with the exact derivative (forward-mode duals over
+    ``Fraction``) of the same ratio on the given floats."""
+
+    @pytest.mark.parametrize(
+        "prop, key, at, exact",
+        [
+            (2, "derivative_in_third", 2, Fraction(-6, 1369)),  # -0.0043827611395179
+            (3, "derivative_in_large", 1, Fraction(-1)),
+            (4, "derivative_in_small", 0, Fraction(1)),
+        ],
+    )
+    def test_inverse_size_counterexample_slopes(
+        self, inverse_size_report, prop, key, at, exact
+    ):
+        found = inverse_size_report.result(prop).counterexample
+        names = ("n_small", "n_large", "n_third")[: 3 if prop == 2 else 2]
+        sizes = [found[name] for name in names]
+        params = found["mu_e"], found["sigma_sq"]
+        assert exact_slope(inverse_size_ratio, *params, sizes, at) == exact
+        assert math.isclose(found[key], float(exact), rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "method, ratio",
+        [
+            (FederationMethod.UNIFORM, uniform_pair_ratio),
+            (FederationMethod.FINE_GRAINED, fine_grained_pair_ratio),
+        ],
+        ids=["uniform", "fine_grained"],
+    )
+    def test_honest_slopes_are_exact(self, method, ratio):
+        """Every property 3 and 4 slope has the exact derivative's sign and
+        is within 1e-9 of it; every property 2 slope at n_s = n_l is 0."""
+        pairs = [
+            (PopulationParams(mu_e, sigma_sq), n_s, n_l)
+            for mu_e in PARAM_LEVELS
+            for sigma_sq in PARAM_LEVELS
+            for n_s in PAIR_SIZES
+            for n_l in PAIR_SIZES
+            if n_s <= n_l
+        ]
+        for at in (0, 1):
+            for (params, *sizes), got in zip(pairs, _grid_slopes(method, pairs, at)):
+                exact = float(exact_slope(ratio, *params, sizes, at))
+                assert sign(got) == sign(exact), (params, sizes, at, got, exact)
+                assert math.isclose(got, exact, rel_tol=1e-9), (params, sizes, at)
+        trios = [(*pair, n_k) for pair in pairs for n_k in THIRD_SIZES]
+        slopes = _grid_slopes(method, trios, 2)
+        level = [d for (_, n_s, n_l, _), d in zip(trios, slopes) if n_s == n_l]
+        assert len(level) == 162 and set(level) == {0.0}
 
 
 class TestTightness:
@@ -219,11 +347,58 @@ class TestTightness:
             result = tightness_search(c=c, epsilon=1e-3)
             assert 2 * c + 1 - 1e-3 <= result.ratio <= 2 * c + 1
 
+    def test_closed_form_matches_the_doubling_search(self):
+        """The closed form gives what doubling mu_e from 1 until the float
+        test passes gave, on a (c, epsilon) grid.  It holds where no root
+        exceeds 1 (epsilon >= 2c+1 among them), where rounding puts the
+        root just above the answer (c = 1e4, epsilon = 1e-12: 2**40), and
+        where epsilon dwarfs 2c, so the textbook root formula cancels
+        (c = 1e-300, epsilon = 1e-3: 2**11)."""
+        cs = [1e-300, 1e-12, 1e-8] + [10.0**k for k in range(-4, 5)]
+        cs += [1 / 3, 0.25, 0.3, 0.5, 0.7, 0.9, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0]
+        cs += [7.0, 8.0, 12.0, 20.0, 33.0, 50.0, 64.0]
+        epsilons = [10.0**k for k in range(-12, 2)]
+        epsilons += [9e-11, 2.5e-7, 3e-5, 1e-3 / 3, 0.007, 0.03, 0.2, 0.25, 0.5]
+        epsilons += [1.5, 2.0, 3.0, 4.1, 5.0, 7.0, 20.0]
+        for c in cs:
+            for epsilon in epsilons:
+                assert tightness_search(c, epsilon) == doubling_search(c, epsilon), (
+                    c,
+                    epsilon,
+                )
+        assert tightness_search(1e4, 1e-12).mu_e == 2.0**40
+        assert tightness_search(1e-300, 1e-3).mu_e == 2.0**11
+        assert tightness_search(0.25, 2.0).mu_e == 1.0
+
+    def test_epsilon_below_the_float_resolution_is_refused(self):
+        """At c = 2e4 the float ratio is 2c+1 = 40001 to within an ulp of
+        7.3e-12, so epsilon = 1e-12 cannot be confirmed near the root.  The
+        doubling search returned mu_e = 2**38, where the exact ratio falls
+        7.3e-12 short of 2c+1: it passed by rounding alone."""
+        with pytest.raises(ValueError, match="finer than the float ratio"):
+            tightness_search(2e4, 1e-12)
+        assert doubling_search(2e4, 1e-12).mu_e == 2.0**38
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             tightness_search(c=0.0, epsilon=0.1)
         with pytest.raises(ValueError):
             tightness_search(c=1.0, epsilon=0.0)
+
+
+def doubling_search(c, epsilon):
+    """The search ``tightness_search`` replaced: double mu_e from 1 until
+    the float ratio clears 2c+1 - epsilon."""
+    mu_e = 1.0
+    for _ in range(600):
+        params = PopulationParams(mu_e, 1.0)
+        n_l = c * mu_e
+        c_value, bound = egalitarian_bound(n_l, params)
+        ratio = error_ratio(pair(1.0, n_l), "s", "l", FederationMethod.UNIFORM, params)
+        if ratio >= bound - epsilon:
+            return TightnessResult(1.0, n_l, mu_e, 1.0, ratio, c_value, bound)
+        mu_e *= 2.0
+    raise ArithmeticError("target not reached within 600 doublings")
 
 
 class TestBoundSweep:

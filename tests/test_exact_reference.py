@@ -35,6 +35,7 @@ from fedfair import (
 )
 from fedfair.egalitarian import _bounds
 from fedfair.errors import _errors
+from fedfair.exceptions import OutOfFloatRange
 from fedfair.proportionality import _defection, _subproportionality
 
 DRAWS = 2000
@@ -251,3 +252,11 @@ def test_thresholds_and_bounds_are_exact_past_the_float_range():
     violate = _subproportionality(total, sum_sq, "a", n_s, [10 * HUGE], one)
     assert violate == [96 * HUGE]
     assert _bounds([HUGE], [Fraction(10)], one) == ([HUGE / 10], [HUGE / 5 + 1])
+
+
+def test_failing_exact_batch_raises_out_of_float_range():
+    """A failing batch names mu_e and sigma_sq as given.  Wrapping them in
+    ``PopulationParams``, whose check calls ``math.isfinite``, turned this
+    into an ``OverflowError``."""
+    with pytest.raises(OutOfFloatRange, match="a local error .* mu_e=Fraction"):
+        _errors([[Fraction(0)]], FederationMethod.LOCAL, [HUGE], [Fraction(1)], "a")

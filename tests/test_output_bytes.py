@@ -79,7 +79,7 @@ PINS = {
     "verify-propstab-table":
         "dc85288f2f8854b3b0b4e8f332636f0887368e71c41d636fdfc18e58cd97a845",
     "verify-modularity-csv":
-        "9988231b501b24b262e2d4ec2c49c38d2604bddc00acc75c9f266e865057df04",
+        "63bb75a17565d64fc7661caf18cbb39ca6fe3f30baa7ce2ef3ca715adc7a0707",
     "simulate-local-csv":
         "3d993130f77333699e8183b8bb04abbfec2f2fe5900d6c3db3d1a36d1c62ba17",
     "simulate-local-json":

@@ -21,8 +21,8 @@ from itertools import combinations, compress, repeat
 from operator import gt, itemgetter, mul, truediv
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (Column, Columns, _coalition_errors, _errors, _finite, in_order,
-                     _weighted_error)
+from .errors import (Column, Columns, _coalition_errors, _errors, _weighted_error,
+                     in_order, range_failure)
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, compare
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
@@ -56,19 +56,20 @@ def _ratio(err_i: float, err_j: float, j: str) -> float:
 
 def _bounds(n_max: Column, mu_e: Column, sigma_sq: Column) -> tuple[list, list]:
     """The c = n_max * sigma_sq / mu_e and 2c + 1 columns of a batch, defined
-    only for mu_e > 0 and sigma_sq > 0; a failing batch raises as ``in_order``."""
+    only for mu_e > 0 and sigma_sq > 0, under ``in_order``'s float-range
+    rule; a failing batch raises as ``in_order`` does."""
 
     def evaluate(n_max: Column, mu_e: Column, sigma_sq: Column) -> tuple[list, list]:
-        if min(mu_e) <= 0.0 or min(sigma_sq) <= 0.0:
+        if min(mu_e) <= 0 or min(sigma_sq) <= 0:
             raise UndefinedBound("the 2c+1 bound needs mu_e > 0 and sigma_sq > 0")
         c_values = list(map(truediv, map(mul, n_max, sigma_sq), mu_e))
-        bounds = [2 * c + 1 for c in c_values]
-        if all(_finite(bounds)):
-            return c_values, bounds
-        raise OutOfFloatRange("the 2c+1 bound", mu_e=mu_e[0], sigma_sq=sigma_sq[0],
-                              n_max=n_max[0])
+        return c_values, [2 * c + 1 for c in c_values]
 
-    return in_order(evaluate, n_max, mu_e, sigma_sq)
+    def fail(_: int, n_max: float, mu_e: float, sigma_sq: float) -> OutOfFloatRange:
+        what = "the 2c+1 bound"
+        return OutOfFloatRange(what, mu_e=mu_e, sigma_sq=sigma_sq, n_max=n_max)
+
+    return in_order(evaluate, n_max, mu_e, sigma_sq, fail=fail)
 
 
 def _exceeds(ratios: Column, bounds: Column) -> list[bool]:
@@ -133,9 +134,9 @@ def _audits(
     ``ids`` have one column each of sizes ``columns`` and of errors
     ``errs`` under ``method``; None for a coalition whose audit raises one
     of ``undefined``.  The worst ratio is the largest error over the
-    smallest (1.0 for a lone member), between the first members holding
-    each, judged against ``bound_columns``: the batch's ``_bounds``, evaluated
-    first if not given."""
+    smallest (1.0 for a lone member), between the first member holding
+    each (the second member for the smallest where all tie), judged against
+    ``bound_columns``: the batch's ``_bounds``, evaluated first if not given."""
     count = len(columns[0])
     try:  # before the ratios, as in audit_egalitarian
         n_max, shared = list(map(max, zip(*columns))), ([v] * count for v in params)
@@ -144,7 +145,9 @@ def _audits(
         return [None] * count
     rows, ratios, name = list(zip(*errs)), [], method.value
     tops, bottoms = list(map(max, rows)), list(map(min, rows))
-    his, los = ([ids[r.index(e)] for r, e in zip(rows, es)] for es in (tops, bottoms))
+    his = [ids[r.index(top)] for r, top in zip(rows, tops)]
+    los = [ids[r.index(bottom) if bottom != top else min(1, len(r) - 1)]
+           for r, top, bottom in zip(rows, tops, bottoms)]
     for top, bottom, lo in zip(tops, bottoms, los):
         try:
             ratios.append(1.0 if len(ids) == 1 else _ratio(top, bottom, lo))
@@ -164,14 +167,19 @@ def inverse_size_error(
     v_i proportional to T - n_i, so smaller players get larger weight (a
     lone member weighs itself 1).  Breaks the usual large-player advantage;
     used to calibrate the modularity checker."""
-    errors = [[] for _ in ids]
-    for mu, sigma, *sizes in zip(mu_e, sigma_sq, *columns):
-        total = sum(sizes)
-        scale = (len(sizes) - 1) * total
-        weights = [(total - n) / scale for n in sizes] if len(sizes) > 1 else [1]
-        for j, column in enumerate(errors):
-            column.append(_weighted_error(mu, sigma, sizes, weights, j))
-    return errors
+
+    def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list]:
+        errors = [[] for _ in columns]
+        for mu, sigma, *sizes in zip(mu_e, sigma_sq, *columns):
+            total = sum(sizes)
+            scale = (len(sizes) - 1) * total
+            weights = [(total - n) / scale for n in sizes] if len(sizes) > 1 else [1]
+            for j, column in enumerate(errors):
+                column.append(_weighted_error(mu, sigma, sizes, weights, j))
+        return errors
+
+    fail = range_failure("an inverse_size error", ids)
+    return in_order(evaluate, mu_e, sigma_sq, *columns, fail=fail)
 
 
 class PropertyResult(NamedTuple):

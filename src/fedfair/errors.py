@@ -23,15 +23,16 @@ exactly the member-ordered sequence a per-coalition loop sums, so floats
 are bit-identical for any batch, also under Python 3.12+, whose float
 ``sum`` is compensated.  A per-coalition call is a batch of one; the sweeps
 run blocks of 1,024 instances, so their memory does not grow with
-``--instances``.  On ``fractions.Fraction`` columns the kernel is exact.
+``--instances``.  On ``fractions.Fraction`` columns the kernel is exact,
+and every column function runs under ``in_order``'s float-range rule.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, repeat
-from operator import add, lt, mul, truediv
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import combinations, repeat
+from operator import add, mul, truediv
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .exceptions import (
     DegenerateParams,
@@ -46,6 +47,8 @@ from .model import Coalition, FederationMethod, Player, PopulationParams, close
 # One value per instance of a batch; a batch's sizes are one column per member.
 Column = Sequence[float]
 Columns = Sequence[Column]
+# The band of in_order's float-range rule: magnitudes in [2^-128, 2^128].
+BAND_LOW, BAND_HIGH = 2.0**-128, 2.0**128
 
 
 class WeightVector(NamedTuple("WeightVector", [("target", str), ("weights", dict)])):
@@ -82,22 +85,70 @@ class WeightVector(NamedTuple("WeightVector", [("target", str), ("weights", dict
         return tuple((p, self.weights[p.id]) for p in coalition.players)
 
 
-def in_order(evaluate: Callable[..., Any], *columns: Sequence) -> Any:
+def in_order(evaluate: Callable[..., Any], *columns: Sequence, fail: Any = None) -> Any:
     """``evaluate(*columns)`` of a batch of independent instances, the rows
     of ``columns``.  On a ``FedFairError`` each instance is evaluated alone,
-    in order: the first that fails raises what a loop over them would."""
+    in order: the first that fails raises what a loop over them would.
+
+    With ``fail``, ``evaluate`` is a column function (it returns output
+    columns) under the one float-range rule.  An instance whose nonzero
+    float or int inputs all have magnitudes in [2^-B, 2^B], B = 128, runs
+    on its floats, unguarded.  Any other runs on its inputs as
+    ``Fraction``s, each result rounded once by ``float()``; ``fail(out,
+    *instance)`` is raised for the first output column whose exact value
+    overflows.  ``Fraction`` and complex columns are evaluated as given.
+
+    Why B = 128: with k < 2^63 members, mu_e/n_i and V_i lie in [2^-2B,
+    2^(2B+1)] and each sum over members widens a bound by k.  The extremes
+    are the uniform sigma_sq S/T^2, in [2^-5B/k^2, k^2 2^(5B+1)]; the
+    weight denominator V_k (1 + V_j S) < k 2^(6B+3); a fine-grained weight
+    or noise term, (mu_e/n_j)/V_j >= 2^-(3B+1) times 1/(V_k T') or 1/T'
+    >= 2^-(2B+1)/k; and a threshold q/d, whose positive d is at least an
+    ulp of mu_e/T or mu_e/n_s, so q/d < k^2 2^(6B+53).  All lie in
+    [2^-766, 2^947], inside the normal floats: nothing in the band
+    overflows or turns subnormal, at any coalition size.
+    """
     try:
-        return evaluate(*columns)
+        return _evaluate(evaluate, columns, fail)
     except FedFairError:
         if len(columns[0]) > 1:
             for instance in zip(*columns):
-                evaluate(*([value] for value in instance))
+                _evaluate(evaluate, [[value] for value in instance], fail)
         raise
 
 
-def _finite(values: Iterable) -> Iterator[bool]:
-    """Whether each value is finite, as ``math.isfinite``, or a ``Fraction``."""
-    return map(lt, map(abs, values), repeat(math.inf))
+def _evaluate(evaluate: Callable[..., Any], columns: Sequence, fail: Any) -> Any:
+    """One batch under ``in_order``'s float-range rule (as given without
+    ``fail``); a batch mixing both sides runs each instance alone."""
+    try:
+        # With every value at least BAND_LOW > 0, the sum bounds each value;
+        # it is cheaper than max().
+        if fail is None or (BAND_LOW <= min(map(min, columns))
+                            and sum(map(sum, columns)) <= BAND_HIGH):
+            return evaluate(*columns)
+    except TypeError:  # complex numbers have no order
+        return evaluate(*columns)
+    rows = list(zip(*columns))
+    band = [all(x == 0 or BAND_LOW <= abs(x) <= BAND_HIGH for x in row) for row in rows]
+    if all(band) or not all(isinstance(x, (float, int)) for row in rows for x in row):
+        return evaluate(*columns)
+    if not any(band):
+        return _exactly(evaluate, columns, fail)
+    parts = [_evaluate(evaluate, [[value] for value in row], fail) for row in rows]
+    return [[value for value, in outputs] for outputs in zip(*parts)]
+
+
+def _exactly(evaluate: Callable[..., Any], columns: Sequence, fail: Any) -> list:
+    """``evaluate`` on ``Fraction`` columns, each result rounded once."""
+    from fractions import Fraction  # only an out-of-band input needs it
+
+    rounded = []
+    for out, column in enumerate(evaluate(*(list(map(Fraction, c)) for c in columns))):
+        try:
+            rounded.append(list(map(float, column)))
+        except OverflowError:  # in_order re-runs a failing batch one by one
+            raise fail(out, *(c[0] for c in columns)) from None
+    return rounded
 
 
 def _leave_one_out(columns: Columns) -> list[list[float]]:
@@ -111,31 +162,27 @@ def _leave_one_out(columns: Columns) -> list[list[float]]:
     return [list(map(sum, zip(*rest))) for rest in others][::-1]
 
 
-def out_of_range(
-    what: str, ids: Sequence[str], sizes: Sequence[float], mu_e: float, sigma_sq: float
-) -> OutOfFloatRange:
-    """``OutOfFloatRange`` for ``what``, naming mu_e, sigma_sq and each
-    player's n by id."""
-    return OutOfFloatRange(what, mu_e=mu_e, sigma_sq=sigma_sq, n=dict(zip(ids, sizes)))
+def range_failure(what: str, ids: Sequence[str]) -> Callable[..., OutOfFloatRange]:
+    """``in_order``'s ``fail`` for the columns mu_e, sigma_sq and one per
+    member ``ids``: ``OutOfFloatRange`` for ``what`` naming mu_e, sigma_sq
+    and each player's n by id; columns after the sizes go unnamed."""
+    return lambda _, mu_e, sigma_sq, *n: OutOfFloatRange(
+        what, mu_e=mu_e, sigma_sq=sigma_sq, n=dict(zip(ids, n)))
 
 
 def _fine_grained_terms(
     columns: Columns, mu_e: Column, sigma_sq: Column
 ) -> tuple[list[list[float]], list[float], list[list[float]]]:
     """The columns V_i = sigma_sq + mu_e / n_i, T = sum_i 1/V_i and
-    S_j = sum_{i != j} 1/V_i.  ``DegenerateParams`` at mu_e = sigma_sq = 0;
-    ``ArithmeticError`` when a V_i underflows to zero or a T overflows."""
+    S_j = sum_{i != j} 1/V_i.  ``DegenerateParams`` at mu_e = sigma_sq = 0."""
     # Both are nonnegative, so a zero sum means both are zero.
-    if 0.0 in map(add, mu_e, sigma_sq):
+    if 0 in map(add, mu_e, sigma_sq):
         raise DegenerateParams(
             "mu_e = sigma_sq = 0: every unit-sum weighting is optimal"
         )
     v = [list(map(add, sigma_sq, map(truediv, mu_e, n))) for n in columns]
     inverse = [list(map(truediv, repeat(1), v_i)) for v_i in v]
-    total = list(map(sum, zip(*inverse)))
-    if not all(_finite(total)):
-        raise ArithmeticError
-    return v, total, _leave_one_out(inverse)
+    return v, list(map(sum, zip(*inverse))), _leave_one_out(inverse)
 
 
 def _errors(
@@ -156,44 +203,35 @@ def _errors(
         fine-grained: (mu_e / n_j) / (V_j * T') * (1 + sigma_sq * S_j)
 
     where V_i = sigma_sq + mu_e / n_i, T' = sum_i 1/V_i and
-    S_j = sum_{i != j} 1/V_i.  Raises, as ``in_order`` does, for the first
-    instance where an error overflows or a denominator underflows to zero
-    or overflows.
+    S_j = sum_{i != j} 1/V_i.  Evaluated under ``in_order``'s float-range
+    rule, which raises for the first instance whose exact error overflows.
     """
 
-    def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list[float]]:
-        errors = []
-        try:
-            if method is FederationMethod.LOCAL:
-                errors = [list(map(truediv, mu_e, n)) for n in columns]
-            elif method is FederationMethod.UNIFORM:
-                total = list(map(sum, zip(*columns)))
-                noise = list(map(truediv, mu_e, total))
-                square = list(map(mul, total, total))
-                off_sq = _leave_one_out([list(map(mul, n, n)) for n in columns])
-                for s, sq in zip(_leave_one_out(columns), off_sq):
-                    spread = map(mul, sigma_sq, map(add, sq, map(mul, s, s)))
-                    errors.append(list(map(add, noise, map(truediv, spread, square))))
-            elif method is FederationMethod.FINE_GRAINED:
-                v, t_sum, s_off = _fine_grained_terms(columns, mu_e, sigma_sq)
-                for n, v_j, s in zip(columns, v, s_off):
-                    scale = list(map(mul, v_j, t_sum))
-                    if not all(_finite(scale)):  # an infinite V_j * T' gives 0.0
-                        raise ArithmeticError
-                    own = map(truediv, map(truediv, mu_e, n), scale)
-                    pooled = map(add, repeat(1), map(mul, sigma_sq, s))
-                    errors.append(list(map(mul, own, pooled)))
-            else:
-                raise ValueError(f"unknown federation method: {method!r}")
-            if all(_finite(chain.from_iterable(errors))):
-                return errors
-        except ArithmeticError:
-            pass
-        # Names the first instance: only a batch of one's escapes in_order.
-        sizes = [n[0] for n in columns]
-        raise out_of_range(f"a {method.value} error", ids, sizes, mu_e[0], sigma_sq[0])
+    if not isinstance(method, FederationMethod):
+        raise ValueError(f"unknown federation method: {method!r}")
 
-    return in_order(evaluate, mu_e, sigma_sq, *columns)
+    def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list[float]]:
+        if method is FederationMethod.LOCAL:
+            return [list(map(truediv, mu_e, n)) for n in columns]
+        errors = []
+        if method is FederationMethod.UNIFORM:
+            total = list(map(sum, zip(*columns)))
+            noise = list(map(truediv, mu_e, total))
+            square = list(map(mul, total, total))
+            off_sq = _leave_one_out([list(map(mul, n, n)) for n in columns])
+            for s, sq in zip(_leave_one_out(columns), off_sq):
+                spread = map(mul, sigma_sq, map(add, sq, map(mul, s, s)))
+                errors.append(list(map(add, noise, map(truediv, spread, square))))
+        else:
+            v, t_sum, s_off = _fine_grained_terms(columns, mu_e, sigma_sq)
+            for n, v_j, s in zip(columns, v, s_off):
+                own = map(truediv, map(truediv, mu_e, n), map(mul, v_j, t_sum))
+                pooled = map(add, repeat(1), map(mul, sigma_sq, s))
+                errors.append(list(map(mul, own, pooled)))
+        return errors
+
+    fail = range_failure(f"a {method.value} error", ids)
+    return in_order(evaluate, mu_e, sigma_sq, *columns, fail=fail)
 
 
 def _coalition_errors(
@@ -255,9 +293,16 @@ def weighted_error(
     """Expected error of the target under arbitrary unit-sum weights."""
     if weights.target not in coalition:
         raise TargetNotInCoalition(f"target {weights.target!r} not in coalition")
-    weights_in_order = [w for _, w in weights.aligned(coalition)]
-    j = coalition.ids().index(weights.target)
-    return _weighted_error(*params, coalition.sizes(), weights_in_order, j)
+    ids, sizes = coalition.ids(), coalition.sizes()
+    j, k = ids.index(weights.target), len(ids)
+
+    def evaluate(mu_e: Column, sigma_sq: Column, *values: Column) -> list[list]:
+        rows = zip(mu_e, sigma_sq, *values)
+        return [[_weighted_error(m, s, row[:k], row[k:], j) for m, s, *row in rows]]
+
+    values = (*params, *sizes, *(w for _, w in weights.aligned(coalition)))
+    fail = range_failure("a weighted error", ids)
+    return in_order(evaluate, *([v] for v in values), fail=fail)[0][0]
 
 
 def _weighted_error(
@@ -271,6 +316,30 @@ def _weighted_error(
     return mu_e * noise + sigma_sq * (sum(w * w for w in others) + off_sum * off_sum)
 
 
+def _weights(columns: Columns, method: FederationMethod, j: int, mu_e: Column,
+             sigma_sq: Column, ids: Sequence[str]) -> list[list[float]]:
+    """Member j's weights under ``method``, a column per member, for a batch
+    shaped as ``_errors``'s: local 1 for j, uniform n_i / T, fine-grained
+    those of ``fine_grained_weights``."""
+
+    def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list]:
+        if method is FederationMethod.LOCAL:
+            return [[int(i == j)] * len(mu_e) for i in range(len(columns))]
+        if method is FederationMethod.UNIFORM:
+            total = list(map(sum, zip(*columns)))
+            return [list(map(truediv, n, total)) for n in columns]
+        v, _, s_off = _fine_grained_terms(columns, mu_e, sigma_sq)
+        denom = list(map(add, repeat(1), map(mul, v[j], s_off[j])))
+        noise = list(map(truediv, mu_e, columns[j]))
+        own = map(add, repeat(1), map(mul, sigma_sq, s_off[j]))
+        return [list(map(truediv, own, denom)) if i == j
+                else list(map(truediv, noise, map(mul, v_i, denom)))
+                for i, v_i in enumerate(v)]
+
+    fail = range_failure(f"a {method.value} error", ids)
+    return in_order(evaluate, mu_e, sigma_sq, *columns, fail=fail)
+
+
 def fine_grained_weights(
     coalition: Coalition, target: str, params: PopulationParams
 ) -> WeightVector:
@@ -282,28 +351,10 @@ def fine_grained_weights(
         v_jk = (1/V_k) * (V_j - sigma_sq) / (1 + V_j * S)
 
     All weights are nonnegative because V_j - sigma_sq = mu_e / n_j >= 0.
-    Raises ``OutOfFloatRange`` where 1 + V_j * S overflows (every weight
-    would round to 0) or rounding leaves a weight that is not a finite
-    nonnegative float.
     """
     if target not in coalition:
         raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    ids, columns = coalition.ids(), [[n] for n in coalition.sizes()]
-    j, out = ids.index(target), {}
-    try:
-        v, _, s_off = _fine_grained_terms(columns, [params.mu_e], [params.sigma_sq])
-        s = s_off[j][0]
-        denom = 1.0 + v[j][0] * s
-        if not math.isfinite(denom):
-            raise ArithmeticError
-        for pid, (v_i,) in zip(ids, v):
-            if pid == target:
-                out[pid] = (1.0 + params.sigma_sq * s) / denom
-            else:
-                out[pid] = (params.mu_e / columns[j][0]) / (v_i * denom)
-            if not (math.isfinite(out[pid]) and out[pid] >= 0.0):
-                raise ArithmeticError
-    except ArithmeticError:
-        sizes = coalition.sizes()
-        raise out_of_range("a fine_grained error", ids, sizes, *params) from None
-    return WeightVector(target=target, weights=out)
+    ids, method = coalition.ids(), FederationMethod.FINE_GRAINED
+    columns, shared = [[n] for n in coalition.sizes()], ([v] for v in params)
+    weights = _weights(columns, method, ids.index(target), *shared, ids)
+    return WeightVector(target, {pid: w for pid, (w,) in zip(ids, weights)})

@@ -47,8 +47,8 @@ class UndefinedBound(FedFairError):
 
 
 class OutOfFloatRange(FedFairError):
-    """A closed form left the floating-point range at the given inputs: it
-    overflowed, or divided by a value that underflowed to zero."""
+    """A closed form's exact value at the given inputs is past the largest
+    float: rounded once, it would overflow."""
 
     def __init__(self, what: str, **inputs: object) -> None:
         fields = ", ".join(f"{name}={value!r}" for name, value in inputs.items())

@@ -165,13 +165,3 @@ class Coalition:
 
     def __len__(self) -> int:
         return len(self.players)
-
-    @property
-    def total(self) -> float:
-        """Total sample count."""
-        return sum(p.n for p in self.players)
-
-    @property
-    def sum_sq(self) -> float:
-        """Sum of squared sample counts."""
-        return sum(p.n * p.n for p in self.players)

@@ -29,10 +29,10 @@ import itertools
 import math
 from enum import Enum
 from itertools import repeat
-from operator import add, gt, itemgetter, le, lt, mul, not_, or_, sub, truediv
-from typing import Callable, Iterable, NamedTuple, Sequence
+from operator import add, gt, itemgetter, le, lt, mul, not_, sub, truediv
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import Column, Columns, _coalition_errors, _errors, _finite, in_order
+from .errors import Column, Columns, _coalition_errors, _errors, in_order
 from .exceptions import OutOfFloatRange
 from .model import Coalition, FederationMethod, PopulationParams, compare
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
@@ -154,66 +154,64 @@ def individually_rational(
     return RationalityReport(method.value, tuple(players), rational)
 
 
+def _quotients(numer: Iterable, denom: Iterable) -> list[float]:
+    """numer / denom per instance, inf where denom <= 0 (the event never
+    happens)."""
+    return [math.inf if d <= 0 else q / d for q, d in zip(numer, denom)]
+
+
 def _thresholds(
-    what: str, formula: Callable[..., tuple[Iterable, Iterable]], **inputs: Sequence
-) -> list[float]:
-    """numer / denom of ``formula(*inputs)`` per instance of the input
-    columns, inf where denom <= 0 (the event never happens).  The first
-    instance that is not finite raises ``OutOfFloatRange`` for ``what``."""
+    columns: Columns,
+    mu_e: Column,
+    sigma_sq: Column,
+    ids: Sequence[str],
+    wanted: Sequence[int | None],
+) -> list[list[float]]:
+    """One threshold column per entry of ``wanted``, for a batch of rest
+    coalitions whose members ``ids`` have one column of sizes each: the
+    defection threshold for None, the subproportionality threshold against
+    the member at an index.  The total T and the sum of squares S of each
+    rest are taken here, once for all of them, under ``in_order``'s
+    float-range rule, which raises for the first instance whose exact
+    threshold overflows, naming T and S (and n_s against a member)."""
 
-    def evaluate(*columns: Column) -> list[float]:
-        try:
-            numer, denom = formula(*columns)
-            denom = list(denom)
-            out = [math.inf if d <= 0.0 else q / d for q, d in zip(numer, denom)]
-            # Each entry is the inf of a denominator <= 0 or a finite quotient.
-            if all(map(or_, _finite(out), map(le, denom, repeat(0.0)))):
-                return out
-        except ZeroDivisionError:
-            pass
-        # Names the first instance: only a batch of one's escapes in_order.
-        raise OutOfFloatRange(what, **{k: c[0] for k, c in zip(inputs, columns)})
+    def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list]:
+        squares = [list(map(mul, n, n)) for n in columns]
+        total, sum_sq = list(map(sum, zip(*columns))), list(map(sum, zip(*squares)))
+        square = list(map(mul, total, total))
+        out = []
+        for s in wanted:
+            if s is None:
+                spread = map(truediv, map(mul, sigma_sq, sum_sq), square)
+                denom = map(sub, map(add, spread, sigma_sq), map(truediv, mu_e, total))
+                out.append(_quotients(mu_e, denom))
+                continue
+            noise = list(map(truediv, mu_e, columns[s]))
+            own = map(add, map(mul, map(mul, repeat(-2), sigma_sq), total),
+                      map(mul, noise, total))
+            rest = map(mul, map(truediv, sigma_sq, columns[s]),
+                       map(add, sum_sq, square))
+            denom = map(sub, map(mul, repeat(2), sigma_sq), noise)
+            out.append(_quotients(map(add, own, rest), denom))
+        return out
 
-    return in_order(evaluate, *inputs.values())
+    def fail(out: int, mu_e: float, sigma_sq: float, *sizes: float) -> OutOfFloatRange:
+        sizes, s = [float(n) for n in sizes], wanted[out]
+        inputs = {"mu_e": mu_e, "sigma_sq": sigma_sq, "total": sum(sizes),
+                  "sum_sq": sum(n * n for n in sizes)}
+        if s is None:
+            return OutOfFloatRange("the defection threshold", **inputs)
+        what = f"the subproportionality threshold against {ids[s]!r}"
+        return OutOfFloatRange(what, **inputs, n_s=sizes[s])
 
-
-def _defection(
-    total: Column, sum_sq: Column, mu_e: Column, sigma_sq: Column
-) -> list[float]:
-    """``defection_threshold`` of a batch of rest coalitions, each given by
-    the sum ``total`` and the sum of squares ``sum_sq`` of its sizes."""
-
-    def formula(mu_e, sigma_sq, total, sum_sq) -> tuple[Iterable, Iterable]:
-        spread = map(truediv, map(mul, sigma_sq, sum_sq), map(mul, total, total))
-        return mu_e, map(sub, map(add, spread, sigma_sq), map(truediv, mu_e, total))
-
-    inputs = {"mu_e": mu_e, "sigma_sq": sigma_sq, "total": total, "sum_sq": sum_sq}
-    return _thresholds("the defection threshold", formula, **inputs)
-
-
-def _subproportionality(
-    total: Column, sum_sq: Column, s: str, n_s: Column, mu_e: Column, sigma_sq: Column
-) -> list[float]:
-    """``subproportionality_threshold`` against member ``s``, of size
-    ``n_s``, of a batch of rest coalitions given as ``_defection``'s are."""
-
-    def formula(mu_e, sigma_sq, total, sum_sq, n_s) -> tuple[Iterable, Iterable]:
-        noise = list(map(truediv, mu_e, n_s))
-        own = map(add, map(mul, map(mul, repeat(-2), sigma_sq), total),
-                  map(mul, noise, total))
-        rest = map(mul, map(truediv, sigma_sq, n_s),
-                   map(add, sum_sq, map(mul, total, total)))
-        return map(add, own, rest), map(sub, map(mul, repeat(2), sigma_sq), noise)
-
-    inputs = {"mu_e": mu_e, "sigma_sq": sigma_sq, "total": total, "sum_sq": sum_sq}
-    what = f"the subproportionality threshold against {s!r}"
-    return _thresholds(what, formula, **inputs, n_s=n_s)
+    return in_order(evaluate, mu_e, sigma_sq, *columns, fail=fail)
 
 
 def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
     """Least size at which a player joining ``rest`` weakly prefers local
     learning under the weighted average; inf when that never happens."""
-    return _defection([rest.total], [rest.sum_sq], [params.mu_e], [params.sigma_sq])[0]
+    columns, shared = [[n] for n in rest.sizes()], ([v] for v in params)
+    return _thresholds(columns, *shared, rest.ids(), [None])[0][0]
 
 
 def subproportionality_threshold(
@@ -221,8 +219,9 @@ def subproportionality_threshold(
 ) -> float:
     """Least joining size at which the pair (s, newcomer) turns
     super-proportional; inf when n_s <= mu_e / (2 sigma_sq)."""
-    total, sum_sq, n_s = [rest.total], [rest.sum_sq], [rest.player(s).n]
-    return _subproportionality(total, sum_sq, s, n_s, *([v] for v in params))[0]
+    rest.player(s)  # KeyError for a non-member
+    ids, shared = rest.ids(), ([v] for v in params)
+    return _thresholds([[n] for n in rest.sizes()], *shared, ids, [ids.index(s)])[0][0]
 
 
 class PropstabResult(NamedTuple):
@@ -272,11 +271,9 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
             if label not in (CoalitionLabel.SUB, CoalitionLabel.EXACT):
                 fail(i, "rational_but_super", label=label.value)
 
-        squares = [list(map(mul, n, n)) for n in columns]
-        total, sum_sq = list(map(sum, zip(*columns))), list(map(sum, zip(*squares)))
-        defect = _defection(total, sum_sq, mu_e, sigma_sq)
-        for pid, n in zip(ids, columns):
-            violate = _subproportionality(total, sum_sq, pid, n, mu_e, sigma_sq)
+        wanted = [None, *range(len(ids))]
+        defect, *violates = _thresholds(columns, mu_e, sigma_sq, ids, wanted)
+        for pid, violate in zip(ids, violates):
             for i, (d, v) in enumerate(zip(defect, violate)):
                 order = compare(d, v)
                 if order > 0:

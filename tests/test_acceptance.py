@@ -34,7 +34,7 @@ from fedfair import (
     weighted_error,
 )
 from fedfair.cli import CELL_REL_TOL, REFERENCE_MOTIVATING, main
-from fedfair.proportionality import _defection, _subproportionality
+from fedfair.proportionality import _thresholds
 from fedfair.sampling import instance_groups, instance_rng, random_instance
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
@@ -161,9 +161,7 @@ def test_criterion_6_rationality_implies_subproportionality():
     for _, *values in instance_groups(10_000, 42):
         mu_e, sigma_sq, *columns = ([Fraction(v) for v in c] for c in values)
         for n in columns:
-            squares = [n_s * n_s for n_s in n]
-            defect = _defection(n, squares, mu_e, sigma_sq)
-            violate = _subproportionality(n, squares, "s", n, mu_e, sigma_sq)
+            defect, violate = _thresholds([n], mu_e, sigma_sq, ("s",), (None, 0))
             singletons += len(n)
             equal += sum(map(operator.eq, defect, violate))
     elapsed = time.perf_counter() - start

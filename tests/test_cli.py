@@ -11,9 +11,11 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_exact_reference import exact_error
 
 import fedfair.cli
 import fedfair.errors
@@ -32,7 +34,7 @@ from fedfair.cli import (
     main,
 )
 from fedfair.egalitarian import BoundSweepResult
-from fedfair.proportionality import PropstabResult
+from fedfair.proportionality import PropstabResult, subproportionality_threshold
 from fedfair.sampling import describe_instance
 
 UNIFORM, LOCAL = FederationMethod.UNIFORM, FederationMethod.LOCAL
@@ -76,6 +78,18 @@ def parse_csv(text):
 
 
 class TestAudit:
+    def test_tied_errors_name_two_members(self, tmp_path):
+        """n = (6, 6) ties both errors: the worst pair is a|b, not a|a."""
+        path = tmp_path / "tied.json"
+        path.write_text(json.dumps({
+            "mu_e": 10, "sigma_sq": 1, "method": "uniform",
+            "players": [{"id": "a", "n": 6}, {"id": "b", "n": 6}],
+        }))
+        code, text = run_cli(["audit", str(path)], tmp_path)
+        assert code == 0
+        summary = parse_csv(text)[-1]
+        assert summary["worst_pair"] == "a|b" and summary["max_ratio"] == "1.0"
+
     def test_motivating_pair_csv(self, scenario_620, tmp_path):
         code, text = run_cli(["audit", scenario_620], tmp_path)
         assert code == 0
@@ -727,7 +741,24 @@ class TestOneEvaluationPerCoalition:
 
 
 class TestFloatRange:
-    """Inputs whose closed forms leave the float range are input errors."""
+    """Out-of-band inputs print their correctly rounded exact values, taken
+    here from tests/test_exact_reference.py's independent formulas; an
+    input whose exact value leaves the float range is an input error."""
+
+    def audit(self, tmp_path, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        return run_cli(["audit", str(path)], tmp_path)
+
+    def exact_errors(self, scenario):
+        """Each player's exact error, rounded once, by id."""
+        params = PopulationParams(scenario["mu_e"], scenario["sigma_sq"])
+        coalition = Coalition(Player(p["id"], p["n"]) for p in scenario["players"])
+        method = FederationMethod(scenario["method"])
+        return {
+            pid: float(exact_error(method, params, coalition, j))
+            for j, pid in enumerate(coalition.ids())
+        }
 
     def scan(self, tmp_path, n_s, n_l):
         return run_cli(
@@ -745,11 +776,22 @@ class TestFloatRange:
         assert "floating-point range" in err and "1e-320" in err
         assert "mu_e=10.0" in err and "sigma_sq=1.0" in err
 
-    def test_overflowing_scan_rows(self, tmp_path, capsys):
+    def test_overflowing_scan_rows(self, tmp_path):
+        """T and T^2 overflow in floats at n_s = n_l = 1e308: the row holds
+        the exact errors, 2c+1 and thresholds, the last two by the singleton
+        form mu_e / (2 sigma_sq - mu_e/n_s)."""
         code, text = self.scan(tmp_path, "1e308", "1e308")
-        assert code == 2 and text == ""
-        err = capsys.readouterr().err
-        assert "floating-point range" in err and "1e+308" in err
+        assert code == 0
+        (row,) = parse_csv(text)
+        pair = Coalition((Player("l", 1e308), Player("s", 1e308)))
+        params, n = PopulationParams(10.0, 1.0), Fraction(1e308)
+        err = float(exact_error(UNIFORM, params, pair, 0))
+        assert float(row["err_small"]) == float(row["err_large"]) == err == 0.5
+        assert float(row["c"]) == float(n / 10)
+        assert float(row["bound"]) == float(n / 5 + 1)
+        threshold = float(10 / (2 - 10 / n))
+        assert float(row["defection_threshold"]) == threshold
+        assert float(row["subproportionality_threshold"]) == threshold
 
     def test_first_overflowing_bound_is_named(self, tmp_path, capsys):
         """c = n_l * 1e307 here, so 2c+1 is finite on rows n_l = 1 to 8 and
@@ -767,49 +809,44 @@ class TestFloatRange:
         assert "n_max=9.0" in err
 
     def test_audit_never_reports_a_nan_error(self, tmp_path, capsys):
-        path = tmp_path / "extreme.json"
-        path.write_text(
-            '{"mu_e": 1e-320, "sigma_sq": 1, "players": [{"id": "a", "n": 1e300}, '
-            '{"id": "b", "n": 2}], "method": "uniform"}'
-        )
-        code, text = run_cli(["audit", str(path)], tmp_path)
+        """a's exact error, about 8e-600, rounds to 0.0, not NaN; the
+        exact 2c+1, about 2e620, overflows, so the audit exits 2 naming it."""
+        scenario = {"mu_e": 1e-320, "sigma_sq": 1, "method": "uniform",
+                    "players": [{"id": "a", "n": 1e300}, {"id": "b", "n": 2}]}
+        code, text = self.audit(tmp_path, scenario)
         assert code == 2 and text == ""
         err = capsys.readouterr().err
-        assert "uniform error" in err and "mu_e=1e-320" in err
-        assert "'a': 1e+300" in err and "'b': 2.0" in err
+        assert "the 2c+1 bound" in err and "mu_e=1e-320" in err
+        assert "n_max=1e+300" in err
+        pair = Coalition((Player("a", 1e300), Player("b", 2.0)))
+        params = PopulationParams(1e-320, 1.0)
+        errors = {pid: uniform_error(pair, pid, params) for pid in pair.ids()}
+        assert errors == self.exact_errors(scenario) == {"a": 0.0, "b": 2.0}
 
-    def test_audit_never_reports_a_vanishing_fine_grained_error(
-        self, tmp_path, capsys
-    ):
-        """V = 1e-320 is positive but 1/V overflows: exit 2, not error 0.0."""
-        path = tmp_path / "tiny_v.json"
-        path.write_text(
-            '{"mu_e": 1e-320, "sigma_sq": 0, "players": [{"id": "a", "n": 1}], '
-            '"method": "fine_grained"}'
-        )
-        code, text = run_cli(["audit", str(path)], tmp_path)
-        assert code == 2 and text == ""
-        err = capsys.readouterr().err
-        assert "fine_grained error" in err and "mu_e=1e-320" in err
-        assert "sigma_sq=0.0" in err and "'a': 1.0" in err
+    def test_audit_never_reports_a_vanishing_fine_grained_error(self, tmp_path):
+        """V = 1e-320 is positive but 1/V overflows in floats: the error is
+        the exact mu_e / n = 1e-320, not 0.0."""
+        scenario = {"mu_e": 1e-320, "sigma_sq": 0, "method": "fine_grained",
+                    "players": [{"id": "a", "n": 1}]}
+        code, text = self.audit(tmp_path, scenario)
+        assert code == 0
+        player = parse_csv(text)[0]
+        assert player["error"] == repr(self.exact_errors(scenario)["a"]) == "1e-320"
 
-    def test_audit_never_reports_a_fine_grained_error_of_zero(
-        self, tmp_path, capsys
-    ):
-        """Every exact error is 2.006e-186, but V_c * T overflows, which
-        would print 0.0 for c: exit 2 instead."""
-        path = tmp_path / "huge_vt.json"
-        path.write_text(
-            '{"mu_e": 1.0362991679087545e59, "sigma_sq": 0, "players": ['
-            '{"id": "a", "n": 5.1656149016491354e244}, '
-            '{"id": "b", "n": 0.051232816207198995}, '
-            '{"id": "c", "n": 4.836641475429374e-192}], "method": "fine_grained"}'
-        )
-        code, text = run_cli(["audit", str(path)], tmp_path)
-        assert code == 2 and text == ""
-        err = capsys.readouterr().err
-        assert "fine_grained error" in err and "mu_e=1.0362991679087545e+59" in err
-        assert "sigma_sq=0.0" in err and "'c': 4.836641475429374e-192" in err
+    def test_audit_never_reports_a_fine_grained_error_of_zero(self, tmp_path):
+        """V_c * T overflows in floats, which would print 0.0 for c: every
+        error is the exact 2.006148711507537e-186."""
+        scenario = {
+            "mu_e": 1.0362991679087545e59, "sigma_sq": 0, "method": "fine_grained",
+            "players": [{"id": "a", "n": 5.1656149016491354e244},
+                        {"id": "b", "n": 0.051232816207198995},
+                        {"id": "c", "n": 4.836641475429374e-192}],
+        }
+        code, text = self.audit(tmp_path, scenario)
+        assert code == 0
+        errors = {row["id"]: float(row["error"]) for row in parse_csv(text)[:-1]}
+        assert errors == self.exact_errors(scenario)
+        assert set(errors.values()) == {2.006148711507537e-186}
 
     @pytest.mark.parametrize("method", ["local", "fine_grained"])
     def test_bound_is_judged_before_zero_errors(self, tmp_path, capsys, method):
@@ -827,23 +864,51 @@ class TestFloatRange:
         assert "the 2c+1 bound is outside the floating-point range" in err
         assert "mu_e=5e-324" in err and "n_max=20.0" in err
 
-    def test_underflowing_total_squared_is_a_uniform_range_error(
-        self, tmp_path, capsys
-    ):
-        """T^2 = (2e-170)^2 underflows to zero, so the uniform error divides
-        by zero: exit 2 naming the inputs, not a traceback."""
-        path = tmp_path / "tiny_t.json"
-        path.write_text(
-            '{"mu_e": 1, "sigma_sq": 1, "players": [{"id": "a", "n": 1e-170}, '
-            '{"id": "b", "n": 1e-170}], "method": "uniform"}'
-        )
-        code, text = run_cli(["audit", str(path)], tmp_path)
-        assert code == 2 and text == ""
-        err = capsys.readouterr().err
-        assert "a uniform error is outside the floating-point range" in err
-        assert "'a': 1e-170" in err and "'b': 1e-170" in err
+    def test_underflowing_total_squared_is_a_uniform_range_error(self, tmp_path):
+        """T^2 = (2e-170)^2 underflows to zero in floats: the errors are the
+        exact 5e+169, not a division by zero."""
+        scenario = {"mu_e": 1, "sigma_sq": 1, "method": "uniform",
+                    "players": [{"id": "a", "n": 1e-170}, {"id": "b", "n": 1e-170}]}
+        code, text = self.audit(tmp_path, scenario)
+        assert code == 0
+        errors = {row["id"]: float(row["error"]) for row in parse_csv(text)[:-1]}
+        assert errors == self.exact_errors(scenario) == {"a": 5e169, "b": 5e169}
+
+    def test_whole_range_audit_prints_the_exact_error(self, tmp_path):
+        """n_2^2 is subnormal here, and the float kernel printed
+        5.7328295804379214e+197 for p1, 0.29% off, with exit 0."""
+        scenario = {
+            "mu_e": 5.2171776977957095e-28, "sigma_sq": 3.210897485331773e+290,
+            "method": "uniform",
+            "players": [{"id": "p1", "n": 4.8783196986385945e-115},
+                        {"id": "p2", "n": 1.4596776673626622e-161}],
+        }
+        code, text = self.audit(tmp_path, scenario)
+        assert code == 0
+        rows = parse_csv(text)
+        assert rows[0]["id"] == "p1" and rows[0]["error"] == "5.7494969277308597e+197"
+        errors = {row["id"]: float(row["error"]) for row in rows[:-1]}
+        assert errors == self.exact_errors(scenario)
+
+    def test_simulate_takes_the_exact_uniform_weights(self, tmp_path):
+        """T = 2e308 overflows in floats, which made every weight n_i / T
+        zero: the simulated error was sigma_sq = 1 against the closed form
+        0.5, with z about 25."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "mu_e": 10, "sigma_sq": 1, "method": "uniform",
+            "players": [{"id": "a", "n": 1e308}, {"id": "b", "n": 1e308}],
+        }))
+        code, text = run_cli(["--seed", "3", "simulate", str(path)], tmp_path)
+        assert code == 0
+        for row in parse_csv(text):
+            assert float(row["closed_form"]) == 0.5
+            assert abs(float(row["z_score"])) <= 4
 
     def test_nan_subproportionality_threshold(self, tmp_path, capsys):
+        """(sigma_sq/n_s)(S + T^2) overflows in floats; the threshold is the
+        exact mu_e / (2 sigma_sq - mu_e/n_s), and the scan exits 2 because
+        its exact 2c+1, about 2e310, overflows."""
         code, text = run_cli(
             [
                 "scan", "--ns", "1e10", "--nl-start", "1", "--nl-stop", "1",
@@ -853,8 +918,10 @@ class TestFloatRange:
         )
         assert code == 2 and text == ""
         err = capsys.readouterr().err
-        assert "the subproportionality threshold against 's' is outside" in err
-        assert "sigma_sq=1e+300" in err
+        assert "the 2c+1 bound is outside" in err and "sigma_sq=1e+300" in err
+        rest, params = Coalition((Player("s", 1e10),)), PopulationParams(1.0, 1e300)
+        exact = float(1 / (2 * Fraction(1e300) - 1 / Fraction(1e10)))
+        assert subproportionality_threshold(rest, "s", params) == exact
 
     def test_audit_never_reports_an_infinite_bound(self, tmp_path, capsys):
         path = tmp_path / "huge_c.json"
@@ -915,7 +982,7 @@ class TestArgumentErrors:
             # Both pass parsing and fail the command's own checks after it.
             (["--seed", str(2**64 - 1), "simulate", "SCENARIO", "--trials", "4096",
               "--dump-scenario", "dump.json"], "--seed"),
-            (["audit", "UNDERFLOW", "--dump-scenario", "dump.json"],
+            (["audit", "OVERFLOW", "--dump-scenario", "dump.json"],
              "outside the floating-point range"),
         ],
         ids=["scan-step", "audit-missing", "verify-instances", "verify-instances-text",
@@ -931,20 +998,20 @@ class TestArgumentErrors:
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "out.txt"
         out.write_text("prior content\n")
-        # One fine-grained player whose 1/V overflows: exit 2, not error 0.
-        underflow = tmp_path / "underflow.json"
-        underflow.write_text(
+        # One fine-grained player whose exact error, 1e310, overflows.
+        overflow = tmp_path / "overflow.json"
+        overflow.write_text(
             json.dumps(
                 {
-                    "mu_e": 1e-320,
+                    "mu_e": 1e300,
                     "sigma_sq": 0,
-                    "players": [{"id": "a", "n": 1}],
+                    "players": [{"id": "a", "n": 1e-10}],
                     "method": "fine_grained",
                 }
             )
         )
         before = sorted(tmp_path.iterdir())
-        files = {"SCENARIO": scenario_620, "UNDERFLOW": str(underflow)}
+        files = {"SCENARIO": scenario_620, "OVERFLOW": str(overflow)}
         argv = [files.get(arg, arg) for arg in argv]
         assert main(["--out", str(out), *argv]) == 2
         assert out.read_text() == "prior content\n"

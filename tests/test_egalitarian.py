@@ -157,7 +157,17 @@ class TestAuditEgalitarian:
             Coalition((Player("x", 4.0),)), FederationMethod.UNIFORM, PARAMS
         )
         assert audit.max_ratio == 1.0
+        assert audit.worst_pair == ("x", "x")
         assert audit.satisfied
+
+    @pytest.mark.parametrize("method", list(FederationMethod), ids=lambda m: m.value)
+    def test_tied_errors_name_two_members(self, method):
+        """Equal sizes tie every error: the pair is the first member and
+        the next, never one member twice."""
+        coalition = Coalition.from_sizes([6, 6, 6])
+        audit = audit_egalitarian(coalition, method, PARAMS)
+        assert audit.max_ratio == 1.0
+        assert audit.worst_pair == ("p1", "p2")
 
     @pytest.mark.parametrize("mu_e,sigma_sq", [(0.0, 1.0), (1.0, 0.0)])
     def test_undefined_bound(self, mu_e, sigma_sq):

@@ -2,12 +2,15 @@
 structural invariants (reduction, consistency, optimality, dominance)."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_exact_reference import exact_error, exact_weights, in_band
 
+import fedfair.errors
 from fedfair import (
     Coalition,
     FederationMethod,
@@ -21,6 +24,13 @@ from fedfair import (
     uniform_error,
     weighted_error,
 )
+from fedfair.cli import main
+from fedfair.egalitarian import (
+    audit_egalitarian,
+    bound_sweep,
+    check_modularity,
+    inverse_size_error,
+)
 from fedfair.errors import _errors
 from fedfair.exceptions import (
     DegenerateParams,
@@ -30,6 +40,12 @@ from fedfair.exceptions import (
     TargetNotInCoalition,
     WeightDomainMismatch,
 )
+from fedfair.montecarlo import SimulationSpec
+from fedfair.proportionality import (
+    defection_threshold,
+    subproportionality_threshold,
+    verify_propstab,
+)
 from fedfair.sampling import INSTANCE_IDS, instance_rng, random_instance
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
@@ -37,6 +53,16 @@ PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
 
 def pair(n_s: float, n_l: float) -> Coalition:
     return Coalition((Player("s", n_s), Player("l", n_l)))
+
+
+def exact_weight_map(coalition, target, params):
+    """``fine_grained_weights`` by id, after checking each weight is its
+    exact value rounded once."""
+    got = fine_grained_weights(coalition, target, params).weights
+    j = coalition.ids().index(target)
+    exact = exact_weights(FederationMethod.FINE_GRAINED, params, coalition, j)
+    assert list(got.values()) == [float(w) for w in exact]
+    return got
 
 
 class TestLocalError:
@@ -77,6 +103,14 @@ class TestUniformError:
 
 
 class TestWeightedError:
+    def test_overflowing_error_is_out_of_range(self):
+        """mu_e v_1^2 / n_1 = 1e300 * 0.25 / 1e-300 is about 2.5e599: an
+        input error, not inf."""
+        coalition = Coalition.from_sizes([1e-300, 1.0])
+        weights = WeightVector("p1", {"p1": 0.5, "p2": 0.5})
+        with pytest.raises(OutOfFloatRange, match="a weighted error .*'p1': 1e-300"):
+            weighted_error(coalition, weights, PopulationParams(1e300, 1.0))
+
     def test_self_weight_only_is_local(self):
         coalition = pair(6, 20)
         weights = WeightVector("s", {"s": 1.0, "l": 0.0})
@@ -153,40 +187,37 @@ class TestFineGrainedWeights:
             fine_grained_weights(pair(6, 20), "l", PopulationParams(0.0, 0.0))
 
     def test_underflowing_v_rejected_like_the_error(self):
-        """V_p1 = 0 + 1e-320 / 1e10 underflows to zero: the weights name the
-        inputs exactly as the error does, rather than dividing by zero."""
+        """V_p1 = 0 + 1e-320 / 1e10 underflows to zero in floats: the weights
+        and the error are the exact values, rounded once.  At sigma_sq = 0
+        the weights are the size shares n_i / T."""
         coalition = Coalition.from_sizes([1e10, 1.0])
         params = PopulationParams(1e-320, 0.0)
-        with pytest.raises(OutOfFloatRange) as weights_exc:
-            fine_grained_weights(coalition, "p1", params)
-        with pytest.raises(OutOfFloatRange) as error_exc:
-            fine_grained_error(coalition, "p1", params)
-        assert str(weights_exc.value) == str(error_exc.value)
-        assert "'p1': 10000000000.0" in str(weights_exc.value)
+        shares = {"p1": 1e10 / (1e10 + 1), "p2": 1 / (1e10 + 1)}
+        assert exact_weight_map(coalition, "p1", params) == shares
+        assert fine_grained_error(coalition, "p1", params) == float(
+            exact_error(FederationMethod.FINE_GRAINED, params, coalition, 0)
+        )
 
     def test_overflowing_inverse_v_rejected(self):
-        """V = 1e-320 is positive but 1/V overflows, so the weights would be
-        NaN; the rejection is a check, not an assert, and holds under -O."""
+        """V = 1e-320 is positive but 1/V overflows in floats, which made the
+        weights NaN; the exact weights are 1/2 each."""
         coalition = Coalition.from_sizes([1.0, 1.0])
-        with pytest.raises(OutOfFloatRange) as exc:
-            fine_grained_weights(coalition, "p1", PopulationParams(1e-320, 0.0))
-        message = str(exc.value)
-        assert "mu_e=1e-320" in message and "sigma_sq=0.0" in message
-        assert "'p1': 1.0" in message and "'p2': 1.0" in message
+        params = PopulationParams(1e-320, 0.0)
+        assert exact_weight_map(coalition, "p1", params) == {"p1": 0.5, "p2": 0.5}
 
     def test_overflowing_denominator_is_out_of_range(self):
-        """For c, 1 + V_c * S_c overflows, so every weight would round to 0
-        and the vector would fail its unit sum as if it were a bad input."""
+        """For c, 1 + V_c * S_c overflows in floats, which rounded every
+        weight to 0.  At sigma_sq = 0 the weights are the size shares n_i / T
+        for every target: a's rounds to 1.0 and c's, about 9e-437, to 0.0."""
         coalition = Coalition((
             Player("a", 5.1656149016491354e244),
             Player("b", 0.051232816207198995),
             Player("c", 4.836641475429374e-192),
         ))
         params = PopulationParams(1.0362991679087545e59, 0.0)
-        with pytest.raises(OutOfFloatRange, match="a fine_grained error"):
-            fine_grained_weights(coalition, "c", params)
-        for target in ("a", "b"):
-            assert fine_grained_weights(coalition, target, params).target == target
+        for target in ("a", "b", "c"):
+            weights = exact_weight_map(coalition, target, params)
+            assert weights["a"] == 1.0 and weights["c"] == 0.0
 
 
 class TestFineGrainedError:
@@ -196,10 +227,10 @@ class TestFineGrainedError:
         assert math.isclose(fine_grained_error(coalition, "s", PARAMS), 1.0)
 
     def test_overflowing_inverse_v_is_not_a_zero_error(self):
-        """The exact error is mu_e / n = 1e-320; the kernel returned 0.0."""
+        """The exact error is mu_e / n = 1e-320; the float kernel gave 0.0."""
         coalition = Coalition.from_sizes([1.0])
-        with pytest.raises(OutOfFloatRange, match="fine_grained error"):
-            fine_grained_error(coalition, "p1", PopulationParams(1e-320, 0.0))
+        params = PopulationParams(1e-320, 0.0)
+        assert fine_grained_error(coalition, "p1", params) == 1e-320
 
     def test_two_player_ratio_closed_form(self):
         """err_s/err_l = (2 sigma_sq n_l + mu_e) / (2 sigma_sq n_s + mu_e)."""
@@ -315,7 +346,7 @@ class TestRandomizedInvariants:
         """err_s - err_l = 2 sigma_sq (n_l - n_s) / T for any coalition."""
         for params, coalition in self._instances(300, 15):
             players = sorted(coalition.players, key=lambda p: (p.n, p.id))
-            total = coalition.total
+            total = sum(coalition.sizes())
             for a in range(len(players)):
                 for b in range(a + 1, len(players)):
                     small, large = players[a], players[b]
@@ -419,9 +450,10 @@ class TestColumnKernel:
             for row, (params, sizes) in zip(got, group):
                 coalition = Coalition.from_sizes(sizes)
                 alone = [expected_error(coalition, pid, method, params) for pid in ids]
-                scalar = _scalar_errors(sizes, method, params)
                 assert [e.hex() for e in row] == [e.hex() for e in alone]
-                assert [e.hex() for e in row] == [e.hex() for e in scalar]
+                if in_band(*params, *sizes):
+                    scalar = _scalar_errors(sizes, method, params)
+                    assert [e.hex() for e in row] == [e.hex() for e in scalar]
 
     @COLUMN_SETTINGS
     @given(
@@ -461,3 +493,47 @@ class TestColumnKernel:
             _errors(columns, FederationMethod.LOCAL, mu_e, sigma_sq, ("p1", "p2"))
         assert "mu_e=1e+300" in str(info.value)
         assert "'p1': 1e-310" in str(info.value)
+
+
+class TestFloatRangeRule:
+    """``in_order``'s exact fallback is for inputs outside the float band;
+    realistic inputs never take it."""
+
+    def test_no_exact_fallback_in_the_benchmark_ranges(self, monkeypatch, tmp_path):
+        """Both sweeps at three seeds, the modularity grid of all three
+        methods, and every public closed form, the oracle weights and the
+        CLI scan at the corners of the benchmark's inputs: constants 0.01
+        and 50, sizes 1 to 15,045 (its largest scan row)."""
+        calls = []
+        exactly = fedfair.errors._exactly
+        monkeypatch.setattr(
+            fedfair.errors, "_exactly", lambda *args: calls.append(args) or exactly(*args)
+        )
+        for seed in (0, 42, 2**64 - 1):
+            assert bound_sweep(10_000, seed).passed
+            assert verify_propstab(10_000, seed).passed
+        for method in (*FederationMethod, inverse_size_error):
+            check_modularity(method)
+        corners = (0.01, 50.0)
+        for params in map(PopulationParams._make, product(corners, repeat=2)):
+            for k in (1, 2, 3):
+                for sizes in product((1.0, 15_045.0), repeat=k):
+                    coalition = Coalition.from_sizes(sizes)
+                    defection_threshold(coalition, params)
+                    for method in FederationMethod:
+                        audit_egalitarian(coalition, method, params)
+                    for pid in coalition.ids():
+                        subproportionality_threshold(coalition, pid, params)
+                        fine_grained_weights(coalition, pid, params)
+                        for method in FederationMethod:
+                            expected_error(coalition, pid, method, params)
+                            spec = SimulationSpec(coalition, pid, params, method)
+                            spec.resolved_weights()
+            for n_s in ("1", "20"):
+                argv = ["--out", str(tmp_path / "scan.csv"), "scan", "--ns", n_s,
+                        "--nl-start", "1", "--nl-stop", "15045", "--nl-step", "15044",
+                        "--mu-e", repr(params.mu_e), "--sigma-sq", repr(params.sigma_sq)]
+                assert main(argv) == 0
+        assert calls == []
+        local_error(Player("x", 1e300), PARAMS)  # out of band: counted
+        assert len(calls) == 1

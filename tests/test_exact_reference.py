@@ -1,4 +1,4 @@
-"""The closed forms against an exact rational evaluation at realistic ranges.
+"""The closed forms against an exact rational evaluation.
 
 Every float is a rational number, so ``fractions.Fraction`` evaluates the
 local, uniform and fine-grained errors of a drawn instance with no
@@ -9,9 +9,10 @@ kernel's shortcut, so the two share no arithmetic.
 Draws are log-uniform: 1 to 6 players with n on [1e-3, 1e12], and mu_e and
 sigma_sq on [1e-12, 1e12], with sigma_sq = 0 in 5% of draws.  Every
 evaluation must return a finite float within ``ULP_BOUND`` units in the
-last place of the exact value.  The whole float range is not covered:
-there, products of tiny and huge values round through subnormals and
-the kernel can land far from the exact value.
+last place of the exact value.  Over the whole float range, subnormals
+and 0 included, the float-range rule of ``fedfair.errors.in_order``
+holds: in its band the same bound, outside it the correctly rounded
+exact value, or ``OutOfFloatRange`` exactly where that value overflows.
 
 The column functions are also run on ``Fraction`` columns, where they
 must be exact: the errors against the same independent rationals, each
@@ -23,6 +24,7 @@ thresholds against each other on a singleton (the identity
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -32,11 +34,16 @@ from fedfair import (
     Player,
     PopulationParams,
     expected_error,
+    fine_grained_weights,
 )
-from fedfair.egalitarian import _bounds
-from fedfair.errors import _errors
-from fedfair.exceptions import OutOfFloatRange
-from fedfair.proportionality import _defection, _subproportionality
+from fedfair.egalitarian import _bounds, egalitarian_bound
+from fedfair.errors import BAND_HIGH, BAND_LOW, _errors
+from fedfair.exceptions import DegenerateParams, OutOfFloatRange
+from fedfair.proportionality import (
+    _thresholds,
+    defection_threshold,
+    subproportionality_threshold,
+)
 
 DRAWS = 2000
 # The worst seen over 10,000 draws, every member a target: 0.5 ulp local,
@@ -57,9 +64,8 @@ def draw(rng: random.Random) -> tuple[PopulationParams, Coalition]:
     return PopulationParams(mu_e, sigma_sq), coalition
 
 
-def exact_error(method, params, coalition, j):
-    """Member j's error in exact rationals, from its weights v:
-    mu_e sum_i v_i^2 / n_i + sigma_sq (sum_{i!=j} v_i^2 + (sum_{i!=j} v_i)^2)."""
+def exact_weights(method, params, coalition, j):
+    """Member j's combination weights v under ``method``, in exact rationals."""
     mu_e, sigma_sq = Fraction(params.mu_e), Fraction(params.sigma_sq)
     ns = [Fraction(n) for n in coalition.sizes()]
     if method is FederationMethod.LOCAL:
@@ -79,6 +85,15 @@ def exact_error(method, params, coalition, j):
             for i, x in enumerate(big_v)
         ]
     assert sum(v) == 1
+    return v
+
+
+def exact_error(method, params, coalition, j):
+    """Member j's error in exact rationals, from its weights v:
+    mu_e sum_i v_i^2 / n_i + sigma_sq (sum_{i!=j} v_i^2 + (sum_{i!=j} v_i)^2)."""
+    mu_e, sigma_sq = Fraction(params.mu_e), Fraction(params.sigma_sq)
+    ns = [Fraction(n) for n in coalition.sizes()]
+    v = exact_weights(method, params, coalition, j)
     noise = sum(w * w / n for w, n in zip(v, ns))
     off = [w for i, w in enumerate(v) if i != j]
     return mu_e * noise + sigma_sq * (sum(w * w for w in off) + sum(off) ** 2)
@@ -147,15 +162,15 @@ def joined(sizes, n_l, mu_e, sigma_sq) -> tuple[PopulationParams, Coalition]:
 
 
 def test_newcomer_meets_its_local_error_at_the_defection_threshold():
-    """At n_l = ``_defection`` of ``rest``, the newcomer's exact uniform
-    error equals its local error mu_e / n_l: the threshold is where it
-    starts weakly preferring local learning."""
+    """At n_l = the defection threshold of ``rest``, the newcomer's exact
+    uniform error equals its local error mu_e / n_l: the threshold is where
+    it starts weakly preferring local learning."""
     rng = random.Random(f"{SEED}-defection")
     held = 0
     for _ in range(THRESHOLD_DRAWS):
         sizes, mu_e, sigma_sq = rational_rest(rng)
-        total, sum_sq = sum(sizes), sum(n * n for n in sizes)
-        (n_l,) = _defection([total], [sum_sq], [mu_e], [sigma_sq])
+        ids = [f"r{i}" for i in range(len(sizes))]
+        ((n_l,),) = _thresholds([[n] for n in sizes], [mu_e], [sigma_sq], ids, [None])
         if n_l == math.inf:
             continue
         params, coalition = joined(sizes, n_l, mu_e, sigma_sq)
@@ -165,19 +180,17 @@ def test_newcomer_meets_its_local_error_at_the_defection_threshold():
 
 
 def test_pair_is_exactly_proportional_at_the_subproportionality_threshold():
-    """At n_l = ``_subproportionality`` of ``rest`` against s, n_s * err_s
-    equals n_l * err_l exactly in the joined coalition.  A finite threshold
-    is positive: its numerator is at least mu_e T / n_s, since
-    n_s + T^2/n_s >= 2T."""
+    """At n_l = the subproportionality threshold of ``rest`` against s,
+    n_s * err_s equals n_l * err_l exactly in the joined coalition.  A
+    finite threshold is positive: its numerator is at least mu_e T / n_s,
+    since n_s + T^2/n_s >= 2T."""
     rng = random.Random(f"{SEED}-subproportionality")
     held = 0
     for _ in range(THRESHOLD_DRAWS):
         sizes, mu_e, sigma_sq = rational_rest(rng)
         s = rng.randrange(len(sizes))
-        total, sum_sq = sum(sizes), sum(n * n for n in sizes)
-        (n_l,) = _subproportionality(
-            [total], [sum_sq], f"r{s}", [sizes[s]], [mu_e], [sigma_sq]
-        )
+        ids = [f"r{i}" for i in range(len(sizes))]
+        ((n_l,),) = _thresholds([[n] for n in sizes], [mu_e], [sigma_sq], ids, [s])
         if n_l == math.inf:
             continue
         params, coalition = joined(sizes, n_l, mu_e, sigma_sq)
@@ -207,9 +220,7 @@ def test_singleton_thresholds_are_one_formula():
         n_s.append(mu / (2 * sigma) if draw_index % 10 == 0 else rational(rng, 200, 4))
         mu_e.append(mu)
         sigma_sq.append(sigma)
-    squares = [n * n for n in n_s]
-    defect = _defection(n_s, squares, mu_e, sigma_sq)
-    violate = _subproportionality(n_s, squares, "s", n_s, mu_e, sigma_sq)
+    defect, violate = _thresholds([n_s], mu_e, sigma_sq, ("s",), (None, 0))
     assert defect == violate
     denoms = [2 * sigma - mu / n for n, mu, sigma in zip(n_s, mu_e, sigma_sq)]
     assert defect == [
@@ -246,17 +257,131 @@ def test_thresholds_and_bounds_are_exact_past_the_float_range():
     """rest = (6, 6) at mu_e = 10, sigma_sq = 1 has thresholds 15 and 96
     against either member; sizes and mu_e scaled by 10**400 scale both.
     c = n_max sigma_sq / mu_e is linear in n_max."""
-    total, sum_sq, n_s = [12 * HUGE], [72 * HUGE * HUGE], [6 * HUGE]
-    one = [Fraction(1)]
-    assert _defection(total, sum_sq, [10 * HUGE], one) == [15 * HUGE]
-    violate = _subproportionality(total, sum_sq, "a", n_s, [10 * HUGE], one)
-    assert violate == [96 * HUGE]
+    rest, one = [[6 * HUGE], [6 * HUGE]], [Fraction(1)]
+    thresholds = _thresholds(rest, [10 * HUGE], one, ("a", "b"), (None, 0, 1))
+    assert thresholds == [[15 * HUGE], [96 * HUGE], [96 * HUGE]]
     assert _bounds([HUGE], [Fraction(10)], one) == ([HUGE / 10], [HUGE / 5 + 1])
 
 
-def test_failing_exact_batch_raises_out_of_float_range():
-    """A failing batch names mu_e and sigma_sq as given.  Wrapping them in
-    ``PopulationParams``, whose check calls ``math.isfinite``, turned this
-    into an ``OverflowError``."""
-    with pytest.raises(OutOfFloatRange, match="a local error .* mu_e=Fraction"):
-        _errors([[Fraction(0)]], FederationMethod.LOCAL, [HUGE], [Fraction(1)], "a")
+def test_exact_batch_with_zero_n_raises_zero_division():
+    """n = 0 divides by zero on ``Fraction`` columns as it does on floats:
+    no column function guards against it, and every public caller rejects
+    n = 0 before it gets there."""
+    local = FederationMethod.LOCAL
+    with pytest.raises(ZeroDivisionError):
+        _errors([[Fraction(0)]], local, [HUGE], [Fraction(1)], "a")
+    with pytest.raises(ZeroDivisionError):
+        _errors([[0.0]], local, [1.0], [1.0], "a")
+
+
+WHOLE_RANGE_DRAWS = 300
+
+
+def magnitude(rng: random.Random, band: bool) -> float:
+    """Log-uniform over the band [2^-128, 2^128), or over every positive
+    float from the least subnormal up."""
+    low, high = (-128, 127) if band else (-1074, 1023)
+    return math.ldexp(rng.uniform(1, 2), rng.randint(low, high))
+
+
+def whole_range_draw(rng: random.Random) -> tuple[PopulationParams, Coalition]:
+    """1 to 6 players; three draws in ten keep every magnitude in the band.
+    mu_e and sigma_sq are 0 one time in ten each, and a size of 1 or more
+    is an int one time in three."""
+    band = rng.random() < 0.3
+    mu_e, sigma_sq = (
+        0.0 if rng.random() < 0.1 else magnitude(rng, band) for _ in range(2)
+    )
+    sizes = [magnitude(rng, band) for _ in range(rng.randint(1, 6))]
+    sizes = [int(n) if n >= 1 and rng.random() < 1 / 3 else n for n in sizes]
+    players = [Player(f"p{i}", n) for i, n in enumerate(sizes)]
+    return PopulationParams(mu_e, sigma_sq), Coalition(players)
+
+
+def in_band(*values: float) -> bool:
+    return all(v == 0 or BAND_LOW <= abs(v) <= BAND_HIGH for v in values)
+
+
+def overflows(exact: Fraction) -> bool:
+    try:
+        float(exact)
+    except OverflowError:
+        return True
+    return False
+
+
+def assert_follows_the_rule(call, exact, band, bounded=True, others=()):
+    """``call()`` against the exact value: in the band, finite and within
+    ``ULP_BOUND`` (``bounded``) or at least not NaN; outside it, the
+    correctly rounded exact value, or ``OutOfFloatRange`` exactly when that
+    value or one of ``others``, which the same call evaluates, overflows.
+    Only a threshold's exact value is inf."""
+    rejected = any(map(overflows, (exact, *others)))
+    try:
+        got = call()
+    except OutOfFloatRange:
+        assert rejected and not (band and bounded), float(exact)
+        return
+    assert not rejected, exact
+    if band:
+        assert not math.isnan(got)
+        if bounded:
+            assert math.isfinite(got) and ulps(got, exact) <= ULP_BOUND, (got, exact)
+    else:
+        assert got == float(exact), (got, exact)
+        assert math.isfinite(got) or exact == math.inf
+
+
+def exact_thresholds(params, rest, s):
+    """The defection threshold of ``rest`` and its subproportionality
+    threshold against member s, restated in exact rationals (the module
+    docstring of ``fedfair.proportionality``)."""
+    mu_e, sigma_sq = Fraction(params.mu_e), Fraction(params.sigma_sq)
+    ns = [Fraction(n) for n in rest.sizes()]
+    total, sum_sq, n_s = sum(ns), sum(n * n for n in ns), ns[s]
+    defect = (mu_e, sigma_sq * sum_sq / total**2 + sigma_sq - mu_e / total)
+    violate = (
+        -2 * sigma_sq * total + mu_e / n_s * total + sigma_sq / n_s * (sum_sq + total**2),
+        2 * sigma_sq - mu_e / n_s,
+    )
+    return [q / d if d > 0 else math.inf for q, d in (defect, violate)]
+
+
+def test_whole_float_range_is_exact_or_rejected():
+    """The float-range rule over the whole float range, 0 and subnormals
+    included: every error, fine-grained weight, threshold and 2c+1 of an
+    out-of-band instance is its correctly rounded exact value, or raises
+    ``OutOfFloatRange`` exactly when that value overflows; in the band,
+    errors, weights and bounds stay within ``ULP_BOUND`` of exact."""
+    rng = random.Random(f"{SEED}-whole-range")
+    for _ in range(WHOLE_RANGE_DRAWS):
+        params, coalition = whole_range_draw(rng)
+        ids, sizes = coalition.ids(), coalition.sizes()
+        j = rng.randrange(len(ids))
+        band = in_band(*params, *sizes)
+        for method in FederationMethod:
+            if method is FederationMethod.FINE_GRAINED and not any(params):
+                with pytest.raises(DegenerateParams):
+                    expected_error(coalition, ids[j], method, params)
+                continue
+            exact = [exact_error(method, params, coalition, i) for i in range(len(ids))]
+            call = partial(expected_error, coalition, ids[j], method, params)
+            assert_follows_the_rule(call, exact[j], band, others=exact)
+        if any(params):
+            weights = fine_grained_weights(coalition, ids[j], params).weights
+            exact = exact_weights(FederationMethod.FINE_GRAINED, params, coalition, j)
+            for pid, w in zip(ids, exact):
+                assert_follows_the_rule(lambda: weights[pid], w, band)
+        defect, violate = exact_thresholds(params, coalition, j)
+        call = partial(defection_threshold, coalition, params)
+        assert_follows_the_rule(call, defect, band, bounded=False)
+        call = partial(subproportionality_threshold, coalition, ids[j], params)
+        assert_follows_the_rule(call, violate, band, bounded=False)
+        n_max = max(sizes)
+        if all(params):
+            mu_e, sigma_sq = (Fraction(v) for v in params)
+            c = Fraction(n_max) * sigma_sq / mu_e
+            bound = in_band(n_max, *params)
+            call = partial(egalitarian_bound, n_max, params)
+            assert_follows_the_rule(lambda: call()[1], 2 * c + 1, bound)
+            assert_follows_the_rule(lambda: call()[0], c, bound, others=[2 * c + 1])

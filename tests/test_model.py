@@ -75,12 +75,6 @@ class TestPlayer:
 
 
 class TestCoalition:
-    def test_totals_from_motivating_pair(self):
-        coalition = Coalition((Player("s", 6.0), Player("l", 20.0)))
-        assert coalition.total == 26.0
-        assert coalition.sum_sq == 436.0
-        assert coalition.total**2 >= coalition.sum_sq
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyCoalition):
             Coalition(())

@@ -2,6 +2,7 @@
 joining-size thresholds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,24 +201,39 @@ class TestThresholds:
         assert math.isclose(fed, loc, rel_tol=1e-9)
 
     def test_defection_range_error_names_total_and_sum_sq(self):
-        """T^2 underflows to zero: the error names the formula's inputs."""
+        """T^2 underflows to zero in floats.  Exactly, the singleton form
+        mu_e / (2 sigma_sq - mu_e/n_s) has a negative denominator here, so
+        the newcomer never defects: inf, not a range error."""
         rest = Coalition((Player("s", 1e-320),))
-        with pytest.raises(OutOfFloatRange) as info:
-            defection_threshold(rest, PARAMS)
-        message = str(info.value)
-        assert "the defection threshold is outside" in message
-        assert "mu_e=10.0" in message and "sigma_sq=1.0" in message
-        assert "total=1e-320" in message and "sum_sq=0.0" in message
+        assert 2 * 1 - 10 / Fraction(1e-320) < 0
+        assert defection_threshold(rest, PARAMS) == math.inf
 
     def test_subproportionality_range_error_names_n_s(self):
-        """(sigma_sq/n_s)(S + T^2) overflows against -2 sigma_sq T: nan."""
+        """(sigma_sq/n_s)(S + T^2) overflows against -2 sigma_sq T in floats,
+        which gave NaN; the threshold is the exact singleton form, rounded
+        once."""
         rest = Coalition((Player("s", 1e10),))
+        exact = 1 / (2 * Fraction(1e300) - 1 / Fraction(1e10))
+        got = subproportionality_threshold(rest, "s", PopulationParams(1.0, 1e300))
+        assert got == float(exact)
+
+    def test_overflowing_threshold_names_total_and_sum_sq(self):
+        """With mu_e one ulp below 2 sigma_sq n_s, the singleton form
+        mu_e n_s / (2 sigma_sq n_s - mu_e) is about 7.7e315: exactly past the
+        float range, so both thresholds raise, naming the rest's total and
+        sum of squares in floats (and n_s against s)."""
+        rest = Coalition((Player("s", 1e300),))
+        params = PopulationParams(math.nextafter(2e300, 0.0), 1.0)
         with pytest.raises(OutOfFloatRange) as info:
-            subproportionality_threshold(rest, "s", PopulationParams(1.0, 1e300))
+            defection_threshold(rest, params)
+        message = str(info.value)
+        assert "the defection threshold is outside" in message
+        assert "total=1e+300" in message and "sum_sq=inf" in message
+        with pytest.raises(OutOfFloatRange) as info:
+            subproportionality_threshold(rest, "s", params)
         message = str(info.value)
         assert "the subproportionality threshold against 's' is outside" in message
-        assert "total=10000000000.0" in message and "sum_sq=1e+20" in message
-        assert "n_s=10000000000.0" in message
+        assert "n_s=1e+300" in message
 
 
 class TestVerifyPropstab:

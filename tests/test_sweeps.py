@@ -111,6 +111,21 @@ def fixed_bound(bound):
     return lambda n_max, mu_e, sigma_sq: ([0.0] * len(n_max), [bound] * len(n_max))
 
 
+def forced_thresholds(defect=None, violate=None):
+    """A stand-in for ``proportionality._thresholds`` that puts every
+    defection threshold at ``defect`` and every subproportionality
+    threshold at ``violate``; None keeps the real ones."""
+    real = fedfair.proportionality._thresholds
+
+    def thresholds(columns, mu_e, sigma_sq, ids, wanted):
+        got = real(columns, mu_e, sigma_sq, ids, wanted)
+        forced = [defect if s is None else violate for s in wanted]
+        return [column if value is None else [value] * len(mu_e)
+                for column, value in zip(got, forced)]
+
+    return thresholds
+
+
 def expected_record(seed, index, **fields):
     """A record as the sweeps document it, built from the public objects."""
     return {"index": index, **describe_instance(*instance(seed, index)), **fields}
@@ -166,9 +181,7 @@ class TestFailingInstancesGetFullRecords:
 
     def test_threshold_records(self, monkeypatch):
         monkeypatch.setattr(
-            fedfair.proportionality,
-            "_subproportionality",
-            lambda total, *args: [0.0] * len(total),
+            fedfair.proportionality, "_thresholds", forced_thresholds(violate=0.0)
         )
         want = []
         for index in range(self.COUNT):
@@ -200,12 +213,7 @@ class TestFailingInstancesGetFullRecords:
     def test_forced_threshold_records(self, monkeypatch, defect, violate, kinds):
         """Every drawn coalition here has four or five players."""
         monkeypatch.setattr(
-            fedfair.proportionality, "_defection", lambda t, *a: [defect] * len(t)
-        )
-        monkeypatch.setattr(
-            fedfair.proportionality,
-            "_subproportionality",
-            lambda t, *a: [violate] * len(t),
+            fedfair.proportionality, "_thresholds", forced_thresholds(defect, violate)
         )
         fields = {
             "threshold_order": {"defection": defect, "subproportionality": violate},
@@ -285,9 +293,7 @@ class TestBlocks:
         every member, so records come out in index, then player order."""
         assert verify_propstab(count, self.SEED).counterexamples == ()
         monkeypatch.setattr(
-            fedfair.proportionality,
-            "_subproportionality",
-            lambda total, *args: [0.0] * len(total),
+            fedfair.proportionality, "_thresholds", forced_thresholds(violate=0.0)
         )
         want = reference_propstab(self.SEED, count)
         assert len(want) == sum(

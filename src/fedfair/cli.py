@@ -19,6 +19,8 @@ from typing import IO, Callable, Sequence
 
 from .egalitarian import (
     _audits,
+    _bounds,
+    _ratio,
     bound_sweep,
     check_modularity,
     inverse_size_error,
@@ -268,9 +270,9 @@ def _assess(
     one column of sizes each, from one evaluation of its errors and one of
     its local errors: those two (a column per member), whether each member
     prefers local learning, whether each coalition is individually
-    rational, its proportionality label and its 2c+1 audit, None where
-    mu_e, sigma_sq or an error is zero.  A failing batch raises as
-    ``in_order`` does."""
+    rational, its proportionality label and its 2c+1 audit (its bound
+    evaluated after the errors), None where mu_e, sigma_sq or an error is
+    zero.  A failing batch raises as ``in_order`` does."""
 
     def evaluate(*columns: Column) -> tuple:
         for pid, column in zip(ids, columns):
@@ -278,8 +280,11 @@ def _assess(
         mu_e, sigma_sq = [[value] * len(columns[0]) for value in params]
         errs = _errors(columns, method, mu_e, sigma_sq, ids)
         local = _errors(columns, FederationMethod.LOCAL, mu_e, sigma_sq, ids)
-        undefined = (UndefinedBound, ZeroDenominator)
-        audits = _audits(ids, columns, errs, method, params, undefined)
+        try:
+            bounds = _bounds(list(map(max, zip(*columns))), mu_e, sigma_sq)
+            audits = _audits(ids, errs, method, bounds, (ZeroDenominator,))
+        except UndefinedBound:  # the batch shares mu_e and sigma_sq
+            audits = [None] * len(mu_e)
         _, labels = _labels(ids, columns, errs)
         return errs, local, *_rationality(errs, local), labels, audits
 
@@ -352,10 +357,10 @@ def _pair_rows(
             "sigma_sq": sigma_sq,
             "err_small": e_s,
             "err_large": e_l,
-            "ratio": e_s / e_l if e_l else None,
+            "ratio": _ratio(e_s, e_l, "s", "l") if e_l else None,
             "c": audit.c_value if audit else None,
             "bound": audit.bound if audit else None,
-            "size_ratio": n_l / n_s,
+            "size_ratio": _ratio(n_l, n_s, "n_l", "n_s"),
             "proportionality": label.value,
             "individually_rational": ok,
             **same,

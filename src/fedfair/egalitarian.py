@@ -6,7 +6,9 @@ largest member, any "modular" federation method keeps every pairwise
 ratio at most 2c + 1, and the bound is approached (never exceeded) as the
 small player shrinks.  This module audits coalitions against that bound,
 verifies the five structural properties that make a method modular, and
-searches for near-tight configurations.
+searches for near-tight configurations.  The worst ratio, largest error
+over smallest, is one column function that the audits and the sweep read;
+an audit's 2c+1 bound is evaluated by its caller, ahead of the ratios.
 
 The modularity checker takes a federation method or a column method of
 the kernel's shape, ``(columns, mu_e, sigma_sq, ids) -> error columns``
@@ -47,11 +49,42 @@ THIRD_SIZES = (1.0, 10.0, 100.0)
 PARAM_LEVELS = (0.1, 1.0, 10.0)
 
 
-def _ratio(err_i: float, err_j: float, j: str) -> float:
-    """err_i / err_j, refusing a zero error of player ``j``."""
+def _ratio(err_i: float, err_j: float, i: str, j: str) -> float:
+    """err_i / err_j, errors (or sizes) named i and j, under the float-range
+    rule: correctly rounded as it is, so only an overflow is refused."""
     if err_j == 0.0:
         raise ZeroDenominator(f"player {j!r} has zero error")
-    return err_i / err_j
+    ratio = err_i / err_j
+    if math.isinf(ratio):
+        raise OutOfFloatRange(f"the ratio {i}/{j}", **{i: err_i, j: err_j})
+    return ratio
+
+
+def _worst_pairs(ids: Sequence[str], rows: list) -> list[tuple[str, str]]:
+    """Per row of errors of the members ``ids``, the first member with the
+    largest and the first with the smallest (the second where all tie)."""
+    tie = min(1, len(ids) - 1)
+    return [(ids[r.index(top)], ids[r.index(bottom) if bottom != top else tie])
+            for r, top, bottom in zip(rows, map(max, rows), map(min, rows))]
+
+
+def _worst_ratios(ids: Sequence[str], rows: list, undefined: tuple = ()) -> list[float]:
+    """Per row of errors of the members ``ids``, the largest over the smallest.
+    With a zero smallest error or an overflowing quotient, every row is judged
+    by ``_ratio`` on its ``_worst_pairs``: NaN where that raises ``undefined``,
+    1.0 for a lone member."""
+    tops, bottoms = list(map(max, rows)), list(map(min, rows))
+    if 0.0 not in bottoms:
+        ratios = list(map(truediv, tops, bottoms))
+        if math.inf not in ratios:
+            return ratios
+    ratios = []
+    for top, bottom, (hi, lo) in zip(tops, bottoms, _worst_pairs(ids, rows)):
+        try:
+            ratios.append(_ratio(top, bottom, hi, lo) if hi != lo else 1.0)
+        except undefined:
+            ratios.append(math.nan)
+    return ratios
 
 
 def _bounds(n_max: Column, mu_e: Column, sigma_sq: Column) -> tuple[list, list]:
@@ -93,7 +126,7 @@ def error_ratio(
 ) -> float:
     """err_i / err_j for two members of the same coalition."""
     errs = dict(zip(coalition.ids(), _coalition_errors(coalition, method, params)))
-    return _ratio(errs[i], errs[j], j)
+    return _ratio(errs[i], errs[j], i, j)
 
 
 class FairnessAudit(NamedTuple):
@@ -112,51 +145,32 @@ def audit_egalitarian(
 ) -> FairnessAudit:
     """Audit every ordered pair of the coalition against the 2c+1 bound.
 
-    c is reported as the exact real n_max * sigma_sq / mu_e (the smallest
-    value covering the coalition); needs mu_e > 0 and sigma_sq > 0.
+    c is the exact real n_max * sigma_sq / mu_e (the least value covering
+    the coalition), evaluated before the errors; needs mu_e > 0, sigma_sq > 0.
     """
-    ids, sizes = coalition.ids(), coalition.sizes()
-    bounds = _bounds([max(sizes)], *([v] for v in params))  # ahead of the errors
+    bounds = _bounds([max(coalition.sizes())], *([v] for v in params))
     errs = [[e] for e in _coalition_errors(coalition, method, params)]
-    return _audits(ids, [[n] for n in sizes], errs, method, params, (), bounds)[0]
+    return _audits(coalition.ids(), errs, method, bounds)[0]
 
 
 def _audits(
     ids: Sequence[str],
-    columns: Columns,
     errs: Columns,
     method: FederationMethod,
-    params: PopulationParams,
+    bounds: tuple[list, list],
     undefined: tuple[type[Exception], ...] = (),
-    bound_columns: tuple[list, list] | None = None,
 ) -> list[FairnessAudit | None]:
-    """``audit_egalitarian`` of each coalition of a batch whose members
-    ``ids`` have one column each of sizes ``columns`` and of errors
-    ``errs`` under ``method``; None for a coalition whose audit raises one
-    of ``undefined``.  The worst ratio is the largest error over the
-    smallest (1.0 for a lone member), between the first member holding
-    each (the second member for the smallest where all tie), judged against
-    ``bound_columns``: the batch's ``_bounds``, evaluated first if not given."""
-    count = len(columns[0])
-    try:  # before the ratios, as in audit_egalitarian
-        n_max, shared = list(map(max, zip(*columns))), ([v] * count for v in params)
-        c_values, bounds = bound_columns or _bounds(n_max, *shared)
-    except undefined:  # every coalition of the batch shares mu_e and sigma_sq
-        return [None] * count
-    rows, ratios, name = list(zip(*errs)), [], method.value
-    tops, bottoms = list(map(max, rows)), list(map(min, rows))
-    his = [ids[r.index(top)] for r, top in zip(rows, tops)]
-    los = [ids[r.index(bottom) if bottom != top else min(1, len(r) - 1)]
-           for r, top, bottom in zip(rows, tops, bottoms)]
-    for top, bottom, lo in zip(tops, bottoms, los):
-        try:
-            ratios.append(1.0 if len(ids) == 1 else _ratio(top, bottom, lo))
-        except undefined:
-            ratios.append(math.nan)  # errors are finite, so only this is NaN
-    judged = zip(ratios, his, los, c_values, bounds, _exceeds(ratios, bounds))
+    """``audit_egalitarian`` of a batch, one column of errors ``errs`` per member
+    ``ids`` under ``method``: ``_worst_ratios`` and ``_worst_pairs`` against the
+    ``_bounds`` columns ``bounds``, evaluated by the caller (``audit_egalitarian``
+    before the errors, the CLI after them); None where a ratio raises ``undefined``."""
+    rows, name = list(zip(*errs)), method.value
+    ratios, (c_values, bound_values) = _worst_ratios(ids, rows, undefined), bounds
+    judged = zip(ratios, _worst_pairs(ids, rows), c_values, bound_values,
+                 _exceeds(ratios, bound_values))
     return [
-        None if math.isnan(r) else FairnessAudit(name, r, (hi, lo), c, b, not over)
-        for r, hi, lo, c, b, over in judged
+        None if math.isnan(r) else FairnessAudit(name, r, pair, c, b, not over)
+        for r, pair, c, b, over in judged
     ]
 
 
@@ -234,7 +248,7 @@ def _grid_slopes(
     slopes = []
     for case, e in zip(cases, _grid_errors(method, cases, at)):
         s, l = e["s"], e["l"]
-        cross = _ratio(s.imag * l.real - s.real * l.imag, l.real * l.real, "l")
+        cross = _ratio(s.imag * l.real - s.real * l.imag, l.real * l.real, "s", "l")
         slopes.append(cross / (case[1 + at] * COMPLEX_STEP))
     return slopes
 
@@ -297,7 +311,7 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
 
     def ratio(*case: object) -> float:
         e = errs[case]
-        return _ratio(e["s"], e["l"], "l")
+        return _ratio(e["s"], e["l"], "s", "l")
 
     def ordering(
         params: PopulationParams, sizes: tuple[float, ...], small: str, large: str
@@ -427,31 +441,21 @@ def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResul
     ``audit_egalitarian``, on random instances under uniform and
     fine-grained federation; only a violation builds the instance's players."""
     methods = (FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED)
-
-    def check(indices, mu_e, sigma_sq, *columns) -> tuple[list[dict], float]:
-        """The violations and the largest ratio/bound of one group."""
+    violations, max_quotient = [], 0.0
+    # Sweep instances lie in the float band, so no group raises or needs replaying.
+    for indices, mu_e, sigma_sq, *columns in instance_groups(instance_count, seed):
         ids = INSTANCE_IDS[: len(columns)]
         _, bounds = _bounds(list(map(max, zip(*columns))), mu_e, sigma_sq)
-        found, top = [], 0.0
         for method in methods:
-            # Sweep errors are positive (mu_e >= 0.01 and n < 100), so the
-            # smallest error of an instance never divides by zero.
             rows = list(zip(*_errors(columns, method, mu_e, sigma_sq, ids)))
-            ratios = list(map(truediv, map(max, rows), map(min, rows)))
-            top = max(top, *map(truediv, ratios, bounds))
+            ratios = _worst_ratios(ids, rows)
+            max_quotient = max(max_quotient, *map(truediv, ratios, bounds))
             for i in compress(range(len(ratios)), _exceeds(ratios, bounds)):
                 params = PopulationParams(mu_e[i], sigma_sq[i])
                 coalition = Coalition.from_sizes([n[i] for n in columns])
-                record = describe_instance(params, coalition)
-                found.append({"index": indices[i], "method": method.value,
-                              "max_ratio": ratios[i], "bound": bounds[i], **record})
-        return found, top
-
-    violations, max_quotient = [], 0.0
-    for group in instance_groups(instance_count, seed):
-        found, top = in_order(check, *group)
-        violations += found
-        max_quotient = max(max_quotient, top)
+                violations.append({"index": indices[i], "method": method.value,
+                                   "max_ratio": ratios[i], "bound": bounds[i],
+                                   **describe_instance(params, coalition)})
     # Groups follow player counts; records follow the instance indices.
     violations.sort(key=itemgetter("index"))
     checks = len(methods) * instance_count

@@ -47,10 +47,10 @@ class UndefinedBound(FedFairError):
 
 
 class OutOfFloatRange(FedFairError):
-    """A closed form's exact value at the given inputs is past the largest
-    float: rounded once, it would overflow."""
+    """A closed form's exact value, or a ratio of two floats, is past the
+    largest float at the named inputs: rounded once, it would overflow."""
 
-    def __init__(self, what: str, **inputs: object) -> None:
+    def __init__(self, what: str, /, **inputs: object) -> None:
         fields = ", ".join(f"{name}={value!r}" for name, value in inputs.items())
         super().__init__(f"{what} is outside the floating-point range at {fields}")
 

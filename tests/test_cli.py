@@ -923,6 +923,32 @@ class TestFloatRange:
         exact = float(1 / (2 * Fraction(1e300) - 1 / Fraction(1e10)))
         assert subproportionality_threshold(rest, "s", params) == exact
 
+    def test_overflowing_worst_ratio_is_an_input_error(self, tmp_path, capsys):
+        """The errors 1e-300 and 1/1e-300 are finite, but their ratio, about
+        1e600 against a 2c+1 of 2e290, is not: printed as Infinity and
+        judged unsatisfied before, now an input error naming both errors."""
+        scenario = {"mu_e": 1, "sigma_sq": 1e-10, "method": "local",
+                    "players": [{"id": "p1", "n": 1e300}, {"id": "p2", "n": 1e-300}]}
+        code, text = self.audit(tmp_path, scenario)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "the ratio p2/p1 is outside the floating-point range" in err
+        assert f"p2={1 / 1e-300!r}, p1=1e-300" in err
+
+    def test_overflowing_size_ratio_is_an_input_error(self, tmp_path, capsys):
+        """n_l / n_s = 1e400 overflows where every other cell is finite."""
+        code, text = run_cli(
+            [
+                "scan", "--ns", "1e-200", "--nl-start", "1e200", "--nl-stop", "1e200",
+                "--nl-step", "1", "--mu-e", "1", "--sigma-sq", "1e-300",
+            ],
+            tmp_path,
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "the ratio n_l/n_s is outside the floating-point range" in err
+        assert "n_l=1e+200, n_s=1e-200" in err
+
     def test_audit_never_reports_an_infinite_bound(self, tmp_path, capsys):
         path = tmp_path / "huge_c.json"
         path.write_text(

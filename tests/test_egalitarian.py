@@ -197,6 +197,33 @@ class TestAuditEgalitarian:
         with pytest.raises(OutOfFloatRange, match="the 2c\\+1 bound"):
             audit_egalitarian(pair(6, 20), FederationMethod.UNIFORM, params)
 
+    def test_overflowing_worst_ratio_names_both_errors(self):
+        """Local errors 1/1e-300 and 1e-300 are finite, their exact ratio
+        about 1e600 is not (2c+1 is 2e290): the audit and error_ratio both
+        refuse it, naming each player's error, where inf was reported."""
+        coalition, params = pair(1e-300, 1e300), PopulationParams(1.0, 1e-10)
+        big, small = 1 / 1e-300, 1e-300
+        message = (f"the ratio s/l is outside the floating-point range at "
+                   f"s={big!r}, l={small!r}")
+        with pytest.raises(OutOfFloatRange) as audited:
+            audit_egalitarian(coalition, FederationMethod.LOCAL, params)
+        with pytest.raises(OutOfFloatRange) as divided:
+            error_ratio(coalition, "s", "l", FederationMethod.LOCAL, params)
+        assert str(audited.value) == str(divided.value) == message
+        assert error_ratio(coalition, "l", "s", FederationMethod.LOCAL, params) == (
+            small / big
+        )
+
+    def test_singleton_with_a_vanishing_error_has_ratio_one(self):
+        """The exact error 1e-400 rounds to 0.0; a lone member's worst ratio
+        is still 1, not an undefined quotient."""
+        coalition = Coalition((Player("x", 1e100),))
+        audit = audit_egalitarian(
+            coalition, FederationMethod.LOCAL, PopulationParams(1e-300, 1e-300)
+        )
+        assert audit.max_ratio == 1.0 and audit.worst_pair == ("x", "x")
+        assert audit.satisfied
+
 
 class TestTwoPlayerClosedForms:
     def test_uniform_ratio_matches_general_formula(self):

@@ -179,6 +179,22 @@ class TestFailingInstancesGetFullRecords:
         flagged = {v["method"] for v in bound_sweep(1, self.SEED).violations}
         assert (method.value in flagged) is violated
 
+    def test_audit_and_sweep_read_one_worst_ratio(self, monkeypatch):
+        """Scaling the worst ratio by 100 in ``_worst_ratios`` alone moves
+        the audit and the sweep alike: here the fine-grained ratio goes to
+        about 1.08 times its bound and the uniform one to about 0.97."""
+        real = fedfair.egalitarian._worst_ratios
+        monkeypatch.setattr(fedfair.egalitarian, "_worst_ratios",
+                            lambda *args: [100 * r for r in real(*args)])
+        params, coalition = instance(self.SEED, 0)
+        audits = {m.value: audit_egalitarian(coalition, m, params)
+                  for m in (UNIFORM, FINE)}
+        failed = {name for name, audit in audits.items() if not audit.satisfied}
+        assert failed == {FINE.value}
+        (violation,) = bound_sweep(1, self.SEED).violations
+        assert violation["method"] == FINE.value
+        assert violation["max_ratio"] == audits[FINE.value].max_ratio
+
     def test_threshold_records(self, monkeypatch):
         monkeypatch.setattr(
             fedfair.proportionality, "_thresholds", forced_thresholds(violate=0.0)

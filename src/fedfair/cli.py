@@ -25,7 +25,7 @@ from .egalitarian import (
     check_modularity,
     inverse_size_error,
 )
-from .errors import Column, Columns, _errors, in_order
+from .errors import Column, Columns, _errors
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, check_sizes
 from .proportionality import (
@@ -272,7 +272,9 @@ def _assess(
     prefers local learning, whether each coalition is individually
     rational, its proportionality label and its 2c+1 audit (its bound
     evaluated after the errors), None where mu_e, sigma_sq or an error is
-    zero.  A failing batch raises as ``in_order`` does."""
+    zero.  Each column function raises for its own first failing
+    coalition, so a failing batch is run again coalition by coalition, in
+    order: it raises what the first failing coalition raises alone."""
 
     def evaluate(*columns: Column) -> tuple:
         for pid, column in zip(ids, columns):
@@ -288,7 +290,13 @@ def _assess(
         _, labels = _labels(ids, columns, errs)
         return errs, local, *_rationality(errs, local), labels, audits
 
-    return in_order(evaluate, *columns)
+    try:
+        return evaluate(*columns)
+    except FedFairError:
+        if len(columns[0]) > 1:
+            for row in zip(*columns):
+                evaluate(*([n] for n in row))
+        raise
 
 
 def run_audit(args: argparse.Namespace) -> Output:

@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import (Column, Columns, _coalition_errors, _errors, _weighted_error,
                      in_order, range_failure)
-from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
+from .exceptions import (NonPositiveSamples, OutOfFloatRange, UndefinedBound,
+                         ZeroDenominator)
 from .model import Coalition, FederationMethod, Player, PopulationParams, compare
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
 
@@ -112,7 +113,9 @@ def _exceeds(ratios: Column, bounds: Column) -> list[bool]:
 
 def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, float]:
     """c = n_max * sigma_sq / mu_e and the egalitarian bound 2c + 1:
-    ``_bounds`` as a batch of one."""
+    ``_bounds`` as a batch of one, for a finite n_max > 0."""
+    if not (math.isfinite(n_max) and n_max > 0):
+        raise NonPositiveSamples(f"n_max must be finite and > 0, got {n_max!r}")
     (c_value,), (bound,) = _bounds([n_max], *([value] for value in params))
     return c_value, bound
 
@@ -402,8 +405,9 @@ def tightness_search(c: float, epsilon: float) -> TightnessResult:
     tried in turn; ``ValueError`` if none passes: epsilon is then finer
     than the float ratio resolves at this c.
     """
-    if c <= 0.0 or epsilon <= 0.0:
-        raise ValueError("c and epsilon must be positive")
+    if not (math.isfinite(c) and c > 0 and epsilon > 0):
+        raise ValueError(f"c must be finite and > 0 and epsilon > 0, "
+                         f"got c={c!r}, epsilon={epsilon!r}")
     b, k = epsilon - 2 * c, 2 * epsilon - 4 * c - 2
     disc, root = b * b - 4 * epsilon * c * k, 1.0
     if disc > 0:  # both roots in the forms where nothing cancels
@@ -442,7 +446,7 @@ def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResul
     fine-grained federation; only a violation builds the instance's players."""
     methods = (FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED)
     violations, max_quotient = [], 0.0
-    # Sweep instances lie in the float band, so no group raises or needs replaying.
+    # Sweep instances lie in the float band, so no group raises.
     for indices, mu_e, sigma_sq, *columns in instance_groups(instance_count, seed):
         ids = INSTANCE_IDS[: len(columns)]
         _, bounds = _bounds(list(map(max, zip(*columns))), mu_e, sigma_sq)

@@ -36,7 +36,6 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .exceptions import (
     DegenerateParams,
-    FedFairError,
     NonUnitSum,
     OutOfFloatRange,
     TargetNotInCoalition,
@@ -85,18 +84,16 @@ class WeightVector(NamedTuple("WeightVector", [("target", str), ("weights", dict
         return tuple((p, self.weights[p.id]) for p in coalition.players)
 
 
-def in_order(evaluate: Callable[..., Any], *columns: Sequence, fail: Any = None) -> Any:
-    """``evaluate(*columns)`` of a batch of independent instances, the rows
-    of ``columns``.  On a ``FedFairError`` each instance is evaluated alone,
-    in order: the first that fails raises what a loop over them would.
-
-    With ``fail``, ``evaluate`` is a column function (it returns output
-    columns) under the one float-range rule.  An instance whose nonzero
-    float or int inputs all have magnitudes in [2^-B, 2^B], B = 128, runs
-    on its floats, unguarded.  Any other runs on its inputs as
-    ``Fraction``s, each result rounded once by ``float()``; ``fail(out,
-    *instance)`` is raised for the first output column whose exact value
-    overflows.  ``Fraction`` and complex columns are evaluated as given.
+def in_order(evaluate: Callable[..., Any], *columns: Sequence, fail: Callable) -> Any:
+    """``evaluate(*columns)``, a column function (it returns output columns)
+    of a batch of independent instances, the rows of ``columns``, under the
+    one float-range rule.  An instance whose nonzero float or int inputs
+    all have magnitudes in [2^-B, 2^B], B = 128, runs on its floats,
+    unguarded.  Any other runs through ``_exactly``, which raises
+    ``fail(out, *instance)`` for its first output column whose exact value
+    overflows.  A batch that is all in the band, or holds a ``Fraction`` or
+    complex input, runs once as given; any other runs instance by instance,
+    in order, so it raises what the first failing instance raises alone.
 
     Why B = 128: with k < 2^63 members, mu_e/n_i and V_i lie in [2^-2B,
     2^(2B+1)] and each sum over members widens a bound by k.  The extremes
@@ -109,22 +106,9 @@ def in_order(evaluate: Callable[..., Any], *columns: Sequence, fail: Any = None)
     overflows or turns subnormal, at any coalition size.
     """
     try:
-        return _evaluate(evaluate, columns, fail)
-    except FedFairError:
-        if len(columns[0]) > 1:
-            for instance in zip(*columns):
-                _evaluate(evaluate, [[value] for value in instance], fail)
-        raise
-
-
-def _evaluate(evaluate: Callable[..., Any], columns: Sequence, fail: Any) -> Any:
-    """One batch under ``in_order``'s float-range rule (as given without
-    ``fail``); a batch mixing both sides runs each instance alone."""
-    try:
         # With every value at least BAND_LOW > 0, the sum bounds each value;
         # it is cheaper than max().
-        if fail is None or (BAND_LOW <= min(map(min, columns))
-                            and sum(map(sum, columns)) <= BAND_HIGH):
+        if BAND_LOW <= min(map(min, columns)) and sum(map(sum, columns)) <= BAND_HIGH:
             return evaluate(*columns)
     except TypeError:  # complex numbers have no order
         return evaluate(*columns)
@@ -132,22 +116,23 @@ def _evaluate(evaluate: Callable[..., Any], columns: Sequence, fail: Any) -> Any
     band = [all(x == 0 or BAND_LOW <= abs(x) <= BAND_HIGH for x in row) for row in rows]
     if all(band) or not all(isinstance(x, (float, int)) for row in rows for x in row):
         return evaluate(*columns)
-    if not any(band):
-        return _exactly(evaluate, columns, fail)
-    parts = [_evaluate(evaluate, [[value] for value in row], fail) for row in rows]
+    parts = [evaluate(*([x] for x in row)) if ok else _exactly(evaluate, row, fail)
+             for row, ok in zip(rows, band)]
     return [[value for value, in outputs] for outputs in zip(*parts)]
 
 
-def _exactly(evaluate: Callable[..., Any], columns: Sequence, fail: Any) -> list:
-    """``evaluate`` on ``Fraction`` columns, each result rounded once."""
+def _exactly(evaluate: Callable[..., Any], row: Sequence, fail: Callable) -> list:
+    """``evaluate`` on one instance, its inputs ``row`` as ``Fraction``s,
+    each result rounded once; ``fail(out, *row)`` for the first that
+    overflows."""
     from fractions import Fraction  # only an out-of-band input needs it
 
     rounded = []
-    for out, column in enumerate(evaluate(*(list(map(Fraction, c)) for c in columns))):
+    for out, (value,) in enumerate(evaluate(*([Fraction(x)] for x in row))):
         try:
-            rounded.append(list(map(float, column)))
-        except OverflowError:  # in_order re-runs a failing batch one by one
-            raise fail(out, *(c[0] for c in columns)) from None
+            rounded.append([float(value)])
+        except OverflowError:
+            raise fail(out, *row) from None
     return rounded
 
 

@@ -808,6 +808,23 @@ class TestFloatRange:
         assert "the 2c+1 bound is outside the floating-point range" in err
         assert "n_max=9.0" in err
 
+    def test_first_failing_row_is_named_across_column_functions(self, tmp_path, capsys):
+        """Row 1 (n_l = 0.5) has in-band errors but an overflowing 2c+1;
+        row 2 (n_l = 1e40) already overflows its uniform error.  The errors
+        are evaluated before the bound, so only running the rows again in
+        order names row 1, the first an in-order loop reaches."""
+        code, text = run_cli(
+            [
+                "scan", "--ns", "1", "--nl-start", "0.5", "--nl-stop", "1e40",
+                "--nl-step", "1e40", "--mu-e", "1", "--sigma-sq", "1.7e308",
+            ],
+            tmp_path,
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "the 2c+1 bound is outside the floating-point range" in err
+        assert "n_max=1.0" in err
+
     def test_audit_never_reports_a_nan_error(self, tmp_path, capsys):
         """a's exact error, about 8e-600, rounds to 0.0, not NaN; the
         exact 2c+1, about 2e620, overflows, so the audit exits 2 naming it."""

@@ -29,7 +29,8 @@ from fedfair.egalitarian import (
     egalitarian_bound,
 )
 from fedfair.errors import _errors
-from fedfair.exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
+from fedfair.exceptions import (NonPositiveSamples, OutOfFloatRange, UndefinedBound,
+                                ZeroDenominator)
 from fedfair.sampling import instance_rng, random_instance
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
@@ -182,6 +183,11 @@ class TestAuditEgalitarian:
         and sigma_sq = 0 would give a meaningless bound of 1."""
         with pytest.raises(UndefinedBound):
             egalitarian_bound(10.0, PopulationParams(mu_e, sigma_sq))
+
+    @pytest.mark.parametrize("n_max", [math.inf, math.nan, -1.0, 0.0])
+    def test_bound_refuses_a_size_that_is_not_finite_and_positive(self, n_max):
+        with pytest.raises(NonPositiveSamples, match=f"n_max .*got {n_max!r}"):
+            egalitarian_bound(n_max, PopulationParams(1.0, 1.0))
 
     def test_undefined_bound_before_degenerate_errors(self):
         """At mu_e = sigma_sq = 0 the fine-grained errors are degenerate too;
@@ -417,10 +423,11 @@ class TestTightness:
         assert doubling_search(2e4, 1e-12).mu_e == 2.0**38
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            tightness_search(c=0.0, epsilon=0.1)
-        with pytest.raises(ValueError):
-            tightness_search(c=1.0, epsilon=0.0)
+        for c, epsilon in [(0.0, 0.1), (1.0, 0.0), (math.nan, 0.1), (math.inf, 0.1),
+                           (-1.0, 0.1), (1.0, math.nan), (1.0, -0.1)]:
+            match = rf"c must be finite and > 0 .*c={c!r}, epsilon={epsilon!r}"
+            with pytest.raises(ValueError, match=match):
+                tightness_search(c=c, epsilon=epsilon)
 
 
 def doubling_search(c, epsilon):

@@ -485,14 +485,22 @@ class TestColumnKernel:
                 assert str(info.value) == str(first)
 
     def test_later_failure_does_not_mask_an_earlier_one(self):
-        """Instance 1 overflows its local error and instance 2 underflows:
-        the batch names instance 1, the first an in-order loop reaches."""
-        columns = [[1.0, 1e-310, 1e-320], [2.0, 3.0, 4.0]]
-        mu_e, sigma_sq = [1.0, 1e300, 1.0], [1.0, 1.0, 1.0]
-        with pytest.raises(OutOfFloatRange) as info:
-            _errors(columns, FederationMethod.LOCAL, mu_e, sigma_sq, ("p1", "p2"))
-        assert "mu_e=1e+300" in str(info.value)
-        assert "'p1': 1e-310" in str(info.value)
+        """Local: the second instance overflows its error and the third
+        underflows.  Fine-grained: the first overflows its errors and the
+        second is degenerate (mu_e = sigma_sq = 0), which a whole-batch
+        evaluation would report first.  The batch names the instance with
+        mu_e = 1e300, the first failure an in-order loop reaches."""
+        cases = [
+            (FederationMethod.LOCAL, [[1.0, 1e-310, 1e-320], [2.0, 3.0, 4.0]],
+             [1.0, 1e300, 1.0], [1.0, 1.0, 1.0], "'p1': 1e-310"),
+            (FederationMethod.FINE_GRAINED, [[1e-10, 1e300], [1e-10, 1.0]],
+             [1e300, 0.0], [0.0, 0.0], "'p1': 1e-10"),
+        ]
+        for method, columns, mu_e, sigma_sq, size in cases:
+            with pytest.raises(OutOfFloatRange) as info:
+                _errors(columns, method, mu_e, sigma_sq, ("p1", "p2"))
+            assert "mu_e=1e+300" in str(info.value)
+            assert size in str(info.value)
 
 
 class TestFloatRangeRule:

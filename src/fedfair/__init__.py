@@ -10,12 +10,10 @@ from .egalitarian import (
     audit_egalitarian,
     bound_sweep,
     check_modularity,
-    error_ratio,
     inverse_size_error,
     tightness_search,
 )
 from .errors import (
-    WeightVector,
     expected_error,
     fine_grained_error,
     fine_grained_weights,
@@ -79,14 +77,12 @@ __all__ = [
     "SimulationResult",
     "SimulationSpec",
     "TightnessResult",
-    "WeightVector",
     "audit_egalitarian",
     "bound_sweep",
     "check_modularity",
     "classify_proportionality",
     "default_suite",
     "defection_threshold",
-    "error_ratio",
     "expected_error",
     "fine_grained_error",
     "fine_grained_weights",

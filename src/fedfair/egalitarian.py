@@ -120,18 +120,6 @@ def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, fl
     return c_value, bound
 
 
-def error_ratio(
-    coalition: Coalition,
-    i: str,
-    j: str,
-    method: FederationMethod,
-    params: PopulationParams,
-) -> float:
-    """err_i / err_j for two members of the same coalition."""
-    errs = dict(zip(coalition.ids(), _coalition_errors(coalition, method, params)))
-    return _ratio(errs[i], errs[j], i, j)
-
-
 class FairnessAudit(NamedTuple):
     """Worst pairwise ratio of a coalition against its 2c+1 bound."""
 
@@ -420,7 +408,8 @@ def tightness_search(c: float, epsilon: float) -> TightnessResult:
         # mu_e is a power of two, so this c_value is exactly c.
         c_value, bound = egalitarian_bound(n_l, params)
         pair = Coalition((Player("s", 1.0), Player("l", n_l)))
-        ratio = error_ratio(pair, "s", "l", FederationMethod.UNIFORM, params)
+        e_l, e_s = _coalition_errors(pair, FederationMethod.UNIFORM, params)
+        ratio = _ratio(e_s, e_l, "s", "l")
         if ratio >= bound - epsilon:
             return TightnessResult(1.0, n_l, mu_e, 1.0, ratio, c_value, bound)
     raise ValueError(f"epsilon={epsilon!r} is finer than the float ratio resolves "

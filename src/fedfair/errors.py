@@ -29,10 +29,9 @@ and every column function runs under ``in_order``'s float-range rule.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations, repeat
 from operator import add, mul, truediv
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .exceptions import (
     DegenerateParams,
@@ -41,47 +40,14 @@ from .exceptions import (
     TargetNotInCoalition,
     WeightDomainMismatch,
 )
-from .model import Coalition, FederationMethod, Player, PopulationParams, close
+from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
+                    compare)
 
 # One value per instance of a batch; a batch's sizes are one column per member.
 Column = Sequence[float]
 Columns = Sequence[Column]
 # The band of in_order's float-range rule: magnitudes in [2^-128, 2^128].
 BAND_LOW, BAND_HIGH = 2.0**-128, 2.0**128
-
-
-class WeightVector(NamedTuple("WeightVector", [("target", str), ("weights", dict)])):
-    """Per-source combination weights for one target player.
-
-    Weights must be finite and sum to one within relative tolerance 1e-9;
-    individual weights may be negative (the general error formula is defined
-    for any unit-sum vector, and optimality tests probe such points).
-    ``weights`` is kept as a dict copy, so a weight vector is unhashable.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))
-
-    def __new__(cls, target: str, weights: Mapping[str, float]) -> WeightVector:
-        weights = dict(weights)
-        total = 0.0
-        for pid in sorted(weights):
-            w = weights[pid]
-            if not math.isfinite(w):
-                raise NonUnitSum(f"weight for {pid!r} is not finite: {w!r}")
-            total += w
-        if not close(total, 1.0):
-            raise NonUnitSum(f"weights sum to {total!r}, expected 1")
-        return super().__new__(cls, target, weights)
-
-    def aligned(self, coalition: Coalition) -> tuple[tuple[Player, float], ...]:
-        """(player, weight) pairs in player order; domains must match."""
-        if set(self.weights) != set(coalition.ids()):
-            raise WeightDomainMismatch(
-                f"weights cover {sorted(self.weights)}, "
-                f"coalition is {sorted(coalition.ids())}"
-            )
-        return tuple((p, self.weights[p.id]) for p in coalition.players)
 
 
 def in_order(evaluate: Callable[..., Any], *columns: Sequence, fail: Callable) -> Any:
@@ -272,20 +238,32 @@ def expected_error(
     return _coalition_errors(coalition, method, params)[coalition.ids().index(target)]
 
 
-def weighted_error(
-    coalition: Coalition, weights: WeightVector, params: PopulationParams
-) -> float:
-    """Expected error of the target under arbitrary unit-sum weights."""
-    if weights.target not in coalition:
-        raise TargetNotInCoalition(f"target {weights.target!r} not in coalition")
+def weighted_error(coalition: Coalition, target: str, weights: Mapping[str, float],
+                   params: PopulationParams) -> float:
+    """Expected error of the target under any weights, one per member by id,
+    finite and summing (in id order) to one within relative ``REL_TOL``.  A
+    weight may be negative: the formula holds for any unit-sum vector, and
+    the optimality tests probe such points."""
+    if target not in coalition:
+        raise TargetNotInCoalition(f"target {target!r} not in coalition")
     ids, sizes = coalition.ids(), coalition.sizes()
-    j, k = ids.index(weights.target), len(ids)
+    if set(weights) != set(ids):
+        raise WeightDomainMismatch(f"weights cover {sorted(weights)}, "
+                                   f"coalition is {sorted(ids)}")
+    aligned, total = [weights[pid] for pid in ids], 0.0
+    for pid, w in zip(ids, aligned):
+        if not abs(w) <= FLOAT_MAX:
+            raise NonUnitSum(f"weight for {pid!r} is not finite: {w!r}")
+        total += w
+    if compare(total, 1.0):
+        raise NonUnitSum(f"weights sum to {total!r}, expected 1")
+    j, k = ids.index(target), len(ids)
 
     def evaluate(mu_e: Column, sigma_sq: Column, *values: Column) -> list[list]:
         rows = zip(mu_e, sigma_sq, *values)
         return [[_weighted_error(m, s, row[:k], row[k:], j) for m, s, *row in rows]]
 
-    values = (*params, *sizes, *(w for _, w in weights.aligned(coalition)))
+    values = (*params, *sizes, *aligned)
     fail = range_failure("a weighted error", ids)
     return in_order(evaluate, *([v] for v in values), fail=fail)[0][0]
 
@@ -327,8 +305,9 @@ def _weights(columns: Columns, method: FederationMethod, j: int, mu_e: Column,
 
 def fine_grained_weights(
     coalition: Coalition, target: str, params: PopulationParams
-) -> WeightVector:
-    """Unit-sum weights minimizing the target's expected error.
+) -> dict[str, float]:
+    """Unit-sum weights minimizing the target's expected error, by member
+    id in id order.
 
     With S = sum_{i != j} 1/V_i the optimum is
 
@@ -342,4 +321,4 @@ def fine_grained_weights(
     ids, method = coalition.ids(), FederationMethod.FINE_GRAINED
     columns, shared = [[n] for n in coalition.sizes()], ([v] for v in params)
     weights = _weights(columns, method, ids.index(target), *shared, ids)
-    return WeightVector(target, {pid: w for pid, (w,) in zip(ids, weights)})
+    return {pid: w for pid, (w,) in zip(ids, weights)}

@@ -13,6 +13,7 @@ through too, so a constructed value is always safe to share.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -27,16 +28,14 @@ from .exceptions import (
 # verdict is invariant under rescaling (mu_e, sigma_sq).  Exact zeros (the
 # zero-noise and zero-bias cases) still compare equal.
 REL_TOL = 1e-9
-
-
-def close(a: float, b: float) -> bool:
-    """True when a and b agree to the package-wide relative tolerance."""
-    return math.isclose(a, b, rel_tol=REL_TOL)
+# A bound by the largest float: unlike math.isfinite, it never raises on a huge int.
+FLOAT_MAX = sys.float_info.max
 
 
 def compare(a: float, b: float) -> int:
-    """The one verdict rule: 0 when ``close(a, b)``, else the sign of a - b.
-    Against 0.0 it is the exact sign; inf ties with inf and tops any float."""
+    """The one verdict rule: 0 when a and b agree to the relative tolerance
+    ``REL_TOL``, else the sign of a - b.  Against 0.0 it is the exact sign;
+    inf ties with inf and tops any float."""
     if math.isclose(a, b, rel_tol=REL_TOL):
         return 0
     return 1 if a > b else -1
@@ -65,7 +64,7 @@ class PopulationParams(
 
     def __new__(cls, mu_e: float, sigma_sq: float) -> PopulationParams:
         for name, value in (("mu_e", mu_e), ("sigma_sq", sigma_sq)):
-            if not math.isfinite(value) or value < 0:
+            if not 0 <= value <= FLOAT_MAX:
                 raise NegativeVariance(
                     f"{name} must be finite and nonnegative, got {value!r}"
                 )
@@ -76,7 +75,7 @@ def check_sizes(id: str, sizes: Iterable[float]) -> None:
     """The sample-count rule of player ``id`` over a column of its sizes:
     raise ``NonPositiveSamples`` at the first that is not finite and > 0."""
     for n in sizes:
-        if not math.isfinite(n) or n <= 0:
+        if not 0 < n <= FLOAT_MAX:
             raise NonPositiveSamples(
                 f"player {id!r}: n must be finite and > 0, got {n!r}"
             )
@@ -140,8 +139,10 @@ class Coalition:
 
     @classmethod
     def from_sizes(cls, sizes: Iterable[float]) -> Coalition:
-        """Build a coalition from bare sample counts with ids p1, p2, ..."""
-        return cls(tuple(Player(f"p{i + 1}", float(n)) for i, n in enumerate(sizes)))
+        """Build a coalition from bare sample counts with ids p1, p2, ...
+        (``Player`` rejects a count past the float range as given)."""
+        sizes = (float(n) if abs(n) <= FLOAT_MAX else n for n in sizes)
+        return cls(tuple(Player(f"p{i + 1}", n) for i, n in enumerate(sizes)))
 
     def ordered(self) -> tuple[Player, ...]:
         """The players in id order, the same tuple as ``players``."""

@@ -78,12 +78,8 @@ class RationalityReport(NamedTuple):
     individually_rational: bool
 
 
-def classify_pair(n_i: float, err_i: float, n_j: float, err_j: float) -> CoalitionLabel:
-    """Compare n_i * err_i against n_j * err_j (roles: n_i <= n_j)."""
-    order = compare(n_i * err_i, n_j * err_j)
-    if order == 0:
-        return CoalitionLabel.EXACT
-    return CoalitionLabel.SUB if order < 0 else CoalitionLabel.SUPER
+# A pair's label by compare(n * err of its smaller member, of its larger member).
+_LABELS = (CoalitionLabel.EXACT, CoalitionLabel.SUPER, CoalitionLabel.SUB)
 
 
 def _labels(
@@ -98,9 +94,9 @@ def _labels(
     for i, j in itertools.combinations(range(len(ids)), 2):
         i_first = le if ids[i] < ids[j] else lt
         pairs.append([
-            (i, j, classify_pair(n_i, e_i, n_j, e_j))
+            (i, j, _LABELS[compare(n_i * e_i, n_j * e_j)])
             if i_first(n_i, n_j)
-            else (j, i, classify_pair(n_j, e_j, n_i, e_i))
+            else (j, i, _LABELS[compare(n_j * e_j, n_i * e_i)])
             for n_i, e_i, n_j, e_j in zip(columns[i], errs[i], columns[j], errs[j])
         ])
     labels = []

@@ -69,19 +69,12 @@ def _instances(uniforms: Sequence[float]) -> tuple[list, list, list, list]:
     return counts, mu_e, sigma_sq, sizes
 
 
-def instance_sizes(
-    draw: tuple[float, ...]
-) -> tuple[PopulationParams, tuple[float, ...]]:
-    """The params and the sizes, in id order, of one ``instance_rng`` draw:
+def random_instance(draw: tuple[float, ...]) -> tuple[PopulationParams, Coalition]:
+    """The params and the coalition of one ``instance_rng`` draw:
     ``_instances`` as a batch of one."""
     (k,), mu_e, sigma_sq, sizes = _instances(draw)
-    return PopulationParams(*mu_e, *sigma_sq), tuple(n for n, in sizes[:k])
-
-
-def random_instance(draw: tuple[float, ...]) -> tuple[PopulationParams, Coalition]:
-    """``instance_sizes`` of a draw, with the sizes as a coalition."""
-    params, sizes = instance_sizes(draw)
-    return params, Coalition.from_sizes(sizes)
+    coalition = Coalition.from_sizes(n for n, in sizes[:k])
+    return PopulationParams(*mu_e, *sigma_sq), coalition
 
 
 def instance_groups(count: int, seed: int) -> Iterator[tuple[list, ...]]:

@@ -18,7 +18,6 @@ from fedfair import (
     FederationMethod,
     Player,
     PopulationParams,
-    WeightVector,
     bound_sweep,
     check_modularity,
     default_suite,
@@ -187,7 +186,7 @@ def test_criterion_7_fine_grained_consistency():
         for p in coalition.players:
             direct = fine_grained_error(coalition, p.id, params)
             weights = fine_grained_weights(coalition, p.id, params)
-            via = weighted_error(coalition, weights, params)
+            via = weighted_error(coalition, p.id, weights, params)
             consistent = consistent and math.isclose(
                 direct, via, rel_tol=1e-9, abs_tol=1e-12
             )
@@ -198,8 +197,8 @@ def test_criterion_7_fine_grained_consistency():
             )
         target = coalition.players[0]
         weights = fine_grained_weights(coalition, target.id, params)
-        base = weighted_error(coalition, weights, params)
-        vec = np.array([weights.weights[i] for i in ids])
+        base = weighted_error(coalition, target.id, weights, params)
+        vec = np.array([weights[i] for i in ids])
         for _ in range(3):
             direction = rng.normal(size=len(ids))
             direction -= direction.mean()
@@ -207,11 +206,9 @@ def test_criterion_7_fine_grained_consistency():
             if norm == 0.0:
                 continue
             magnitude = 10.0 ** rng.uniform(-3, -1)
-            perturbed = WeightVector(
-                target.id, dict(zip(ids, vec + direction * (magnitude / norm)))
-            )
+            perturbed = dict(zip(ids, vec + direction * (magnitude / norm)))
             optimal = optimal and (
-                weighted_error(coalition, perturbed, params) >= base - 1e-12
+                weighted_error(coalition, target.id, perturbed, params) >= base - 1e-12
             )
     elapsed = time.perf_counter() - start
     passed = consistent and dominant and optimal and elapsed < 5.0

@@ -15,7 +15,7 @@ from fedfair import (
     audit_egalitarian,
     bound_sweep,
     check_modularity,
-    error_ratio,
+    expected_error,
     inverse_size_error,
     local_error,
     tightness_search,
@@ -26,6 +26,7 @@ from fedfair.egalitarian import (
     THIRD_SIZES,
     TightnessResult,
     _grid_slopes,
+    _ratio,
     egalitarian_bound,
 )
 from fedfair.errors import _errors
@@ -38,6 +39,12 @@ PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
 
 def pair(n_s: float, n_l: float) -> Coalition:
     return Coalition((Player("s", n_s), Player("l", n_l)))
+
+
+def member_ratio(coalition, i, j, method, params):
+    """err_i / err_j of two members, divided by ``_ratio`` as the audits do."""
+    return _ratio(expected_error(coalition, i, method, params),
+                  expected_error(coalition, j, method, params), i, j)
 
 
 def uniform_pair_ratio(n_s, n_l, mu_e, sigma_sq):
@@ -117,23 +124,23 @@ def sign(x):
 
 class TestErrorRatio:
     def test_motivating_pair(self):
-        ratio = error_ratio(pair(6, 20), "s", "l", FederationMethod.UNIFORM, PARAMS)
+        ratio = member_ratio(pair(6, 20), "s", "l", FederationMethod.UNIFORM, PARAMS)
         assert math.isclose(ratio, 3.1927710843373496)
 
     def test_equal_players_ratio_one(self):
         coalition = Coalition((Player("a", 9.0), Player("b", 9.0)))
         for method in FederationMethod:
-            assert error_ratio(coalition, "a", "b", method, PARAMS) == 1.0
+            assert member_ratio(coalition, "a", "b", method, PARAMS) == 1.0
 
     def test_fine_grained_two_player_ratio(self):
-        ratio = error_ratio(
+        ratio = member_ratio(
             pair(6, 20), "s", "l", FederationMethod.FINE_GRAINED, PARAMS
         )
         assert math.isclose(ratio, 50 / 22, rel_tol=1e-9)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
-            error_ratio(
+            member_ratio(
                 pair(6, 20), "s", "l", FederationMethod.LOCAL, PopulationParams(0, 1)
             )
 
@@ -205,7 +212,7 @@ class TestAuditEgalitarian:
 
     def test_overflowing_worst_ratio_names_both_errors(self):
         """Local errors 1/1e-300 and 1e-300 are finite, their exact ratio
-        about 1e600 is not (2c+1 is 2e290): the audit and error_ratio both
+        about 1e600 is not (2c+1 is 2e290): the audit and ``_ratio`` both
         refuse it, naming each player's error, where inf was reported."""
         coalition, params = pair(1e-300, 1e300), PopulationParams(1.0, 1e-10)
         big, small = 1 / 1e-300, 1e-300
@@ -214,9 +221,9 @@ class TestAuditEgalitarian:
         with pytest.raises(OutOfFloatRange) as audited:
             audit_egalitarian(coalition, FederationMethod.LOCAL, params)
         with pytest.raises(OutOfFloatRange) as divided:
-            error_ratio(coalition, "s", "l", FederationMethod.LOCAL, params)
+            member_ratio(coalition, "s", "l", FederationMethod.LOCAL, params)
         assert str(audited.value) == str(divided.value) == message
-        assert error_ratio(coalition, "l", "s", FederationMethod.LOCAL, params) == (
+        assert member_ratio(coalition, "l", "s", FederationMethod.LOCAL, params) == (
             small / big
         )
 
@@ -240,7 +247,7 @@ class TestTwoPlayerClosedForms:
             params = PopulationParams(
                 float(rng.uniform(0.01, 50)), float(rng.uniform(0.01, 50))
             )
-            via_errors = error_ratio(
+            via_errors = member_ratio(
                 pair(n_s, n_l), "s", "l", FederationMethod.UNIFORM, params
             )
             direct = uniform_pair_ratio(n_s, n_l, params.mu_e, params.sigma_sq)
@@ -253,7 +260,7 @@ class TestTwoPlayerClosedForms:
             params = PopulationParams(
                 float(rng.uniform(0.01, 50)), float(rng.uniform(0.01, 50))
             )
-            via_errors = error_ratio(
+            via_errors = member_ratio(
                 pair(n_s, n_l), "s", "l", FederationMethod.FINE_GRAINED, params
             )
             direct = fine_grained_pair_ratio(n_s, n_l, *params)
@@ -438,7 +445,7 @@ def doubling_search(c, epsilon):
         params = PopulationParams(mu_e, 1.0)
         n_l = c * mu_e
         c_value, bound = egalitarian_bound(n_l, params)
-        ratio = error_ratio(pair(1.0, n_l), "s", "l", FederationMethod.UNIFORM, params)
+        ratio = member_ratio(pair(1.0, n_l), "s", "l", FederationMethod.UNIFORM, params)
         if ratio >= bound - epsilon:
             return TightnessResult(1.0, n_l, mu_e, 1.0, ratio, c_value, bound)
         mu_e *= 2.0

@@ -16,7 +16,6 @@ from fedfair import (
     FederationMethod,
     Player,
     PopulationParams,
-    WeightVector,
     expected_error,
     fine_grained_error,
     fine_grained_weights,
@@ -58,7 +57,7 @@ def pair(n_s: float, n_l: float) -> Coalition:
 def exact_weight_map(coalition, target, params):
     """``fine_grained_weights`` by id, after checking each weight is its
     exact value rounded once."""
-    got = fine_grained_weights(coalition, target, params).weights
+    got = fine_grained_weights(coalition, target, params)
     j = coalition.ids().index(target)
     exact = exact_weights(FederationMethod.FINE_GRAINED, params, coalition, j)
     assert list(got.values()) == [float(w) for w in exact]
@@ -107,15 +106,15 @@ class TestWeightedError:
         """mu_e v_1^2 / n_1 = 1e300 * 0.25 / 1e-300 is about 2.5e599: an
         input error, not inf."""
         coalition = Coalition.from_sizes([1e-300, 1.0])
-        weights = WeightVector("p1", {"p1": 0.5, "p2": 0.5})
+        weights = {"p1": 0.5, "p2": 0.5}
         with pytest.raises(OutOfFloatRange, match="a weighted error .*'p1': 1e-300"):
-            weighted_error(coalition, weights, PopulationParams(1e300, 1.0))
+            weighted_error(coalition, "p1", weights, PopulationParams(1e300, 1.0))
 
     def test_self_weight_only_is_local(self):
         coalition = pair(6, 20)
-        weights = WeightVector("s", {"s": 1.0, "l": 0.0})
+        weights = {"s": 1.0, "l": 0.0}
         assert math.isclose(
-            weighted_error(coalition, weights, PARAMS),
+            weighted_error(coalition, "s", weights, PARAMS),
             local_error(Player("s", 6.0), PARAMS),
             rel_tol=1e-9,
         )
@@ -123,9 +122,9 @@ class TestWeightedError:
     def test_proportional_weights_match_uniform_error(self):
         """The general formula at v_i = n_i/T agrees with the pooled form."""
         coalition = pair(6, 20)
-        weights = WeightVector("s", {"s": 6 / 26, "l": 20 / 26})
+        weights = {"s": 6 / 26, "l": 20 / 26}
         assert math.isclose(
-            weighted_error(coalition, weights, PARAMS),
+            weighted_error(coalition, "s", weights, PARAMS),
             uniform_error(coalition, "s", PARAMS),
             rel_tol=1e-9,
         )
@@ -133,30 +132,47 @@ class TestWeightedError:
     def test_optimal_weights_reach_the_optimal_error(self):
         coalition = pair(6, 20)
         weights = fine_grained_weights(coalition, "l", PARAMS)
-        assert math.isclose(weighted_error(coalition, weights, PARAMS), 0.44)
+        assert math.isclose(weighted_error(coalition, "l", weights, PARAMS), 0.44)
 
     def test_domain_mismatch(self):
         with pytest.raises(WeightDomainMismatch):
-            weighted_error(pair(6, 20), WeightVector("s", {"s": 1.0}), PARAMS)
+            weighted_error(pair(6, 20), "s", {"s": 1.0}, PARAMS)
 
     def test_non_unit_sum_rejected(self):
         with pytest.raises(NonUnitSum):
-            WeightVector("s", {"s": 0.7, "l": 0.7})
+            weighted_error(pair(6, 20), "s", {"s": 0.7, "l": 0.7}, PARAMS)
 
     def test_non_finite_weight_rejected(self):
         with pytest.raises(NonUnitSum):
-            WeightVector("s", {"s": math.inf, "l": 1.0})
+            weighted_error(pair(6, 20), "s", {"s": math.inf, "l": 1.0}, PARAMS)
 
     def test_unknown_target(self):
-        weights = WeightVector("x", {"x": 1.0})
         with pytest.raises(TargetNotInCoalition):
-            weighted_error(pair(6, 20), weights, PARAMS)
+            weighted_error(pair(6, 20), "x", {"x": 1.0}, PARAMS)
+
+    @pytest.mark.parametrize(
+        "target, weights, error, message",
+        [
+            ("x", {"s": math.nan}, TargetNotInCoalition, "target 'x' not in coalition"),
+            ("s", {"s": math.nan}, WeightDomainMismatch,
+             "weights cover ['s'], coalition is ['l', 's']"),
+            ("s", {"s": math.nan, "l": 5.0}, NonUnitSum,
+             "weight for 's' is not finite: nan"),
+            ("s", {"s": 0.7, "l": 0.7}, NonUnitSum, "weights sum to 1.4, expected 1"),
+        ],
+    )
+    def test_checks_run_in_order(self, target, weights, error, message):
+        """Target, domain, finiteness, unit sum: each case also fails every
+        later check, and the first one it fails names it."""
+        with pytest.raises(error) as raised:
+            weighted_error(pair(6, 20), target, weights, PARAMS)
+        assert str(raised.value) == message
 
 
 class TestFineGrainedWeights:
     def test_zero_noise_keeps_self_estimate(self):
         weights = fine_grained_weights(pair(6, 20), "l", PopulationParams(0.0, 1.0))
-        assert weights.weights == {"l": 1.0, "s": 0.0}
+        assert weights == {"l": 1.0, "s": 0.0}
 
     def test_unknown_target(self):
         with pytest.raises(TargetNotInCoalition):
@@ -165,22 +181,22 @@ class TestFineGrainedWeights:
     def test_motivating_large_player(self):
         # V_s = 8/3, V_l = 3/2: v_ll = 1.375/1.5625, v_ls = 0.1875/1.5625
         weights = fine_grained_weights(pair(6, 20), "l", PARAMS)
-        assert math.isclose(weights.weights["l"], 0.88)
-        assert math.isclose(weights.weights["s"], 0.12)
+        assert math.isclose(weights["l"], 0.88)
+        assert math.isclose(weights["s"], 0.12)
 
     def test_motivating_small_player(self):
         # Grid minimization of the general-weight error puts the optimum
         # at v_l = 0.4 (oracle: 2e6-point scan over [0, 0.9]).
         weights = fine_grained_weights(pair(6, 20), "s", PARAMS)
-        assert math.isclose(weights.weights["s"], 0.6)
-        assert math.isclose(weights.weights["l"], 0.4)
+        assert math.isclose(weights["s"], 0.6)
+        assert math.isclose(weights["l"], 0.4)
 
     def test_equal_players_at_matched_noise(self):
         """With mu_e/n = sigma_sq, V = 2 sigma_sq and the self-weight is 3/4."""
         coalition = Coalition((Player("a", 10.0), Player("b", 10.0)))
         weights = fine_grained_weights(coalition, "a", PopulationParams(10.0, 1.0))
-        assert math.isclose(weights.weights["a"], 0.75)
-        assert math.isclose(weights.weights["b"], 0.25)
+        assert math.isclose(weights["a"], 0.75)
+        assert math.isclose(weights["b"], 0.25)
 
     def test_degenerate_params_rejected(self):
         with pytest.raises(DegenerateParams):
@@ -290,7 +306,7 @@ def test_grid_minimization_oracle_confirms_optimum():
     assert abs(best_err - 0.44) < 1e-9
     assert abs(best_v_s - 0.12) < 1e-5
     weights = fine_grained_weights(pair(6, 20), "l", PARAMS)
-    assert abs(weights.weights["s"] - best_v_s) < 1e-5
+    assert abs(weights["s"] - best_v_s) < 1e-5
     assert math.isclose(fine_grained_error(pair(6, 20), "l", PARAMS), best_err)
 
 
@@ -307,9 +323,8 @@ class TestRandomizedInvariants:
         for params, coalition in self._instances(300, 11):
             for p in coalition.players:
                 direct = fine_grained_error(coalition, p.id, params)
-                via_weights = weighted_error(
-                    coalition, fine_grained_weights(coalition, p.id, params), params
-                )
+                weights = fine_grained_weights(coalition, p.id, params)
+                via_weights = weighted_error(coalition, p.id, weights, params)
                 assert math.isclose(direct, via_weights, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_dominance_over_local_and_uniform(self):
@@ -327,8 +342,8 @@ class TestRandomizedInvariants:
             ids = [p.id for p in coalition.ordered()]
             for p in coalition.players:
                 optimal = fine_grained_weights(coalition, p.id, params)
-                base = weighted_error(coalition, optimal, params)
-                vec = np.array([optimal.weights[i] for i in ids])
+                base = weighted_error(coalition, p.id, optimal, params)
+                vec = np.array([optimal[i] for i in ids])
                 for _ in range(4):
                     direction = rng.normal(size=len(ids))
                     direction -= direction.mean()
@@ -337,9 +352,10 @@ class TestRandomizedInvariants:
                         continue
                     magnitude = 10.0 ** rng.uniform(-3, -1)
                     moved = vec + direction * (magnitude / norm)
-                    perturbed = WeightVector(p.id, dict(zip(ids, moved)))
+                    perturbed = dict(zip(ids, moved))
                     assert (
-                        weighted_error(coalition, perturbed, params) >= base - 1e-12
+                        weighted_error(coalition, p.id, perturbed, params)
+                        >= base - 1e-12
                     )
 
     def test_uniform_gap_identity(self):

@@ -368,7 +368,7 @@ def test_whole_float_range_is_exact_or_rejected():
             call = partial(expected_error, coalition, ids[j], method, params)
             assert_follows_the_rule(call, exact[j], band, others=exact)
         if any(params):
-            weights = fine_grained_weights(coalition, ids[j], params).weights
+            weights = fine_grained_weights(coalition, ids[j], params)
             exact = exact_weights(FederationMethod.FINE_GRAINED, params, coalition, j)
             for pid, w in zip(ids, exact):
                 assert_follows_the_rule(lambda: weights[pid], w, band)

@@ -151,7 +151,25 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     assert cli_import_loads("fractions", "decimal") == ["False", "False"]
 
 
+PUBLIC_API = {
+    "Coalition", "CoalitionLabel", "FairnessAudit", "FederationMethod",
+    "MeanDistribution", "ModularityReport", "Player", "PopulationParams",
+    "ProportionalityReport", "RationalityReport", "SimulationResult",
+    "SimulationSpec", "TightnessResult", "audit_egalitarian", "bound_sweep",
+    "check_modularity", "classify_proportionality", "default_suite",
+    "defection_threshold", "expected_error", "fine_grained_error",
+    "fine_grained_weights", "individually_rational", "inverse_size_error",
+    "local_error", "simulate_error", "simulate_suite",
+    "subproportionality_threshold", "tightness_search", "uniform_error",
+    "verify_propstab", "weighted_error",
+}
+
+
 def test_every_exported_name_resolves():
+    """The exports are exactly ``PUBLIC_API``: a public name is added or
+    removed only with an edit here."""
+    assert len(fedfair.__all__) == len(PUBLIC_API) == 32
+    assert set(fedfair.__all__) == PUBLIC_API
     for name in fedfair.__all__:
         assert getattr(fedfair, name) is not None, name
     namespace: dict = {}

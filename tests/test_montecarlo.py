@@ -16,7 +16,6 @@ from fedfair import (
     Player,
     PopulationParams,
     SimulationSpec,
-    WeightVector,
     default_suite,
     fine_grained_error,
     simulate_error,
@@ -323,7 +322,7 @@ class TestSpecValidation:
         """The method alone names the combination: a weight vector is not
         a field, and anything but a FederationMethod fails at construction
         rather than after the trials have run."""
-        weights = WeightVector("s", {"s": 0.5, "l": 0.5})
+        weights = {"s": 0.5, "l": 0.5}
         with pytest.raises(TypeError):
             spec(weights=weights)
         for method in (None, "uniform"):

@@ -20,7 +20,7 @@ from fedfair import (
     verify_propstab,
 )
 from fedfair.exceptions import OutOfFloatRange
-from fedfair.proportionality import classify_pair
+from fedfair.proportionality import _labels
 from fedfair.sampling import instance_rng, random_instance
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
@@ -28,6 +28,15 @@ PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
 
 def pair(n_s: float, n_l: float) -> Coalition:
     return Coalition((Player("s", n_s), Player("l", n_l)))
+
+
+def pair_label(n_i, err_i, n_j, err_j):
+    """The label ``_labels`` gives n_i * err_i against n_j * err_j in these
+    roles: at equal sizes of 1 the id order i < j keeps them, and each
+    product is unchanged."""
+    pairs, _ = _labels(("i", "j"), [[1.0], [1.0]], [[n_i * err_i], [n_j * err_j]])
+    [(_, _, label)] = pairs[0]
+    return label
 
 
 class TestClassification:
@@ -56,8 +65,8 @@ class TestClassification:
     )
     def test_pair_label_at_a_relative_gap(self, gap, below, above):
         """Scaled errors 1e-7 apart differ; 1e-12 apart they tie."""
-        assert classify_pair(2.0, 1.5, 4.0, 0.75 * (1 + gap)) is below
-        assert classify_pair(2.0, 1.5 * (1 + gap), 4.0, 0.75) is above
+        assert pair_label(2.0, 1.5, 4.0, 0.75 * (1 + gap)) is below
+        assert pair_label(2.0, 1.5 * (1 + gap), 4.0, 0.75) is above
 
     def test_equal_players_exact(self):
         coalition = Coalition((Player("a", 7.0), Player("b", 7.0)))
@@ -85,7 +94,7 @@ class TestClassification:
                 coalition, FederationMethod.UNIFORM, params
             )
             for judged in report.pairs:
-                swapped = classify_pair(
+                swapped = pair_label(
                     coalition.player(judged.large_id).n,
                     judged.scaled_large / coalition.player(judged.large_id).n,
                     coalition.player(judged.small_id).n,

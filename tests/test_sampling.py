@@ -9,7 +9,7 @@ import pytest
 from fedfair.egalitarian import bound_sweep
 from fedfair.proportionality import verify_propstab
 from fedfair.sampling import (BLOCK_SIZE, DRAWS, instance_groups, instance_rng,
-                              instance_sizes, random_instance)
+                              random_instance)
 
 
 def hex_instance(seed, index):
@@ -90,15 +90,17 @@ def test_distribution_over_20k_indices():
 
 class TestSizeInvariant:
     """Every uniform is in [0, 1), so every size 1 + 99 u is a valid sample
-    count in [1, 100); instance_sizes relies on this and checks nothing."""
+    count in [1, 100); the sweeps' block decode relies on this and checks
+    nothing."""
 
     def test_lowest_draw(self):
-        params, sizes = instance_sizes((0.0,) * DRAWS)
-        assert sizes == (1.0, 1.0)
+        params, coalition = random_instance((0.0,) * DRAWS)
+        assert coalition.sizes() == (1.0, 1.0)
         assert params.mu_e == 50.0 and params.sigma_sq == 50.0
 
     def test_highest_draw(self):
-        params, sizes = instance_sizes((1 - 2**-53,) * DRAWS)
+        params, coalition = random_instance((1 - 2**-53,) * DRAWS)
+        sizes = coalition.sizes()
         assert len(sizes) == 6
         assert all(math.isfinite(n) and n < 100.0 for n in sizes)
         assert params.mu_e > 0.01 and params.sigma_sq > 0.01
@@ -124,8 +126,8 @@ class TestBlockStream:
                 got.append((index, mu_e[i].hex(), sigma_sq[i].hex(), row))
         want = []
         for index in range(self.COUNT):
-            params, sizes = instance_sizes(instance_rng(seed, index))
-            row = [n.hex() for n in sizes]
+            params, coalition = random_instance(instance_rng(seed, index))
+            row = [n.hex() for n in coalition.sizes()]
             want.append((index, params.mu_e.hex(), params.sigma_sq.hex(), row))
         assert order == sorted(set(order))  # blocks in turn, each by player count
         assert sorted(got) == want

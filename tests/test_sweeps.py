@@ -10,7 +10,7 @@ import pytest
 import fedfair.egalitarian
 import fedfair.proportionality
 from fedfair.egalitarian import audit_egalitarian, bound_sweep
-from fedfair.model import FederationMethod, close, compare
+from fedfair.model import FederationMethod, compare
 from fedfair.proportionality import (
     CoalitionLabel,
     classify_proportionality,
@@ -70,12 +70,12 @@ def reference_propstab(seed, count):
             elif math.isinf(defect):
                 ordered = False
             else:
-                ordered = defect <= violate or close(defect, violate)
+                ordered = defect <= violate or compare(defect, violate) == 0
             if not ordered:
                 found.append({**record, "kind": "threshold_order", "s": p.id,
                               "defection": defect, "subproportionality": violate})
             finite = math.isfinite(defect) and math.isfinite(violate)
-            if len(coalition) > 1 and finite and close(defect, violate):
+            if len(coalition) > 1 and finite and compare(defect, violate) == 0:
                 found.append({**record, "kind": "equality_without_singleton",
                               "s": p.id, "threshold": defect})
     return found
@@ -253,11 +253,13 @@ class TestFailingInstancesGetFullRecords:
             return individually_rational(coalition, UNIFORM, params).individually_rational
 
         index = next(i for i in range(10_000) if rational(i))
-        monkeypatch.setattr(
-            fedfair.proportionality,
-            "classify_pair",
-            lambda *args: CoalitionLabel.SUPER,
-        )
+        labels = fedfair.proportionality._labels
+
+        def super_labels(*args):
+            pairs, judged = labels(*args)
+            return pairs, [CoalitionLabel.SUPER] * len(judged)
+
+        monkeypatch.setattr(fedfair.proportionality, "_labels", super_labels)
         result = verify_propstab(index + 1, self.SEED)
         want = [expected_record(self.SEED, index, kind="rational_but_super",
                                 label="super")]

@@ -273,30 +273,20 @@ def _assess(
     rational, its proportionality label and its 2c+1 audit (its bound
     evaluated after the errors), None where mu_e, sigma_sq or an error is
     zero.  Each column function raises for its own first failing
-    coalition, so a failing batch is run again coalition by coalition, in
-    order: it raises what the first failing coalition raises alone."""
-
-    def evaluate(*columns: Column) -> tuple:
-        for pid, column in zip(ids, columns):
-            check_sizes(pid, column)
-        mu_e, sigma_sq = [[value] * len(columns[0]) for value in params]
-        errs = _errors(columns, method, mu_e, sigma_sq, ids)
-        local = _errors(columns, FederationMethod.LOCAL, mu_e, sigma_sq, ids)
-        try:
-            bounds = _bounds(list(map(max, zip(*columns))), mu_e, sigma_sq)
-            audits = _audits(ids, errs, method, bounds, (ZeroDenominator,))
-        except UndefinedBound:  # the batch shares mu_e and sigma_sq
-            audits = [None] * len(mu_e)
-        _, labels = _labels(ids, columns, errs)
-        return errs, local, *_rationality(errs, local), labels, audits
-
+    coalition, so a batch of more than one may name a later coalition than
+    the first that fails (``_pair_rows`` runs a failing batch again)."""
+    for pid, column in zip(ids, columns):
+        check_sizes(pid, column)
+    mu_e, sigma_sq = [[value] * len(columns[0]) for value in params]
+    errs = _errors(columns, method, mu_e, sigma_sq, ids)
+    local = _errors(columns, FederationMethod.LOCAL, mu_e, sigma_sq, ids)
     try:
-        return evaluate(*columns)
-    except FedFairError:
-        if len(columns[0]) > 1:
-            for row in zip(*columns):
-                evaluate(*([n] for n in row))
-        raise
+        bounds = _bounds(list(map(max, zip(*columns))), mu_e, sigma_sq)
+        audits = _audits(ids, errs, method, bounds, (ZeroDenominator,))
+    except UndefinedBound:  # the batch shares mu_e and sigma_sq
+        audits = [None] * len(mu_e)
+    _, labels = _labels(ids, columns, errs)
+    return errs, local, *_rationality(errs, local), labels, audits
 
 
 def run_audit(args: argparse.Namespace) -> Output:
@@ -351,32 +341,40 @@ def _pair_rows(
 ) -> list[dict]:
     """The uniform-federation cells of the pairs s (n_s) and l (each of
     ``n_ls``) as one batch: the scan columns up to ``individually_rational``,
-    then the cells ``same`` that every row shares."""
+    then the cells ``same`` that every row shares.  Each cell raises for its
+    own first failing row, so a failing batch is run again row by row, in
+    order: it raises what the first failing row raises alone."""
     # Ids sort l < s.
     columns = [n_ls, [n_s] * len(n_ls)]
-    verdicts = _assess(("l", "s"), columns, FederationMethod.UNIFORM, params)
-    (err_l, err_s), _, _, rational, labels, audits = verdicts
-    mu_e, sigma_sq = params
-    return [
-        {
-            "n_s": n_s,
-            "n_l": n_l,
-            "mu_e": mu_e,
-            "sigma_sq": sigma_sq,
-            "err_small": e_s,
-            "err_large": e_l,
-            "ratio": _ratio(e_s, e_l, "s", "l") if e_l else None,
-            "c": audit.c_value if audit else None,
-            "bound": audit.bound if audit else None,
-            "size_ratio": _ratio(n_l, n_s, "n_l", "n_s"),
-            "proportionality": label.value,
-            "individually_rational": ok,
-            **same,
-        }
-        for n_l, e_s, e_l, ok, label, audit in zip(
-            n_ls, err_s, err_l, rational, labels, audits
-        )
-    ]
+    try:
+        verdicts = _assess(("l", "s"), columns, FederationMethod.UNIFORM, params)
+        (err_l, err_s), _, _, rational, labels, audits = verdicts
+        mu_e, sigma_sq = params
+        return [
+            {
+                "n_s": n_s,
+                "n_l": n_l,
+                "mu_e": mu_e,
+                "sigma_sq": sigma_sq,
+                "err_small": e_s,
+                "err_large": e_l,
+                "ratio": _ratio(e_s, e_l, "s", "l") if e_l else None,
+                "c": audit.c_value if audit else None,
+                "bound": audit.bound if audit else None,
+                "size_ratio": _ratio(n_l, n_s, "n_l", "n_s"),
+                "proportionality": label.value,
+                "individually_rational": ok,
+                **same,
+            }
+            for n_l, e_s, e_l, ok, label, audit in zip(
+                n_ls, err_s, err_l, rational, labels, audits
+            )
+        ]
+    except FedFairError:
+        if len(n_ls) > 1:
+            for n_l in n_ls:
+                _pair_rows(n_s, [n_l], params)
+        raise
 
 
 def run_reproduce(args: argparse.Namespace) -> Output:

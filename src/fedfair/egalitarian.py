@@ -27,7 +27,8 @@ from .errors import (Column, Columns, _coalition_errors, _errors, _weighted_erro
                      in_order, range_failure)
 from .exceptions import (NonPositiveSamples, OutOfFloatRange, UndefinedBound,
                          ZeroDenominator)
-from .model import Coalition, FederationMethod, Player, PopulationParams, compare
+from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
+                    compare)
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
 
 # A column method: (size columns, mu_e, sigma_sq, ids) -> error columns.
@@ -114,7 +115,7 @@ def _exceeds(ratios: Column, bounds: Column) -> list[bool]:
 def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, float]:
     """c = n_max * sigma_sq / mu_e and the egalitarian bound 2c + 1:
     ``_bounds`` as a batch of one, for a finite n_max > 0."""
-    if not (math.isfinite(n_max) and n_max > 0):
+    if not 0 < n_max <= FLOAT_MAX:
         raise NonPositiveSamples(f"n_max must be finite and > 0, got {n_max!r}")
     (c_value,), (bound,) = _bounds([n_max], *([value] for value in params))
     return c_value, bound
@@ -393,9 +394,10 @@ def tightness_search(c: float, epsilon: float) -> TightnessResult:
     tried in turn; ``ValueError`` if none passes: epsilon is then finer
     than the float ratio resolves at this c.
     """
-    if not (math.isfinite(c) and c > 0 and epsilon > 0):
+    if not (0 < c <= FLOAT_MAX and epsilon > 0):
         raise ValueError(f"c must be finite and > 0 and epsilon > 0, "
                          f"got c={c!r}, epsilon={epsilon!r}")
+    epsilon = math.inf if epsilon > FLOAT_MAX else epsilon
     b, k = epsilon - 2 * c, 2 * epsilon - 4 * c - 2
     disc, root = b * b - 4 * epsilon * c * k, 1.0
     if disc > 0:  # both roots in the forms where nothing cancels

@@ -13,14 +13,15 @@ closed form via a z-score.
 
 Determinism: trials are processed in fixed chunks of 65536, the k-th
 chunk seeded by ``SeedSequence(seed, spawn_key=(k,))`` (what
-``SeedSequence(seed).spawn`` would make).  A simulation runs its chunks
-in order on the calling thread and adds their partial sums in chunk
-order.  It allocates its buffers once and refills them for every chunk:
-the means (one row per trial of a chunk), one column of squared errors,
-and one 4096-row block of estimate noise, which each chunk draws block
-by block.  A generator fills ``out=`` in C order, so the blocks hold
-exactly the numbers one whole-chunk draw would, and memory grows neither
-with the trial count nor with a player's sample count.
+``SeedSequence(seed).spawn`` would make).  ``simulate_error`` runs one
+loop over the chunks, in order on the calling thread, and adds their
+partial sums in chunk order.  It allocates its buffers once and refills
+them for every chunk: the means (one row per trial of a chunk), one
+column of squared errors, and one 4096-row block of estimate noise,
+which each chunk draws block by block.  A generator fills ``out=`` in C
+order, so the blocks hold exactly the numbers one whole-chunk draw
+would, and memory grows neither with the trial count nor with a
+player's sample count.
 ``simulate_suite(threads=N)`` runs up to N whole simulations at once;
 each result is bit-identical at any N.
 """
@@ -34,9 +35,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import _weights, expected_error, range_failure
-from .exceptions import InvalidNoiseList, TargetNotInCoalition
-from .model import Coalition, FederationMethod, Player, PopulationParams, compare
+from .errors import _weights, expected_error
+from .exceptions import InvalidNoiseList, OutOfFloatRange, TargetNotInCoalition
+from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
+                    compare)
 
 CHUNK_TRIALS = 1 << 16
 BLOCK_ROWS = 1 << 12
@@ -124,7 +126,7 @@ class SimulationSpec(
                     f"{len(values)} noise entries for a coalition of "
                     f"{len(coalition)}"
                 )
-            if any(not math.isfinite(v) or v < 0 for v in values):
+            if any(not 0 <= v <= FLOAT_MAX for v in values):
                 raise InvalidNoiseList("noise variances must be finite and >= 0")
             mean = sum(values) / len(values)
             if not math.isclose(mean, params.mu_e, rel_tol=1e-12):
@@ -163,60 +165,6 @@ class SimulationResult(NamedTuple):
     z_score: float
 
 
-def _chunk_sums(
-    spec: SimulationSpec,
-    k: int,
-    weights: np.ndarray,
-    means: np.ndarray,
-    noise: np.ndarray,
-    squared: np.ndarray,
-) -> tuple[float, float]:
-    """Sum and sum-of-squares of the squared errors for the k-th trial
-    chunk, drawn from the k-th child of the spec seed.
-
-    ``means`` and ``squared`` have one row per trial of the chunk and are
-    overwritten; ``noise`` is the block the estimate noise is drawn into.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(k,)))
-    size, players = means.shape
-    sqrt_counts = np.sqrt(np.array([p.n for p in spec.coalition.players]))
-    target_idx = spec.coalition.ids().index(spec.target)
-
-    if spec.mean_distribution is MeanDistribution.GAUSSIAN:
-        rng.standard_normal(out=means)
-        means *= math.sqrt(spec.params.sigma_sq)
-    else:
-        half = math.sqrt(3.0 * spec.params.sigma_sq)
-        means[...] = rng.uniform(-half, half, size=(size, players))
-
-    # The mean of n iid N(0, v) samples is exactly N(0, v/n), so each
-    # player's local-estimate noise is one standard normal per trial,
-    # scaled by sqrt(v) / sqrt(n).
-    if spec.noise_variances is None:
-        scale = math.sqrt(spec.params.mu_e) / sqrt_counts
-        scale = np.broadcast_to(scale, (size, players))
-    else:
-        candidates = np.array(spec.noise_variances, dtype=np.float64)
-        scale = rng.choice(candidates, size=(size, players))
-        np.sqrt(scale, out=scale)
-        scale /= sqrt_counts
-
-    # An overflow shows as a non-finite sum, which simulate_error reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, size, len(noise)):
-            block = noise[: size - start]  # the last block may be partial
-            rows = slice(start, start + len(block))
-            rng.standard_normal(out=block)
-            block *= scale[rows]
-            block += means[rows]
-            np.matmul(block, weights, out=squared[rows])
-        squared -= means[:, target_idx]
-        squared *= squared
-        total = float(squared.sum())
-        squared *= squared
-        return total, float(squared.sum())
-
-
 def simulate_error(spec: SimulationSpec) -> SimulationResult:
     """Estimate the target's expected squared error empirically.
 
@@ -224,26 +172,53 @@ def simulate_error(spec: SimulationSpec) -> SimulationResult:
     their squares leaves the floating-point range, since the standard
     error would then be meaningless.
     """
-    weights = spec.resolved_weights()
-    rows = min(CHUNK_TRIALS, spec.trials)
-    means = np.empty((rows, len(weights)))
-    noise = np.empty((min(BLOCK_ROWS, rows), len(weights)))
-    squared = np.empty(rows)
-    total = 0.0
-    total_sq = 0.0
-    for k in range(-(-spec.trials // CHUNK_TRIALS)):
-        size = min(CHUNK_TRIALS, spec.trials - k * CHUNK_TRIALS)
-        part_sum, part_sq = _chunk_sums(
-            spec, k, weights, means[:size], noise, squared[:size]
-        )
-        total += part_sum
-        total_sq += part_sq
-        if not (math.isfinite(total) and math.isfinite(total_sq)):
-            fail = range_failure("the Monte Carlo sum of squared errors",
-                                 spec.coalition.ids())
-            raise fail(0, *spec.params, *spec.coalition.sizes())
+    weights, n, (mu_e, sigma_sq) = spec.resolved_weights(), spec.trials, spec.params
+    means = np.empty((min(CHUNK_TRIALS, n), len(weights)))
+    noise = np.empty((min(BLOCK_ROWS, len(means)), len(weights)))
+    squared = np.empty(len(means))
+    sqrt_counts = np.sqrt(np.array(spec.coalition.sizes()))
+    target = spec.coalition.ids().index(spec.target)
+    total = total_sq = 0.0
+    # An overflow shows as a non-finite sum, which is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The mean of n iid N(0, v) samples is exactly N(0, v/n), so each
+        # player's local-estimate noise is one standard normal per trial,
+        # scaled by sqrt(v) / sqrt(n).
+        if spec.noise_variances is None:
+            scale = np.broadcast_to(math.sqrt(mu_e) / sqrt_counts, means.shape)
+        else:
+            candidates = np.array(spec.noise_variances, dtype=np.float64)
+        for k in range(-(-n // CHUNK_TRIALS)):
+            rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(k,)))
+            size = min(CHUNK_TRIALS, n - k * CHUNK_TRIALS)
+            chunk, errors = means[:size], squared[:size]
+            if spec.mean_distribution is MeanDistribution.GAUSSIAN:
+                rng.standard_normal(out=chunk)
+                chunk *= math.sqrt(sigma_sq)
+            else:
+                half = math.sqrt(3.0 * sigma_sq)
+                chunk[...] = rng.uniform(-half, half, size=chunk.shape)
+            if spec.noise_variances is not None:
+                scale = rng.choice(candidates, size=chunk.shape)
+                np.sqrt(scale, out=scale)
+                scale /= sqrt_counts
+            for start in range(0, size, len(noise)):
+                block = noise[: size - start]  # the last block may be partial
+                rows = slice(start, start + len(block))
+                rng.standard_normal(out=block)
+                block *= scale[rows]
+                block += chunk[rows]
+                np.matmul(block, weights, out=errors[rows])
+            errors -= chunk[:, target]
+            errors *= errors
+            total += float(errors.sum())
+            errors *= errors
+            total_sq += float(errors.sum())
+            if not (math.isfinite(total) and math.isfinite(total_sq)):
+                raise OutOfFloatRange(
+                    "the Monte Carlo sum of squared errors", mu_e=mu_e, sigma_sq=sigma_sq,
+                    n=dict(zip(spec.coalition.ids(), spec.coalition.sizes())))
 
-    n = spec.trials
     mean = total / n
     variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
     std_error = math.sqrt(variance / n)

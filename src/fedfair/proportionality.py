@@ -84,24 +84,24 @@ _LABELS = (CoalitionLabel.EXACT, CoalitionLabel.SUPER, CoalitionLabel.SUB)
 
 def _labels(
     ids: Sequence[str], columns: Columns, errs: Columns
-) -> tuple[list[list[tuple[int, int, CoalitionLabel]]], list[CoalitionLabel]]:
+) -> tuple[list[list[CoalitionLabel]], list[CoalitionLabel]]:
     """The proportionality verdicts on each coalition of a batch whose
     members ``ids`` have one column each of sizes ``columns`` and errors
-    ``errs``: for every pair of members, a column of (small, large, label),
-    the smaller member first (ties broken by id) and the label it judges;
-    and each coalition's label."""
+    ``errs``: for every pair of members, in ``combinations`` order, a column
+    of the labels it judges with the smaller member first (ties broken by
+    id); and each coalition's label."""
     pairs = []
     for i, j in itertools.combinations(range(len(ids)), 2):
         i_first = le if ids[i] < ids[j] else lt
         pairs.append([
-            (i, j, _LABELS[compare(n_i * e_i, n_j * e_j)])
+            _LABELS[compare(n_i * e_i, n_j * e_j)]
             if i_first(n_i, n_j)
-            else (j, i, _LABELS[compare(n_j * e_j, n_i * e_i)])
+            else _LABELS[compare(n_j * e_j, n_i * e_i)]
             for n_i, e_i, n_j, e_j in zip(columns[i], errs[i], columns[j], errs[j])
         ])
     labels = []
     for row in zip(*pairs) if pairs else [()] * len(columns[0]):
-        kinds = {label for _, _, label in row} - {CoalitionLabel.EXACT}
+        kinds = set(row) - {CoalitionLabel.EXACT}
         if len(kinds) == 1:
             labels.append(kinds.pop())
         else:
@@ -123,17 +123,13 @@ def classify_proportionality(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> ProportionalityReport:
     """Classify every pair, smaller player first (ties broken by id)."""
-    ids, n = coalition.ids(), coalition.sizes()
     e = _coalition_errors(coalition, method, params)
+    # In (n, id) order each pair of ``combinations`` is (small, large).
+    n, ids, e = zip(*sorted(zip(coalition.sizes(), coalition.ids(), e)))
     pairs, (label,) = _labels(ids, [[n_i] for n_i in n], [[e_i] for e_i in e])
-    # A member's place in the (n, id) order is the count of pairs it is large in.
-    judged, place = [pair for pair, in pairs], [0] * len(ids)
-    for _, l, _ in judged:
-        place[l] += 1
-    judged.sort(key=lambda pair: (place[pair[0]], place[pair[1]]))
     judgments = tuple(
         PairJudgment(ids[s], ids[l], n[s] * e[s], n[l] * e[l], verdict)
-        for s, l, verdict in judged
+        for (s, l), (verdict,) in zip(itertools.combinations(range(len(ids)), 2), pairs)
     )
     return ProportionalityReport(method=method.value, pairs=judgments, label=label)
 

@@ -825,6 +825,26 @@ class TestFloatRange:
         assert "the 2c+1 bound is outside the floating-point range" in err
         assert "n_max=1.0" in err
 
+    def test_first_failing_row_is_named_across_every_cell(self, tmp_path, capsys):
+        """Row 1 (n_l = 1e290) has a finite 2c+1 but a size ratio past the
+        float range; row 2 (n_l about 1e299) already overflows its 2c+1.
+        The size ratio is a cell of the row, not a column of the verdicts,
+        so the batch is run again row by row around the whole row build:
+        the scan names row 1, as a scan of row 1 alone does."""
+        pair = ["--ns", "1e-20", "--mu-e", "1", "--sigma-sq", "1e10"]
+        code, text = run_cli(
+            ["scan", *pair, "--nl-start", "1e290", "--nl-stop", "1e299",
+             "--nl-step", "9.99999999e298"],
+            tmp_path,
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "the ratio n_l/n_s is outside the floating-point range" in err
+        assert "n_l=1e+290" in err
+        row_1 = ["scan", *pair, "--nl-start", "1e290", "--nl-stop", "1e290", "--nl-step", "1"]
+        assert run_cli(row_1, tmp_path) == (2, "")
+        assert capsys.readouterr().err == err
+
     def test_audit_never_reports_a_nan_error(self, tmp_path, capsys):
         """a's exact error, about 8e-600, rounds to 0.0, not NaN; the
         exact 2c+1, about 2e620, overflows, so the audit exits 2 naming it."""

@@ -12,13 +12,18 @@ from fedfair import (
     FederationMethod,
     Player,
     PopulationParams,
+    SimulationSpec,
     audit_egalitarian,
     classify_proportionality,
+    tightness_search,
     weighted_error,
 )
+from fedfair.egalitarian import egalitarian_bound
 from fedfair.exceptions import (
     DuplicatePlayerId,
     EmptyCoalition,
+    FedFairError,
+    InvalidNoiseList,
     NegativeVariance,
     NonPositiveSamples,
     NonUnitSum,
@@ -67,6 +72,38 @@ def test_ints_past_the_float_range_are_rejected_by_field(build, error, field):
     ``OverflowError`` from converting it."""
     with pytest.raises(error, match=f"^{re.escape(field)} "):
         build()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda x: egalitarian_bound(x, PopulationParams(10.0, 1.0)), NonPositiveSamples),
+        (lambda x: tightness_search(x, 0.1), ValueError),
+        (lambda x: tightness_search(1.0, x), None),
+        (
+            lambda x: SimulationSpec(PAIR, "s", PopulationParams(10.0, 1.0),
+                                     FederationMethod.UNIFORM, noise_variances=(x, 1.0)),
+            InvalidNoiseList,
+        ),
+    ],
+    ids=["egalitarian_bound-n_max", "tightness_search-c", "tightness_search-epsilon",
+         "SimulationSpec-noise_variances"],
+)
+def test_ints_past_the_float_range_are_judged_as_infinity(call, error):
+    """An int too large for a float meets the same rule as inf: the same
+    named error (``error``) or, where inf is admitted, the same result;
+    never an ``OverflowError`` from converting it."""
+
+    def outcome(value):
+        try:
+            return call(value)
+        except (FedFairError, ValueError) as raised:
+            return type(raised), str(raised).replace(repr(value), "<value>")
+
+    expected = outcome(math.inf)
+    assert outcome(10**400) == expected
+    if error is not None:
+        assert expected[0] is error
 
 
 class TestPopulationParams:

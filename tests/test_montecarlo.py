@@ -251,6 +251,31 @@ class TestDeterminism:
         for threads in (2, 4):
             assert simulate_suite(specs, threads=threads) == serial
 
+    @pytest.mark.parametrize(
+        "coalition, target, method, means, noise, pinned",
+        [
+            (PAIR, "l", FederationMethod.UNIFORM, MeanDistribution.UNIFORM, None,
+             ("0x1.f717d112a3d20p-2", "0x1.55e904a676726p-9")),
+            (PAIR, "s", FederationMethod.FINE_GRAINED, MeanDistribution.GAUSSIAN,
+             (4.0, 16.0), ("0x1.029012b6fa34ep+0", "0x1.8271aca1209dfp-8")),
+            (Coalition((Player("a", 2.5), Player("b", 6.0), Player("c", 40.0))), "a",
+             FederationMethod.FINE_GRAINED, MeanDistribution.UNIFORM, (0.0, 10.0, 20.0),
+             ("0x1.48e77fbfd6a46p+0", "0x1.be9630af2c7ebp-8")),
+        ],
+        ids=["uniform-means", "noise-list", "uniform-means-noise-list"],
+    )
+    def test_paths_no_command_reaches_are_pinned(
+        self, coalition, target, method, means, noise, pinned
+    ):
+        """Uniform means and noise lists, which ``simulate`` never draws,
+        over 69,633 trials: two chunks, the second ending in a one-row noise
+        block.  Any change to the draws or their arithmetic moves these."""
+        result = simulate_error(spec(
+            coalition=coalition, target=target, method=method, mean_distribution=means,
+            noise_variances=noise, trials=69_633, seed=7,
+        ))
+        assert (result.empirical_mse.hex(), result.standard_error.hex()) == pinned
+
 
 def skew_closed_form(monkeypatch, target: str | None = None) -> None:
     """Make the analytic reference 10% too high (for ``target`` only, when
@@ -352,6 +377,23 @@ class TestSpecValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OutOfFloatRange, match="mu_e=1e\\+300"):
+                simulate_error(huge)
+
+    @pytest.mark.parametrize("noise", [None, (1e300, 1e300)])
+    def test_overflowing_noise_scale_raises(self, noise):
+        """sqrt(mu_e / n) past the float range (n = 1e-320) shows as an
+        overflowing sum, reported like any other: never a RuntimeWarning."""
+        huge = spec(
+            coalition=Coalition.from_sizes([1e-320, 1.0]),
+            target="p1",
+            params=PopulationParams(mu_e=1e300, sigma_sq=0.0),
+            method=FederationMethod.LOCAL,
+            noise_variances=noise,
+            trials=10,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfFloatRange, match="n=\\{'p1': 1e-320"):
                 simulate_error(huge)
 
     def test_seed_range(self):

@@ -35,7 +35,7 @@ def pair_label(n_i, err_i, n_j, err_j):
     roles: at equal sizes of 1 the id order i < j keeps them, and each
     product is unchanged."""
     pairs, _ = _labels(("i", "j"), [[1.0], [1.0]], [[n_i * err_i], [n_j * err_j]])
-    [(_, _, label)] = pairs[0]
+    [label] = pairs[0]
     return label
 
 

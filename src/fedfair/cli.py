@@ -25,14 +25,13 @@ from .egalitarian import (
     check_modularity,
     inverse_size_error,
 )
-from .errors import Column, Columns, _errors
+from .errors import Column, Columns, _errors, _one
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, check_sizes
 from .proportionality import (
     _labels,
     _rationality,
-    defection_threshold,
-    subproportionality_threshold,
+    _thresholds,
     verify_propstab,
 )
 from .sampling import describe_instance
@@ -547,14 +546,10 @@ def run_scan(args: argparse.Namespace) -> Output:
         raise ValueError("empty n_l range")
     params = PopulationParams(mu_e=args.mu_e, sigma_sq=args.sigma_sq)
     rest = Coalition((Player("s", n_s),))
-    thresholds = {
-        "defection_threshold": defection_threshold(rest, params),
-        "subproportionality_threshold": subproportionality_threshold(
-            rest, "s", params
-        ),
-    }
+    thresholds = _one(_thresholds, rest, params, [None, 0])
     n_ls = [nl_start + i * nl_step for i in range(count)]
-    return SCAN_COLUMNS, _pair_rows(n_s, n_ls, params, **thresholds), None
+    same = dict(zip(SCAN_COLUMNS[-2:], thresholds))  # defection, subproportionality
+    return SCAN_COLUMNS, _pair_rows(n_s, n_ls, params, **same), None
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from itertools import combinations, compress, repeat
 from operator import gt, itemgetter, mul, truediv
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (Column, Columns, _coalition_errors, _errors, _weighted_error,
-                     in_order, range_failure)
+from .errors import (Column, Columns, _errors, _one, _weighted_error, in_order,
+                     range_failure)
 from .exceptions import (NonPositiveSamples, OutOfFloatRange, UndefinedBound,
                          ZeroDenominator)
 from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
@@ -140,9 +140,9 @@ def audit_egalitarian(
     c is the exact real n_max * sigma_sq / mu_e (the least value covering
     the coalition), evaluated before the errors; needs mu_e > 0, sigma_sq > 0.
     """
-    bounds = _bounds([max(coalition.sizes())], *([v] for v in params))
-    errs = [[e] for e in _coalition_errors(coalition, method, params)]
-    return _audits(coalition.ids(), errs, method, bounds)[0]
+    c_value, bound = egalitarian_bound(max(coalition.sizes()), params)
+    errs = [[e] for e in _one(_errors, coalition, params, method)]
+    return _audits(coalition.ids(), errs, method, ([c_value], [bound]))[0]
 
 
 def _audits(
@@ -410,7 +410,7 @@ def tightness_search(c: float, epsilon: float) -> TightnessResult:
         # mu_e is a power of two, so this c_value is exactly c.
         c_value, bound = egalitarian_bound(n_l, params)
         pair = Coalition((Player("s", 1.0), Player("l", n_l)))
-        e_l, e_s = _coalition_errors(pair, FederationMethod.UNIFORM, params)
+        e_l, e_s = _one(_errors, pair, params, FederationMethod.UNIFORM)
         ratio = _ratio(e_s, e_l, "s", "l")
         if ratio >= bound - epsilon:
             return TightnessResult(1.0, n_l, mu_e, 1.0, ratio, c_value, bound)

@@ -21,10 +21,12 @@ member plus mu_e and sigma_sq columns go in, each elementwise step maps an
 ``operator`` function over columns, and every reduction is ``sum()`` over
 exactly the member-ordered sequence a per-coalition loop sums, so floats
 are bit-identical for any batch, also under Python 3.12+, whose float
-``sum`` is compensated.  A per-coalition call is a batch of one; the sweeps
-run blocks of 1,024 instances, so their memory does not grow with
-``--instances``.  On ``fractions.Fraction`` columns the kernel is exact,
-and every column function runs under ``in_order``'s float-range rule.
+``sum`` is compensated.  The closed forms' column functions take
+``(columns, *selectors, mu_e, sigma_sq, ids)``, and a per-coalition call
+is a batch of one through ``_one``; the sweeps run blocks of 1,024
+instances, so their memory does not grow with ``--instances``.  On
+``fractions.Fraction`` columns the kernel is exact, and every column
+function runs under ``in_order``'s float-range rule.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .exceptions import (
     DegenerateParams,
     NonUnitSum,
     OutOfFloatRange,
-    TargetNotInCoalition,
     WeightDomainMismatch,
 )
 from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
@@ -185,17 +186,17 @@ def _errors(
     return in_order(evaluate, mu_e, sigma_sq, *columns, fail=fail)
 
 
-def _coalition_errors(
-    coalition: Coalition, method: FederationMethod, params: PopulationParams
-) -> list[float]:
-    """Each member's error in id order: ``_errors`` as a batch of one."""
-    columns, ids = [[n] for n in coalition.sizes()], coalition.ids()
-    return [e for e, in _errors(columns, method, [params.mu_e], [params.sigma_sq], ids)]
+def _one(function: Callable[..., Any], coalition: Coalition, params: PopulationParams,
+         *selectors: Any) -> list:
+    """``function``, a column function ``(columns, *selectors, mu_e, sigma_sq,
+    ids)``, on ``coalition`` as a batch of one: each output column's value."""
+    columns, shared = [[n] for n in coalition.sizes()], ([v] for v in params)
+    return [value for value, in function(columns, *selectors, *shared, coalition.ids())]
 
 
 def local_error(player: Player, params: PopulationParams) -> float:
     """Expected error when the player uses only its own samples: mu_e / n."""
-    return _coalition_errors(Coalition((player,)), FederationMethod.LOCAL, params)[0]
+    return _one(_errors, Coalition((player,)), params, FederationMethod.LOCAL)[0]
 
 
 def uniform_error(coalition: Coalition, target: str, params: PopulationParams) -> float:
@@ -233,9 +234,8 @@ def expected_error(
 
     LOCAL ignores the other coalition members entirely.
     """
-    if target not in coalition:
-        raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    return _coalition_errors(coalition, method, params)[coalition.ids().index(target)]
+    j = coalition.index(target)
+    return _one(_errors, coalition, params, method)[j]
 
 
 def weighted_error(coalition: Coalition, target: str, weights: Mapping[str, float],
@@ -244,9 +244,7 @@ def weighted_error(coalition: Coalition, target: str, weights: Mapping[str, floa
     finite and summing (in id order) to one within relative ``REL_TOL``.  A
     weight may be negative: the formula holds for any unit-sum vector, and
     the optimality tests probe such points."""
-    if target not in coalition:
-        raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    ids, sizes = coalition.ids(), coalition.sizes()
+    j, ids, sizes = coalition.index(target), coalition.ids(), coalition.sizes()
     if set(weights) != set(ids):
         raise WeightDomainMismatch(f"weights cover {sorted(weights)}, "
                                    f"coalition is {sorted(ids)}")
@@ -257,7 +255,7 @@ def weighted_error(coalition: Coalition, target: str, weights: Mapping[str, floa
         total += w
     if compare(total, 1.0):
         raise NonUnitSum(f"weights sum to {total!r}, expected 1")
-    j, k = ids.index(target), len(ids)
+    k = len(ids)
 
     def evaluate(mu_e: Column, sigma_sq: Column, *values: Column) -> list[list]:
         rows = zip(mu_e, sigma_sq, *values)
@@ -316,9 +314,5 @@ def fine_grained_weights(
 
     All weights are nonnegative because V_j - sigma_sq = mu_e / n_j >= 0.
     """
-    if target not in coalition:
-        raise TargetNotInCoalition(f"target {target!r} not in coalition")
-    ids, method = coalition.ids(), FederationMethod.FINE_GRAINED
-    columns, shared = [[n] for n in coalition.sizes()], ([v] for v in params)
-    weights = _weights(columns, method, ids.index(target), *shared, ids)
-    return {pid: w for pid, (w,) in zip(ids, weights)}
+    j, method = coalition.index(target), FederationMethod.FINE_GRAINED
+    return dict(zip(coalition.ids(), _one(_weights, coalition, params, method, j)))

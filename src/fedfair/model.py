@@ -22,6 +22,7 @@ from .exceptions import (
     EmptyCoalition,
     NegativeVariance,
     NonPositiveSamples,
+    TargetNotInCoalition,
 )
 
 # Tolerance policy for closed-form cross-checks: purely relative, so every
@@ -56,7 +57,7 @@ class PopulationParams(
 
     ``mu_e`` is the expected variance of a single sample around its player's
     true mean; ``sigma_sq`` is the variance of the true means themselves.
-    Both are in squared target units.
+    Both are in squared target units, stored as ``value + 0``: -0.0 as 0.0.
     """
 
     __slots__ = ()
@@ -68,7 +69,7 @@ class PopulationParams(
                 raise NegativeVariance(
                     f"{name} must be finite and nonnegative, got {value!r}"
                 )
-        return super().__new__(cls, mu_e, sigma_sq)
+        return super().__new__(cls, mu_e + 0, sigma_sq + 0)
 
 
 def check_sizes(id: str, sizes: Iterable[float]) -> None:
@@ -154,6 +155,12 @@ class Coalition:
     def sizes(self) -> tuple[float, ...]:
         """Sample counts in id order, aligned with ``ids()``."""
         return tuple(p.n for p in self.players)
+
+    def index(self, player_id: str) -> int:
+        """The member's position in id order, or ``TargetNotInCoalition``."""
+        if player_id not in self:
+            raise TargetNotInCoalition(f"target {player_id!r} not in coalition")
+        return self.ids().index(player_id)
 
     def player(self, player_id: str) -> Player:
         for p in self.players:

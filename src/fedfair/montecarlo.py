@@ -35,8 +35,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import _weights, expected_error
-from .exceptions import InvalidNoiseList, OutOfFloatRange, TargetNotInCoalition
+from .errors import _one, _weights, expected_error
+from .exceptions import InvalidNoiseList, OutOfFloatRange
 from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
                     compare)
 
@@ -112,8 +112,7 @@ class SimulationSpec(
         seed: int = 0,
         label: str = "",
     ) -> SimulationSpec:
-        if target not in coalition:
-            raise TargetNotInCoalition(f"target {target!r} not in coalition")
+        coalition.index(target)  # TargetNotInCoalition for a non-member
         if not isinstance(method, FederationMethod):
             raise ValueError(f"method must be a FederationMethod, got {method!r}")
         if not isinstance(mean_distribution, MeanDistribution):
@@ -147,10 +146,9 @@ class SimulationSpec(
     def resolved_weights(self) -> np.ndarray:
         """Combination weights aligned to the coalition's player order, as
         ``errors._weights`` gives them under the float-range rule."""
-        ids, columns = self.coalition.ids(), [[n] for n in self.coalition.sizes()]
-        j, shared = ids.index(self.target), ([value] for value in self.params)
-        weights = _weights(columns, self.method, j, *shared, ids)
-        return np.array([w for w, in weights], dtype=np.float64)
+        j = self.coalition.index(self.target)
+        weights = _one(_weights, self.coalition, self.params, self.method, j)
+        return np.array(weights, dtype=np.float64)  # local weights are ints
 
     def analytic_error(self) -> float:
         """The closed form this simulation is expected to reproduce."""
@@ -168,16 +166,19 @@ class SimulationResult(NamedTuple):
 def simulate_error(spec: SimulationSpec) -> SimulationResult:
     """Estimate the target's expected squared error empirically.
 
-    Raises ``OutOfFloatRange`` when the sum of the squared errors or of
-    their squares leaves the floating-point range, since the standard
-    error would then be meaningless.
+    Raises ``OutOfFloatRange`` when the uniform means' half-width, or the
+    sum of the squared errors or of their squares, leaves the float range
+    (the standard error would then be meaningless).
     """
     weights, n, (mu_e, sigma_sq) = spec.resolved_weights(), spec.trials, spec.params
+    half = math.sqrt(3.0 * sigma_sq)  # of the uniform means, variance sigma_sq
+    if spec.mean_distribution is MeanDistribution.UNIFORM and math.isinf(half):
+        raise OutOfFloatRange("the half-width of the uniform means", sigma_sq=sigma_sq)
     means = np.empty((min(CHUNK_TRIALS, n), len(weights)))
     noise = np.empty((min(BLOCK_ROWS, len(means)), len(weights)))
     squared = np.empty(len(means))
     sqrt_counts = np.sqrt(np.array(spec.coalition.sizes()))
-    target = spec.coalition.ids().index(spec.target)
+    target = spec.coalition.index(spec.target)
     total = total_sq = 0.0
     # An overflow shows as a non-finite sum, which is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -196,7 +197,6 @@ def simulate_error(spec: SimulationSpec) -> SimulationResult:
                 rng.standard_normal(out=chunk)
                 chunk *= math.sqrt(sigma_sq)
             else:
-                half = math.sqrt(3.0 * sigma_sq)
                 chunk[...] = rng.uniform(-half, half, size=chunk.shape)
             if spec.noise_variances is not None:
                 scale = rng.choice(candidates, size=chunk.shape)

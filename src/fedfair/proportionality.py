@@ -32,7 +32,7 @@ from itertools import repeat
 from operator import add, gt, itemgetter, le, lt, mul, not_, sub, truediv
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import Column, Columns, _coalition_errors, _errors, in_order
+from .errors import Column, Columns, _errors, _one, in_order
 from .exceptions import OutOfFloatRange
 from .model import Coalition, FederationMethod, PopulationParams, compare
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
@@ -123,7 +123,7 @@ def classify_proportionality(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> ProportionalityReport:
     """Classify every pair, smaller player first (ties broken by id)."""
-    e = _coalition_errors(coalition, method, params)
+    e = _one(_errors, coalition, params, method)
     # In (n, id) order each pair of ``combinations`` is (small, large).
     n, ids, e = zip(*sorted(zip(coalition.sizes(), coalition.ids(), e)))
     pairs, (label,) = _labels(ids, [[n_i] for n_i in n], [[e_i] for e_i in e])
@@ -138,8 +138,8 @@ def individually_rational(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> RationalityReport:
     """Weak-preference check of coalition error against local error."""
-    errs = _coalition_errors(coalition, method, params)
-    local = _coalition_errors(coalition, FederationMethod.LOCAL, params)
+    errs = _one(_errors, coalition, params, method)
+    local = _one(_errors, coalition, params, FederationMethod.LOCAL)
     prefers, (rational,) = _rationality([[e] for e in errs], [[e] for e in local])
     players = map(PlayerRationality, coalition.ids(), coalition.sizes(), errs, local,
                   [p for p, in prefers])
@@ -154,18 +154,18 @@ def _quotients(numer: Iterable, denom: Iterable) -> list[float]:
 
 def _thresholds(
     columns: Columns,
+    wanted: Sequence[int | None],
     mu_e: Column,
     sigma_sq: Column,
     ids: Sequence[str],
-    wanted: Sequence[int | None],
 ) -> list[list[float]]:
-    """One threshold column per entry of ``wanted``, for a batch of rest
-    coalitions whose members ``ids`` have one column of sizes each: the
-    defection threshold for None, the subproportionality threshold against
-    the member at an index.  The total T and the sum of squares S of each
-    rest are taken here, once for all of them, under ``in_order``'s
-    float-range rule, which raises for the first instance whose exact
-    threshold overflows, naming T and S (and n_s against a member)."""
+    """One threshold column per entry of the selector ``wanted``, for a
+    batch of rest coalitions whose members ``ids`` have one column of sizes
+    each: the defection threshold for None, the subproportionality threshold
+    against the member at an index.  T and S of each rest are taken once for
+    all of them, under ``in_order``'s float-range rule, which raises for the
+    first instance whose exact threshold overflows, naming T and S (and n_s
+    against a member); only the thresholds ``wanted`` asks for can raise."""
 
     def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list]:
         squares = [list(map(mul, n, n)) for n in columns]
@@ -202,18 +202,16 @@ def _thresholds(
 def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
     """Least size at which a player joining ``rest`` weakly prefers local
     learning under the weighted average; inf when that never happens."""
-    columns, shared = [[n] for n in rest.sizes()], ([v] for v in params)
-    return _thresholds(columns, *shared, rest.ids(), [None])[0][0]
+    return _one(_thresholds, rest, params, [None])[0]
 
 
 def subproportionality_threshold(
     rest: Coalition, s: str, params: PopulationParams
 ) -> float:
     """Least joining size at which the pair (s, newcomer) turns
-    super-proportional; inf when n_s <= mu_e / (2 sigma_sq)."""
-    rest.player(s)  # KeyError for a non-member
-    ids, shared = rest.ids(), ([v] for v in params)
-    return _thresholds([[n] for n in rest.sizes()], *shared, ids, [ids.index(s)])[0][0]
+    super-proportional; inf when n_s <= mu_e / (2 sigma_sq).
+    ``TargetNotInCoalition`` when s is not a member of ``rest``."""
+    return _one(_thresholds, rest, params, [rest.index(s)])[0]
 
 
 class PropstabResult(NamedTuple):
@@ -241,42 +239,36 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
     returned as replayable counterexamples.
     """
     uniform, local = FederationMethod.UNIFORM, FederationMethod.LOCAL
-
-    def check(indices, mu_e, sigma_sq, *columns) -> list[dict]:
-        """The counterexamples of one group, each instance's in check order."""
+    counterexamples: list[dict] = []
+    # Sweep instances lie in the float band, so no group raises.
+    for indices, mu_e, sigma_sq, *columns in instance_groups(instance_count, seed):
         ids = INSTANCE_IDS[: len(columns)]
-        found: list[dict] = []
-
-        def fail(i: int, kind: str, **fields: object) -> None:
-            params = PopulationParams(mu_e[i], sigma_sq[i])
-            coalition = Coalition.from_sizes([n[i] for n in columns])
-            record = {"index": indices[i], **describe_instance(params, coalition)}
-            found.append({**record, "kind": kind, **fields})
-
         # One evaluation of the uniform errors serves both verdicts, and
         # only the rational coalitions need their pairs classified.
         errs = _errors(columns, uniform, mu_e, sigma_sq, ids)
         local_errs = _errors(columns, local, mu_e, sigma_sq, ids)
         rational = [i for i, ok in enumerate(_rationality(errs, local_errs)[1]) if ok]
         n_r, e_r = ([[c[i] for i in rational] for c in cs] for cs in (columns, errs))
-        for i, label in zip(rational, _labels(ids, n_r, e_r)[1]):
-            if label not in (CoalitionLabel.SUB, CoalitionLabel.EXACT):
-                fail(i, "rational_but_super", label=label.value)
-
+        # (instance, fields) of each failed check, each instance's in check order
+        failed = [(i, {"kind": "rational_but_super", "label": label.value})
+                  for i, label in zip(rational, _labels(ids, n_r, e_r)[1])
+                  if label not in (CoalitionLabel.SUB, CoalitionLabel.EXACT)]
         wanted = [None, *range(len(ids))]
-        defect, *violates = _thresholds(columns, mu_e, sigma_sq, ids, wanted)
+        defect, *violates = _thresholds(columns, wanted, mu_e, sigma_sq, ids)
         for pid, violate in zip(ids, violates):
             for i, (d, v) in enumerate(zip(defect, violate)):
                 order = compare(d, v)
                 if order > 0:
-                    fail(i, "threshold_order", s=pid, defection=d, subproportionality=v)
+                    failed.append((i, {"kind": "threshold_order", "s": pid,
+                                       "defection": d, "subproportionality": v}))
                 if math.isfinite(d) and order == 0:  # no sweep coalition is a singleton
-                    fail(i, "equality_without_singleton", s=pid, threshold=d)
-        return found
-
-    counterexamples: list[dict] = []
-    for group in instance_groups(instance_count, seed):
-        counterexamples += check(*group)  # in the float band: no check raises
+                    failed.append((i, {"kind": "equality_without_singleton", "s": pid,
+                                       "threshold": d}))
+        for i, check in failed:
+            params = PopulationParams(mu_e[i], sigma_sq[i])
+            coalition = Coalition.from_sizes([n[i] for n in columns])
+            described = describe_instance(params, coalition)
+            counterexamples.append({"index": indices[i], **described, **check})
     # Groups follow player counts; records follow the instance indices.
     counterexamples.sort(key=itemgetter("index"))
     return PropstabResult(

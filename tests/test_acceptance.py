@@ -160,7 +160,7 @@ def test_criterion_6_rationality_implies_subproportionality():
     for _, *values in instance_groups(10_000, 42):
         mu_e, sigma_sq, *columns = ([Fraction(v) for v in c] for c in values)
         for n in columns:
-            defect, violate = _thresholds([n], mu_e, sigma_sq, ("s",), (None, 0))
+            defect, violate = _thresholds([n], (None, 0), mu_e, sigma_sq, ("s",))
             singletons += len(n)
             equal += sum(map(operator.eq, defect, violate))
     elapsed = time.perf_counter() - start

@@ -30,6 +30,7 @@ from fedfair.cli import (
     MAX_PLAYERS,
     MAX_SCAN_ROWS,
     build_parser,
+    emit_rows,
     load_scenario_file,
     main,
 )
@@ -77,7 +78,30 @@ def parse_csv(text):
     return [dict(zip(header, row)) for row in body]
 
 
+@pytest.mark.parametrize("fmt, expected", [
+    ("json", json.dumps({"rows": []}, indent=2) + "\n"),
+    ("csv", "n_l,ratio\n"),
+    ("table", "n_l  ratio\n"),
+])
+def test_emit_rows_on_zero_rows(fmt, expected):
+    """No rows: json's empty list, and the header line alone otherwise."""
+    out = io.StringIO()
+    emit_rows([], ["n_l", "ratio"], fmt, out)
+    assert out.getvalue() == expected
+
+
 class TestAudit:
+    def test_negative_zero_constants_print_no_negative_zero(self, tmp_path):
+        """mu_e = -0.0 is stored as 0.0, so no local error prints as -0.0."""
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "mu_e": -0.0, "sigma_sq": 0.0, "method": "uniform",
+            "players": [{"id": "s", "n": 6}, {"id": "l", "n": 20}],
+        }))
+        code, text = run_cli(["audit", str(path)], tmp_path)
+        assert code == 0 and "-0.0" not in text
+        assert [r["local_error"] for r in parse_csv(text)[:2]] == ["0.0", "0.0"]
+
     def test_tied_errors_name_two_members(self, tmp_path):
         """n = (6, 6) ties both errors: the worst pair is a|b, not a|a."""
         path = tmp_path / "tied.json"
@@ -543,6 +567,24 @@ class TestScan:
         rows = parse_csv(text)
         assert all(r["defection_threshold"] == "Infinity" for r in rows)
         assert all(r["subproportionality_threshold"] == "Infinity" for r in rows)
+
+    @pytest.mark.parametrize("option", ["--mu-e", "--sigma-sq"])
+    def test_negative_zero_constant_scans_as_zero(self, option, tmp_path):
+        """A -0.0 constant prints the scan at 0 byte for byte: no -0.0
+        cell in mu_e, sigma_sq or a threshold."""
+        texts = []
+        for zero in ("-0.0", "0"):
+            constants = {"--mu-e": "10", "--sigma-sq": "1", option: zero}
+            code, text = run_cli(
+                [
+                    "scan", "--ns", "6", "--nl-start", "20", "--nl-stop", "20",
+                    "--nl-step", "1", *(x for pair in constants.items() for x in pair),
+                ],
+                tmp_path,
+            )
+            assert code == 0
+            texts.append(text)
+        assert texts[0] == texts[1] and "-0.0" not in texts[0]
 
     def test_zero_step_is_usage_error(self, tmp_path):
         code, _ = run_cli(

@@ -170,7 +170,7 @@ def test_newcomer_meets_its_local_error_at_the_defection_threshold():
     for _ in range(THRESHOLD_DRAWS):
         sizes, mu_e, sigma_sq = rational_rest(rng)
         ids = [f"r{i}" for i in range(len(sizes))]
-        ((n_l,),) = _thresholds([[n] for n in sizes], [mu_e], [sigma_sq], ids, [None])
+        ((n_l,),) = _thresholds([[n] for n in sizes], [None], [mu_e], [sigma_sq], ids)
         if n_l == math.inf:
             continue
         params, coalition = joined(sizes, n_l, mu_e, sigma_sq)
@@ -190,7 +190,7 @@ def test_pair_is_exactly_proportional_at_the_subproportionality_threshold():
         sizes, mu_e, sigma_sq = rational_rest(rng)
         s = rng.randrange(len(sizes))
         ids = [f"r{i}" for i in range(len(sizes))]
-        ((n_l,),) = _thresholds([[n] for n in sizes], [mu_e], [sigma_sq], ids, [s])
+        ((n_l,),) = _thresholds([[n] for n in sizes], [s], [mu_e], [sigma_sq], ids)
         if n_l == math.inf:
             continue
         params, coalition = joined(sizes, n_l, mu_e, sigma_sq)
@@ -220,7 +220,7 @@ def test_singleton_thresholds_are_one_formula():
         n_s.append(mu / (2 * sigma) if draw_index % 10 == 0 else rational(rng, 200, 4))
         mu_e.append(mu)
         sigma_sq.append(sigma)
-    defect, violate = _thresholds([n_s], mu_e, sigma_sq, ("s",), (None, 0))
+    defect, violate = _thresholds([n_s], (None, 0), mu_e, sigma_sq, ("s",))
     assert defect == violate
     denoms = [2 * sigma - mu / n for n, mu, sigma in zip(n_s, mu_e, sigma_sq)]
     assert defect == [
@@ -258,7 +258,7 @@ def test_thresholds_and_bounds_are_exact_past_the_float_range():
     against either member; sizes and mu_e scaled by 10**400 scale both.
     c = n_max sigma_sq / mu_e is linear in n_max."""
     rest, one = [[6 * HUGE], [6 * HUGE]], [Fraction(1)]
-    thresholds = _thresholds(rest, [10 * HUGE], one, ("a", "b"), (None, 0, 1))
+    thresholds = _thresholds(rest, (None, 0, 1), [10 * HUGE], one, ("a", "b"))
     assert thresholds == [[15 * HUGE], [96 * HUGE], [96 * HUGE]]
     assert _bounds([HUGE], [Fraction(10)], one) == ([HUGE / 10], [HUGE / 5 + 1])
 

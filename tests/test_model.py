@@ -15,6 +15,7 @@ from fedfair import (
     SimulationSpec,
     audit_egalitarian,
     classify_proportionality,
+    local_error,
     tightness_search,
     weighted_error,
 )
@@ -27,6 +28,7 @@ from fedfair.exceptions import (
     NegativeVariance,
     NonPositiveSamples,
     NonUnitSum,
+    TargetNotInCoalition,
 )
 from fedfair.model import compare
 
@@ -120,6 +122,16 @@ class TestPopulationParams:
         with pytest.raises(NegativeVariance):
             PopulationParams(mu_e, sigma_sq)
 
+    @pytest.mark.parametrize("field", ["mu_e", "sigma_sq"])
+    def test_negative_zero_is_stored_as_zero(self, field):
+        """-0.0 passes 0 <= value; stored as 0.0, it never reaches an error
+        as -0.0.  Every other value keeps its type."""
+        values = {"mu_e": 2, "sigma_sq": 3, field: -0.0}
+        params = PopulationParams(**values)
+        assert [math.copysign(1.0, v) for v in params] == [1.0, 1.0]
+        assert list(map(type, params)) == list(map(type, values.values()))
+        assert math.copysign(1.0, local_error(Player("a", 2.0), params)) == 1.0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_params_rejected(self, bad):
         with pytest.raises(NegativeVariance):
@@ -191,6 +203,13 @@ class TestCoalition:
         assert "p1" in coalition and "missing" not in coalition
         with pytest.raises(KeyError):
             coalition.player("missing")
+
+    def test_index_is_the_position_in_id_order(self):
+        coalition = Coalition((Player("b", 1.0), Player("a", 2.0)))
+        assert [coalition.index(pid) for pid in coalition.ids()] == [0, 1]
+        assert coalition.index("b") == 1
+        with pytest.raises(TargetNotInCoalition, match="^target 'x' not in coalition$"):
+            coalition.index("x")
 
 
 PAIR = Coalition((Player("s", 6.0), Player("l", 20.0)))

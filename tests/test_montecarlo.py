@@ -396,6 +396,23 @@ class TestSpecValidation:
             with pytest.raises(OutOfFloatRange, match="n=\\{'p1': 1e-320"):
                 simulate_error(huge)
 
+    def test_uniform_means_past_the_float_range_raise_before_any_draw(self):
+        """Uniform means of variance sigma_sq > FLOAT_MAX / 3 need a
+        half-width sqrt(3 sigma_sq) past the float range: rejected by name,
+        never numpy's OverflowError from the draw."""
+        huge = spec(
+            coalition=Coalition.from_sizes([1, 1]),
+            target="p1",
+            params=PopulationParams(mu_e=1.0, sigma_sq=1.7e308),
+            method=FederationMethod.LOCAL,
+            mean_distribution=MeanDistribution.UNIFORM,
+            trials=10,
+        )
+        with pytest.raises(OutOfFloatRange, match=r"^the half-width of the uniform "
+                           r"means is outside the floating-point range at "
+                           r"sigma_sq=1\.7e\+308$"):
+            simulate_error(huge)
+
     def test_seed_range(self):
         with pytest.raises(ValueError):
             spec(seed=-1)

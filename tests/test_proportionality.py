@@ -19,7 +19,7 @@ from fedfair import (
     subproportionality_threshold,
     verify_propstab,
 )
-from fedfair.exceptions import OutOfFloatRange
+from fedfair.exceptions import OutOfFloatRange, TargetNotInCoalition
 from fedfair.proportionality import _labels
 from fedfair.sampling import instance_rng, random_instance
 
@@ -160,6 +160,13 @@ class TestThresholds:
         assert math.isclose(defection_threshold(rest, PARAMS), 30.0)
         # (-12 + 10 + 12)/(1/3) = 30
         assert math.isclose(subproportionality_threshold(rest, "s", PARAMS), 30.0)
+
+    def test_non_member_is_named_like_any_other_target(self):
+        """The membership rule of ``expected_error`` and the rest: a
+        ``FedFairError`` naming the id, not a bare ``KeyError``."""
+        rest = Coalition.from_sizes([6, 20])
+        with pytest.raises(TargetNotInCoalition, match="^target 'x' not in coalition$"):
+            subproportionality_threshold(rest, "x", PARAMS)
 
     def test_tiny_player_never_defects(self):
         rest = Coalition((Player("s", 1.0),))

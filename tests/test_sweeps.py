@@ -117,8 +117,8 @@ def forced_thresholds(defect=None, violate=None):
     threshold at ``violate``; None keeps the real ones."""
     real = fedfair.proportionality._thresholds
 
-    def thresholds(columns, mu_e, sigma_sq, ids, wanted):
-        got = real(columns, mu_e, sigma_sq, ids, wanted)
+    def thresholds(columns, wanted, mu_e, sigma_sq, ids):
+        got = real(columns, wanted, mu_e, sigma_sq, ids)
         forced = [defect if s is None else violate for s in wanted]
         return [column if value is None else [value] * len(mu_e)
                 for column, value in zip(got, forced)]

@@ -114,12 +114,16 @@ def _leave_one_out(columns: Columns) -> list[list[float]]:
     return [list(map(sum, zip(*rest))) for rest in others][::-1]
 
 
-def range_failure(what: str, ids: Sequence[str]) -> Callable[..., OutOfFloatRange]:
+def range_failure(what: str | Callable[[int], str],
+                  ids: Sequence[str]) -> Callable[..., OutOfFloatRange]:
     """``in_order``'s ``fail`` for the columns mu_e, sigma_sq and one per
-    member ``ids``: ``OutOfFloatRange`` for ``what`` naming mu_e, sigma_sq
-    and each player's n by id; columns after the sizes go unnamed."""
-    return lambda _, mu_e, sigma_sq, *n: OutOfFloatRange(
-        what, mu_e=mu_e, sigma_sq=sigma_sq, n=dict(zip(ids, n)))
+    member ``ids`` (later ones unnamed): ``OutOfFloatRange`` for ``what``, or
+    ``what(out)`` for output column ``out``, naming mu_e, sigma_sq and each
+    player's n by id.  Users: the errors, the oracle weights, ``weighted_error``,
+    ``inverse_size_error``, both thresholds and the Monte Carlo sum."""
+    return lambda out, mu_e, sigma_sq, *n: OutOfFloatRange(
+        what if isinstance(what, str) else what(out),
+        mu_e=mu_e, sigma_sq=sigma_sq, n=dict(zip(ids, n)))
 
 
 def _fine_grained_terms(

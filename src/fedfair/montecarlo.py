@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import _one, _weights, expected_error
+from .errors import _one, _weights, expected_error, range_failure
 from .exceptions import InvalidNoiseList, OutOfFloatRange
 from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
                     compare)
@@ -215,9 +215,9 @@ def simulate_error(spec: SimulationSpec) -> SimulationResult:
             errors *= errors
             total_sq += float(errors.sum())
             if not (math.isfinite(total) and math.isfinite(total_sq)):
-                raise OutOfFloatRange(
-                    "the Monte Carlo sum of squared errors", mu_e=mu_e, sigma_sq=sigma_sq,
-                    n=dict(zip(spec.coalition.ids(), spec.coalition.sizes())))
+                what = "the Monte Carlo sum of squared errors"
+                fail = range_failure(what, spec.coalition.ids())
+                raise fail(0, mu_e, sigma_sq, *spec.coalition.sizes())
 
     mean = total / n
     variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))

@@ -32,8 +32,7 @@ from itertools import repeat
 from operator import add, gt, itemgetter, le, lt, mul, not_, sub, truediv
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import Column, Columns, _errors, _one, in_order
-from .exceptions import OutOfFloatRange
+from .errors import Column, Columns, _errors, _one, in_order, range_failure
 from .model import Coalition, FederationMethod, PopulationParams, compare
 from .sampling import INSTANCE_IDS, describe_instance, instance_groups
 
@@ -152,20 +151,15 @@ def _quotients(numer: Iterable, denom: Iterable) -> list[float]:
     return [math.inf if d <= 0 else q / d for q, d in zip(numer, denom)]
 
 
-def _thresholds(
-    columns: Columns,
-    wanted: Sequence[int | None],
-    mu_e: Column,
-    sigma_sq: Column,
-    ids: Sequence[str],
-) -> list[list[float]]:
+def _thresholds(columns: Columns, wanted: Sequence[int | None], mu_e: Column,
+                sigma_sq: Column, ids: Sequence[str]) -> list[list[float]]:
     """One threshold column per entry of the selector ``wanted``, for a
     batch of rest coalitions whose members ``ids`` have one column of sizes
     each: the defection threshold for None, the subproportionality threshold
     against the member at an index.  T and S of each rest are taken once for
     all of them, under ``in_order``'s float-range rule, which raises for the
-    first instance whose exact threshold overflows, naming T and S (and n_s
-    against a member); only the thresholds ``wanted`` asks for can raise."""
+    first instance whose exact threshold overflows, as ``range_failure``
+    names it; only the thresholds ``wanted`` asks for can raise."""
 
     def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list]:
         squares = [list(map(mul, n, n)) for n in columns]
@@ -187,16 +181,12 @@ def _thresholds(
             out.append(_quotients(map(add, own, rest), denom))
         return out
 
-    def fail(out: int, mu_e: float, sigma_sq: float, *sizes: float) -> OutOfFloatRange:
-        sizes, s = [float(n) for n in sizes], wanted[out]
-        inputs = {"mu_e": mu_e, "sigma_sq": sigma_sq, "total": sum(sizes),
-                  "sum_sq": sum(n * n for n in sizes)}
-        if s is None:
-            return OutOfFloatRange("the defection threshold", **inputs)
-        what = f"the subproportionality threshold against {ids[s]!r}"
-        return OutOfFloatRange(what, **inputs, n_s=sizes[s])
+    def name(out: int) -> str:
+        s = wanted[out]
+        return ("the defection threshold" if s is None
+                else f"the subproportionality threshold against {ids[s]!r}")
 
-    return in_order(evaluate, mu_e, sigma_sq, *columns, fail=fail)
+    return in_order(evaluate, mu_e, sigma_sq, *columns, fail=range_failure(name, ids))
 
 
 def defection_threshold(rest: Coalition, params: PopulationParams) -> float:

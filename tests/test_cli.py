@@ -850,6 +850,23 @@ class TestFloatRange:
         assert "the 2c+1 bound is outside the floating-point range" in err
         assert "n_max=9.0" in err
 
+    def test_overflowing_threshold_names_only_finite_inputs(self, tmp_path, capsys):
+        """The defection threshold at n_s = mu_e = 1e300 is past the float
+        range, and so is the rest's sum of squares, 1e600: the message
+        names the sizes by id, as an error's does, never an infinite sum."""
+        code, text = run_cli(
+            [
+                "scan", "--ns", "1e300", "--nl-start", "1", "--nl-stop", "2",
+                "--nl-step", "1", "--mu-e", "1e300", "--sigma-sq", "0.5000000000000001",
+            ],
+            tmp_path,
+        )
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "error: the defection threshold is outside the floating-point range at "
+            "mu_e=1e+300, sigma_sq=0.5000000000000001, n={'s': 1e+300}\n"
+        )
+
     def test_first_failing_row_is_named_across_column_functions(self, tmp_path, capsys):
         """Row 1 (n_l = 0.5) has in-band errors but an overflowing 2c+1;
         row 2 (n_l = 1e40) already overflows its uniform error.  The errors

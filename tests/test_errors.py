@@ -41,6 +41,7 @@ from fedfair.exceptions import (
 )
 from fedfair.montecarlo import SimulationSpec
 from fedfair.proportionality import (
+    _thresholds,
     defection_threshold,
     subproportionality_threshold,
     verify_propstab,
@@ -437,6 +438,15 @@ def _batches(instances):
         yield INSTANCE_IDS[:k], columns, mu_e, sigma_sq, group
 
 
+def _thresholds_alone(params, sizes):
+    """The thresholds of the rest coalition ``sizes``, each by its public
+    call, the defection threshold first: a batch row with ``wanted`` =
+    [None, 0, 1, ...], or the first failure of this in-order loop."""
+    rest = Coalition.from_sizes(sizes)
+    return [defection_threshold(rest, params),
+            *(subproportionality_threshold(rest, pid, params) for pid in rest.ids())]
+
+
 METHODS = st.sampled_from(list(FederationMethod))
 COLUMN_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 IN_RANGE = st.tuples(
@@ -499,6 +509,56 @@ class TestColumnKernel:
                 with pytest.raises(type(first)) as info:
                     _errors(columns, method, mu_e, sigma_sq, ids)
                 assert str(info.value) == str(first)
+
+    @COLUMN_SETTINGS
+    @given(instances=st.lists(IN_RANGE, min_size=1, max_size=12))
+    def test_thresholds_batch_equals_per_coalition_bit_for_bit(self, instances):
+        for ids, columns, mu_e, sigma_sq, group in _batches(instances):
+            wanted = [None, *range(len(ids))]
+            got = zip(*_thresholds(columns, wanted, mu_e, sigma_sq, ids))
+            for row, (params, sizes) in zip(got, group):
+                alone = _thresholds_alone(params, sizes)
+                assert [t.hex() for t in row] == [t.hex() for t in alone]
+
+    @COLUMN_SETTINGS
+    @given(instances=st.lists(st.one_of(IN_RANGE, ANY_RANGE), min_size=1, max_size=12))
+    def test_thresholds_batch_raises_the_first_failure_of_an_in_order_loop(
+        self, instances
+    ):
+        for ids, columns, mu_e, sigma_sq, group in _batches(instances):
+            wanted = [None, *range(len(ids))]
+            alone, first = [], None
+            for params, sizes in group:
+                try:
+                    alone.append(_thresholds_alone(params, sizes))
+                except FedFairError as exc:
+                    first = exc
+                    break
+            if first is None:
+                got = list(zip(*_thresholds(columns, wanted, mu_e, sigma_sq, ids)))
+                assert [[t.hex() for t in r] for r in got] == [
+                    [t.hex() for t in r] for r in alone
+                ]
+            else:
+                with pytest.raises(type(first)) as info:
+                    _thresholds(columns, wanted, mu_e, sigma_sq, ids)
+                assert str(info.value) == str(first)
+
+    @COLUMN_SETTINGS
+    @given(instances=st.lists(st.one_of(IN_RANGE, ANY_RANGE), min_size=1, max_size=12))
+    def test_threshold_failures_name_only_finite_inputs(self, instances):
+        """A threshold past the float range names mu_e, sigma_sq and the
+        sizes as given, never a sum of them that overflowed in floats."""
+        for params, sizes in instances:
+            rest = Coalition.from_sizes(sizes)
+            for s in [None, *rest.ids()]:
+                try:
+                    if s is None:
+                        defection_threshold(rest, params)
+                    else:
+                        subproportionality_threshold(rest, s, params)
+                except OutOfFloatRange as exc:
+                    assert "inf" not in str(exc) and "nan" not in str(exc)
 
     def test_later_failure_does_not_mask_an_earlier_one(self):
         """Local: the second instance overflows its error and the third

@@ -18,7 +18,8 @@ The column functions are also run on ``Fraction`` columns, where they
 must be exact: the errors against the same independent rationals, each
 threshold against its definition in exact uniform errors, the two
 thresholds against each other on a singleton (the identity
-``verify_propstab`` relies on), and all of them past the float range.
+``verify_propstab`` relies on), the uniform error ratio against 2c+1 at
+an empty small player, and all of them past the float range.
 """
 
 import math
@@ -228,6 +229,21 @@ def test_singleton_thresholds_are_one_formula():
     ]
     finite = sum(type(d) is Fraction for d in defect)
     assert min(finite, len(defect) - finite) > len(defect) // 10
+
+
+def test_uniform_ratio_meets_the_bound_exactly_at_an_empty_small_player():
+    """The 2c+1 bound is tight under uniform federation: with n_s = 0 the
+    pooled estimate is l's own, so e_l = mu_e/n_l and e_s = mu_e/n_l +
+    2 sigma_sq, whose ratio is 1 + 2 n_l sigma_sq/mu_e = 2c+1 exactly, as
+    ``_bounds`` gives it.  Property 5 probes this limit only at a tiny
+    positive n_s, within the tolerance band."""
+    rng = random.Random(f"{SEED}-tight")
+    for _ in range(200):
+        n_l = [rational(rng, 200, 4)]
+        mu_e, sigma_sq = [rational(rng, 500, 20)], [rational(rng, 100, 20)]
+        (e_l,), (e_s,) = _errors([n_l, [Fraction(0)]], UNIFORM, mu_e, sigma_sq, "ls")
+        _, (bound,) = _bounds(n_l, mu_e, sigma_sq)
+        assert type(e_s / e_l) is Fraction and e_s / e_l == bound
 
 
 # Past the float range: math.isfinite of this raises OverflowError.

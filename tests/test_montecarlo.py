@@ -307,6 +307,22 @@ class TestCalibration:
         assert not rigged.passed
         assert rigged.entries[0].passed and not rigged.entries[1].passed
 
+    @pytest.mark.parametrize("reference, z", [(1.0, -math.inf), (-1.0, math.inf)])
+    def test_zero_standard_error_gives_an_infinite_z_off_the_closed_form(
+        self, monkeypatch, reference, z
+    ):
+        """With mu_e = sigma_sq = 0 every squared error is 0, so the standard
+        error is 0: z is 0 against the honest closed form, and an infinite
+        z of the sign of mean - closed form against any other."""
+        zero = spec(coalition=Coalition.from_sizes([4, 4]), target="p1",
+                    params=PopulationParams(0.0, 0.0), trials=16)
+        honest = simulate_error(zero)
+        assert (honest.empirical_mse, honest.standard_error, honest.z_score) == (0, 0, 0)
+        monkeypatch.setattr(SimulationSpec, "analytic_error", lambda self: reference)
+        result = simulate_error(zero)
+        assert (result.standard_error, result.closed_form) == (0, reference)
+        assert result.z_score == z
+
 
 class TestSpecValidation:
     def test_noise_list_length_must_match(self):

@@ -233,23 +233,24 @@ class TestThresholds:
         got = subproportionality_threshold(rest, "s", PopulationParams(1.0, 1e300))
         assert got == float(exact)
 
-    def test_overflowing_threshold_names_total_and_sum_sq(self):
+    def test_overflowing_threshold_names_each_size_by_id(self):
         """With mu_e one ulp below 2 sigma_sq n_s, the singleton form
         mu_e n_s / (2 sigma_sq n_s - mu_e) is about 7.7e315: exactly past the
-        float range, so both thresholds raise, naming the rest's total and
-        sum of squares in floats (and n_s against s)."""
+        float range, so both thresholds raise, naming each member's n by
+        id, as an error does.  The rest's sum of squares, 1e600, is no
+        float: the message names no infinite input."""
         rest = Coalition((Player("s", 1e300),))
         params = PopulationParams(math.nextafter(2e300, 0.0), 1.0)
         with pytest.raises(OutOfFloatRange) as info:
             defection_threshold(rest, params)
         message = str(info.value)
         assert "the defection threshold is outside" in message
-        assert "total=1e+300" in message and "sum_sq=inf" in message
+        assert "n={'s': 1e+300}" in message and "inf" not in message
         with pytest.raises(OutOfFloatRange) as info:
             subproportionality_threshold(rest, "s", params)
         message = str(info.value)
         assert "the subproportionality threshold against 's' is outside" in message
-        assert "n_s=1e+300" in message
+        assert "n={'s': 1e+300}" in message and "inf" not in message
 
 
 class TestVerifyPropstab:

@@ -3,97 +3,56 @@ federation game: closed-form expected errors per federation method,
 egalitarian and proportionality audits, randomized guarantee sweeps, and
 a Monte Carlo oracle validating every closed form."""
 
-from .egalitarian import (
-    FairnessAudit,
-    ModularityReport,
-    TightnessResult,
-    audit_egalitarian,
-    bound_sweep,
-    check_modularity,
-    inverse_size_error,
-    tightness_search,
-)
-from .errors import (
-    expected_error,
-    fine_grained_error,
-    fine_grained_weights,
-    local_error,
-    uniform_error,
-    weighted_error,
-)
-from .model import (
-    Coalition,
-    FederationMethod,
-    Player,
-    PopulationParams,
-)
-from .proportionality import (
-    CoalitionLabel,
-    ProportionalityReport,
-    RationalityReport,
-    classify_proportionality,
-    defection_threshold,
-    individually_rational,
-    subproportionality_threshold,
-    verify_propstab,
-)
-
 __version__ = "0.1.0"
 
-# The Monte Carlo oracle imports numpy when it loads, so its names are
-# resolved on first access (PEP 562): the closed-form commands start
-# without numpy.
-_MONTECARLO_NAMES = frozenset(
-    {
-        "MeanDistribution",
-        "SimulationResult",
-        "SimulationSpec",
-        "default_suite",
-        "simulate_error",
-        "simulate_suite",
-    }
-)
+# Each public name's module, loaded on the name's first access (PEP 562):
+# `import fedfair` loads no submodule, a command loads only the modules it
+# uses, and only the Monte Carlo oracle loads numpy.
+_MODULES = {
+    "Coalition": "model",
+    "CoalitionLabel": "proportionality",
+    "FairnessAudit": "egalitarian",
+    "FederationMethod": "model",
+    "MeanDistribution": "montecarlo",
+    "ModularityReport": "egalitarian",
+    "Player": "model",
+    "PopulationParams": "model",
+    "ProportionalityReport": "proportionality",
+    "RationalityReport": "proportionality",
+    "SimulationResult": "montecarlo",
+    "SimulationSpec": "montecarlo",
+    "TightnessResult": "egalitarian",
+    "audit_egalitarian": "egalitarian",
+    "bound_sweep": "egalitarian",
+    "check_modularity": "egalitarian",
+    "classify_proportionality": "proportionality",
+    "default_suite": "montecarlo",
+    "defection_threshold": "proportionality",
+    "expected_error": "errors",
+    "fine_grained_error": "errors",
+    "fine_grained_weights": "errors",
+    "individually_rational": "proportionality",
+    "inverse_size_error": "egalitarian",
+    "local_error": "errors",
+    "simulate_error": "montecarlo",
+    "simulate_suite": "montecarlo",
+    "subproportionality_threshold": "proportionality",
+    "tightness_search": "egalitarian",
+    "uniform_error": "errors",
+    "verify_propstab": "proportionality",
+    "weighted_error": "errors",
+}
+
+__all__ = list(_MODULES)
 
 
 def __getattr__(name: str) -> object:
-    if name in _MONTECARLO_NAMES:
-        from . import montecarlo
+    if name in _MODULES:
+        from importlib import import_module
 
-        return getattr(montecarlo, name)
+        return getattr(import_module(f".{_MODULES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "Coalition",
-    "CoalitionLabel",
-    "FairnessAudit",
-    "FederationMethod",
-    "MeanDistribution",
-    "ModularityReport",
-    "Player",
-    "PopulationParams",
-    "ProportionalityReport",
-    "RationalityReport",
-    "SimulationResult",
-    "SimulationSpec",
-    "TightnessResult",
-    "audit_egalitarian",
-    "bound_sweep",
-    "check_modularity",
-    "classify_proportionality",
-    "default_suite",
-    "defection_threshold",
-    "expected_error",
-    "fine_grained_error",
-    "fine_grained_weights",
-    "individually_rational",
-    "inverse_size_error",
-    "local_error",
-    "simulate_error",
-    "simulate_suite",
-    "subproportionality_threshold",
-    "tightness_search",
-    "uniform_error",
-    "verify_propstab",
-    "weighted_error",
-]
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULES})

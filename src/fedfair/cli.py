@@ -17,24 +17,9 @@ import sys
 from itertools import repeat
 from typing import IO, Callable, Sequence
 
-from .egalitarian import (
-    _audits,
-    _bounds,
-    _ratio,
-    bound_sweep,
-    check_modularity,
-    inverse_size_error,
-)
 from .errors import Column, Columns, _errors, _one
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
 from .model import Coalition, FederationMethod, Player, PopulationParams, check_sizes
-from .proportionality import (
-    _labels,
-    _rationality,
-    _thresholds,
-    verify_propstab,
-)
-from .sampling import describe_instance
 
 # Published motivating-table cells (mu_e=10, sigma_sq=1, n_s=6), quoted at
 # three significant figures: err_small, err_large, ratio, bound, size ratio.
@@ -154,6 +139,8 @@ def _dump_scenario(
     """Re-emit a parsed scenario to ``path``, if given.  Commands call it
     once their rows are computed, so a rejected command writes no dump."""
     if path:
+        from .sampling import describe_instance
+
         with open(path, "w", encoding="utf-8") as handle:
             record = {**describe_instance(params, coalition), "method": method.value}
             json.dump(record, handle, indent=2)
@@ -274,6 +261,9 @@ def _assess(
     zero.  Each column function raises for its own first failing
     coalition, so a batch of more than one may name a later coalition than
     the first that fails (``_pair_rows`` runs a failing batch again)."""
+    from .egalitarian import _audits, _bounds
+    from .proportionality import _labels, _rationality
+
     for pid, column in zip(ids, columns):
         check_sizes(pid, column)
     mu_e, sigma_sq = [[value] * len(columns[0]) for value in params]
@@ -343,6 +333,8 @@ def _pair_rows(
     then the cells ``same`` that every row shares.  Each cell raises for its
     own first failing row, so a failing batch is run again row by row, in
     order: it raises what the first failing row raises alone."""
+    from .egalitarian import _ratio
+
     # Ids sort l < s.
     columns = [n_ls, [n_s] * len(n_ls)]
     try:
@@ -400,6 +392,8 @@ def run_verify(args: argparse.Namespace) -> Output:
             "method", "property", "passed", "checks", "expected_modular",
             "counterexample",
         ]
+        from .egalitarian import check_modularity, inverse_size_error
+
         rows, passed = [], True
         for method, expect_pass in (
             (FederationMethod.UNIFORM, True),
@@ -429,6 +423,8 @@ def run_verify(args: argparse.Namespace) -> Output:
     else:
         count = 10_000 if args.instances is None else args.instances
         if args.suite == "propstab":
+            from .proportionality import verify_propstab
+
             result = verify_propstab(instance_count=count, seed=args.seed)
             summary = {
                 "instances": result.instances,
@@ -436,6 +432,8 @@ def run_verify(args: argparse.Namespace) -> Output:
             }
             details = [(ce["kind"], ce) for ce in result.counterexamples]
         else:  # egalitarian-bound; argparse admits no other suite
+            from .egalitarian import bound_sweep
+
             result = bound_sweep(instance_count=count, seed=args.seed)
             summary = {
                 "instances": result.instances,
@@ -470,41 +468,27 @@ SIMULATE_COLUMNS = [
 
 def run_simulate(args: argparse.Namespace) -> Output:
     # The oracle needs numpy; the other commands start without it.
-    from .montecarlo import SimulationSpec, simulate_error
+    from .montecarlo import SimulationSpec, _simulate
 
     params, coalition, method = load_scenario_file(args.scenario)
-    seed = args.seed
-    last_seed = seed + len(coalition) - 1
-    if last_seed >= INT_LIMIT:
-        raise ValueError(
-            f"--seed {seed} is too large for {len(coalition)} players: "
-            f"they are simulated at seeds {seed} to {last_seed}, "
-            "which must be below 2**64"
-        )
-    rows = []
-    for index, player in enumerate(coalition.players):
-        spec = SimulationSpec(
-            coalition=coalition,
-            target=player.id,
-            params=params,
-            method=method,
-            trials=args.trials,
-            seed=seed + index,
-        )
-        result = simulate_error(spec)
-        rows.append(
-            {
-                "id": player.id,
-                "n": player.n,
-                "method": method.value,
-                "trials": result.trials,
-                "seed": seed + index,
-                "empirical_mse": result.empirical_mse,
-                "standard_error": result.standard_error,
-                "closed_form": result.closed_form,
-                "z_score": result.z_score,
-            }
-        )
+    specs = [
+        SimulationSpec(coalition, pid, params, method, trials=args.trials, seed=args.seed)
+        for pid in coalition.ids()
+    ]
+    rows = [
+        {
+            "id": player.id,
+            "n": player.n,
+            "method": method.value,
+            "trials": result.trials,
+            "seed": args.seed,
+            "empirical_mse": result.empirical_mse,
+            "standard_error": result.standard_error,
+            "closed_form": result.closed_form,
+            "z_score": result.z_score,
+        }
+        for player, result in zip(coalition.players, _simulate(specs))
+    ]
     _dump_scenario(args.dump_scenario, params, coalition, method)
     return SIMULATE_COLUMNS, rows, None
 
@@ -544,6 +528,8 @@ def run_scan(args: argparse.Namespace) -> Output:
         )
     if count < 1:
         raise ValueError("empty n_l range")
+    from .proportionality import _thresholds
+
     params = PopulationParams(mu_e=args.mu_e, sigma_sq=args.sigma_sq)
     rest = Coalition((Player("s", n_s),))
     thresholds = _one(_thresholds, rest, params, [None, 0])

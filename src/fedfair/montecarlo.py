@@ -7,21 +7,27 @@ which is exactly N(true mean, v/n), so it is drawn as one normal rather
 than from n individual samples; time and memory per trial do not depend
 on n.  The estimates are combined with the weights implied by the
 federation method, and the squared error against the target's true
-mean is recorded.
+mean is recorded.  Since the weights sum to one, target j's error is
+formed as ``(noise + means - means[:, j]) @ w_j``: the true means are
+differenced before the noise is added, so noise far below a mean's ulp
+is kept, where ``(noise + means) @ w_j - means[:, j]`` would lose it.
 The empirical mean squared error is then compared with the matching
 closed form via a z-score.
 
 Determinism: trials are processed in fixed chunks of 65536, the k-th
 chunk seeded by ``SeedSequence(seed, spawn_key=(k,))`` (what
-``SeedSequence(seed).spawn`` would make).  ``simulate_error`` runs one
-loop over the chunks, in order on the calling thread, and adds their
-partial sums in chunk order.  It allocates its buffers once and refills
-them for every chunk: the means (one row per trial of a chunk), one
-column of squared errors, and one 4096-row block of estimate noise,
-which each chunk draws block by block.  A generator fills ``out=`` in C
-order, so the blocks hold exactly the numbers one whole-chunk draw
-would, and memory grows neither with the trial count nor with a
-player's sample count.
+``SeedSequence(seed).spawn`` would make).  One loop runs over the
+chunks, in order on the calling thread, and scores a list of targets
+that share everything but the target on one stream: the draws are made
+once, and each target's sums come out as its run alone would give them
+(``simulate_error`` is the loop's call for one target).  The loop
+allocates its buffers once and refills them for every chunk: the means
+(one row per trial of a chunk), one 4096-row block of estimate noise,
+which each chunk draws block by block, one block of one target's
+offsets and one 4096-row column of errors, whose sums are taken per
+block.  A generator fills ``out=`` in C order, so the blocks hold
+exactly the numbers one whole-chunk draw would, and memory grows
+neither with the trial count nor with a player's sample count.
 ``simulate_suite(threads=N)`` runs up to N whole simulations at once;
 each result is bit-identical at any N.
 """
@@ -164,41 +170,51 @@ class SimulationResult(NamedTuple):
 
 
 def simulate_error(spec: SimulationSpec) -> SimulationResult:
-    """Estimate the target's expected squared error empirically.
+    """Estimate the target's expected squared error empirically: the
+    chunk loop of ``_simulate`` for one target.
 
     Raises ``OutOfFloatRange`` when the uniform means' half-width, or the
     sum of the squared errors or of their squares, leaves the float range
     (the standard error would then be meaningless).
     """
-    weights, n, (mu_e, sigma_sq) = spec.resolved_weights(), spec.trials, spec.params
+    return _simulate([spec])[0]
+
+
+def _simulate(specs: Sequence[SimulationSpec]) -> list[SimulationResult]:
+    """``simulate_error`` of every spec of ``specs``, which differ in their
+    target only, on one stream: each trial is drawn once and scored for
+    every target, and each result is bit for bit its spec's run alone."""
+    first = specs[0]
+    n, (mu_e, sigma_sq) = first.trials, first.params
     half = math.sqrt(3.0 * sigma_sq)  # of the uniform means, variance sigma_sq
-    if spec.mean_distribution is MeanDistribution.UNIFORM and math.isinf(half):
+    if first.mean_distribution is MeanDistribution.UNIFORM and math.isinf(half):
         raise OutOfFloatRange("the half-width of the uniform means", sigma_sq=sigma_sq)
-    means = np.empty((min(CHUNK_TRIALS, n), len(weights)))
-    noise = np.empty((min(BLOCK_ROWS, len(means)), len(weights)))
-    squared = np.empty(len(means))
-    sqrt_counts = np.sqrt(np.array(spec.coalition.sizes()))
-    target = spec.coalition.index(spec.target)
-    total = total_sq = 0.0
+    members = [(spec.coalition.index(spec.target), spec.resolved_weights())
+               for spec in specs]
+    means = np.empty((min(CHUNK_TRIALS, n), len(first.coalition)))
+    noise = np.empty((min(BLOCK_ROWS, len(means)), means.shape[1]))
+    offsets, errors = np.empty_like(noise), np.empty(len(noise))
+    sqrt_counts = np.sqrt(np.array(first.coalition.sizes()))
+    total, total_sq = [0.0] * len(specs), [0.0] * len(specs)
     # An overflow shows as a non-finite sum, which is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         # The mean of n iid N(0, v) samples is exactly N(0, v/n), so each
         # player's local-estimate noise is one standard normal per trial,
         # scaled by sqrt(v) / sqrt(n).
-        if spec.noise_variances is None:
+        if first.noise_variances is None:
             scale = np.broadcast_to(math.sqrt(mu_e) / sqrt_counts, means.shape)
         else:
-            candidates = np.array(spec.noise_variances, dtype=np.float64)
+            candidates = np.array(first.noise_variances, dtype=np.float64)
         for k in range(-(-n // CHUNK_TRIALS)):
-            rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(k,)))
+            rng = np.random.default_rng(np.random.SeedSequence(first.seed, spawn_key=(k,)))
             size = min(CHUNK_TRIALS, n - k * CHUNK_TRIALS)
-            chunk, errors = means[:size], squared[:size]
-            if spec.mean_distribution is MeanDistribution.GAUSSIAN:
+            chunk = means[:size]
+            if first.mean_distribution is MeanDistribution.GAUSSIAN:
                 rng.standard_normal(out=chunk)
                 chunk *= math.sqrt(sigma_sq)
             else:
                 chunk[...] = rng.uniform(-half, half, size=chunk.shape)
-            if spec.noise_variances is not None:
+            if first.noise_variances is not None:
                 scale = rng.choice(candidates, size=chunk.shape)
                 np.sqrt(scale, out=scale)
                 scale /= sqrt_counts
@@ -207,28 +223,35 @@ def simulate_error(spec: SimulationSpec) -> SimulationResult:
                 rows = slice(start, start + len(block))
                 rng.standard_normal(out=block)
                 block *= scale[rows]
-                block += chunk[rows]
-                np.matmul(block, weights, out=errors[rows])
-            errors -= chunk[:, target]
-            errors *= errors
-            total += float(errors.sum())
-            errors *= errors
-            total_sq += float(errors.sum())
-            if not (math.isfinite(total) and math.isfinite(total_sq)):
+                block_means = chunk[rows]
+                offset, error = offsets[: len(block)], errors[: len(block)]
+                for m, (j, weights) in enumerate(members):
+                    # noise + (means - means[:, j]), differenced first
+                    np.subtract(block_means, block_means[:, j, None], out=offset)
+                    offset += block
+                    np.matmul(offset, weights, out=error)
+                    error *= error
+                    total[m] += float(error.sum())
+                    error *= error
+                    total_sq[m] += float(error.sum())
+            if not all(map(math.isfinite, total + total_sq)):
                 what = "the Monte Carlo sum of squared errors"
-                fail = range_failure(what, spec.coalition.ids())
-                raise fail(0, mu_e, sigma_sq, *spec.coalition.sizes())
+                fail = range_failure(what, first.coalition.ids())
+                raise fail(0, mu_e, sigma_sq, *first.coalition.sizes())
 
-    mean = total / n
-    variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    std_error = math.sqrt(variance / n)
-    reference = spec.analytic_error()
-    z = 0.0
-    if std_error > 0.0:
-        z = (mean - reference) / std_error
-    elif compare(mean, reference):
-        z = math.copysign(math.inf, mean - reference)
-    return SimulationResult(mean, std_error, n, reference, z)
+    results = []
+    for spec, summed, summed_sq in zip(specs, total, total_sq):
+        mean = summed / n
+        variance = max(0.0, (summed_sq - n * mean * mean) / (n - 1))
+        std_error = math.sqrt(variance / n)
+        reference = spec.analytic_error()
+        z = 0.0
+        if std_error > 0.0:
+            z = (mean - reference) / std_error
+        elif compare(mean, reference):
+            z = math.copysign(math.inf, mean - reference)
+        results.append(SimulationResult(mean, std_error, n, reference, z))
+    return results
 
 
 class SuiteEntry(NamedTuple):

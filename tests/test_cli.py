@@ -18,7 +18,9 @@ import pytest
 from test_exact_reference import exact_error
 
 import fedfair.cli
+import fedfair.egalitarian
 import fedfair.errors
+import fedfair.proportionality
 from fedfair import (
     Coalition,
     FederationMethod,
@@ -35,6 +37,7 @@ from fedfair.cli import (
     main,
 )
 from fedfair.egalitarian import BoundSweepResult
+from fedfair.montecarlo import SimulationSpec, simulate_error
 from fedfair.proportionality import PropstabResult, subproportionality_threshold
 from fedfair.sampling import describe_instance
 
@@ -442,7 +445,7 @@ class TestVerify:
         result = PropstabResult(
             instances=4, counterexamples=({"kind": "threshold_order", **record},)
         )
-        monkeypatch.setattr(fedfair.cli, "verify_propstab", lambda **_: result)
+        monkeypatch.setattr(fedfair.proportionality, "verify_propstab", lambda **_: result)
         code, text = run_cli(["verify", "propstab"], tmp_path, fmt="json")
         assert code == 1
         detail = strict_json(strict_json(text)["rows"][1]["detail"])
@@ -458,8 +461,8 @@ class TestVerify:
         record = {"index": 7, **instance, "threshold": math.inf, "gap": math.nan}
         propstab = PropstabResult(4, ({**record, "kind": "threshold_order"},))
         bound = BoundSweepResult(4, 8, (record,), 1.5)
-        monkeypatch.setattr(fedfair.cli, "verify_propstab", lambda **_: propstab)
-        monkeypatch.setattr(fedfair.cli, "bound_sweep", lambda **_: bound)
+        monkeypatch.setattr(fedfair.proportionality, "verify_propstab", lambda **_: propstab)
+        monkeypatch.setattr(fedfair.egalitarian, "bound_sweep", lambda **_: bound)
         code, text = run_cli(["verify", suite], tmp_path, fmt=fmt)
         assert code == 1
         if fmt == "json":
@@ -494,6 +497,32 @@ class TestSimulate:
         assert math.isclose(closed["l"], 332 / 676)
         assert all(abs(float(r["z_score"])) <= 5.0 for r in rows)
         assert all(r["trials"] == "20000" for r in rows)
+
+    @pytest.mark.parametrize("method", ["local", "uniform", "fine_grained"])
+    @pytest.mark.parametrize(
+        "sizes", [[6], [6, 20], [6, 20, 2.5, 40, 13.75]], ids=["k1", "k2", "k5"]
+    )
+    def test_every_row_is_its_target_simulated_alone(self, sizes, method, tmp_path):
+        """The rows are scored on one stream at --seed, each bit for bit what
+        ``simulate_error`` gives its target alone at that seed.  69,633
+        trials: two chunks, the last noise block one row."""
+        players = [{"id": f"p{i}", "n": n} for i, n in enumerate(sizes)]
+        path = tmp_path / "members.json"
+        path.write_text(json.dumps(
+            {"mu_e": 10, "sigma_sq": 1, "players": players, "method": method}
+        ))
+        argv = ["--seed", "11", "simulate", str(path), "--trials", "69633"]
+        code, text = run_cli(argv, tmp_path)
+        assert code == 0
+        params, coalition, federation = load_scenario_file(str(path))
+        rows = parse_csv(text)
+        assert tuple(row["id"] for row in rows) == coalition.ids()
+        for row in rows:
+            spec = SimulationSpec(coalition, row["id"], params, federation,
+                                  trials=69_633, seed=11)
+            alone = simulate_error(spec)
+            printed = [float(row[column]) for column in alone._fields]
+            assert printed == list(alone), row["id"]
 
     def test_single_trial_is_input_error(self, scenario_620, tmp_path, capsys):
         assert main(["simulate", scenario_620, "--trials", "1"]) == 2
@@ -1001,6 +1030,23 @@ class TestFloatRange:
             assert float(row["closed_form"]) == 0.5
             assert abs(float(row["z_score"])) <= 4
 
+    def test_simulate_keeps_noise_below_the_means_ulp(self, tmp_path):
+        """The estimate noise, std about 3e-154, was added to true means of
+        about 1 before the target's mean was taken off, so it vanished:
+        ``empirical_mse`` printed 0.0 against the closed form 1e-307.  (The
+        squared errors' squares still underflow, so the standard error is
+        0.)"""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "mu_e": 10, "sigma_sq": 1, "method": "fine_grained",
+            "players": [{"id": "a", "n": 1e308}, {"id": "b", "n": 1e308}],
+        }))
+        code, text = run_cli(["--seed", "3", "simulate", str(path)], tmp_path)
+        assert code == 0
+        for row in parse_csv(text):
+            assert float(row["closed_form"]) == 1e-307
+            assert math.isclose(float(row["empirical_mse"]), 1e-307, rel_tol=0.05)
+
     def test_nan_subproportionality_threshold(self, tmp_path, capsys):
         """(sigma_sq/n_s)(S + T^2) overflows in floats; the threshold is the
         exact mu_e / (2 sigma_sq - mu_e/n_s), and the scan exits 2 because
@@ -1102,15 +1148,15 @@ class TestArgumentErrors:
              "--trials"),
             (["simulate", "SCENARIO", "--trials", "2.5"], "--trials"),
             # Both pass parsing and fail the command's own checks after it.
-            (["--seed", str(2**64 - 1), "simulate", "SCENARIO", "--trials", "4096",
-              "--dump-scenario", "dump.json"], "--seed"),
+            (["simulate", "OVERFLOW", "--trials", "4096", "--dump-scenario", "dump.json"],
+             "outside the floating-point range"),
             (["audit", "OVERFLOW", "--dump-scenario", "dump.json"],
              "outside the floating-point range"),
         ],
         ids=["scan-step", "audit-missing", "verify-instances", "verify-instances-text",
              "verify-modularity-instances",
              "reproduce-table", "simulate-trials", "simulate-trials-fraction",
-             "simulate-seed-dump", "audit-range-dump"],
+             "simulate-range-dump", "audit-range-dump"],
     )
     def test_rejected_command_writes_nothing(
         self, argv, named, scenario_620, tmp_path, capsys, monkeypatch
@@ -1168,30 +1214,13 @@ class TestSeedRange:
             assert code == 0
             assert parse_csv(text)[0]["passed"] == "true"
 
-    def test_simulate_checks_every_player_seed_before_running(
-        self, scenario_620, tmp_path, capsys, monkeypatch
-    ):
-        """Player k runs at seed + k, so a two-player file needs
-        seed <= 2**64 - 2; the check comes before any simulation."""
-        from fedfair import montecarlo
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a simulation ran")
-
-        monkeypatch.setattr(montecarlo, "simulate_error", refuse)
+    def test_simulate_runs_every_row_at_the_largest_seed(self, scenario_620, tmp_path):
+        """Every member is scored on the one stream of --seed, so the largest
+        seed serves any player count and every row prints it."""
         argv = ["--seed", str(2**64 - 1), "simulate", scenario_620, "--trials", "2"]
         code, text = run_cli(argv, tmp_path)
-        assert code == 2 and text == ""
-        assert "--seed" in capsys.readouterr().err
-
-    def test_simulate_accepts_the_largest_seed_that_fits(self, scenario_620, tmp_path):
-        argv = ["--seed", str(2**64 - 2), "simulate", scenario_620, "--trials", "2"]
-        code, text = run_cli(argv, tmp_path)
         assert code == 0
-        assert [r["seed"] for r in parse_csv(text)] == [
-            str(2**64 - 2),
-            str(2**64 - 1),
-        ]
+        assert [r["seed"] for r in parse_csv(text)] == [str(2**64 - 1)] * 2
 
 
 class TestIntegerOptions:

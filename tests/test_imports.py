@@ -1,8 +1,9 @@
 """Import-time contract: the closed-form commands and both randomized
 sweeps never load numpy, dataclasses, inspect, fractions or decimal,
 importing the CLI loads none of those nor hashlib, ``simulate`` loads
-neither dataclasses nor the thread pool, and the Monte Carlo names the
-package exports lazily behave like plain ones."""
+neither dataclasses nor the thread pool nor the audit and sweep modules,
+``import fedfair`` loads no submodule, and the names the package exports
+lazily behave like plain ones."""
 
 import json
 import subprocess
@@ -45,12 +46,17 @@ suite = simulate_suite(default_suite(trials=4096), threads=2)
 print(code, *loaded, len(suite.entries), suite.passed)
 """
 
-CLI_IMPORT = """
+LOADED_AFTER = """
 import sys
 sys.path.insert(0, {src!r})
-import fedfair.cli
+{statements}
 print(*(name in sys.modules for name in {names!r}))
 """
+
+SUBMODULES = tuple(
+    f"fedfair.{path.stem}" for path in sorted((SRC / "fedfair").glob("*.py"))
+    if path.stem != "__init__"
+)
 
 
 @pytest.fixture(scope="module")
@@ -128,15 +134,49 @@ def test_simulate_loads_neither_dataclasses_nor_the_thread_pool(tmp_path):
     assert child.stdout.split() == ["0", "False", "False", "False", "23", "True"]
 
 
-def cli_import_loads(*names):
+def loaded_after(statements, *names):
+    """Whether each of ``names`` is loaded after a fresh interpreter ran
+    ``statements``."""
+    code = LOADED_AFTER.format(src=str(SRC), statements=statements, names=names)
     child = subprocess.run(
-        [sys.executable, "-c", CLI_IMPORT.format(src=str(SRC), names=names)],
-        capture_output=True,
-        text=True,
-        timeout=120,
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert child.returncode == 0, child.stderr
     return child.stdout.split()
+
+
+def cli_import_loads(*names):
+    return loaded_after("import fedfair.cli", *names)
+
+
+def test_package_import_loads_no_submodule():
+    """Every public name resolves on first access, so ``import fedfair``
+    alone compiles and runs none of the package's modules."""
+    assert "fedfair.cli" in SUBMODULES
+    assert loaded_after("import fedfair", *SUBMODULES) == ["False"] * len(SUBMODULES)
+
+
+def test_simulate_loads_only_the_oracle_and_the_closed_forms(tmp_path):
+    """``simulate`` needs the kernel and the oracle: the audit and sweep
+    modules (``egalitarian``, ``proportionality``, ``sampling``) stay
+    unloaded."""
+    scenario = tmp_path / "pair.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "mu_e": 10,
+                "sigma_sq": 1,
+                "players": [{"id": "s", "n": 6}, {"id": "l", "n": 20}],
+                "method": "fine_grained",
+            }
+        )
+    )
+    argv = ["--out", str(tmp_path / "out.txt"), "simulate", str(scenario),
+            "--trials", "4096"]
+    statements = f"import fedfair.cli\nassert fedfair.cli.main({argv!r}) == 0"
+    needed = {"cli", "errors", "exceptions", "model", "montecarlo"}
+    expected = [str(name.split(".")[1] in needed) for name in SUBMODULES]
+    assert loaded_after(statements, *SUBMODULES) == expected
 
 
 def test_cli_import_loads_neither_numpy_nor_hashlib():

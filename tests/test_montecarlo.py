@@ -196,8 +196,9 @@ class TestMemory:
 
     def test_chunk_holds_its_means_and_one_noise_block(self):
         """A chunk's buffers are its means (trials x players), one 4,096-row
-        noise block and one column of squared errors, allocated once per
-        simulation: 10 MiB of means here and about 1.1 MiB besides.
+        noise block, one 4,096-row block of a target's offsets and one
+        4,096-row column of errors, allocated once per simulation: 10 MiB
+        of means here and about 1.3 MiB besides.
         Whole-chunk noise and estimate arrays would add another 10 MiB or
         more."""
         case = spec(
@@ -255,12 +256,12 @@ class TestDeterminism:
         "coalition, target, method, means, noise, pinned",
         [
             (PAIR, "l", FederationMethod.UNIFORM, MeanDistribution.UNIFORM, None,
-             ("0x1.f717d112a3d20p-2", "0x1.55e904a676726p-9")),
+             ("0x1.f717d112a3d22p-2", "0x1.55e904a676726p-9")),
             (PAIR, "s", FederationMethod.FINE_GRAINED, MeanDistribution.GAUSSIAN,
              (4.0, 16.0), ("0x1.029012b6fa34ep+0", "0x1.8271aca1209dfp-8")),
             (Coalition((Player("a", 2.5), Player("b", 6.0), Player("c", 40.0))), "a",
              FederationMethod.FINE_GRAINED, MeanDistribution.UNIFORM, (0.0, 10.0, 20.0),
-             ("0x1.48e77fbfd6a46p+0", "0x1.be9630af2c7ebp-8")),
+             ("0x1.48e77fbfd6a47p+0", "0x1.be9630af2c7e9p-8")),
         ],
         ids=["uniform-means", "noise-list", "uniform-means-noise-list"],
     )

@@ -81,23 +81,23 @@ PINS = {
     "verify-modularity-csv":
         "63bb75a17565d64fc7661caf18cbb39ca6fe3f30baa7ce2ef3ca715adc7a0707",
     "simulate-local-csv":
-        "3d993130f77333699e8183b8bb04abbfec2f2fe5900d6c3db3d1a36d1c62ba17",
+        "f2be0bad1188fdab8fdcfda842598c203d5abb8837418fe426a95fef4271ddbf",
     "simulate-local-json":
-        "b397050527784f237bb3b0b0cde46bae45242754ad3f72aaf57d1c5cda8a9cc7",
+        "8ff564d5d1e8f7eeedd3ec21e45c8e2004d01746562d7221628c276d7621e1e4",
     "simulate-local-table":
-        "a98471acf76968427e4cb9b8b043a78b89c82c4aa702b38004a974a1814cd27e",
+        "ab7b78a66d5af70f3d0c5bd2ddbbf78ffb2e9e3e8794e4a9dad6d20834ec41cb",
     "simulate-uniform-csv":
-        "cd8856bbabcd8cb123c2ba46a439d55983b5fd6afdaada68510a66bc9c3b16c6",
+        "8f1752b6afa1fe3ea3389e3f7f8518742c178a7ae15944381a8fe8c9f3338a64",
     "simulate-uniform-json":
-        "81847887b055b6400e53d263f533e8eff75ba8b695a4297e1dc9d3e9e01ca8c9",
+        "020a882d34a238fdf1b4c1803ceb0f78559d2dbede78654dca55ee3876569a1a",
     "simulate-uniform-table":
-        "27c9965d5fe27b8f3f2784a563c6737b23a7af3ca236306e519567226195e616",
+        "ea7b25ae4d06d67064a89df77b88737be4eb6d6bfcfbd1d1ceaabb1c9b06533d",
     "simulate-fine_grained-csv":
-        "22bd04440ab0a1cb71a718c78a115c13cfb75ab38dda369f3865095555805e6e",
+        "752acb9681b05343367969164274f74894210a583342631f96481d91227cc3ee",
     "simulate-fine_grained-json":
-        "9c684d67ce7ba06fa9833f0cf47d46f1478808530430f98841a5a7e160eeeb24",
+        "669177d1dfd598ccad91ab47a022fe0fa2300281aa998a32a9734280c1ea4913",
     "simulate-fine_grained-table":
-        "907c64adcfea26a8a0a23dbb8ff7f5e42d3b9129abdfe371a21fbe1ef9743c7b",
+        "104ed594f5304e59f6901768b1542f5ffbf01d286b2acacdf280579afe7ef48a",
 }
 
 

@@ -1214,7 +1214,24 @@ class TestSeedRange:
             assert code == 0
             assert parse_csv(text)[0]["passed"] == "true"
 
-    def test_simulate_runs_every_row_at_the_largest_seed(self, scenario_620, tmp_path):
+    def test_simulate_checks_every_player_seed_before_running(
+        self, scenario_620, tmp_path, capsys, monkeypatch
+    ):
+        """Every player runs at --seed, so a two-player file takes any seed
+        below 2**64; the check of 2**64 comes before any simulation."""
+        from fedfair import montecarlo
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(montecarlo, "_simulate", refuse)
+        monkeypatch.setattr(montecarlo, "simulate_error", refuse)
+        argv = ["--seed", str(2**64), "simulate", scenario_620, "--trials", "2"]
+        code, text = run_cli(argv, tmp_path)
+        assert code == 2 and text == ""
+        assert "--seed" in capsys.readouterr().err
+
+    def test_simulate_accepts_the_largest_seed_that_fits(self, scenario_620, tmp_path):
         """Every member is scored on the one stream of --seed, so the largest
         seed serves any player count and every row prints it."""
         argv = ["--seed", str(2**64 - 1), "simulate", scenario_620, "--trials", "2"]

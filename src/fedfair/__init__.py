@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 # uses, and only the Monte Carlo oracle loads numpy.
 _MODULES = {
     "Coalition": "model",
-    "CoalitionLabel": "proportionality",
-    "FairnessAudit": "egalitarian",
+    "CoalitionLabel": "verdicts",
+    "FairnessAudit": "verdicts",
     "FederationMethod": "model",
     "MeanDistribution": "montecarlo",
     "ModularityReport": "egalitarian",

@@ -261,8 +261,7 @@ def _assess(
     zero.  Each column function raises for its own first failing
     coalition, so a batch of more than one may name a later coalition than
     the first that fails (``_pair_rows`` runs a failing batch again)."""
-    from .egalitarian import _audits, _bounds
-    from .proportionality import _labels, _rationality
+    from .verdicts import _audits, _bounds, _labels, _rationality
 
     for pid, column in zip(ids, columns):
         check_sizes(pid, column)
@@ -333,7 +332,7 @@ def _pair_rows(
     then the cells ``same`` that every row shares.  Each cell raises for its
     own first failing row, so a failing batch is run again row by row, in
     order: it raises what the first failing row raises alone."""
-    from .egalitarian import _ratio
+    from .verdicts import _ratio
 
     # Ids sort l < s.
     columns = [n_ls, [n_s] * len(n_ls)]
@@ -528,7 +527,7 @@ def run_scan(args: argparse.Namespace) -> Output:
         )
     if count < 1:
         raise ValueError("empty n_l range")
-    from .proportionality import _thresholds
+    from .verdicts import _thresholds
 
     params = PopulationParams(mu_e=args.mu_e, sigma_sq=args.sigma_sq)
     rest = Coalition((Player("s", n_s),))

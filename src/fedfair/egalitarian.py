@@ -5,10 +5,12 @@ expected errors can be.  Writing c = n_max * sigma_sq / mu_e for the
 largest member, any "modular" federation method keeps every pairwise
 ratio at most 2c + 1, and the bound is approached (never exceeded) as the
 small player shrinks.  This module audits coalitions against that bound,
-verifies the five structural properties that make a method modular, and
-searches for near-tight configurations.  The worst ratio, largest error
-over smallest, is one column function that the audits and the sweep read;
-an audit's 2c+1 bound is evaluated by its caller, ahead of the ratios.
+sweeps random instances for a violation, verifies the five structural
+properties that make a method modular, and searches for near-tight
+configurations.  The column verdicts it shares with the CLI live in
+``verdicts``: the worst ratio, largest error over smallest, that the audits
+and the sweep read, the c and 2c+1 columns and the 2c+1 verdict.  An
+audit's 2c+1 bound is evaluated by its caller, ahead of the ratios.
 
 The modularity checker takes a federation method or a column method of
 the kernel's shape, ``(columns, mu_e, sigma_sq, ids) -> error columns``
@@ -19,17 +21,16 @@ weighting (``inverse_size_error``) goes through the same checks.
 from __future__ import annotations
 
 import math
-from itertools import combinations, compress, repeat
-from operator import gt, itemgetter, mul, truediv
+from itertools import combinations, compress
+from operator import itemgetter, truediv
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (Column, Columns, _errors, _one, _weighted_error, in_order,
                      range_failure)
-from .exceptions import (NonPositiveSamples, OutOfFloatRange, UndefinedBound,
-                         ZeroDenominator)
+from .exceptions import NonPositiveSamples
 from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
                     compare)
-from .sampling import INSTANCE_IDS, describe_instance, instance_groups
+from .verdicts import FairnessAudit, _audits, _bounds, _exceeds, _ratio, _worst_ratios
 
 # A column method: (size columns, mu_e, sigma_sq, ids) -> error columns.
 ErrorFn = Callable[[Columns, Column, Column, Sequence[str]], list[list[float]]]
@@ -51,67 +52,6 @@ THIRD_SIZES = (1.0, 10.0, 100.0)
 PARAM_LEVELS = (0.1, 1.0, 10.0)
 
 
-def _ratio(err_i: float, err_j: float, i: str, j: str) -> float:
-    """err_i / err_j, errors (or sizes) named i and j, under the float-range
-    rule: correctly rounded as it is, so only an overflow is refused."""
-    if err_j == 0.0:
-        raise ZeroDenominator(f"player {j!r} has zero error")
-    ratio = err_i / err_j
-    if math.isinf(ratio):
-        raise OutOfFloatRange(f"the ratio {i}/{j}", **{i: err_i, j: err_j})
-    return ratio
-
-
-def _worst_pairs(ids: Sequence[str], rows: list) -> list[tuple[str, str]]:
-    """Per row of errors of the members ``ids``, the first member with the
-    largest and the first with the smallest (the second where all tie)."""
-    tie = min(1, len(ids) - 1)
-    return [(ids[r.index(top)], ids[r.index(bottom) if bottom != top else tie])
-            for r, top, bottom in zip(rows, map(max, rows), map(min, rows))]
-
-
-def _worst_ratios(ids: Sequence[str], rows: list, undefined: tuple = ()) -> list[float]:
-    """Per row of errors of the members ``ids``, the largest over the smallest.
-    With a zero smallest error or an overflowing quotient, every row is judged
-    by ``_ratio`` on its ``_worst_pairs``: NaN where that raises ``undefined``,
-    1.0 for a lone member."""
-    tops, bottoms = list(map(max, rows)), list(map(min, rows))
-    if 0.0 not in bottoms:
-        ratios = list(map(truediv, tops, bottoms))
-        if math.inf not in ratios:
-            return ratios
-    ratios = []
-    for top, bottom, (hi, lo) in zip(tops, bottoms, _worst_pairs(ids, rows)):
-        try:
-            ratios.append(_ratio(top, bottom, hi, lo) if hi != lo else 1.0)
-        except undefined:
-            ratios.append(math.nan)
-    return ratios
-
-
-def _bounds(n_max: Column, mu_e: Column, sigma_sq: Column) -> tuple[list, list]:
-    """The c = n_max * sigma_sq / mu_e and 2c + 1 columns of a batch, defined
-    only for mu_e > 0 and sigma_sq > 0, under ``in_order``'s float-range
-    rule; a failing batch raises as ``in_order`` does."""
-
-    def evaluate(n_max: Column, mu_e: Column, sigma_sq: Column) -> tuple[list, list]:
-        if min(mu_e) <= 0 or min(sigma_sq) <= 0:
-            raise UndefinedBound("the 2c+1 bound needs mu_e > 0 and sigma_sq > 0")
-        c_values = list(map(truediv, map(mul, n_max, sigma_sq), mu_e))
-        return c_values, [2 * c + 1 for c in c_values]
-
-    def fail(_: int, n_max: float, mu_e: float, sigma_sq: float) -> OutOfFloatRange:
-        what = "the 2c+1 bound"
-        return OutOfFloatRange(what, mu_e=mu_e, sigma_sq=sigma_sq, n_max=n_max)
-
-    return in_order(evaluate, n_max, mu_e, sigma_sq, fail=fail)
-
-
-def _exceeds(ratios: Column, bounds: Column) -> list[bool]:
-    """Whether each worst ratio exceeds its 2c+1 bound: the one 2c+1 verdict."""
-    return list(map(gt, map(compare, ratios, bounds), repeat(0)))
-
-
 def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, float]:
     """c = n_max * sigma_sq / mu_e and the egalitarian bound 2c + 1:
     ``_bounds`` as a batch of one, for a finite n_max > 0."""
@@ -119,17 +59,6 @@ def egalitarian_bound(n_max: float, params: PopulationParams) -> tuple[float, fl
         raise NonPositiveSamples(f"n_max must be finite and > 0, got {n_max!r}")
     (c_value,), (bound,) = _bounds([n_max], *([value] for value in params))
     return c_value, bound
-
-
-class FairnessAudit(NamedTuple):
-    """Worst pairwise ratio of a coalition against its 2c+1 bound."""
-
-    method: str
-    max_ratio: float
-    worst_pair: tuple[str, str]
-    c_value: float
-    bound: float
-    satisfied: bool
 
 
 def audit_egalitarian(
@@ -143,27 +72,6 @@ def audit_egalitarian(
     c_value, bound = egalitarian_bound(max(coalition.sizes()), params)
     errs = [[e] for e in _one(_errors, coalition, params, method)]
     return _audits(coalition.ids(), errs, method, ([c_value], [bound]))[0]
-
-
-def _audits(
-    ids: Sequence[str],
-    errs: Columns,
-    method: FederationMethod,
-    bounds: tuple[list, list],
-    undefined: tuple[type[Exception], ...] = (),
-) -> list[FairnessAudit | None]:
-    """``audit_egalitarian`` of a batch, one column of errors ``errs`` per member
-    ``ids`` under ``method``: ``_worst_ratios`` and ``_worst_pairs`` against the
-    ``_bounds`` columns ``bounds``, evaluated by the caller (``audit_egalitarian``
-    before the errors, the CLI after them); None where a ratio raises ``undefined``."""
-    rows, name = list(zip(*errs)), method.value
-    ratios, (c_values, bound_values) = _worst_ratios(ids, rows, undefined), bounds
-    judged = zip(ratios, _worst_pairs(ids, rows), c_values, bound_values,
-                 _exceeds(ratios, bound_values))
-    return [
-        None if math.isnan(r) else FairnessAudit(name, r, pair, c, b, not over)
-        for r, pair, c, b, over in judged
-    ]
 
 
 def inverse_size_error(
@@ -435,6 +343,9 @@ def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResul
     """Check that no worst ratio exceeds 2c+1 by ``_exceeds``, the rule of
     ``audit_egalitarian``, on random instances under uniform and
     fine-grained federation; only a violation builds the instance's players."""
+    # Imported here so that the modularity check loads no instance stream.
+    from .sampling import INSTANCE_IDS, describe_instance, instance_groups
+
     methods = (FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED)
     violations, max_quotient = [], 0.0
     # Sweep instances lie in the float band, so no group raises.

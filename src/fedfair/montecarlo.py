@@ -134,6 +134,10 @@ class SimulationSpec(
             if any(not 0 <= v <= FLOAT_MAX for v in values):
                 raise InvalidNoiseList("noise variances must be finite and >= 0")
             mean = sum(values) / len(values)
+            if math.isinf(mean):  # the sum overflowed; scaled by 2**-k < 1/n it fits
+                k = len(values).bit_length()
+                scaled = sum(math.ldexp(v, -k) for v in values)
+                mean = math.ldexp(scaled / len(values), k)
             if not math.isclose(mean, params.mu_e, rel_tol=1e-12):
                 raise InvalidNoiseList(
                     f"noise variances average {mean!r}, expected mu_e="

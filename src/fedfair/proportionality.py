@@ -21,30 +21,22 @@ with T and S the total and sum of squares over ``rest``.  Either bound is
 infinite when its denominator is nonpositive (the event never happens);
 both reduce to mu_e / (2 sigma_sq - mu_e/n_s) when rest = {s}, an identity
 that tests/test_exact_reference.py proves exactly, once, not every sweep.
+
+The column verdicts this module shares with the CLI live in ``verdicts``:
+the pair and coalition labels, individual rationality and both thresholds.
+The per-coalition reports and the randomized sweep stay here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from enum import Enum
-from itertools import repeat
-from operator import add, gt, itemgetter, le, lt, mul, not_, sub, truediv
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import NamedTuple
 
-from .errors import Column, Columns, _errors, _one, in_order, range_failure
+from .errors import _errors, _one
 from .model import Coalition, FederationMethod, PopulationParams, compare
-from .sampling import INSTANCE_IDS, describe_instance, instance_groups
-
-
-class CoalitionLabel(str, Enum):
-    """Proportionality verdict of a pair (sub, exact or super) or of a
-    whole coalition, which is mixed when its pairs disagree."""
-
-    SUB = "sub"
-    EXACT = "exact"
-    SUPER = "super"
-    MIXED = "mixed"
+from .verdicts import CoalitionLabel, _labels, _rationality, _thresholds
 
 
 class PairJudgment(NamedTuple):
@@ -77,47 +69,6 @@ class RationalityReport(NamedTuple):
     individually_rational: bool
 
 
-# A pair's label by compare(n * err of its smaller member, of its larger member).
-_LABELS = (CoalitionLabel.EXACT, CoalitionLabel.SUPER, CoalitionLabel.SUB)
-
-
-def _labels(
-    ids: Sequence[str], columns: Columns, errs: Columns
-) -> tuple[list[list[CoalitionLabel]], list[CoalitionLabel]]:
-    """The proportionality verdicts on each coalition of a batch whose
-    members ``ids`` have one column each of sizes ``columns`` and errors
-    ``errs``: for every pair of members, in ``combinations`` order, a column
-    of the labels it judges with the smaller member first (ties broken by
-    id); and each coalition's label."""
-    pairs = []
-    for i, j in itertools.combinations(range(len(ids)), 2):
-        i_first = le if ids[i] < ids[j] else lt
-        pairs.append([
-            _LABELS[compare(n_i * e_i, n_j * e_j)]
-            if i_first(n_i, n_j)
-            else _LABELS[compare(n_j * e_j, n_i * e_i)]
-            for n_i, e_i, n_j, e_j in zip(columns[i], errs[i], columns[j], errs[j])
-        ])
-    labels = []
-    for row in zip(*pairs) if pairs else [()] * len(columns[0]):
-        kinds = set(row) - {CoalitionLabel.EXACT}
-        if len(kinds) == 1:
-            labels.append(kinds.pop())
-        else:
-            labels.append(CoalitionLabel.MIXED if kinds else CoalitionLabel.EXACT)
-    return pairs, labels
-
-
-def _rationality(errs: Columns, local: Columns) -> tuple[list[list[bool]], list[bool]]:
-    """Whether each member of each coalition of a batch strictly prefers
-    its local error (one column per member, from the errors ``errs`` and
-    local errors ``local``), and whether each coalition is individually
-    rational: nobody does."""
-    orders = (map(compare, e, le) for e, le in zip(errs, local))
-    prefers = [list(map(gt, order, repeat(0))) for order in orders]
-    return prefers, list(map(not_, map(any, zip(*prefers))))
-
-
 def classify_proportionality(
     coalition: Coalition, method: FederationMethod, params: PopulationParams
 ) -> ProportionalityReport:
@@ -143,50 +94,6 @@ def individually_rational(
     players = map(PlayerRationality, coalition.ids(), coalition.sizes(), errs, local,
                   [p for p, in prefers])
     return RationalityReport(method.value, tuple(players), rational)
-
-
-def _quotients(numer: Iterable, denom: Iterable) -> list[float]:
-    """numer / denom per instance, inf where denom <= 0 (the event never
-    happens)."""
-    return [math.inf if d <= 0 else q / d for q, d in zip(numer, denom)]
-
-
-def _thresholds(columns: Columns, wanted: Sequence[int | None], mu_e: Column,
-                sigma_sq: Column, ids: Sequence[str]) -> list[list[float]]:
-    """One threshold column per entry of the selector ``wanted``, for a
-    batch of rest coalitions whose members ``ids`` have one column of sizes
-    each: the defection threshold for None, the subproportionality threshold
-    against the member at an index.  T and S of each rest are taken once for
-    all of them, under ``in_order``'s float-range rule, which raises for the
-    first instance whose exact threshold overflows, as ``range_failure``
-    names it; only the thresholds ``wanted`` asks for can raise."""
-
-    def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list]:
-        squares = [list(map(mul, n, n)) for n in columns]
-        total, sum_sq = list(map(sum, zip(*columns))), list(map(sum, zip(*squares)))
-        square = list(map(mul, total, total))
-        out = []
-        for s in wanted:
-            if s is None:
-                spread = map(truediv, map(mul, sigma_sq, sum_sq), square)
-                denom = map(sub, map(add, spread, sigma_sq), map(truediv, mu_e, total))
-                out.append(_quotients(mu_e, denom))
-                continue
-            noise = list(map(truediv, mu_e, columns[s]))
-            own = map(add, map(mul, map(mul, repeat(-2), sigma_sq), total),
-                      map(mul, noise, total))
-            rest = map(mul, map(truediv, sigma_sq, columns[s]),
-                       map(add, sum_sq, square))
-            denom = map(sub, map(mul, repeat(2), sigma_sq), noise)
-            out.append(_quotients(map(add, own, rest), denom))
-        return out
-
-    def name(out: int) -> str:
-        s = wanted[out]
-        return ("the defection threshold" if s is None
-                else f"the subproportionality threshold against {ids[s]!r}")
-
-    return in_order(evaluate, mu_e, sigma_sq, *columns, fail=range_failure(name, ids))
 
 
 def defection_threshold(rest: Coalition, params: PopulationParams) -> float:
@@ -228,6 +135,9 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
     Only a counterexample builds its instance's players.  Violations are
     returned as replayable counterexamples.
     """
+    # Imported here so that the per-coalition reports load no instance stream.
+    from .sampling import INSTANCE_IDS, describe_instance, instance_groups
+
     uniform, local = FederationMethod.UNIFORM, FederationMethod.LOCAL
     counterexamples: list[dict] = []
     # Sweep instances lie in the float band, so no group raises.

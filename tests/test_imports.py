@@ -1,9 +1,12 @@
 """Import-time contract: the closed-form commands and both randomized
 sweeps never load numpy, dataclasses, inspect, fractions or decimal,
-importing the CLI loads none of those nor hashlib, ``simulate`` loads
-neither dataclasses nor the thread pool nor the audit and sweep modules,
-``import fedfair`` loads no submodule, and the names the package exports
-lazily behave like plain ones."""
+importing the CLI loads none of those nor hashlib, ``audit``,
+``reproduce`` and ``scan`` load the column verdicts but neither the audit
+and sweep modules nor the instance stream, ``verify modularity`` loads no
+instance stream, ``simulate`` loads neither dataclasses nor the thread pool
+nor the verdicts, audit or sweep modules, ``import fedfair`` loads no
+submodule, and the names the package exports lazily behave like plain
+ones."""
 
 import json
 import subprocess
@@ -59,12 +62,8 @@ SUBMODULES = tuple(
 )
 
 
-@pytest.fixture(scope="module")
-def closed_form_modules(tmp_path_factory):
-    """Which of numpy, dataclasses, inspect, fractions and decimal are
-    loaded after ``main`` ran every closed-form command and both sweeps,
-    once per module."""
-    tmp_path = tmp_path_factory.mktemp("closed_form")
+def write_pair(tmp_path, method):
+    """The README's two-player scenario under ``method``, as a file."""
     scenario = tmp_path / "pair.json"
     scenario.write_text(
         json.dumps(
@@ -72,14 +71,24 @@ def closed_form_modules(tmp_path_factory):
                 "mu_e": 10,
                 "sigma_sq": 1,
                 "players": [{"id": "s", "n": 6}, {"id": "l", "n": 20}],
-                "method": "fine_grained",
+                "method": method,
             }
         )
     )
+    return str(scenario)
+
+
+@pytest.fixture(scope="module")
+def closed_form_modules(tmp_path_factory):
+    """Which of numpy, dataclasses, inspect, fractions and decimal are
+    loaded after ``main`` ran every closed-form command and both sweeps,
+    once per module."""
+    tmp_path = tmp_path_factory.mktemp("closed_form")
+    scenario = write_pair(tmp_path, "fine_grained")
     code = NUMPY_FREE.format(
         src=str(SRC),
         out=str(tmp_path / "out.txt"),
-        scenario=str(scenario),
+        scenario=scenario,
         names=("numpy", "dataclasses", "inspect", "fractions", "decimal"),
     )
     child = subprocess.run(
@@ -110,21 +119,11 @@ def test_simulate_loads_neither_dataclasses_nor_the_thread_pool(tmp_path):
     """A single simulation needs no ``concurrent.futures`` (which loads
     ``logging``); ``simulate_suite`` loads it when it runs, and still runs
     on two threads.  ``inspect`` is not checked here: numpy loads it."""
-    scenario = tmp_path / "pair.json"
-    scenario.write_text(
-        json.dumps(
-            {
-                "mu_e": 10,
-                "sigma_sq": 1,
-                "players": [{"id": "s", "n": 6}, {"id": "l", "n": 20}],
-                "method": "uniform",
-            }
-        )
-    )
+    scenario = write_pair(tmp_path, "uniform")
     code = SIMULATE.format(
         src=str(SRC),
         out=str(tmp_path / "out.txt"),
-        scenario=str(scenario),
+        scenario=scenario,
         names=("dataclasses", "concurrent.futures", "logging"),
     )
     child = subprocess.run(
@@ -156,27 +155,47 @@ def test_package_import_loads_no_submodule():
     assert loaded_after("import fedfair", *SUBMODULES) == ["False"] * len(SUBMODULES)
 
 
-def test_simulate_loads_only_the_oracle_and_the_closed_forms(tmp_path):
-    """``simulate`` needs the kernel and the oracle: the audit and sweep
-    modules (``egalitarian``, ``proportionality``, ``sampling``) stay
-    unloaded."""
-    scenario = tmp_path / "pair.json"
-    scenario.write_text(
-        json.dumps(
-            {
-                "mu_e": 10,
-                "sigma_sq": 1,
-                "players": [{"id": "s", "n": 6}, {"id": "l", "n": 20}],
-                "method": "fine_grained",
-            }
-        )
+def submodules_loaded_after(tmp_path, *commands):
+    """Which of ``SUBMODULES`` a fresh interpreter has loaded after ``main``
+    ran each of ``commands`` and it exited 0."""
+    out = str(tmp_path / "out.txt")
+    calls = [f"assert fedfair.cli.main({['--out', out, *argv]!r}) == 0"
+             for argv in commands]
+    statements = "\n".join(["import fedfair.cli", *calls])
+    return dict(zip(SUBMODULES, loaded_after(statements, *SUBMODULES)))
+
+
+def test_closed_form_commands_load_only_the_column_verdicts(tmp_path):
+    """``audit``, ``reproduce`` and ``scan`` judge with the column
+    verdicts alone: the audit and sweep modules (``egalitarian``,
+    ``proportionality``) and the instance stream (``sampling``) stay
+    unloaded, so a fresh interpreter compiles none of them."""
+    loaded = submodules_loaded_after(
+        tmp_path,
+        ["audit", write_pair(tmp_path, "fine_grained")],
+        ["reproduce", "motivating"],
+        ["scan", "--ns", "6", "--nl-start", "20", "--nl-stop", "40",
+         "--nl-step", "10", "--mu-e", "10", "--sigma-sq", "1"],
     )
-    argv = ["--out", str(tmp_path / "out.txt"), "simulate", str(scenario),
-            "--trials", "4096"]
-    statements = f"import fedfair.cli\nassert fedfair.cli.main({argv!r}) == 0"
+    needed = {"cli", "errors", "exceptions", "model", "verdicts"}
+    assert loaded == {name: str(name.split(".")[1] in needed) for name in SUBMODULES}
+
+
+def test_modularity_check_loads_no_instance_stream(tmp_path):
+    """``verify modularity`` checks a fixed grid: it draws no instance."""
+    loaded = submodules_loaded_after(tmp_path, ["verify", "modularity"])
+    assert loaded["fedfair.egalitarian"] == "True"
+    assert loaded["fedfair.sampling"] == "False"
+
+
+def test_simulate_loads_only_the_oracle_and_the_closed_forms(tmp_path):
+    """``simulate`` needs the kernel and the oracle: the column verdicts
+    (``verdicts``) and the audit and sweep modules (``egalitarian``,
+    ``proportionality``, ``sampling``) stay unloaded."""
+    argv = ["simulate", write_pair(tmp_path, "fine_grained"), "--trials", "4096"]
+    loaded = submodules_loaded_after(tmp_path, argv)
     needed = {"cli", "errors", "exceptions", "model", "montecarlo"}
-    expected = [str(name.split(".")[1] in needed) for name in SUBMODULES]
-    assert loaded_after(statements, *SUBMODULES) == expected
+    assert loaded == {name: str(name.split(".")[1] in needed) for name in SUBMODULES}
 
 
 def test_cli_import_loads_neither_numpy_nor_hashlib():

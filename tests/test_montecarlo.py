@@ -3,6 +3,7 @@ spec validation."""
 
 import math
 import pickle
+import sys
 import tracemalloc
 import warnings
 
@@ -349,6 +350,18 @@ class TestSpecValidation:
         scaled = (5.0 * tiny, 15.0 * tiny)
         spec(params=PopulationParams(10 * tiny, 1.0), noise_variances=scaled)
         spec(params=PopulationParams(0.0, 1.0), noise_variances=(0.0, 0.0))
+
+    def test_noise_list_average_fits_where_its_sum_overflows(self):
+        """Finite variances average to a finite value even where their float
+        sum overflows: the largest float three times averages to itself,
+        where a sum of thirds would round up to inf."""
+        spec(params=PopulationParams(1e308, 1.0), noise_variances=(1e308, 1e308))
+        top = sys.float_info.max
+        spec(coalition=Coalition.from_sizes([1, 2, 3]), target="p1",
+             params=PopulationParams(top, 1.0), noise_variances=(top,) * 3)
+        wrong = (1.7e308, 1.3e308)
+        with pytest.raises(InvalidNoiseList, match=r"average 1\.5e\+308, expected"):
+            spec(params=PopulationParams(1e308, 1.0), noise_variances=wrong)
 
     def test_trials_lower_bound(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ the same verdicts and numbers on every instance, the same records when an
 instance fails, and pinned summaries at the default size."""
 
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -180,12 +181,16 @@ class TestFailingInstancesGetFullRecords:
         assert (method.value in flagged) is violated
 
     def test_audit_and_sweep_read_one_worst_ratio(self, monkeypatch):
-        """Scaling the worst ratio by 100 in ``_worst_ratios`` alone moves
-        the audit and the sweep alike: here the fine-grained ratio goes to
-        about 1.08 times its bound and the uniform one to about 0.97."""
+        """Scaling the worst ratio by 100 in ``_worst_ratios`` alone, in
+        every module that binds it, moves the audit and the sweep alike:
+        here the fine-grained ratio goes to about 1.08 times its bound and
+        the uniform one to about 0.97."""
         real = fedfair.egalitarian._worst_ratios
-        monkeypatch.setattr(fedfair.egalitarian, "_worst_ratios",
-                            lambda *args: [100 * r for r in real(*args)])
+        for name, module in list(sys.modules.items()):
+            binding = getattr(module, "_worst_ratios", None)
+            if name.startswith("fedfair") and binding is real:
+                monkeypatch.setattr(module, "_worst_ratios",
+                                    lambda *args: [100 * r for r in real(*args)])
         params, coalition = instance(self.SEED, 0)
         audits = {m.value: audit_egalitarian(coalition, m, params)
                   for m in (UNIFORM, FINE)}

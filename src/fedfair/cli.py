@@ -19,7 +19,8 @@ from typing import IO, Callable, Sequence
 
 from .errors import Column, Columns, _errors, _one
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
-from .model import Coalition, FederationMethod, Player, PopulationParams, check_sizes
+from .model import (Coalition, FederationMethod, Player, PopulationParams, check_sizes,
+                    describe_instance)
 
 # Published motivating-table cells (mu_e=10, sigma_sq=1, n_s=6), quoted at
 # three significant figures: err_small, err_large, ratio, bound, size ratio.
@@ -139,8 +140,6 @@ def _dump_scenario(
     """Re-emit a parsed scenario to ``path``, if given.  Commands call it
     once their rows are computed, so a rejected command writes no dump."""
     if path:
-        from .sampling import describe_instance
-
         with open(path, "w", encoding="utf-8") as handle:
             record = {**describe_instance(params, coalition), "method": method.value}
             json.dump(record, handle, indent=2)

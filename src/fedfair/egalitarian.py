@@ -25,11 +25,11 @@ from itertools import combinations, compress
 from operator import itemgetter, truediv
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (Column, Columns, _errors, _one, _weighted_error, in_order,
+from .errors import (Column, Columns, _errors, _one, _total, _weighted_error, in_order,
                      range_failure)
 from .exceptions import NonPositiveSamples
 from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
-                    compare)
+                    compare, describe_instance)
 from .verdicts import FairnessAudit, _audits, _bounds, _exceeds, _ratio, _worst_ratios
 
 # A column method: (size columns, mu_e, sigma_sq, ids) -> error columns.
@@ -84,8 +84,7 @@ def inverse_size_error(
 
     def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list]:
         errors = [[] for _ in columns]
-        for mu, sigma, *sizes in zip(mu_e, sigma_sq, *columns):
-            total = sum(sizes)
+        for mu, sigma, total, *sizes in zip(mu_e, sigma_sq, _total(columns), *columns):
             scale = (len(sizes) - 1) * total
             weights = [(total - n) / scale for n in sizes] if len(sizes) > 1 else [1]
             for j, column in enumerate(errors):
@@ -344,7 +343,7 @@ def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResul
     ``audit_egalitarian``, on random instances under uniform and
     fine-grained federation; only a violation builds the instance's players."""
     # Imported here so that the modularity check loads no instance stream.
-    from .sampling import INSTANCE_IDS, describe_instance, instance_groups
+    from .sampling import INSTANCE_IDS, instance_groups
 
     methods = (FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED)
     violations, max_quotient = [], 0.0

@@ -18,10 +18,11 @@ Three weightings matter:
 
 The closed forms are one column kernel, ``_errors``: a column of sizes per
 member plus mu_e and sigma_sq columns go in, each elementwise step maps an
-``operator`` function over columns, and every reduction is ``sum()`` over
-exactly the member-ordered sequence a per-coalition loop sums, so floats
-are bit-identical for any batch, also under Python 3.12+, whose float
-``sum`` is compensated.  The closed forms' column functions take
+``operator`` function over columns, and every sum over members is
+``_total``, one left fold in member order.  So the floats depend on the
+inputs alone: they are bit-identical for any batch and on every Python,
+where the built-in ``sum()`` would compensate its rounding on 3.12 and
+later but not before.  The closed forms' column functions take
 ``(columns, *selectors, mu_e, sigma_sq, ids)``, and a per-coalition call
 is a batch of one through ``_one``; the sweeps run blocks of 1,024
 instances, so their memory does not grow with ``--instances``.  On
@@ -31,7 +32,8 @@ function runs under ``in_order``'s float-range rule.
 
 from __future__ import annotations
 
-from itertools import combinations, repeat
+from functools import reduce
+from itertools import repeat
 from operator import add, mul, truediv
 from typing import Any, Callable, Mapping, Sequence
 
@@ -74,7 +76,8 @@ def in_order(evaluate: Callable[..., Any], *columns: Sequence, fail: Callable) -
     """
     try:
         # With every value at least BAND_LOW > 0, the sum bounds each value;
-        # it is cheaper than max().
+        # it is cheaper than max().  Its rounding reaches no output: the
+        # per-row check runs a batch that is all in the band at once too.
         if BAND_LOW <= min(map(min, columns)) and sum(map(sum, columns)) <= BAND_HIGH:
             return evaluate(*columns)
     except TypeError:  # complex numbers have no order
@@ -103,15 +106,19 @@ def _exactly(evaluate: Callable[..., Any], row: Sequence, fail: Callable) -> lis
     return rounded
 
 
-def _leave_one_out(columns: Columns) -> list[list[float]]:
+def _total(columns: Columns) -> Column:
+    """Every instance's sum over the member columns ``columns``: one left
+    fold in member order, the one order in which the closed forms add."""
+    return reduce(lambda a, b: list(map(add, a, b)), columns)
+
+
+def _leave_one_out(columns: Columns) -> list[Column]:
     """Column j holds every instance's sum_{i != j} columns_i, each summed
     directly in member order (never as the total minus the own term, which
     cancels badly when one value dwarfs the rest); zeros for a lone member."""
     if len(columns) == 1:
         return [[0] * len(columns[0])]
-    # The subsets come out leaving out the last member first.
-    others = combinations(columns, len(columns) - 1)
-    return [list(map(sum, zip(*rest))) for rest in others][::-1]
+    return [_total(columns[:j] + columns[j + 1:]) for j in range(len(columns))]
 
 
 def range_failure(what: str | Callable[[int], str],
@@ -138,7 +145,7 @@ def _fine_grained_terms(
         )
     v = [list(map(add, sigma_sq, map(truediv, mu_e, n))) for n in columns]
     inverse = [list(map(truediv, repeat(1), v_i)) for v_i in v]
-    return v, list(map(sum, zip(*inverse))), _leave_one_out(inverse)
+    return v, _total(inverse), _leave_one_out(inverse)
 
 
 def _errors(
@@ -171,7 +178,7 @@ def _errors(
             return [list(map(truediv, mu_e, n)) for n in columns]
         errors = []
         if method is FederationMethod.UNIFORM:
-            total = list(map(sum, zip(*columns)))
+            total = _total(columns)
             noise = list(map(truediv, mu_e, total))
             square = list(map(mul, total, total))
             off_sq = _leave_one_out([list(map(mul, n, n)) for n in columns])
@@ -276,9 +283,10 @@ def _weighted_error(
     """Member j's error under unit-sum weights v, one per member in id order:
     mu_e sum_i v_i^2 / n_i + sigma_sq (sum' v_i^2 + (sum' v_i)^2), sum' over i != j."""
     others = weights[:j] + weights[j + 1 :]
-    noise = sum(w * w / n for n, w in zip(sizes, weights))
-    off_sum = sum(others)
-    return mu_e * noise + sigma_sq * (sum(w * w for w in others) + off_sum * off_sum)
+    noise = reduce(add, (w * w / n for n, w in zip(sizes, weights)), 0)
+    off_sum = reduce(add, others, 0)
+    off_sq = reduce(add, (w * w for w in others), 0)
+    return mu_e * noise + sigma_sq * (off_sq + off_sum * off_sum)
 
 
 def _weights(columns: Columns, method: FederationMethod, j: int, mu_e: Column,
@@ -291,7 +299,7 @@ def _weights(columns: Columns, method: FederationMethod, j: int, mu_e: Column,
         if method is FederationMethod.LOCAL:
             return [[int(i == j)] * len(mu_e) for i in range(len(columns))]
         if method is FederationMethod.UNIFORM:
-            total = list(map(sum, zip(*columns)))
+            total = _total(columns)
             return [list(map(truediv, n, total)) for n in columns]
         v, _, s_off = _fine_grained_terms(columns, mu_e, sigma_sq)
         denom = list(map(add, repeat(1), map(mul, v[j], s_off[j])))

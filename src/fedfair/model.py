@@ -162,14 +162,14 @@ class Coalition:
             raise TargetNotInCoalition(f"target {player_id!r} not in coalition")
         return self.ids().index(player_id)
 
-    def player(self, player_id: str) -> Player:
-        for p in self.players:
-            if p.id == player_id:
-                return p
-        raise KeyError(player_id)
-
     def __contains__(self, player_id: str) -> bool:
         return any(p.id == player_id for p in self.players)
 
     def __len__(self) -> int:
         return len(self.players)
+
+
+def describe_instance(params: PopulationParams, coalition: Coalition) -> dict:
+    """JSON-ready record of an instance, for counterexample replay and the
+    CLI's ``--dump-scenario``; players are listed in id order."""
+    return {**params._asdict(), "players": [p._asdict() for p in coalition.players]}

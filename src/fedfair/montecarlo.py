@@ -133,6 +133,8 @@ class SimulationSpec(
                 )
             if any(not 0 <= v <= FLOAT_MAX for v in values):
                 raise InvalidNoiseList("noise variances must be finite and >= 0")
+            # This sum's rounding reaches no output: the mean feeds only the
+            # 1e-12 check below.
             mean = sum(values) / len(values)
             if math.isinf(mean):  # the sum overflowed; scaled by 2**-k < 1/n it fits
                 k = len(values).bit_length()
@@ -193,8 +195,13 @@ def _simulate(specs: Sequence[SimulationSpec]) -> list[SimulationResult]:
     half = math.sqrt(3.0 * sigma_sq)  # of the uniform means, variance sigma_sq
     if first.mean_distribution is MeanDistribution.UNIFORM and math.isinf(half):
         raise OutOfFloatRange("the half-width of the uniform means", sigma_sq=sigma_sq)
-    members = [(spec.coalition.index(spec.target), spec.resolved_weights())
-               for spec in specs]
+    references = [spec.analytic_error() for spec in specs]
+    # A target's squared errors are near its closed form, and far below 1
+    # their squares underflow: its weights are scaled by 2**e, exactly, so
+    # that both come out near 1, and its sums hold 4**e times the values.
+    scales = [max(0, -math.frexp(reference)[1] // 2) for reference in references]
+    members = [(spec.coalition.index(spec.target), spec.resolved_weights() * 2.0**e)
+               for spec, e in zip(specs, scales)]
     means = np.empty((min(CHUNK_TRIALS, n), len(first.coalition)))
     noise = np.empty((min(BLOCK_ROWS, len(means)), means.shape[1]))
     offsets, errors = np.empty_like(noise), np.empty(len(noise))
@@ -244,16 +251,16 @@ def _simulate(specs: Sequence[SimulationSpec]) -> list[SimulationResult]:
                 raise fail(0, mu_e, sigma_sq, *first.coalition.sizes())
 
     results = []
-    for spec, summed, summed_sq in zip(specs, total, total_sq):
-        mean = summed / n
+    for e, reference, summed, summed_sq in zip(scales, references, total, total_sq):
+        mean, scaled = summed / n, math.ldexp(reference, 2 * e)
         variance = max(0.0, (summed_sq - n * mean * mean) / (n - 1))
         std_error = math.sqrt(variance / n)
-        reference = spec.analytic_error()
         z = 0.0
         if std_error > 0.0:
-            z = (mean - reference) / std_error
-        elif compare(mean, reference):
-            z = math.copysign(math.inf, mean - reference)
+            z = (mean - scaled) / std_error
+        elif compare(mean, scaled):
+            z = math.copysign(math.inf, mean - scaled)
+        mean, std_error = math.ldexp(mean, -2 * e), math.ldexp(std_error, -2 * e)
         results.append(SimulationResult(mean, std_error, n, reference, z))
     return results
 

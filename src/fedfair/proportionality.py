@@ -35,7 +35,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import _errors, _one
-from .model import Coalition, FederationMethod, PopulationParams, compare
+from .model import Coalition, FederationMethod, PopulationParams, compare, describe_instance
 from .verdicts import CoalitionLabel, _labels, _rationality, _thresholds
 
 
@@ -136,7 +136,7 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
     returned as replayable counterexamples.
     """
     # Imported here so that the per-coalition reports load no instance stream.
-    from .sampling import INSTANCE_IDS, describe_instance, instance_groups
+    from .sampling import INSTANCE_IDS, instance_groups
 
     uniform, local = FederationMethod.UNIFORM, FederationMethod.LOCAL
     counterexamples: list[dict] = []

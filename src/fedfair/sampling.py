@@ -17,7 +17,7 @@ from itertools import compress, repeat
 from operator import add, eq, mul, sub
 from typing import Iterator, Sequence
 
-from .model import Coalition, PopulationParams
+from .model import Coalition, PopulationParams, describe_instance
 
 # Uniforms per instance: the player count, six sizes (the first k are
 # used) and the two constants.  Each comes from its own 56-bit word of a
@@ -111,9 +111,3 @@ def instance_groups(count: int, seed: int) -> Iterator[tuple[list, ...]]:
             chosen = list(map(eq, k, repeat(players)))
             group = (indices, mu_e, sigma_sq, *sizes[:players])
             yield tuple(list(compress(column, chosen)) for column in group)
-
-
-def describe_instance(params: PopulationParams, coalition: Coalition) -> dict:
-    """JSON-ready record of an instance, for counterexample replay and the
-    CLI's ``--dump-scenario``; players are listed in id order."""
-    return {**params._asdict(), "players": [p._asdict() for p in coalition.players]}

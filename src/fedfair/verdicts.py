@@ -19,7 +19,7 @@ from itertools import combinations, repeat
 from operator import add, gt, le, lt, mul, not_, sub, truediv
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import Column, Columns, in_order, range_failure
+from .errors import Column, Columns, _total, in_order, range_failure
 from .exceptions import OutOfFloatRange, UndefinedBound, ZeroDenominator
 from .model import FederationMethod, compare
 
@@ -186,7 +186,7 @@ def _thresholds(columns: Columns, wanted: Sequence[int | None], mu_e: Column,
 
     def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list]:
         squares = [list(map(mul, n, n)) for n in columns]
-        total, sum_sq = list(map(sum, zip(*columns))), list(map(sum, zip(*squares)))
+        total, sum_sq = _total(columns), _total(squares)
         square = list(map(mul, total, total))
         out = []
         for s in wanted:

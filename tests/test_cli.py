@@ -1033,9 +1033,7 @@ class TestFloatRange:
     def test_simulate_keeps_noise_below_the_means_ulp(self, tmp_path):
         """The estimate noise, std about 3e-154, was added to true means of
         about 1 before the target's mean was taken off, so it vanished:
-        ``empirical_mse`` printed 0.0 against the closed form 1e-307.  (The
-        squared errors' squares still underflow, so the standard error is
-        0.)"""
+        ``empirical_mse`` printed 0.0 against the closed form 1e-307."""
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({
             "mu_e": 10, "sigma_sq": 1, "method": "fine_grained",
@@ -1046,6 +1044,23 @@ class TestFloatRange:
         for row in parse_csv(text):
             assert float(row["closed_form"]) == 1e-307
             assert math.isclose(float(row["empirical_mse"]), 1e-307, rel_tol=0.05)
+
+    def test_simulate_standard_error_of_tiny_errors(self, tmp_path):
+        """The squares of squared errors of about 1e-307 underflowed to 0:
+        the standard error printed 0.0 and z -Infinity and Infinity, with
+        exit 0.  A squared error of normal noise has a standard deviation
+        of sqrt(2) times its mean."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "mu_e": 10, "sigma_sq": 1, "method": "fine_grained",
+            "players": [{"id": "a", "n": 1e308}, {"id": "b", "n": 1e308}],
+        }))
+        code, text = run_cli(["--seed", "3", "simulate", str(path)], tmp_path)
+        assert code == 0
+        for row in parse_csv(text):
+            expected = 1e-307 * math.sqrt(2 / int(row["trials"]))
+            assert math.isclose(float(row["standard_error"]), expected, rel_tol=0.05)
+            assert abs(float(row["z_score"])) <= 4
 
     def test_nan_subproportionality_threshold(self, tmp_path, capsys):
         """(sigma_sq/n_s)(S + T^2) overflows in floats; the threshold is the

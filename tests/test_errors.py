@@ -2,7 +2,9 @@
 structural invariants (reduction, consistency, optimality, dominance)."""
 
 import math
+from functools import reduce
 from itertools import product
+from operator import add
 
 import numpy as np
 import pytest
@@ -401,17 +403,20 @@ class TestRandomizedInvariants:
 
 
 def _scalar_errors(sizes, method, params):
-    """The closed forms one coalition at a time, each sum taken over the
-    member-ordered list, as a per-coalition loop writes them."""
+    """The closed forms one coalition at a time, each sum a left fold over
+    the member-ordered list, as a per-coalition loop writes them."""
+
+    def fold(values):
+        return reduce(add, values, 0)
 
     def leave_one_out(values):
-        return [sum(values[:j] + values[j + 1 :]) for j in range(len(values))]
+        return [fold(values[:j] + values[j + 1 :]) for j in range(len(values))]
 
     mu_e, sigma_sq = params
     if method is FederationMethod.LOCAL:
         return [mu_e / n for n in sizes]
     if method is FederationMethod.UNIFORM:
-        total = sum(sizes)
+        total = fold(sizes)
         off_sq = leave_one_out([n * n for n in sizes])
         return [
             mu_e / total + sigma_sq * (sq + s * s) / (total * total)
@@ -419,7 +424,7 @@ def _scalar_errors(sizes, method, params):
         ]
     v = [sigma_sq + mu_e / n for n in sizes]
     inverse = [1.0 / v_i for v_i in v]
-    t_sum = sum(inverse)
+    t_sum = fold(inverse)
     return [
         (mu_e / n) / (v_j * t_sum) * (1.0 + sigma_sq * s)
         for n, v_j, s in zip(sizes, v, leave_one_out(inverse))

@@ -2,11 +2,11 @@
 sweeps never load numpy, dataclasses, inspect, fractions or decimal,
 importing the CLI loads none of those nor hashlib, ``audit``,
 ``reproduce`` and ``scan`` load the column verdicts but neither the audit
-and sweep modules nor the instance stream, ``verify modularity`` loads no
-instance stream, ``simulate`` loads neither dataclasses nor the thread pool
-nor the verdicts, audit or sweep modules, ``import fedfair`` loads no
-submodule, and the names the package exports lazily behave like plain
-ones."""
+and sweep modules nor the instance stream, ``verify modularity`` and a
+``--dump-scenario`` load no instance stream, ``simulate`` loads neither
+dataclasses nor the thread pool nor the verdicts, audit or sweep modules,
+``import fedfair`` loads no submodule, and the names the package exports
+lazily behave like plain ones."""
 
 import json
 import subprocess
@@ -196,6 +196,16 @@ def test_simulate_loads_only_the_oracle_and_the_closed_forms(tmp_path):
     loaded = submodules_loaded_after(tmp_path, argv)
     needed = {"cli", "errors", "exceptions", "model", "montecarlo"}
     assert loaded == {name: str(name.split(".")[1] in needed) for name in SUBMODULES}
+
+
+@pytest.mark.parametrize("command", [["audit"], ["simulate", "--trials", "4096"]],
+                         ids=["audit", "simulate"])
+def test_dump_scenario_loads_no_instance_stream(tmp_path, command):
+    """Re-emitting a parsed scenario needs ``describe_instance`` alone."""
+    name, *options = command
+    dump = str(tmp_path / "dump.json")
+    argv = [name, write_pair(tmp_path, "uniform"), *options, "--dump-scenario", dump]
+    assert submodules_loaded_after(tmp_path, argv)["fedfair.sampling"] == "False"
 
 
 def test_cli_import_loads_neither_numpy_nor_hashlib():

@@ -196,13 +196,13 @@ class TestCoalition:
     def test_from_sizes_generates_ids(self):
         coalition = Coalition.from_sizes([6, 20])
         assert coalition.ids() == ("p1", "p2")
-        assert coalition.player("p2").n == 20.0
+        assert coalition.sizes()[coalition.index("p2")] == 20.0
 
     def test_membership_and_lookup(self):
         coalition = Coalition.from_sizes([1, 2])
         assert "p1" in coalition and "missing" not in coalition
-        with pytest.raises(KeyError):
-            coalition.player("missing")
+        with pytest.raises(TargetNotInCoalition):
+            coalition.index("missing")
 
     def test_index_is_the_position_in_id_order(self):
         coalition = Coalition((Player("b", 1.0), Player("a", 2.0)))

@@ -93,12 +93,13 @@ class TestClassification:
             report = classify_proportionality(
                 coalition, FederationMethod.UNIFORM, params
             )
+            sizes = dict(zip(coalition.ids(), coalition.sizes()))
             for judged in report.pairs:
                 swapped = pair_label(
-                    coalition.player(judged.large_id).n,
-                    judged.scaled_large / coalition.player(judged.large_id).n,
-                    coalition.player(judged.small_id).n,
-                    judged.scaled_small / coalition.player(judged.small_id).n,
+                    sizes[judged.large_id],
+                    judged.scaled_large / sizes[judged.large_id],
+                    sizes[judged.small_id],
+                    judged.scaled_small / sizes[judged.small_id],
                 )
                 if judged.classification is CoalitionLabel.SUB:
                     assert swapped is CoalitionLabel.SUPER

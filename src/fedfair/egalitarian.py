@@ -21,11 +21,11 @@ weighting (``inverse_size_error``) goes through the same checks.
 from __future__ import annotations
 
 import math
-from itertools import combinations, compress
-from operator import itemgetter, truediv
+from itertools import combinations, compress, repeat
+from operator import itemgetter, mul, sub, truediv
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (Column, Columns, _errors, _one, _total, _weighted_error, in_order,
+from .errors import (Column, Columns, _errors, _one, _total, _weighted_errors, in_order,
                      range_failure)
 from .exceptions import NonPositiveSamples
 from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
@@ -83,13 +83,12 @@ def inverse_size_error(
     used to calibrate the modularity checker."""
 
     def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list]:
-        errors = [[] for _ in columns]
-        for mu, sigma, total, *sizes in zip(mu_e, sigma_sq, _total(columns), *columns):
-            scale = (len(sizes) - 1) * total
-            weights = [(total - n) / scale for n in sizes] if len(sizes) > 1 else [1]
-            for j, column in enumerate(errors):
-                column.append(_weighted_error(mu, sigma, sizes, weights, j))
-        return errors
+        weights = [[1] * len(mu_e)]
+        if len(columns) > 1:
+            total = _total(columns)
+            scale = list(map(mul, repeat(len(columns) - 1), total))
+            weights = [list(map(truediv, map(sub, total, n), scale)) for n in columns]
+        return _weighted_errors(mu_e, sigma_sq, columns, weights, range(len(columns)))
 
     fail = range_failure("an inverse_size error", ids)
     return in_order(evaluate, mu_e, sigma_sq, *columns, fail=fail)
@@ -298,22 +297,25 @@ def tightness_search(c: float, epsilon: float) -> TightnessResult:
     4c - 2) on (from m = 1 if that root is at most 1 or there is none).
     Rounding can move the first power of two passing the float test by one
     step, so the powers below and above the root and the next one up are
-    tried in turn; ``ValueError`` if none passes: epsilon is then finer
-    than the float ratio resolves at this c.
+    tried in turn, each whose n_l is a float; ``ValueError`` if none
+    passes: epsilon is then finer than the float ratio resolves at this c.
     """
     if not (0 < c <= FLOAT_MAX and epsilon > 0):
         raise ValueError(f"c must be finite and > 0 and epsilon > 0, "
                          f"got c={c!r}, epsilon={epsilon!r}")
     epsilon = math.inf if epsilon > FLOAT_MAX else epsilon
-    b, k = epsilon - 2 * c, 2 * epsilon - 4 * c - 2
-    disc, root = b * b - 4 * epsilon * c * k, 1.0
+    # Times f = 2**-s, exactly, so that f c < 1/8: no step overflows unless the
+    # root does or epsilon dwarfs c (both roots < 0, and root stays 1 or less).
+    f = 2.0 ** -max(0, math.frexp(c)[1] + 3)
+    b, k = f * epsilon - f * c * 2, f * epsilon * 2 - f * c * 4 - f * 2
+    disc, root = b * b - f * c * 4 * epsilon * k, 1.0
     if disc > 0:  # both roots in the forms where nothing cancels
         q = -(b + math.copysign(math.sqrt(disc), b)) / 2
-        root = max(q / epsilon / c, k / q)
-    above = math.ldexp(1.0, math.frexp(root)[1]) if root > 1 else 1.0
-    for mu_e in (max(1.0, above / 2), above, 2 * above):
-        params = PopulationParams(mu_e, 1.0)
-        n_l = c * mu_e
+        root = max(q / epsilon / (f * c), k / q)
+    below = (0.5 if root <= 1 else math.inf if root > FLOAT_MAX  # no candidate past it
+             else math.ldexp(0.5, math.frexp(root)[1]))  # the power at or below the root
+    for mu_e in (m for m in (max(1.0, below), 2 * below, 4 * below) if c * m <= FLOAT_MAX):
+        params, n_l = PopulationParams(mu_e, 1.0), c * mu_e
         # mu_e is a power of two, so this c_value is exactly c.
         c_value, bound = egalitarian_bound(n_l, params)
         pair = Coalition((Player("s", 1.0), Player("l", n_l)))

@@ -112,13 +112,15 @@ def _total(columns: Columns) -> Column:
     return reduce(lambda a, b: list(map(add, a, b)), columns)
 
 
-def _leave_one_out(columns: Columns) -> list[Column]:
-    """Column j holds every instance's sum_{i != j} columns_i, each summed
-    directly in member order (never as the total minus the own term, which
-    cancels badly when one value dwarfs the rest); zeros for a lone member."""
+def _leave_one_out(columns: Columns, wanted: Sequence[int] | None = None) -> list[Column]:
+    """For each member j of ``wanted`` (by default all), every instance's
+    sum_{i != j} columns_i, summed directly in member order (never as the
+    total minus the own term, which cancels badly when one value dwarfs the
+    rest); zeros for a lone member."""
     if len(columns) == 1:
         return [[0] * len(columns[0])]
-    return [_total(columns[:j] + columns[j + 1:]) for j in range(len(columns))]
+    wanted = range(len(columns)) if wanted is None else wanted
+    return [_total(columns[:j] + columns[j + 1:]) for j in wanted]
 
 
 def range_failure(what: str | Callable[[int], str],
@@ -148,13 +150,8 @@ def _fine_grained_terms(
     return v, _total(inverse), _leave_one_out(inverse)
 
 
-def _errors(
-    columns: Columns,
-    method: FederationMethod,
-    mu_e: Column,
-    sigma_sq: Column,
-    ids: Sequence[str],
-) -> list[list[float]]:
+def _errors(columns: Columns, method: FederationMethod, mu_e: Column, sigma_sq: Column,
+            ids: Sequence[str]) -> list[list[float]]:
     """One error column per member under ``method`` for a batch of
     instances: ``columns`` holds one column of sample counts per member,
     ``mu_e`` and ``sigma_sq`` one entry per instance, and ``ids`` only
@@ -254,7 +251,7 @@ def weighted_error(coalition: Coalition, target: str, weights: Mapping[str, floa
     """Expected error of the target under any weights, one per member by id,
     finite and summing (in id order) to one within relative ``REL_TOL``.  A
     weight may be negative: the formula holds for any unit-sum vector, and
-    the optimality tests probe such points."""
+    the optimality tests probe such points.  Only the target's error is checked."""
     j, ids, sizes = coalition.index(target), coalition.ids(), coalition.sizes()
     if set(weights) != set(ids):
         raise WeightDomainMismatch(f"weights cover {sorted(weights)}, "
@@ -269,45 +266,49 @@ def weighted_error(coalition: Coalition, target: str, weights: Mapping[str, floa
     k = len(ids)
 
     def evaluate(mu_e: Column, sigma_sq: Column, *values: Column) -> list[list]:
-        rows = zip(mu_e, sigma_sq, *values)
-        return [[_weighted_error(m, s, row[:k], row[k:], j) for m, s, *row in rows]]
+        return _weighted_errors(mu_e, sigma_sq, values[:k], values[k:], [j])
 
     values = (*params, *sizes, *aligned)
     fail = range_failure("a weighted error", ids)
     return in_order(evaluate, *([v] for v in values), fail=fail)[0][0]
 
 
-def _weighted_error(
-    mu_e: float, sigma_sq: float, sizes: Sequence[float], weights: list, j: int
-) -> float:
-    """Member j's error under unit-sum weights v, one per member in id order:
-    mu_e sum_i v_i^2 / n_i + sigma_sq (sum' v_i^2 + (sum' v_i)^2), sum' over i != j."""
-    others = weights[:j] + weights[j + 1 :]
-    noise = reduce(add, (w * w / n for n, w in zip(sizes, weights)), 0)
-    off_sum = reduce(add, others, 0)
-    off_sq = reduce(add, (w * w for w in others), 0)
-    return mu_e * noise + sigma_sq * (off_sq + off_sum * off_sum)
+def _weighted_errors(mu_e: Column, sigma_sq: Column, columns: Columns, weights: Columns,
+                     wanted: Sequence[int]) -> list[list]:
+    """The error column of each member j at an index of ``wanted`` under the
+    unit-sum weight columns v: mu_e sum_i v_i^2 / n_i + sigma_sq (sum' v_i^2
+    + (sum' v_i)^2), sum' over i != j, from one noise column for all."""
+    squares = [list(map(mul, w, w)) for w in weights]
+    noise = _total([list(map(truediv, sq, n)) for sq, n in zip(squares, columns)])
+    noise = list(map(mul, mu_e, noise))
+    off, off_sq = _leave_one_out(weights, wanted), _leave_one_out(squares, wanted)
+    return [list(map(add, noise, map(mul, sigma_sq, map(add, sq, map(mul, s, s)))))
+            for s, sq in zip(off, off_sq)]
 
 
-def _weights(columns: Columns, method: FederationMethod, j: int, mu_e: Column,
-             sigma_sq: Column, ids: Sequence[str]) -> list[list[float]]:
-    """Member j's weights under ``method``, a column per member, for a batch
-    shaped as ``_errors``'s: local 1 for j, uniform n_i / T, fine-grained
-    those of ``fine_grained_weights``."""
+def _weights(columns: Columns, method: FederationMethod, wanted: Sequence[int],
+             mu_e: Column, sigma_sq: Column, ids: Sequence[str]) -> list[list[float]]:
+    """The weights under ``method`` of each member at an index of ``wanted``,
+    a column per member for each in turn, for a batch shaped as ``_errors``'s:
+    local 1 for the target, uniform n_i / T, fine-grained those of
+    ``fine_grained_weights``, from terms taken once for all targets."""
 
     def evaluate(mu_e: Column, sigma_sq: Column, *columns: Column) -> list[list]:
         if method is FederationMethod.LOCAL:
-            return [[int(i == j)] * len(mu_e) for i in range(len(columns))]
+            return [[int(i == j)] * len(mu_e) for j in wanted for i in range(len(columns))]
         if method is FederationMethod.UNIFORM:
             total = _total(columns)
-            return [list(map(truediv, n, total)) for n in columns]
+            return [list(map(truediv, n, total)) for n in columns] * len(wanted)
         v, _, s_off = _fine_grained_terms(columns, mu_e, sigma_sq)
-        denom = list(map(add, repeat(1), map(mul, v[j], s_off[j])))
-        noise = list(map(truediv, mu_e, columns[j]))
-        own = map(add, repeat(1), map(mul, sigma_sq, s_off[j]))
-        return [list(map(truediv, own, denom)) if i == j
-                else list(map(truediv, noise, map(mul, v_i, denom)))
-                for i, v_i in enumerate(v)]
+        weights = []
+        for j in wanted:
+            denom = list(map(add, repeat(1), map(mul, v[j], s_off[j])))
+            noise = list(map(truediv, mu_e, columns[j]))
+            own = map(add, repeat(1), map(mul, sigma_sq, s_off[j]))
+            weights += [list(map(truediv, own, denom)) if i == j
+                        else list(map(truediv, noise, map(mul, v_i, denom)))
+                        for i, v_i in enumerate(v)]
+        return weights
 
     fail = range_failure(f"a {method.value} error", ids)
     return in_order(evaluate, mu_e, sigma_sq, *columns, fail=fail)
@@ -327,4 +328,4 @@ def fine_grained_weights(
     All weights are nonnegative because V_j - sigma_sq = mu_e / n_j >= 0.
     """
     j, method = coalition.index(target), FederationMethod.FINE_GRAINED
-    return dict(zip(coalition.ids(), _one(_weights, coalition, params, method, j)))
+    return dict(zip(coalition.ids(), _one(_weights, coalition, params, method, [j])))

@@ -12,7 +12,10 @@ formed as ``(noise + means - means[:, j]) @ w_j``: the true means are
 differenced before the noise is added, so noise far below a mean's ulp
 is kept, where ``(noise + means) @ w_j - means[:, j]`` would lose it.
 The empirical mean squared error is then compared with the matching
-closed form via a z-score.
+closed form via a z-score.  Every target's closed form comes from one
+evaluation of the coalition by the closed-form kernel (``errors._errors``)
+and all their weights from one more (``errors._weights``), taken in that
+order before the first chunk, whatever the player count.
 
 Determinism: trials are processed in fixed chunks of 65536, the k-th
 chunk seeded by ``SeedSequence(seed, spawn_key=(k,))`` (what
@@ -41,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import _one, _weights, expected_error, range_failure
+from .errors import _errors, _one, _weights, range_failure
 from .exceptions import InvalidNoiseList, OutOfFloatRange
 from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
                     compare)
@@ -155,17 +158,6 @@ class SimulationSpec(
             noise_variances, trials, seed, label,
         )
 
-    def resolved_weights(self) -> np.ndarray:
-        """Combination weights aligned to the coalition's player order, as
-        ``errors._weights`` gives them under the float-range rule."""
-        j = self.coalition.index(self.target)
-        weights = _one(_weights, self.coalition, self.params, self.method, j)
-        return np.array(weights, dtype=np.float64)  # local weights are ints
-
-    def analytic_error(self) -> float:
-        """The closed form this simulation is expected to reproduce."""
-        return expected_error(self.coalition, self.target, self.method, self.params)
-
 
 class SimulationResult(NamedTuple):
     empirical_mse: float
@@ -195,13 +187,17 @@ def _simulate(specs: Sequence[SimulationSpec]) -> list[SimulationResult]:
     half = math.sqrt(3.0 * sigma_sq)  # of the uniform means, variance sigma_sq
     if first.mean_distribution is MeanDistribution.UNIFORM and math.isinf(half):
         raise OutOfFloatRange("the half-width of the uniform means", sigma_sq=sigma_sq)
-    references = [spec.analytic_error() for spec in specs]
+    shared = (first.coalition, first.params, first.method)
+    targets = [first.coalition.index(spec.target) for spec in specs]
+    closed_forms = _one(_errors, *shared)
+    references = [closed_forms[j] for j in targets]
     # A target's squared errors are near its closed form, and far below 1
     # their squares underflow: its weights are scaled by 2**e, exactly, so
     # that both come out near 1, and its sums hold 4**e times the values.
     scales = [max(0, -math.frexp(reference)[1] // 2) for reference in references]
-    members = [(spec.coalition.index(spec.target), spec.resolved_weights() * 2.0**e)
-               for spec, e in zip(specs, scales)]
+    weights = np.array(_one(_weights, *shared, targets), dtype=np.float64)  # local: ints
+    members = [(j, w * 2.0**e)
+               for j, w, e in zip(targets, weights.reshape(len(targets), -1), scales)]
     means = np.empty((min(CHUNK_TRIALS, n), len(first.coalition)))
     noise = np.empty((min(BLOCK_ROWS, len(means)), means.shape[1]))
     offsets, errors = np.empty_like(noise), np.empty(len(noise))

@@ -17,7 +17,7 @@ from itertools import compress, repeat
 from operator import add, eq, mul, sub
 from typing import Iterator, Sequence
 
-from .model import Coalition, PopulationParams, describe_instance
+from .model import Coalition, PopulationParams
 
 # Uniforms per instance: the player count, six sizes (the first k are
 # used) and the two constants.  Each comes from its own 56-bit word of a

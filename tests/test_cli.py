@@ -37,9 +37,9 @@ from fedfair.cli import (
     main,
 )
 from fedfair.egalitarian import BoundSweepResult
+from fedfair.model import describe_instance
 from fedfair.montecarlo import SimulationSpec, simulate_error
 from fedfair.proportionality import PropstabResult, subproportionality_threshold
-from fedfair.sampling import describe_instance
 
 UNIFORM, LOCAL = FederationMethod.UNIFORM, FederationMethod.LOCAL
 

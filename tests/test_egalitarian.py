@@ -429,6 +429,27 @@ class TestTightness:
             tightness_search(2e4, 1e-12)
         assert doubling_search(2e4, 1e-12).mu_e == 2.0**38
 
+    def test_root_where_an_intermediate_overflowed(self):
+        """Past c of about 3e153, b*b - 4 epsilon c k overflowed, the root
+        became inf, and frexp(inf)'s exponent 0 made the candidates 1, 1 and
+        2: at (1e200, 1e-10) mu_e = 1 passed in floats, where the exact ratio
+        falls about 6 short of 2c+1.  The roots are about 2/epsilon = 2e10
+        and 1 + sqrt(5).  A root in [2**1023, FLOAT_MAX] made ldexp raise
+        OverflowError; its candidate 2**1023 is a float."""
+        assert 2.0**34 <= tightness_search(1e200, 1e-10).mu_e <= 2.0**36
+        assert tightness_search(1e160, 1.0).mu_e in (2.0, 4.0, 8.0)
+        assert tightness_search(3.672717845150215e-119, 1.430206535722879e-308).mu_e == (
+            2.0**1023
+        )
+
+    def test_no_candidate_past_the_float_range(self):
+        """At (1e200, 1e-300) the root is about 2e300, so c * mu_e overflows
+        for every candidate: refused by c and epsilon, never as
+        ``NonPositiveSamples`` about n_max = inf."""
+        match = r"epsilon=1e-300 is finer than the float ratio resolves at c=1e\+200"
+        with pytest.raises(ValueError, match=match):
+            tightness_search(1e200, 1e-300)
+
     def test_invalid_arguments(self):
         for c, epsilon in [(0.0, 0.1), (1.0, 0.0), (math.nan, 0.1), (math.inf, 0.1),
                            (-1.0, 0.1), (1.0, math.nan), (1.0, -0.1)]:

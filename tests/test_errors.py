@@ -2,6 +2,7 @@
 structural invariants (reduction, consistency, optimality, dominance)."""
 
 import math
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import add
@@ -27,12 +28,16 @@ from fedfair import (
 )
 from fedfair.cli import main
 from fedfair.egalitarian import (
+    PAIR_SIZES,
+    PARAM_LEVELS,
+    THIRD_SIZES,
+    _grid_errors,
     audit_egalitarian,
     bound_sweep,
     check_modularity,
     inverse_size_error,
 )
-from fedfair.errors import _errors
+from fedfair.errors import _errors, _one, _total, _weights, in_order, range_failure
 from fedfair.exceptions import (
     DegenerateParams,
     FedFairError,
@@ -41,7 +46,6 @@ from fedfair.exceptions import (
     TargetNotInCoalition,
     WeightDomainMismatch,
 )
-from fedfair.montecarlo import SimulationSpec
 from fedfair.proportionality import (
     _thresholds,
     defection_threshold,
@@ -584,6 +588,135 @@ class TestColumnKernel:
             assert size in str(info.value)
 
 
+def reference_weighted_error(mu_e, sigma_sq, sizes, weights, j):
+    """The scalar kernel ``weighted_error`` and ``inverse_size_error`` ran
+    member by member before the column function: member j's error under
+    unit-sum weights, each sum a left fold from 0."""
+    others = weights[:j] + weights[j + 1 :]
+    noise = reduce(add, (w * w / n for n, w in zip(sizes, weights)), 0)
+    off_sum = reduce(add, others, 0)
+    off_sq = reduce(add, (w * w for w in others), 0)
+    return mu_e * noise + sigma_sq * (off_sq + off_sum * off_sum)
+
+
+def reference_weighted(coalition, target, weights, params):
+    """``weighted_error`` of valid weights through the scalar kernel, under
+    ``in_order`` as before."""
+    j, ids = coalition.index(target), coalition.ids()
+    k, aligned = len(ids), [weights[pid] for pid in ids]
+
+    def evaluate(mu_e, sigma_sq, *values):
+        rows = zip(mu_e, sigma_sq, *values)
+        return [[reference_weighted_error(m, s, row[:k], row[k:], j) for m, s, *row in rows]]
+
+    values = (*params, *coalition.sizes(), *aligned)
+    fail = range_failure("a weighted error", ids)
+    return in_order(evaluate, *([v] for v in values), fail=fail)[0][0]
+
+
+def reference_inverse_size(columns, mu_e, sigma_sq, ids):
+    """``inverse_size_error`` through the scalar kernel, row by row."""
+
+    def evaluate(mu_e, sigma_sq, *columns):
+        errors = [[] for _ in columns]
+        for mu, sigma, total, *sizes in zip(mu_e, sigma_sq, _total(columns), *columns):
+            scale = (len(sizes) - 1) * total
+            weights = [(total - n) / scale for n in sizes] if len(sizes) > 1 else [1]
+            for j, column in enumerate(errors):
+                column.append(reference_weighted_error(mu, sigma, sizes, weights, j))
+        return errors
+
+    fail = range_failure("an inverse_size error", ids)
+    return in_order(evaluate, mu_e, sigma_sq, *columns, fail=fail)
+
+
+def outcome(call, *args):
+    """``call(*args)`` as bits, nested as returned: a float's hex, a complex
+    number's two, an exact value itself; or what it raised."""
+
+    def bits(value):
+        if isinstance(value, list):
+            return [bits(v) for v in value]
+        if isinstance(value, complex):
+            return value.real.hex(), value.imag.hex()
+        return value.hex() if isinstance(value, float) else value
+
+    try:
+        return bits(call(*args))
+    except FedFairError as exc:
+        return type(exc), str(exc)
+
+
+# Weights for up to six members: the last one makes the sum 1.
+WEIGHTS = st.lists(
+    st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324])),
+    min_size=5, max_size=5,
+)
+
+
+class TestWeightedErrorColumns:
+    """``weighted_error`` and ``inverse_size_error`` evaluate one column
+    function for every member; each gives the scalar kernel's bits, or its
+    failure."""
+
+    @COLUMN_SETTINGS
+    @given(instances=st.lists(st.tuples(st.one_of(IN_RANGE, ANY_RANGE), WEIGHTS),
+                              min_size=1, max_size=12))
+    def test_weighted_error_matches_the_scalar_kernel(self, instances):
+        for (params, sizes), drawn in instances:
+            coalition = Coalition.from_sizes(sizes)
+            rest = drawn[: len(sizes) - 1]
+            values = [*rest, 1.0 - reduce(add, rest, 0)]
+            weights = dict(zip(coalition.ids(), values))
+            for pid in coalition.ids():
+                args = (coalition, pid, weights, params)
+                assert outcome(weighted_error, *args) == outcome(reference_weighted, *args)
+
+    @COLUMN_SETTINGS
+    @given(instances=st.lists(st.one_of(IN_RANGE, ANY_RANGE), min_size=1, max_size=12))
+    def test_inverse_size_error_matches_the_scalar_kernel(self, instances):
+        for ids, columns, mu_e, sigma_sq, _ in _batches(instances):
+            args = (columns, mu_e, sigma_sq, ids)
+            assert outcome(inverse_size_error, *args) == outcome(reference_inverse_size, *args)
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(instances=st.lists(IN_RANGE, min_size=1, max_size=3))
+    def test_fraction_columns_match_exactly(self, instances):
+        for ids, columns, mu_e, sigma_sq, _ in _batches(instances):
+            exact = [list(map(Fraction, c)) for c in (mu_e, sigma_sq, *columns)]
+            args = (exact[2:], exact[0], exact[1], ids)
+            assert inverse_size_error(*args) == reference_inverse_size(*args)
+
+    def test_complex_step_columns_match(self):
+        """The modularity grid's complex-step columns, for each size."""
+        grid = [PopulationParams(m, s) for m in PARAM_LEVELS for s in PARAM_LEVELS]
+        pairs = [(p, a, b) for p in grid for a in PAIR_SIZES for b in PAIR_SIZES if a <= b]
+        trios = [(*case, n_k) for case in pairs for n_k in THIRD_SIZES]
+        for cases in (pairs, trios):
+            for at in range(len(cases[0]) - 1):
+                new, old = (
+                    outcome(lambda: [list(e.values()) for e in _grid_errors(method, cases, at)])
+                    for method in (inverse_size_error, reference_inverse_size)
+                )
+                assert new == old
+
+    def test_lone_member(self):
+        coalition = Coalition.from_sizes([3.0])
+        args = (coalition, "p1", {"p1": 1.0}, PARAMS)
+        assert outcome(weighted_error, *args) == outcome(reference_weighted, *args)
+        args = ([[3.0, 1e-300]], [10.0, 1e300], [1.0, 1.0], ("p1",))
+        assert outcome(inverse_size_error, *args) == outcome(reference_inverse_size, *args)
+
+    def test_only_the_target_column_is_rounded(self):
+        """p2's error under these weights, about 2.8e308, overflows; p1's
+        does not, and p1's call must not round p2's."""
+        coalition, weights = Coalition.from_sizes([1.0, 1.0]), {"p1": 0.9, "p2": 0.1}
+        params = PopulationParams(1.0, 1.7e308)
+        assert repr(weighted_error(coalition, "p1", weights, params)) == "3.4e+306"
+        with pytest.raises(OutOfFloatRange, match="a weighted error"):
+            weighted_error(coalition, "p2", weights, params)
+
+
 class TestFloatRangeRule:
     """``in_order``'s exact fallback is for inputs outside the float band;
     realistic inputs never take it."""
@@ -616,8 +749,8 @@ class TestFloatRangeRule:
                         fine_grained_weights(coalition, pid, params)
                         for method in FederationMethod:
                             expected_error(coalition, pid, method, params)
-                            spec = SimulationSpec(coalition, pid, params, method)
-                            spec.resolved_weights()
+                            _one(_weights, coalition, params, method,
+                                 [coalition.index(pid)])
             for n_s in ("1", "20"):
                 argv = ["--out", str(tmp_path / "scan.csv"), "scan", "--ns", n_s,
                         "--nl-start", "1", "--nl-stop", "15045", "--nl-step", "15044",

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fedfair.errors
 from fedfair import (
     Coalition,
     FederationMethod,
@@ -24,6 +25,7 @@ from fedfair import (
     uniform_error,
 )
 from fedfair import montecarlo
+from fedfair.errors import _one, _weights
 from fedfair.exceptions import (
     InvalidNoiseList,
     OutOfFloatRange,
@@ -147,7 +149,8 @@ def per_sample_reference(spec: SimulationSpec, seed: int) -> tuple[float, float]
         samples = rng.standard_normal((size, int(player.n)))
         samples *= np.sqrt(variances[:, idx : idx + 1])
         estimates[:, idx] = (means[:, idx : idx + 1] + samples).mean(axis=1)
-    squared = (estimates @ spec.resolved_weights() - means[:, target_idx]) ** 2
+    weights = _one(_weights, spec.coalition, spec.params, spec.method, [target_idx])
+    squared = (estimates @ np.array(weights, dtype=np.float64) - means[:, target_idx]) ** 2
     return float(squared.mean()), float(squared.std(ddof=1) / math.sqrt(size))
 
 
@@ -174,6 +177,23 @@ class TestPerSampleReference:
             oracle.standard_error, ref_error
         )
         assert abs(z) <= 4.0, (oracle.empirical_mse, ref_mean, z)
+
+
+class TestSetup:
+    @pytest.mark.parametrize("method", list(FederationMethod))
+    def test_one_evaluation_each_for_the_closed_forms_and_the_weights(
+        self, monkeypatch, method
+    ):
+        """Every target's closed form comes from one ``_errors`` call and all
+        their weights from one ``_weights`` call: two column-function
+        evaluations at any player count, where one pair per target made 2k."""
+        calls, in_order = [], fedfair.errors.in_order
+        monkeypatch.setattr(fedfair.errors, "in_order",
+                            lambda *args, **kw: calls.append(args) or in_order(*args, **kw))
+        coalition = Coalition.from_sizes([6, 20, 2.5, 40, 6, 13.75])
+        montecarlo._simulate([spec(coalition=coalition, target=pid, method=method, trials=16)
+                              for pid in coalition.ids()])
+        assert len(calls) == 2
 
 
 class TestMemory:
@@ -282,13 +302,14 @@ class TestDeterminism:
 def skew_closed_form(monkeypatch, target: str | None = None) -> None:
     """Make the analytic reference 10% too high (for ``target`` only, when
     given), so the library's z and the suite's verdicts see a wrong value."""
-    honest = SimulationSpec.analytic_error
+    honest = montecarlo._errors
 
-    def skewed(self: SimulationSpec) -> float:
-        value = honest(self)
-        return value * 1.1 if target in (None, self.target) else value
+    def skewed(columns, method, mu_e, sigma_sq, ids):
+        errors = honest(columns, method, mu_e, sigma_sq, ids)
+        return [[e * 1.1 for e in column] if target in (None, pid) else column
+                for pid, column in zip(ids, errors)]
 
-    monkeypatch.setattr(SimulationSpec, "analytic_error", skewed)
+    monkeypatch.setattr(montecarlo, "_errors", skewed)
 
 
 class TestCalibration:
@@ -320,7 +341,8 @@ class TestCalibration:
                     params=PopulationParams(0.0, 0.0), trials=16)
         honest = simulate_error(zero)
         assert (honest.empirical_mse, honest.standard_error, honest.z_score) == (0, 0, 0)
-        monkeypatch.setattr(SimulationSpec, "analytic_error", lambda self: reference)
+        monkeypatch.setattr(montecarlo, "_errors",
+                            lambda columns, *rest: [[reference] for _ in columns])
         result = simulate_error(zero)
         assert (result.standard_error, result.closed_form) == (0, reference)
         assert result.z_score == z

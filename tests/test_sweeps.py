@@ -11,7 +11,7 @@ import pytest
 import fedfair.egalitarian
 import fedfair.proportionality
 from fedfair.egalitarian import audit_egalitarian, bound_sweep
-from fedfair.model import FederationMethod, compare
+from fedfair.model import FederationMethod, compare, describe_instance
 from fedfair.proportionality import (
     CoalitionLabel,
     classify_proportionality,
@@ -20,7 +20,7 @@ from fedfair.proportionality import (
     subproportionality_threshold,
     verify_propstab,
 )
-from fedfair.sampling import describe_instance, instance_rng, random_instance
+from fedfair.sampling import instance_rng, random_instance
 
 UNIFORM, FINE = FederationMethod.UNIFORM, FederationMethod.FINE_GRAINED
 SEEDS = [0, 42, 2**64 - 1]

@@ -19,8 +19,8 @@ from typing import IO, Callable, Sequence
 
 from .errors import Column, Columns, _errors, _one
 from .exceptions import FedFairError, UndefinedBound, ZeroDenominator
-from .model import (Coalition, FederationMethod, Player, PopulationParams, check_sizes,
-                    describe_instance)
+from .model import (Coalition, FederationMethod, Player, PopulationParams, check_integer,
+                    check_sizes, describe_instance)
 
 # Published motivating-table cells (mu_e=10, sigma_sq=1, n_s=6), quoted at
 # three significant figures: err_small, err_large, ratio, bound, size ratio.
@@ -41,8 +41,6 @@ MAX_SCAN_ROWS = 100_000
 # An audit judges every pair and a simulation chunk holds 65,536 floats per
 # player, so the players of a scenario file are capped.
 MAX_PLAYERS = 100
-# Every seed, instance count and trial count is an unsigned 64-bit integer.
-INT_LIMIT = 2**64
 
 
 class ScenarioFileError(FedFairError):
@@ -541,18 +539,14 @@ def run_scan(args: argparse.Namespace) -> Output:
 
 
 def _integer(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer in [``low``, 2**64)."""
+    """An argparse type: an int by ``check_integer``, rejected quoting the text."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            return check_integer("value", int(text), low)
         except ValueError:
-            value = low - 1
-        if not low <= value < INT_LIMIT:
-            raise argparse.ArgumentTypeError(
-                f"must be an integer in [{low}, 2**64), got {text!r}"
-            )
-        return value
+            message = f"must be an integer in [{low}, 2**64), got {text!r}"
+            raise argparse.ArgumentTypeError(message) from None
 
     return parse
 

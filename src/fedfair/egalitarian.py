@@ -29,7 +29,7 @@ from .errors import (Column, Columns, _errors, _one, _total, _weighted_errors, i
                      range_failure)
 from .exceptions import NonPositiveSamples
 from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
-                    compare, describe_instance)
+                    check_integer, compare, describe_instance)
 from .verdicts import FairnessAudit, _audits, _bounds, _exceeds, _ratio, _worst_ratios
 
 # A column method: (size columns, mu_e, sigma_sq, ids) -> error columns.
@@ -166,14 +166,14 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
        n_s = 2**-40 * min(n_l, mu_e/sigma_sq), deep inside the scale
        n_s ~ mu_e/sigma_sq at which the fine-grained ratio converges.
 
-    ``method`` is a federation method or a column method, ``(columns,
-    mu_e, sigma_sq, ids) -> error columns`` as ``errors._errors``: one
-    column of sizes per member in id order, one mu_e and sigma_sq entry
-    per instance, one error column per member back.  Grid coalitions name
-    their players s (small), l (large) and k (third), so the id order is
-    k < l < s.  The grid is evaluated up front: one call for the
-    two-player errors, one for the three-player errors, and one complex
-    call for each of the three slopes.
+    ``method`` is a federation method or a column method, ``(columns, mu_e,
+    sigma_sq, ids) -> error columns`` as ``errors._errors``: one column of sizes
+    per member in id order, one mu_e and sigma_sq entry per instance, one error
+    column per member back; anything else raises ``ValueError`` before the grid
+    is evaluated.  Grid coalitions name their players s (small), l (large) and k
+    (third), so the id order is k < l < s.  The grid is evaluated up front: one
+    call for the two-player errors, one for the three-player errors, and one
+    complex call for each of the three slopes.
 
     Values are compared by ``compare``; the slopes in 2-4 are complex-step
     derivatives (Squire and Trapp, SIAM Review 40(1), 1998), judged by
@@ -184,6 +184,8 @@ def check_modularity(method: FederationMethod | ErrorFn) -> ModularityReport:
     n_third where a third player takes part) and ends with the measured
     values.
     """
+    if not (isinstance(method, FederationMethod) or callable(method)):
+        raise ValueError(f"unknown federation method: {method!r}")
     param_grid = [
         PopulationParams(mu_e, sigma_sq)
         for mu_e in PARAM_LEVELS
@@ -344,6 +346,7 @@ def bound_sweep(instance_count: int = 10_000, seed: int = 42) -> BoundSweepResul
     """Check that no worst ratio exceeds 2c+1 by ``_exceeds``, the rule of
     ``audit_egalitarian``, on random instances under uniform and
     fine-grained federation; only a violation builds the instance's players."""
+    instance_count = check_integer("instance count", instance_count, 1)  # stored as int
     # Imported here so that the modularity check loads no instance stream.
     from .sampling import INSTANCE_IDS, instance_groups
 

@@ -13,6 +13,7 @@ through too, so a constructed value is always safe to share.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -31,6 +32,8 @@ from .exceptions import (
 REL_TOL = 1e-9
 # A bound by the largest float: unlike math.isfinite, it never raises on a huge int.
 FLOAT_MAX = sys.float_info.max
+# Every seed, count and index is below it: an unsigned 64-bit integer.
+INT_LIMIT = 2**64
 
 
 def compare(a: float, b: float) -> int:
@@ -70,6 +73,18 @@ class PopulationParams(
                     f"{name} must be finite and nonnegative, got {value!r}"
                 )
         return super().__new__(cls, mu_e + 0, sigma_sq + 0)
+
+
+def check_integer(field: str, value: object, low: int) -> int:
+    """The integer rule of every seed, count and index: ``value`` as an int if
+    it is a non-bool integer in [``low``, 2**64), else ``ValueError``."""
+    try:
+        integer = low - 1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        integer = low - 1
+    if not low <= integer < INT_LIMIT:
+        raise ValueError(f"{field} must be an integer in [{low}, 2**64), got {value!r}")
+    return integer
 
 
 def check_sizes(id: str, sizes: Iterable[float]) -> None:

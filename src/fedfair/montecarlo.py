@@ -38,7 +38,6 @@ each result is bit-identical at any N.
 from __future__ import annotations
 
 import math
-import operator
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -47,7 +46,7 @@ import numpy as np
 from .errors import _errors, _one, _weights, range_failure
 from .exceptions import InvalidNoiseList, OutOfFloatRange
 from .model import (FLOAT_MAX, Coalition, FederationMethod, Player, PopulationParams,
-                    compare)
+                    check_integer, compare)
 
 CHUNK_TRIALS = 1 << 16
 BLOCK_ROWS = 1 << 12
@@ -58,16 +57,6 @@ class MeanDistribution(str, Enum):
 
     GAUSSIAN = "gaussian"
     UNIFORM = "uniform"
-
-
-def _integer(field: str, value: object) -> int:
-    """``value`` as an int; a bool or a non-integer is rejected by name."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 class SimulationSpec(
@@ -148,11 +137,7 @@ class SimulationSpec(
                     f"noise variances average {mean!r}, expected mu_e="
                     f"{params.mu_e!r}"
                 )
-        trials, seed = _integer("trials", trials), _integer("seed", seed)
-        if trials < 2:
-            raise ValueError("trials must be >= 2")
-        if not (0 <= seed < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        trials, seed = check_integer("trials", trials, 2), check_integer("seed", seed, 0)
         return super().__new__(
             cls, coalition, target, params, method, mean_distribution,
             noise_variances, trials, seed, label,
@@ -220,7 +205,9 @@ def _simulate(specs: Sequence[SimulationSpec]) -> list[SimulationResult]:
                 rng.standard_normal(out=chunk)
                 chunk *= math.sqrt(sigma_sq)
             else:
-                chunk[...] = rng.uniform(-half, half, size=chunk.shape)
+                rng.random(out=chunk)  # uniform(-half, half)'s draws, in place
+                chunk *= 2 * half
+                chunk -= half
             if first.noise_variances is not None:
                 scale = rng.choice(candidates, size=chunk.shape)
                 np.sqrt(scale, out=scale)
@@ -292,14 +279,15 @@ def simulate_suite(
     order and do not depend on the thread count.  If each z were standard
     normal, the default threshold of 4 would fail the 23 default specs
     falsely with probability 1 - (1 - 6.33e-5)^23, about 0.15%.
-    An empty suite would pass with no checks, so it raises ``ValueError``.
+    An empty suite would pass with no checks, so it raises ``ValueError``,
+    as ``threads`` does by ``check_integer`` unless it is an integer >= 1.
     """
     if not specs:
         raise ValueError(f"spec count must be >= 1, got {len(specs)}")
     # Loaded here: a single simulation needs no pool.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=check_integer("threads", threads, 1)) as pool:
         results = list(pool.map(simulate_error, specs))
     entries = tuple(
         SuiteEntry(spec.label or f"spec{i}", result, abs(result.z_score) <= z_threshold)
@@ -314,6 +302,7 @@ def default_suite(trials: int = 1_000_000, base_seed: int = 90_125) -> tuple[
     """The standard validation suite: the motivating two-player configs
     under every method and both targets, zero-bias and zero-noise edge
     cases, and both mean distributions."""
+    base_seed = check_integer("base_seed", base_seed, 0)
     params = PopulationParams(mu_e=10.0, sigma_sq=1.0)
     specs: list[SimulationSpec] = []
 

@@ -35,7 +35,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import _errors, _one
-from .model import Coalition, FederationMethod, PopulationParams, compare, describe_instance
+from .model import (Coalition, FederationMethod, PopulationParams, check_integer, compare,
+                    describe_instance)
 from .verdicts import CoalitionLabel, _labels, _rationality, _thresholds
 
 
@@ -135,6 +136,7 @@ def verify_propstab(instance_count: int = 10_000, seed: int = 42) -> PropstabRes
     Only a counterexample builds its instance's players.  Violations are
     returned as replayable counterexamples.
     """
+    instance_count = check_integer("instance count", instance_count, 1)  # stored as int
     # Imported here so that the per-coalition reports load no instance stream.
     from .sampling import INSTANCE_IDS, instance_groups
 

@@ -17,7 +17,7 @@ from itertools import compress, repeat
 from operator import add, eq, mul, sub
 from typing import Iterator, Sequence
 
-from .model import Coalition, PopulationParams
+from .model import Coalition, PopulationParams, check_integer
 
 # Uniforms per instance: the player count, six sizes (the first k are
 # used) and the two constants.  Each comes from its own 56-bit word of a
@@ -40,16 +40,13 @@ BLOCK_SIZE = 1024
 
 def instance_rng(seed: int, index: int) -> tuple[float, ...]:
     """The nine uniforms on [0, 1) of instance ``index`` of the sweep at
-    ``seed``, 0 <= seed, index < 2**64: the per-index reference decode."""
+    ``seed``, each of them in [0, 2**64) by ``check_integer``: the per-index
+    reference decode."""
     # Imported here so that importing the package does not load hashlib.
     import hashlib
 
-    try:
-        key = seed.to_bytes(8, "little") + index.to_bytes(8, "little")
-    except OverflowError:
-        raise ValueError(
-            f"seed and index must be in [0, 2**64), got seed={seed}, index={index}"
-        ) from None
+    seed, index = check_integer("seed", seed, 0), check_integer("index", index, 0)
+    key = seed.to_bytes(8, "little") + index.to_bytes(8, "little")
     digest = hashlib.blake2b(key, digest_size=DRAWS * _WORD_BYTES).digest()
     words = int.from_bytes(digest, "little")
     return tuple((words >> shift & _MANTISSA) * _UNIT for shift in _SHIFTS)
@@ -80,13 +77,12 @@ def random_instance(draw: tuple[float, ...]) -> tuple[PopulationParams, Coalitio
 def instance_groups(count: int, seed: int) -> Iterator[tuple[list, ...]]:
     """The first ``count`` instances of the sweep at ``seed`` as columns
     (indices, mu_e, sigma_sq, n_1, ..., n_k): each block of ``BLOCK_SIZE``
-    indices, split by player count k in increasing order.  A count below 1
-    would make a sweep pass with no checks, so it raises ``ValueError``."""
-    if count < 1:
-        raise ValueError(f"instance count must be >= 1, got {count!r}")
+    indices, split by player count k in increasing order.  By ``check_integer``,
+    a count below 1 (a sweep with no checks) or a bad seed raises ``ValueError``."""
+    count = check_integer("instance count", count, 1)
+    seed = check_integer("seed", seed, 0)
     import hashlib
 
-    instance_rng(seed, 0)  # rejects the seed as the per-index reference does
     # A copy of this state, which has read the seed, digests each index.
     seeded = hashlib.blake2b(seed.to_bytes(8, "little"),
                              digest_size=DRAWS * _WORD_BYTES)

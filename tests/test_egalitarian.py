@@ -2,11 +2,13 @@
 and the near-tightness construction."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import fedfair.egalitarian
 from fedfair import (
     Coalition,
     FederationMethod,
@@ -286,6 +288,19 @@ class TestModularity:
         assert not first.passed
         assert first.counterexample is not None
         assert first.counterexample["err_small"] < first.counterexample["err_large"]
+
+    @pytest.mark.parametrize("method", ["uniform", None, 3])
+    def test_only_a_method_or_a_callable_is_checked(self, monkeypatch, method):
+        """Anything else is rejected by name before the grid is evaluated,
+        never a raw TypeError from calling it on the grid."""
+
+        def evaluated(*args):
+            raise AssertionError("a grid case was evaluated")
+
+        monkeypatch.setattr(fedfair.egalitarian, "_grid_errors", evaluated)
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown federation method: {method!r}")):
+            check_modularity(method)
 
     def test_limit_catches_a_relative_miss_of_1e_6(self):
         """A two-player error 1e-6 too large for s moves the limiting ratio

@@ -3,6 +3,7 @@ spec validation."""
 
 import math
 import pickle
+import re
 import sys
 import tracemalloc
 import warnings
@@ -34,6 +35,7 @@ from fedfair.exceptions import (
 
 PARAMS = PopulationParams(mu_e=10.0, sigma_sq=1.0)
 PAIR = Coalition((Player("s", 6.0), Player("l", 20.0)))
+SIX = Coalition.from_sizes([6, 20, 2.5, 40, 6, 13.75])
 TRIALS = 60_000
 
 
@@ -239,6 +241,30 @@ class TestMemory:
         means = 65_536 * 20 * 8
         assert peak < means + 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
+    def test_uniform_means_are_drawn_in_place(self):
+        """Uniform means fill the chunk's buffer as Gaussian means do: a
+        whole-chunk temporary of the uniforms (10 MiB here) would raise the
+        peak far above the Gaussian run's, where one noise block may not."""
+        case = spec(
+            coalition=Coalition.from_sizes(range(1, 21)),
+            target="p1",
+            method=FederationMethod.FINE_GRAINED,
+            trials=65_536,
+        )
+        peaks = []
+        for means in MeanDistribution:
+            drawn = case._replace(mean_distribution=means)
+            simulate_error(drawn._replace(trials=4))  # first-call allocations
+            tracemalloc.start()
+            try:
+                simulate_error(drawn)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        gaussian, uniform = peaks
+        block = montecarlo.BLOCK_ROWS * 20 * 8
+        assert uniform <= gaussian + block, f"{uniform - gaussian} bytes above"
+
     def test_memory_does_not_grow_with_chunk_count(self, monkeypatch):
         """A simulation holds one chunk at a time, so 2,000 chunks cost no
         more memory than a few; seeding every chunk up front would hold
@@ -296,6 +322,35 @@ class TestDeterminism:
             coalition=coalition, target=target, method=method, mean_distribution=means,
             noise_variances=noise, trials=69_633, seed=7,
         ))
+        assert (result.empirical_mse.hex(), result.standard_error.hex()) == pinned
+
+    @pytest.mark.parametrize(
+        "case, pinned",
+        [
+            (spec(method=FederationMethod.FINE_GRAINED, trials=4097, seed=0),
+             ("0x1.fd127a199c301p-1", "0x1.71e3c04bed7d5p-6")),
+            (spec(target="l", trials=4097, seed=2**64 - 1),
+             ("0x1.f9b3d7578cd5ep-2", "0x1.5fcc91543f96fp-7")),
+            (spec(coalition=SIX, target="p3", method=FederationMethod.FINE_GRAINED,
+                  trials=70_000, seed=7),
+             ("0x1.04f2fc8833557p+0", "0x1.40c218efadea4p-8")),
+            (spec(coalition=SIX, target="p1", noise_variances=(0, 4, 8, 12, 16, 20),
+                  trials=4097, seed=2**64 - 1),
+             ("0x1.3fbf842d855e0p+0", "0x1.7d7c4b2055f74p-6")),
+            *((s, pinned) for s in default_suite(20_000) for label, pinned in (
+                ("uniform-means-uniform-s", ("0x1.9097f2558ff16p+0", "0x1.d1fff965c3e5ep-7")),
+                ("uniform-means-fine-l", ("0x1.b986baf2a93b8p-2", "0x1.1972496f10934p-8")),
+            ) if s.label == label),
+        ],
+        ids=["pair-fine", "pair-uniform-top-seed", "six-two-chunks", "six-noise-list",
+             "suite-uniform-s", "suite-fine-l"],
+    )
+    def test_uniform_means_are_the_generators_uniform_draws(self, case, pinned):
+        """The means are filled in place as u * 2 half - half from the
+        generator's doubles u, the arithmetic of ``Generator.uniform(-half,
+        half)``: these bits are those the loop gave when it drew each chunk's
+        means as one ``uniform(-half, half, size=...)`` array."""
+        result = simulate_error(case._replace(mean_distribution=MeanDistribution.UNIFORM))
         assert (result.empirical_mse.hex(), result.standard_error.hex()) == pinned
 
 
@@ -476,7 +531,9 @@ class TestSpecValidation:
     def test_integer_fields(self, field, value):
         """A bool or a non-integer is rejected by name at construction, not
         run at seed 1 or failed mid-run with a TypeError."""
-        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        low = {"trials": 2, "seed": 0}[field]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{field} must be an integer in [{low}, 2**64), got ")):
             spec(**{field: value})
 
     def test_numpy_integers_are_stored_as_ints(self):
@@ -487,7 +544,8 @@ class TestSpecValidation:
     def test_replace_make_and_pickle_validate(self):
         """Every way to build a spec goes through the same checks."""
         case = spec()
-        with pytest.raises(ValueError, match="trials must be >= 2"):
+        with pytest.raises(ValueError, match=re.escape(
+                "trials must be an integer in [2, 2**64), got 1")):
             case._replace(trials=1)
         with pytest.raises(TargetNotInCoalition):
             case._replace(target="ghost")
